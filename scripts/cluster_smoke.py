@@ -16,8 +16,7 @@ Exits non-zero (with a message) on any mismatch.  Runs in seconds.
 
 Usage::
 
-    PYTHONPATH=src python scripts/cluster_smoke.py [--workers 2] [--scale 0.05] \
-        [--transport auto|shm|pipe]
+    PYTHONPATH=src python scripts/cluster_smoke.py [--workers 2] [--scale 0.05]
 """
 
 from __future__ import annotations
@@ -40,8 +39,6 @@ def main(argv=None) -> int:
     parser.add_argument("--workers", type=int, default=2)
     parser.add_argument("--scale", type=float, default=0.05)
     parser.add_argument("--dataset", default="email-EuAll")
-    parser.add_argument("--transport", choices=["auto", "shm", "pipe"], default="auto",
-                        help="cluster data-plane transport (default auto)")
     args = parser.parse_args(argv)
 
     stream = load_dataset(args.dataset, scale=args.scale)
@@ -70,7 +67,6 @@ def main(argv=None) -> int:
         "sharded-gss",
         params={
             "workers": args.workers,
-            "transport": args.transport,
             "matrix_width": shard_config.matrix_width,
             "fingerprint_bits": shard_config.fingerprint_bits,
             "rooms": shard_config.rooms,
@@ -79,7 +75,6 @@ def main(argv=None) -> int:
         },
     )
     cluster = build(cluster_spec)
-    print(f"transport: requested={args.transport} effective={cluster.transport}")
     first_report = StreamSession(cluster).feed(edges[:half])
     print(
         f"ingested first half: {first_report.items} items, "

@@ -21,7 +21,7 @@ Point it at a running server::
 or let it host one itself (the CI smoke path)::
 
     PYTHONPATH=src python scripts/load_gen.py --self-host --workers 2 \
-        --transport shm --verify --items 40000
+        --verify --items 40000
 
 ``--verify`` pins one ingest client per shard (the stream is pre-partitioned
 by routing hash, so per-shard order matches a single-writer reference);
@@ -65,8 +65,6 @@ def main(argv=None) -> int:
                         help="start a server in this process (needs --workers)")
     parser.add_argument("--workers", type=int, default=2,
                         help="self-hosted server's shard count")
-    parser.add_argument("--transport", choices=["auto", "shm", "pipe"],
-                        default="auto", help="self-hosted cluster transport")
     parser.add_argument("--expected-edges", type=int, default=100_000,
                         help="self-hosted summary's sizing input")
     parser.add_argument("--credits", type=int, default=8,
@@ -99,7 +97,7 @@ def main(argv=None) -> int:
         spec = SketchSpec(
             "sharded-gss",
             expected_edges=args.expected_edges,
-            params={"workers": args.workers, "transport": args.transport},
+            params={"workers": args.workers},
         )
     if args.self_host:
         from repro.api import build  # noqa: E402
@@ -118,7 +116,7 @@ def main(argv=None) -> int:
         )
         config.host, config.port = handle.host, handle.port
         print(f"self-hosted server on {config.host}:{config.port} "
-              f"(workers={args.workers} transport={cluster.transport})",
+              f"(workers={args.workers})",
               file=sys.stderr)
     if args.verify:
         from repro.api import build  # noqa: E402

@@ -16,13 +16,10 @@ Usage::
     PYTHONPATH=src python scripts/record_bench.py --repeats 3     # steadier numbers
     PYTHONPATH=src python scripts/record_bench.py --profile       # + per-stage profile
     PYTHONPATH=src python scripts/record_bench.py --workers 4     # + cluster row
-    PYTHONPATH=src python scripts/record_bench.py --workers 2 --transport shm
     PYTHONPATH=src python scripts/record_bench.py --serve       # + served throughput
     PYTHONPATH=src python scripts/record_bench.py --out BENCH_tab1.json
 
-With ``--workers`` the run also records ``sharded_speedup_vs_update_many``
-and — when both data planes were measured — ``transport_speedup_shm_vs_pipe``
-(shared-memory ring vs pickled pipe, same worker count and stream).
+With ``--workers`` the run also records ``sharded_speedup_vs_update_many``.
 
 With ``--serve`` the run additionally measures the network front end: a
 :mod:`repro.serve` server is started in-process over a fresh cluster and
@@ -76,10 +73,6 @@ def parse_args(argv=None) -> argparse.Namespace:
     parser.add_argument("--workers", type=int, default=0,
                         help="also measure a multi-process sharded-gss cluster "
                              "row with this many worker processes (default 0 = off)")
-    parser.add_argument("--transport", choices=["auto", "shm", "pipe"], default="auto",
-                        help="data-plane transport of the cluster row; also "
-                             "records a pipe-vs-shm comparison when not 'pipe' "
-                             "(default auto)")
     parser.add_argument("--label", default=None,
                         help="free-form label stored with the run (e.g. the PR number)")
     parser.add_argument("--serve", action="store_true",
@@ -109,12 +102,11 @@ def measure_serve(args: argparse.Namespace) -> dict:
     from repro.serve.loadgen import LoadGenConfig, run_load_test, synthetic_stream
 
     workers = args.serve_workers or args.workers or 2
-    transport = args.transport
     stream = synthetic_stream(args.serve_items, nodes=4_000, seed=11)
     spec = SketchSpec(
         "sharded-gss",
         expected_edges=max(1, len(stream)),
-        params={"workers": workers, "transport": transport},
+        params={"workers": workers},
     )
 
     direct = build(spec)
@@ -146,7 +138,6 @@ def measure_serve(args: argparse.Namespace) -> dict:
     section = {
         "items": len(stream),
         "workers": workers,
-        "transport": report["server"]["transport"],
         "binary_ingest": report["server"]["binary_ingest"],
         "ingest_clients": report["clients"]["ingest"],
         "query_clients": report["clients"]["query"],
@@ -162,8 +153,7 @@ def measure_serve(args: argparse.Namespace) -> dict:
     print(
         f"served: {served_eps:,.0f} edges/s over TCP "
         f"({section['ingest_clients']} feeds + {section['query_clients']} "
-        f"query clients, workers={workers}, "
-        f"transport={section['transport']}) vs in-process "
+        f"query clients, workers={workers}) vs in-process "
         f"{inprocess_eps:,.0f} edges/s -> "
         f"{section['served_vs_inprocess']:.2f}x; query p50 "
         f"{section['query_p50_ms']:.2f} ms, p99 {section['query_p99_ms']:.2f} ms"
@@ -182,10 +172,6 @@ def build_config(args: argparse.Namespace, backend: str) -> ExperimentConfig:
         config.extras["speed_repeats"] = args.repeats
     if args.workers:
         config.workers = args.workers
-        config.transport = args.transport
-        # Measure both data planes head to head unless pipes were forced.
-        if args.transport != "pipe":
-            config.extras["transport_compare"] = True
     return config
 
 
@@ -251,20 +237,13 @@ def main(argv=None) -> int:
         "native_available": native_ready,
         "repeats": args.repeats,
         "workers": args.workers,
-        "transport": args.transport,
         "cpu_count": os.cpu_count(),
         "results": {},
     }
-    main_cluster_label = (
-        f"sharded-gss(workers={args.workers})"
-        if args.transport == "auto"
-        else f"sharded-gss(workers={args.workers},transport={args.transport})"
-    )
-    pipe_cluster_label = f"sharded-gss(workers={args.workers},transport=pipe)"
+    cluster_label = f"sharded-gss(workers={args.workers})"
     rates = {}
     adjacency_rates = {}
     sharded_rates = {}
-    pipe_rates = {}
     for backend in backends:
         config = build_config(args, backend)
         print(f"== running tab1 on backend={backend} ==", flush=True)
@@ -302,8 +281,7 @@ def main(argv=None) -> int:
         rates[backend] = update_many_rates(result.rows)
         adjacency_rates[backend] = structure_rates(result.rows, "Adjacency Lists")
         if args.workers:
-            sharded_rates[backend] = structure_rates(result.rows, main_cluster_label)
-            pipe_rates[backend] = structure_rates(result.rows, pipe_cluster_label)
+            sharded_rates[backend] = structure_rates(result.rows, cluster_label)
     if args.workers:
         # Cluster ingest vs the single-process batched path, per backend: the
         # multi-core speedup the repro.cluster subsystem is after.  On a
@@ -320,32 +298,9 @@ def main(argv=None) -> int:
         for backend, speedups in run_entry["sharded_speedup_vs_update_many"].items():
             for dataset, speedup in speedups.items():
                 print(
-                    f"{main_cluster_label} vs GSS(update_many) "
+                    f"{cluster_label} vs GSS(update_many) "
                     f"on {dataset} [{backend}]: {speedup:.2f}x"
                 )
-        # Shared-memory ring vs pickled-pipe data plane (same workers, same
-        # stream); present whenever both transports were measured.
-        transport_speedups = {} if args.transport == "pipe" else {
-            backend: {
-                dataset: sharded_rates[backend][dataset] / rate
-                for dataset, rate in pipe_rates.get(backend, {}).items()
-                if rate and sharded_rates[backend].get(dataset)
-            }
-            for backend in sharded_rates
-        }
-        transport_speedups = {
-            backend: speedups
-            for backend, speedups in transport_speedups.items()
-            if speedups
-        }
-        if transport_speedups:
-            run_entry["transport_speedup_shm_vs_pipe"] = transport_speedups
-            for backend, speedups in transport_speedups.items():
-                for dataset, speedup in speedups.items():
-                    print(
-                        f"shm vs pipe transport on {dataset} [{backend}]: "
-                        f"{speedup:.2f}x"
-                    )
     if args.serve:
         print("== measuring served throughput (repro.serve over TCP) ==", flush=True)
         run_entry["serve"] = measure_serve(args)

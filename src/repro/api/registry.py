@@ -348,7 +348,7 @@ def _build_partitioned(spec: SketchSpec) -> PartitionedGSS:
 
 #: Cluster-level parameters of ``sharded-gss``; everything else in the spec's
 #: ``params`` is passed through to the inner per-shard GSS.
-_CLUSTER_PARAMS = ("workers", "routing_seed", "batch_size", "transport")
+_CLUSTER_PARAMS = ("workers", "routing_seed", "batch_size")
 
 
 def _build_sharded(spec: SketchSpec) -> ShardedSummary:
@@ -388,7 +388,6 @@ def _build_sharded(spec: SketchSpec) -> ShardedSummary:
         workers=workers,
         routing_seed=spec.params.get("routing_seed", DEFAULT_ROUTING_SEED),
         batch_size=spec.params.get("batch_size", 1024),
-        transport=spec.params.get("transport", "auto"),
     )
 
 

@@ -6,8 +6,7 @@ dataset size, ``--paper-scale`` switches to the full configuration (all five
 datasets, full query sets), ``--quick`` runs the tiny smoke configuration,
 ``--backend`` selects the sketch matrix backend, ``--sketch NAME`` (repeatable)
 adds equal-memory comparison rows for any registered sketch, ``--workers N``
-adds a multi-process ``sharded-gss`` cluster row to tab1 (``--transport``
-picks its data plane: shared-memory rings or pipes), and ``--json PATH``
+adds a multi-process ``sharded-gss`` cluster row to tab1, and ``--json PATH``
 writes the result rows as a machine-readable document (the perf-trajectory
 format consumed by ``scripts/record_bench.py``).
 
@@ -153,16 +152,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument(
-        "--transport",
-        choices=["auto", "shm", "pipe"],
-        default=None,
-        help=(
-            "data-plane transport of the sharded-gss cluster rows: 'shm' "
-            "(shared-memory rings), 'pipe' (pickled batches) or 'auto' "
-            "(default: shm when NumPy and shared memory are available)"
-        ),
-    )
-    parser.add_argument(
         "--backend",
         choices=["python", "numpy", "native", "auto"],
         default="python",
@@ -226,8 +215,6 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         if args.workers < 1:
             raise SystemExit("--workers must be at least 1")
         config.workers = args.workers
-    if getattr(args, "transport", None) is not None:
-        config.transport = args.transport
     if getattr(args, "backend", None):
         config.backend = args.backend
     if getattr(args, "sketch", None):
@@ -265,7 +252,6 @@ def results_to_document(results: List, config: ExperimentConfig) -> Dict:
         "datasets": list(config.datasets),
         "batch_size": config.extras.get("batch_size", 1024),
         "workers": config.workers,
-        "transport": config.transport,
         "experiments": [
             {
                 "experiment": result.experiment,
@@ -333,8 +319,6 @@ def build_serve_parser() -> argparse.ArgumentParser:
                         help="TCP port (0 picks a free one; default 8750)")
     parser.add_argument("--workers", type=int, default=2,
                         help="cluster worker processes (default 2)")
-    parser.add_argument("--transport", choices=["auto", "shm", "pipe"],
-                        default="auto", help="cluster data-plane transport")
     parser.add_argument("--backend", choices=["python", "numpy", "native", "auto"],
                         default="python", help="matrix backend of the shards")
     sizing = parser.add_mutually_exclusive_group()
@@ -387,7 +371,7 @@ def _run_serve(argv: List[str]) -> int:
             ),
             memory_bytes=args.memory_bytes,
             backend=args.backend,
-            params={"workers": args.workers, "transport": args.transport},
+            params={"workers": args.workers},
         )
         summary = build(spec)
     server = SummaryServer(
@@ -408,7 +392,7 @@ def _run_serve(argv: List[str]) -> int:
         server.install_signal_handlers()
         print(
             f"serving on {server.host}:{server.port} "
-            f"(workers={summary.workers} transport={summary.transport} "
+            f"(workers={summary.workers} "
             f"credits={args.credits} max_inflight={args.max_inflight}); "
             f"GET /metrics on the same port; Ctrl-C drains and exits",
             flush=True,

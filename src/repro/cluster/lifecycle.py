@@ -1,11 +1,9 @@
 """Graceful-shutdown plumbing for bare :class:`ShardedSummary` users.
 
-A cluster owns real child processes and (on the ``shm`` transport)
-shared-memory segments, so dying on an unhandled ``KeyboardInterrupt``
-historically meant three things: items still sitting in client-side outboxes
-were lost, no checkpoint was written, and the resource tracker complained
-about leaked shared-memory segments at interpreter exit.
-:func:`install_signal_handlers` fixes all three for script-style users::
+A cluster owns real child processes, so dying on an unhandled
+``KeyboardInterrupt`` means items still sitting in client-side outboxes are
+lost and no checkpoint is written.  :func:`install_signal_handlers` fixes
+both for script-style users::
 
     cluster = build(SketchSpec("sharded-gss", expected_edges=100_000))
     restore = install_signal_handlers(cluster, checkpoint_dir="ckpt/")
@@ -16,9 +14,9 @@ about leaked shared-memory segments at interpreter exit.
         cluster.shutdown(checkpoint_dir="ckpt/")
 
 On SIGINT or SIGTERM the handler drains in-flight batches, checkpoints when a
-directory was given, closes every worker (unlinking the shm rings), restores
-the previously-installed handlers and re-raises the signal so the process
-still terminates with the conventional status.  The asyncio front end
+directory was given, closes every worker, restores the previously-installed
+handlers and re-raises the signal so the process still terminates with the
+conventional status.  The asyncio front end
 (:mod:`repro.serve`) uses ``loop.add_signal_handler`` instead — this module
 is for plain synchronous scripts.
 """

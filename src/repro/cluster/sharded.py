@@ -14,8 +14,9 @@ boundaries:
   own matrix backend); when the worker's summary exposes a hashed ingest path
   the client hashes every batch exactly once (node + routing hashes, see
   :class:`~repro.streaming.batch.HashedBatch`) and ships the precomputed
-  columns — over a per-worker shared-memory ring on the ``shm`` transport,
-  or pickled through the pipe (see :mod:`repro.cluster.transport`);
+  columns down the worker's pipe as one hashed-batch blob (see
+  :func:`~repro.streaming.batch.encode_hashed_batch`), or as the pickled
+  batch object when NumPy is unavailable;
 * ingestion is pipelined: batches are queued to workers without waiting, a
   bounded number of batches may be in flight per worker (back-pressure), and
   every query acts as a per-shard barrier because the pipes are FIFO;
@@ -34,22 +35,16 @@ from __future__ import annotations
 
 import multiprocessing
 import threading
-from collections import deque
 from time import perf_counter
 from typing import Dict, Hashable, Iterable, List, Optional, Set, Tuple, Union
 
-from repro.cluster.transport import (
-    DEFAULT_RING_BYTES,
-    RingAllocator,
-    encode_hashed_batch,
-    resolve_transport,
-)
 from repro.cluster.worker import worker_main
 from repro.hashing.hash_functions import hash_key
+from repro.hashing.vectorized import NUMPY_AVAILABLE
 from repro.obs import trace as obs_trace
 from repro.obs.registry import MetricsRegistry, merge_snapshots
 from repro.queries.primitives import Capabilities, ShardIngestStats, SummaryShims
-from repro.streaming.batch import HashedBatch, HashSpec
+from repro.streaming.batch import HashedBatch, HashSpec, encode_hashed_batch
 
 __all__ = ["ClusterError", "ShardedSummary", "DEFAULT_ROUTING_SEED"]
 
@@ -80,11 +75,7 @@ class _WorkerHandle:
 
     Tracks the number of outstanding replies (every request gets exactly one,
     in order), the items routed to the shard, and the high-water mark of
-    in-flight batches — the cluster's observable queue-depth metric.  On the
-    ``shm`` transport the handle also owns the worker's shared-memory ring:
-    batches are written into ring segments whose reservations are queued
-    alongside the pending replies and freed — strictly FIFO — as each batch
-    acknowledgement is consumed.
+    in-flight batches — the cluster's observable queue-depth metric.
     """
 
     def __init__(
@@ -95,8 +86,6 @@ class _WorkerHandle:
         max_pending: int,
         snapshot=None,
         snapshot_backend=None,
-        transport: str = "pipe",
-        ring_bytes: int = DEFAULT_RING_BYTES,
         obs_enabled: bool = False,
     ) -> None:
         parent_end, child_end = context.Pipe(duplex=True)
@@ -106,13 +95,6 @@ class _WorkerHandle:
         #: telemetry is on (``None`` keeps the data plane at one branch).
         self.obs_queue_wait = None
         self.obs_items = None
-        self.shm = None
-        self._ring: Optional[RingAllocator] = None
-        if transport == "shm":
-            from multiprocessing import shared_memory
-
-            self.shm = shared_memory.SharedMemory(create=True, size=ring_bytes)
-            self._ring = RingAllocator(ring_bytes)
         self.process = context.Process(
             target=worker_main,
             args=(
@@ -121,36 +103,23 @@ class _WorkerHandle:
                 worker_id,
                 snapshot,
                 snapshot_backend,
-                self.shm.name if self.shm is not None else None,
                 obs_enabled,
             ),
             daemon=True,
             name=f"repro-shard-{worker_id}",
         )
-        try:
-            self.process.start()
-        except Exception:
-            self._release_shm()
-            raise
+        self.process.start()
         child_end.close()
         self.conn = parent_end
         self.pending = 0
         self.items_routed = 0
         self.high_water = 0
         self.closed = False
-        #: One entry per outstanding reply, FIFO: the ring reservation to
-        #: free when that reply is consumed, or ``None`` for non-shm traffic.
-        self._reservations: deque = deque()
         self.info: Dict = {}
-        try:
-            ready = self._read_reply()  # build handshake
-        except ClusterError:
-            self._release_shm()
-            raise
+        ready = self._read_reply()  # build handshake
         if isinstance(ready, tuple) and ready and ready[0] == "ready":
             self.info = ready[1] if len(ready) > 1 else {}
         elif ready != "ready":  # pragma: no cover - defensive
-            self._release_shm()
             raise ClusterError(
                 f"shard worker {worker_id} sent {ready!r} instead of ready"
             )
@@ -175,23 +144,18 @@ class _WorkerHandle:
     def _take_reply(self):
         """Consume one counted reply; raise on worker errors.
 
-        ``pending`` is decremented — and the reply's ring reservation freed —
-        *before* the error check: an ``err`` reply is still a reply, and
-        forgetting to count it would leave the handle expecting one more
-        message than the worker will ever send — every later request on the
-        shard would block forever.
+        ``pending`` is decremented *before* the error check: an ``err``
+        reply is still a reply, and forgetting to count it would leave the
+        handle expecting one more message than the worker will ever send —
+        every later request on the shard would block forever.
         """
         kind, payload = self._recv()
         self.pending -= 1
-        if self._reservations:
-            reservation = self._reservations.popleft()
-            if reservation is not None:
-                self._ring.free(reservation)
         if kind == "err":
             raise ClusterError(str(payload))
         return payload
 
-    def _post(self, message: Tuple, item_count: int, reservation=None) -> None:
+    def _post(self, message: Tuple, item_count: int) -> None:
         """Queue one data-plane message without waiting for it to be applied.
 
         Replies already sitting in the pipe are drained opportunistically,
@@ -200,7 +164,6 @@ class _WorkerHandle:
         """
         self.conn.send(message)
         self.pending += 1
-        self._reservations.append(reservation)
         self.items_routed += item_count
         if self.obs_items is not None:
             self.obs_items.inc(item_count)
@@ -222,42 +185,20 @@ class _WorkerHandle:
         self._post(("batch", items), len(items))
 
     def send_hashed(self, batch: HashedBatch) -> None:
-        """Queue one routed :class:`HashedBatch` through the data plane.
+        """Queue one routed :class:`HashedBatch` (an ``hbatch`` message).
 
-        ``shm`` transport: the encoded batch goes into the ring; when the
-        ring is full, pending acknowledgements are drained (freeing segments
-        FIFO) until it fits.  A batch that cannot fit even in an empty ring
-        — or pipe transport — travels pickled through the control pipe
-        (``hbatch``); both forms are applied identically by the worker.
+        With NumPy the batch travels as its hashed-batch blob — raw column
+        bytes plus pickled keys, measurably cheaper to send than the pickled
+        batch object.  Without NumPy the batch object itself is pickled.
+        The worker applies both forms identically.
         """
-        if self._ring is not None:
-            payload = encode_hashed_batch(batch)
-            allocated = self._ring.alloc(len(payload))
-            if allocated is None and self.pending:
-                # Ring-full stall: counted into the same queue-wait series
-                # as the pipe back-pressure drain above.
-                waited = (
-                    perf_counter() if self.obs_queue_wait is not None else None
-                )
-                while allocated is None and self.pending:
-                    self._take_reply()
-                    allocated = self._ring.alloc(len(payload))
-                if waited is not None:
-                    self.obs_queue_wait.observe(perf_counter() - waited)
-            if allocated is not None:
-                offset, reservation = allocated
-                self.shm.buf[offset : offset + len(payload)] = payload
-                self._post(
-                    ("shmbatch", offset, len(payload)), len(batch), reservation
-                )
-                return
-        self._post(("hbatch", batch), len(batch))
+        payload = encode_hashed_batch(batch) if NUMPY_AVAILABLE else batch
+        self._post(("hbatch", payload), len(batch))
 
     def send_request(self, message: Tuple) -> None:
         """Send a request whose reply will be collected later (fan-out)."""
         self.conn.send(message)
         self.pending += 1
-        self._reservations.append(None)
 
     def collect(self):
         """Drain replies until the most recently sent request's arrives.
@@ -282,17 +223,6 @@ class _WorkerHandle:
 
     # -- lifecycle -----------------------------------------------------------
 
-    def _release_shm(self) -> None:
-        """Close and unlink the ring segment (owner side); idempotent."""
-        if self.shm is None:
-            return
-        shm, self.shm = self.shm, None
-        try:
-            shm.close()
-            shm.unlink()
-        except (FileNotFoundError, BufferError, OSError):  # pragma: no cover
-            pass
-
     def stop(self) -> None:
         if self.closed:
             return
@@ -307,7 +237,6 @@ class _WorkerHandle:
                 self.process.terminate()
                 self.process.join(timeout=5)
             self.conn.close()
-            self._release_shm()
 
     def kill(self) -> None:
         """Hard-terminate the worker without flushing (crash simulation)."""
@@ -317,7 +246,6 @@ class _WorkerHandle:
         self.process.terminate()
         self.process.join(timeout=5)
         self.conn.close()
-        self._release_shm()
 
 
 class ShardedSummary(SummaryShims):
@@ -340,15 +268,6 @@ class ShardedSummary(SummaryShims):
         this size before being queued to a shard.
     max_pending_batches:
         Bound on in-flight batches per worker (ingestion back-pressure).
-    transport:
-        Data-plane transport for routed batches (see
-        :mod:`repro.cluster.transport`): ``"shm"`` ships hash columns
-        through per-worker shared-memory rings, ``"pipe"`` pickles batches
-        through the control pipes, ``"auto"`` (default) picks ``shm`` when
-        NumPy and ``multiprocessing.shared_memory`` are available.  The
-        choice never changes answers, only speed.
-    ring_bytes:
-        Capacity of each worker's shared-memory ring (``shm`` only).
     start_method:
         Optional :mod:`multiprocessing` start method override.
     shard_snapshots / snapshot_backend:
@@ -374,8 +293,6 @@ class ShardedSummary(SummaryShims):
         routing_seed: int = DEFAULT_ROUTING_SEED,
         batch_size: int = 1024,
         max_pending_batches: int = 16,
-        transport: str = "auto",
-        ring_bytes: int = DEFAULT_RING_BYTES,
         start_method: Optional[str] = None,
         shard_snapshots: Optional[List[Dict]] = None,
         snapshot_backend: Optional[str] = None,
@@ -404,7 +321,6 @@ class ShardedSummary(SummaryShims):
         # a concurrent query observes either the whole pre-checkpoint state
         # or the whole post-checkpoint state — never a partial mix.
         self._lock = threading.RLock()
-        self._transport = resolve_transport(transport)
         self._context = _pick_context(start_method)
         # Cluster telemetry: adopted from the globally-enabled registry when
         # one is active at construction time, or installed later through
@@ -430,8 +346,6 @@ class ShardedSummary(SummaryShims):
                             shard_snapshots[worker_id] if shard_snapshots else None
                         ),
                         snapshot_backend=snapshot_backend,
-                        transport=self._transport,
-                        ring_bytes=ring_bytes,
                         obs_enabled=self._obs is not None,
                     )
                 )
@@ -444,16 +358,13 @@ class ShardedSummary(SummaryShims):
         # handshake; when present, the client hashes every batch exactly
         # once (node + routing hashes, vectorized when NumPy is available)
         # and ships the columns — the hash-once ingest pipeline.  Summaries
-        # without a hashed ingest path fall back to plain triple batches
-        # (and the shm ring, useless without hash columns, is ignored).
+        # without a hashed ingest path fall back to plain triple batches.
         self._shard_spec: Optional[HashSpec] = self._handles[0].info.get("hash_spec")
         self._client_spec: Optional[HashSpec] = (
             self._shard_spec.with_routing(routing_seed)
             if self._shard_spec is not None
             else None
         )
-        if self._shard_spec is None:
-            self._transport = "pipe"
         self._node_memo: Dict[Hashable, int] = {}
         self._route_memo: Dict[Hashable, int] = {}
         # Client-side coalescing buffers for scalar updates.
@@ -469,8 +380,8 @@ class ShardedSummary(SummaryShims):
 
     @property
     def transport(self) -> str:
-        """The effective data-plane transport (``"shm"`` or ``"pipe"``)."""
-        return self._transport
+        """The data-plane transport: always ``"pipe"`` (one per worker)."""
+        return "pipe"
 
     def hash_spec(self) -> Optional[HashSpec]:
         """Shard node-hash family plus this cluster's routing seed.
@@ -706,8 +617,7 @@ class ShardedSummary(SummaryShims):
         for handle in self._handles:
             handle.obs_queue_wait = self._obs.histogram(
                 "repro_cluster_queue_wait_seconds",
-                "Time routing spent blocked on shard back-pressure "
-                "(pipe drain or shm ring full).",
+                "Time routing spent blocked on shard back-pressure.",
                 shard=handle.worker_id,
             )
             handle.obs_items = self._obs.counter(
@@ -938,7 +848,7 @@ class ShardedSummary(SummaryShims):
         client-side outboxes — ``shutdown`` first pushes every buffered item
         out and waits for the workers to apply it, then (when
         ``checkpoint_dir`` is given) writes a consistent checkpoint, and only
-        then stops the workers and unlinks the shared-memory rings.  This is
+        then stops the workers.  This is
         what SIGINT/SIGTERM handlers should call (see
         :func:`repro.cluster.install_signal_handlers`).  Idempotent: a
         second call (or a call on an already-closed cluster) is a no-op.

@@ -8,9 +8,9 @@ serves a tiny message protocol over a :class:`multiprocessing.Pipe`:
 request        payload                        reply payload
 ============== ============================== ==================================
 ``batch``      list of update triples         number of items applied
-``hbatch``     a pickled ``HashedBatch``      number of items applied
-``shmbatch``   (offset, nbytes) into the      number of items applied
-               shared-memory ring
+``hbatch``     a hashed-batch blob, or a      number of items applied
+               pickled ``HashedBatch``
+               without NumPy
 ``call``       (method name, args tuple)      the method's return value
 ``snapshot``   —                              the summary's ``to_dict`` document
 ``obs_enable`` —                              ``True`` (telemetry now recording)
@@ -22,17 +22,13 @@ request        payload                        reply payload
 
 At startup the worker either builds a fresh summary from ``spec`` or — on the
 checkpoint-restore path — restores one directly from a snapshot document,
-attaches the client's shared-memory ring when one is named, and answers the
-handshake with ``("ready", info)`` where ``info`` reports the summary's
-:meth:`hash_spec` (or ``None`` when the summary has no hashed ingest path) —
-that is how the client discovers whether it may ship precomputed hash
-columns.  Every request gets exactly one reply, ``("ok", payload)`` or
+and answers the handshake with ``("ready", info)`` where ``info`` reports
+the summary's :meth:`hash_spec` (or ``None`` when the summary has no hashed
+ingest path) — that is how the client discovers whether it may ship
+precomputed hash columns.  Every request gets exactly one reply, ``("ok", payload)`` or
 ``("err", traceback text)``, in request order — the pipe is FIFO, which is
 what lets the parent pipeline batch requests without waiting and still know
-that a ``call`` sent afterwards observes every prior batch.  It is also what
-makes ``shmbatch`` safe: the client frees a ring segment only after consuming
-its acknowledgement, and the worker replies only after fully ingesting the
-segment, so the zero-copy column views never outlive their bytes.
+that a ``call`` sent afterwards observes every prior batch.
 
 The module is import-light on purpose: :mod:`repro.api` is imported inside
 :func:`worker_main` (i.e. in the child process) so that ``repro.cluster`` can
@@ -43,6 +39,8 @@ from __future__ import annotations
 
 import traceback
 from typing import Any, Dict, Optional
+
+from repro.streaming.batch import decode_hashed_batch
 
 
 def _ingest(summary, hashed_ingest, batch) -> int:
@@ -77,7 +75,6 @@ def worker_main(
     worker_id: int,
     snapshot: Optional[Dict] = None,
     backend: Optional[str] = None,
-    shm_name: Optional[str] = None,
     obs_enabled: bool = False,
 ) -> None:
     """Run one shard worker until ``stop`` or a closed pipe.
@@ -87,10 +84,8 @@ def worker_main(
     ``worker_id`` the shard index (used only for error messages).  When
     ``snapshot`` is given the summary is restored from it instead of built
     from the spec (``backend`` optionally re-targets the restored matrix
-    backend) — the cluster's checkpoint-recovery path.  ``shm_name`` names
-    the client's shared-memory ring for the ``shmbatch`` data plane; the
-    worker attaches without adopting ownership (the client unlinks it).
-    With ``obs_enabled`` (or on a later ``obs_enable`` request) the worker
+    backend) — the cluster's checkpoint-recovery path.  With
+    ``obs_enabled`` (or on a later ``obs_enable`` request) the worker
     records spans/counters into a process-local registry whose snapshot the
     parent collects over this same pipe (the ``obs`` request) and merges
     into the cluster-wide telemetry view.
@@ -101,7 +96,6 @@ def worker_main(
     obs_items = None
     if obs_enabled:
         _, obs_items = _enable_worker_obs(worker_id)
-    shm = None
     try:
         if snapshot is not None:
             summary = from_dict(snapshot, backend=backend)
@@ -114,10 +108,6 @@ def worker_main(
             hash_spec = spec_of()
         else:
             hashed_ingest = None
-        if shm_name is not None:
-            from repro.cluster.transport import attach_shared_memory
-
-            shm = attach_shared_memory(shm_name)
         conn.send(("ok", ("ready", {"hash_spec": hash_spec})))
     except Exception:
         _send_error(conn, worker_id, traceback.format_exc())
@@ -142,23 +132,11 @@ def worker_main(
                     obs_items.inc(applied)
                 conn.send(("ok", applied))
             elif operation == "hbatch":
+                batch = request[1]
                 with obs_trace.span("worker.ingest", shard=worker_id):
-                    applied = _ingest(summary, hashed_ingest, request[1])
-                if obs_items is not None:
-                    obs_items.inc(applied)
-                conn.send(("ok", applied))
-            elif operation == "shmbatch":
-                from repro.cluster.transport import decode_hashed_batch
-
-                with obs_trace.span("worker.ingest", shard=worker_id):
-                    batch = decode_hashed_batch(
-                        shm.buf, request[1], request[2], hash_spec
-                    )
+                    if isinstance(batch, bytes):
+                        batch = decode_hashed_batch(batch, 0, len(batch), hash_spec)
                     applied = _ingest(summary, hashed_ingest, batch)
-                    # Drop the zero-copy column views before acknowledging:
-                    # the client may reuse the segment as soon as it sees
-                    # the reply.
-                    del batch
                 if obs_items is not None:
                     obs_items.inc(applied)
                 conn.send(("ok", applied))
@@ -184,11 +162,6 @@ def worker_main(
                 _send_error(conn, worker_id, f"unknown request {operation!r}")
         except Exception:
             _send_error(conn, worker_id, traceback.format_exc())
-    if shm is not None:
-        try:
-            shm.close()
-        except BufferError:  # pragma: no cover - lingering column view
-            pass
     conn.close()
 
 

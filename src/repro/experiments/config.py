@@ -64,9 +64,6 @@ class ExperimentConfig:
     #: Worker-process count for the ``sharded-gss`` cluster rows (CLI
     #: ``--workers``); 0 disables them.
     workers: int = 0
-    #: Cluster data-plane transport (CLI ``--transport``): ``auto`` (shared
-    #: memory when available, else pipes), ``shm``, or ``pipe``.
-    transport: str = "auto"
     extras: dict = field(default_factory=dict)
 
     @classmethod

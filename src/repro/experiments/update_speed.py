@@ -84,59 +84,32 @@ def run_update_speed_experiment(config: ExperimentConfig = None) -> ExperimentRe
             ),
         }
         if config.workers:
-            # Multi-process cluster rows at the reference GSS's memory: same
+            # Multi-process cluster row at the reference GSS's memory: same
             # total sketch capacity, sharded over worker processes.  The
             # timed region includes the flush barrier (see
             # measure_batch_update_throughput) and each repeat tears its
-            # worker processes down untimed.  ``--transport`` picks the data
-            # plane; ``extras["transport_compare"]`` adds explicit shm and
-            # pipe rows so the transports can be compared head to head.
-            def make_cluster(transport):
-                def build():
-                    return config.build_sketch(
-                        "sharded-gss",
-                        reference.config.matrix_memory_bytes(),
-                        workers=config.workers,
-                        fingerprint_bits=fingerprint_bits,
-                        rooms=config.rooms,
-                        sequence_length=config.sequence_length,
-                        candidate_buckets=config.candidate_buckets,
-                        batch_size=batch_size,
-                        transport=transport,
-                    )
-
-                return build
-
-            cluster_transports = [config.transport]
-            if config.extras.get("transport_compare"):
-                # Add whichever concrete transports the main row does not
-                # already resolve to (on a machine without shared memory
-                # every name resolves to "pipe", so no extra rows appear).
-                from repro.cluster.transport import shm_available
-
-                available = ("shm", "pipe") if shm_available() else ("pipe",)
-                resolved_main = (
-                    config.transport
-                    if config.transport in available
-                    else available[0]
-                )
-                cluster_transports += [
-                    name for name in available if name != resolved_main
-                ]
-            for transport in cluster_transports:
-                cluster_label = (
-                    f"sharded-gss(workers={config.workers})"
-                    if transport == "auto"
-                    else f"sharded-gss(workers={config.workers},transport={transport})"
-                )
-                measurements[cluster_label] = measure_batch_update_throughput(
-                    make_cluster(transport),
-                    edges,
-                    label=cluster_label,
-                    repeats=repeats,
+            # worker processes down untimed.
+            def make_cluster():
+                return config.build_sketch(
+                    "sharded-gss",
+                    reference.config.matrix_memory_bytes(),
+                    workers=config.workers,
+                    fingerprint_bits=fingerprint_bits,
+                    rooms=config.rooms,
+                    sequence_length=config.sequence_length,
+                    candidate_buckets=config.candidate_buckets,
                     batch_size=batch_size,
-                    teardown=_close_if_closeable,
                 )
+
+            cluster_label = f"sharded-gss(workers={config.workers})"
+            measurements[cluster_label] = measure_batch_update_throughput(
+                make_cluster,
+                edges,
+                label=cluster_label,
+                repeats=repeats,
+                batch_size=batch_size,
+                teardown=_close_if_closeable,
+            )
         for extra_name in config.extra_sketches:
             # --sketch rows: any registered structure, granted the same
             # memory as the reference GSS (the comparison invariant).

@@ -7,8 +7,8 @@ concurrent ingest feeds and query clients — separate processes, separate
 machines — share one live summary:
 
 * :mod:`repro.serve.protocol` — length-prefixed frames (JSON control frames
-  plus a binary ingest frame that reuses the cluster transport's
-  :class:`~repro.streaming.batch.HashedBatch` encoding, extended with the
+  plus a binary ingest frame that reuses the hashed-batch blob the cluster
+  sends down its worker pipes, extended with the
   routing-hash column, so node and routing hashes are computed **once on the
   client** and flow edge-to-worker untouched);
 * :mod:`repro.serve.server` — :class:`SummaryServer`: one asyncio acceptor,

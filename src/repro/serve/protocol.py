@@ -15,15 +15,15 @@ Two frame kinds exist:
   and for the same reason: a query sent after a run of ingest frames is
   guaranteed to observe them.
 * ``FRAME_HBATCH`` — a binary ingest frame: the routing-hash column followed
-  by the cluster transport's :func:`~repro.cluster.transport.encode_hashed_batch`
-  blob (node-hash columns + weights + pickled keys).  The payload reuses the
-  PR-6 encoding verbatim, extended with the one column the shm ring drops
-  (route hashes travel pre-split there), so a batch hashed once on the
-  client is routed and ingested by the workers with **zero further hash
-  work** — the hash-once invariant extended edge-to-worker across the
-  network.  Like the shm ring, the blob is native-endian and carries pickled
-  keys: the protocol assumes a same-architecture, *trusted* network (bind to
-  loopback or a private interface).
+  by the hashed-batch blob of
+  :func:`~repro.streaming.batch.encode_hashed_batch` (node-hash columns +
+  weights + pickled keys) — the same bytes the cluster sends down each
+  worker pipe.  A batch hashed once on the client is therefore routed and
+  ingested by the workers with **zero further hash work** — the hash-once
+  invariant extended edge-to-worker across the network.  The blob is
+  native-endian and carries pickled keys: the protocol assumes a
+  same-architecture, *trusted* network (bind to loopback or a private
+  interface).
 
 Query answers are JSON values with one extension: sets — the
 successor/precursor result type — are tagged ``{"__set__": [...]}`` so they
@@ -39,7 +39,12 @@ import struct
 from typing import Any, Optional, Tuple
 
 from repro.hashing.vectorized import NUMPY_AVAILABLE, load_numpy
-from repro.streaming.batch import HashedBatch, HashSpec
+from repro.streaming.batch import (
+    HashedBatch,
+    HashSpec,
+    decode_hashed_batch,
+    encode_hashed_batch,
+)
 
 __all__ = [
     "FRAME_HBATCH",
@@ -130,15 +135,13 @@ unpack_header = _HEADER.unpack
 def encode_ingest_frame(batch: HashedBatch) -> bytes:
     """Encode a routed :class:`HashedBatch` as one binary ingest frame.
 
-    Layout: ``=Q`` route count, the u64 route-hash column, then the cluster
-    transport's hashed-batch blob.  Requires NumPy on the encoding side (the
+    Layout: ``=Q`` route count, the u64 route-hash column, then the
+    hashed-batch blob.  Requires NumPy on the encoding side (the
     columns are arrays); callers fall back to a JSON ingest frame otherwise.
     A batch without route hashes encodes a zero-length route column — the
     server then routes it itself (one routing-hash pass, node hashes still
     reused).
     """
-    from repro.cluster.transport import encode_hashed_batch
-
     np = load_numpy()
     blob = encode_hashed_batch(batch)
     if batch.route_hashes is None:
@@ -157,18 +160,22 @@ def decode_ingest_payload(payload: bytes, spec: Optional[HashSpec]) -> HashedBat
     client built the batch against the spec advertised in the hello frame,
     so stamping it here lets ``ShardedSummary.update_many_hashed`` accept
     the columns without re-hashing.  Requires NumPy (servers without it
-    never advertise binary ingest).
+    never advertise binary ingest).  Raises :class:`ProtocolError` when the
+    payload's counts disagree with each other or with its length.
     """
-    from repro.cluster.transport import decode_hashed_batch
-
     np = load_numpy()
-    (route_count,) = _ROUTE_HEADER.unpack_from(payload, 0)
-    cursor = _ROUTE_HEADER.size
-    routes = None
-    if route_count:
-        routes = np.frombuffer(payload, dtype=np.uint64, count=route_count, offset=cursor)
-        cursor += 8 * route_count
-    batch = decode_hashed_batch(payload, cursor, len(payload) - cursor, spec)
+    try:
+        (route_count,) = _ROUTE_HEADER.unpack_from(payload, 0)
+        cursor = _ROUTE_HEADER.size
+        routes = None
+        if route_count:
+            routes = np.frombuffer(
+                payload, dtype=np.uint64, count=route_count, offset=cursor
+            )
+            cursor += 8 * route_count
+        batch = decode_hashed_batch(payload, cursor, len(payload) - cursor, spec)
+    except (struct.error, ValueError) as error:
+        raise ProtocolError(f"malformed binary ingest frame: {error}") from None
     if routes is not None:
         if len(batch) != route_count:
             raise ProtocolError(

@@ -14,7 +14,7 @@ One acceptor serves three kinds of traffic on a single port:
   scrapers need no custom client;
 * **signals** — SIGINT/SIGTERM trigger the graceful drain: stop accepting,
   let connections finish, flush the summary, checkpoint when a directory is
-  configured, close the cluster (releasing the shm rings).
+  configured, close the cluster (stopping its workers).
 
 The summary itself (typically a :class:`~repro.cluster.ShardedSummary`) is
 **not** asyncio-aware — its worker pipes block, and they are single-consumer.

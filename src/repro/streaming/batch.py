@@ -35,6 +35,8 @@ invariant end-to-end.
 
 from __future__ import annotations
 
+import pickle
+import struct
 from dataclasses import dataclass
 from itertools import chain
 from typing import Hashable, Iterable, List, Optional, Sequence, Tuple, Union
@@ -43,7 +45,13 @@ from repro.hashing.hash_functions import hash_key
 from repro.hashing.vectorized import NUMPY_AVAILABLE, load_numpy
 from repro.obs.trace import active as _obs_active, span as _obs_span
 
-__all__ = ["HashSpec", "HashedBatch", "MEMO_LIMIT"]
+__all__ = [
+    "HashSpec",
+    "HashedBatch",
+    "MEMO_LIMIT",
+    "decode_hashed_batch",
+    "encode_hashed_batch",
+]
 
 #: Obs counters proving the hash-once invariant live: every distinct key in
 #: a batch either hits the cross-batch memo or is hashed exactly once.
@@ -62,6 +70,9 @@ MEMO_LIMIT = 1 << 20
 #: dominate tiny inputs.  Both paths are bit-identical, so this is purely a
 #: constant-factor knob.
 _VECTOR_MIN = 16
+
+#: Header of the hashed-batch blob: row count, pickled-keys length.
+_BLOB_HEADER = struct.Struct("=QQ")
 
 
 @dataclass(frozen=True)
@@ -142,7 +153,7 @@ class HashedBatch:
     """One chunk of stream items with node hashes computed exactly once.
 
     Build through :meth:`from_items` (normalization + hashing) or
-    :meth:`from_columns` (transport decode).  Column types are an internal
+    :meth:`from_columns` (blob decode).  Column types are an internal
     detail — NumPy arrays on the vectorized path, plain lists otherwise; use
     the ``*_list`` accessors when Python ints/floats are required (dict keys,
     JSON serialization).
@@ -305,7 +316,7 @@ class HashedBatch:
         destination_hashes,
         route_hashes=None,
     ) -> "HashedBatch":
-        """Rebuild a hashed batch from already-computed columns (transport)."""
+        """Rebuild a hashed batch from already-computed columns (blob decode)."""
         return cls(
             spec,
             sources=sources,
@@ -471,3 +482,85 @@ class HashedBatch:
             source_hashes=source_hashes,
             destination_hashes=destination_hashes,
         )
+
+
+# -- the hashed-batch blob ---------------------------------------------------
+#
+# One byte format carries a batch across a process boundary: the cluster's
+# worker pipes and the serve protocol's ``FRAME_HBATCH`` both use it.  Layout
+# (native endianness; both ends share the architecture)::
+#
+#     header:  count (u64), keys_nbytes (u64)
+#     columns: count x u64 source hashes | count x u64 destination hashes
+#              | count x f64 weights
+#     keys:    pickled (sources, destinations) key lists
+#
+# The original keys travel pickled because the receiving summary answers
+# successor/precursor queries over original IDs.
+
+
+def encode_hashed_batch(batch: HashedBatch) -> bytes:
+    """Serialize a hashed batch into one contiguous blob (needs NumPy)."""
+    np = load_numpy()
+    count = len(batch)
+    source_hashes = np.ascontiguousarray(
+        np.asarray(batch.source_hashes, dtype=np.uint64)
+    )
+    destination_hashes = np.ascontiguousarray(
+        np.asarray(batch.destination_hashes, dtype=np.uint64)
+    )
+    weights = np.ascontiguousarray(np.asarray(batch.weights, dtype=np.float64))
+    keys_blob = pickle.dumps(
+        (batch.sources, batch.destinations), protocol=pickle.HIGHEST_PROTOCOL
+    )
+    return b"".join(
+        (
+            _BLOB_HEADER.pack(count, len(keys_blob)),
+            source_hashes.tobytes(),
+            destination_hashes.tobytes(),
+            weights.tobytes(),
+            keys_blob,
+        )
+    )
+
+
+def decode_hashed_batch(
+    buffer, offset: int, nbytes: int, spec: Optional[HashSpec]
+) -> HashedBatch:
+    """Rebuild a hashed batch from the blob at ``buffer[offset:offset+nbytes]``.
+
+    The numeric columns are read-only ``np.frombuffer`` views into
+    ``buffer``; the keys are unpickled.  Raises :class:`ValueError` when the
+    blob's header disagrees with its length or with its key lists — the
+    blob may arrive off the network, and a short key list with a longer
+    hash column would otherwise ingest rows no key describes.
+    """
+    np = load_numpy()
+    if nbytes < _BLOB_HEADER.size:
+        raise ValueError(
+            f"hashed-batch blob of {nbytes} bytes is shorter than its header"
+        )
+    count, keys_nbytes = _BLOB_HEADER.unpack_from(buffer, offset)
+    cursor = offset + _BLOB_HEADER.size
+    if _BLOB_HEADER.size + 24 * count + keys_nbytes != nbytes:
+        raise ValueError(
+            f"hashed-batch blob of {nbytes} bytes does not hold the {count} "
+            f"rows and {keys_nbytes} key bytes its header declares"
+        )
+    source_hashes = np.frombuffer(buffer, dtype=np.uint64, count=count, offset=cursor)
+    cursor += 8 * count
+    destination_hashes = np.frombuffer(
+        buffer, dtype=np.uint64, count=count, offset=cursor
+    )
+    cursor += 8 * count
+    weights = np.frombuffer(buffer, dtype=np.float64, count=count, offset=cursor)
+    cursor += 8 * count
+    sources, destinations = pickle.loads(buffer[cursor : cursor + keys_nbytes])
+    if len(sources) != count or len(destinations) != count:
+        raise ValueError(
+            f"hashed-batch blob declares {count} rows but carries "
+            f"{len(sources)} sources and {len(destinations)} destinations"
+        )
+    return HashedBatch.from_columns(
+        spec, sources, destinations, weights, source_hashes, destination_hashes
+    )

@@ -231,7 +231,6 @@ class TestServeSubcommand:
         assert args.host == "127.0.0.1"
         assert args.port == 8750
         assert args.workers == 2
-        assert args.transport == "auto"
         assert args.backend == "python"
         assert args.credits == 8
         assert args.max_inflight == 64
@@ -242,13 +241,14 @@ class TestServeSubcommand:
         from repro.cli import build_serve_parser
 
         args = build_serve_parser().parse_args(
-            ["--workers", "4", "--transport", "pipe", "--port", "0",
+            ["--workers", "4", "--port", "0",
              "--memory-bytes", "65536", "--checkpoint-dir", "/tmp/ck"]
         )
         assert args.workers == 4
-        assert args.transport == "pipe"
         assert args.memory_bytes == 65536
         assert args.checkpoint_dir == "/tmp/ck"
+        with pytest.raises(SystemExit):  # one data plane: no --transport
+            build_serve_parser().parse_args(["--transport", "pipe"])
 
     def test_sizing_flags_mutually_exclusive(self):
         from repro.cli import build_serve_parser

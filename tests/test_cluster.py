@@ -18,7 +18,6 @@ from repro.api import (
     sketch_info,
 )
 from repro.cluster import ClusterError, ShardedSummary
-from repro.cluster.transport import shm_available
 from repro.core.config import GSSConfig
 from repro.core.partitioned import PartitionedGSS
 from repro.hashing import count_key_hashes
@@ -40,14 +39,6 @@ def cluster():
     summary = ShardedSummary(inner_spec(), workers=2)
     yield summary
     summary.close()
-
-
-@pytest.fixture(params=["pipe", "shm"])
-def transport(request):
-    """Every concrete data-plane transport available in this environment."""
-    if request.param == "shm" and not shm_available():
-        pytest.skip("shared-memory transport needs NumPy and shared_memory")
-    return request.param
 
 
 class TestConstruction:
@@ -207,10 +198,6 @@ class TestPartitionedEquivalence:
             assert summary.shard_of(node) == reference.shard_of(node)
 
 
-def transports_available():
-    return ["pipe", "shm"] if shm_available() else ["pipe"]
-
-
 def nasty_items():
     """Insertions, repeats, deletions and enough distinct edges to overflow
     a deliberately undersized shard matrix into the leftover buffer."""
@@ -223,35 +210,24 @@ def nasty_items():
 
 
 class TestTransports:
-    """The data-plane transport changes throughput, never answers or stats."""
+    """The worker pipes change throughput, never answers or stats.
 
+    With NumPy each routed batch crosses the pipe as its hashed-batch blob;
+    without NumPy, as the pickled batch object.  The same tests run on both
+    interpreter configurations, so both payloads are held to the
+    single-process reference.
+    """
+
+    @pytest.mark.parametrize("transport", ["pipe"])
     def test_transport_property_reports_effective_plane(self, transport):
-        with ShardedSummary(inner_spec(), workers=1, transport=transport) as summary:
-            assert summary.transport == transport
-
-    def test_auto_resolves_to_an_available_transport(self):
+        # Not selectable any more, but the serve hello and /metrics report it.
         with ShardedSummary(inner_spec(), workers=1) as summary:
-            assert summary.transport == ("shm" if shm_available() else "pipe")
-
-    def test_explicit_shm_degrades_to_pipe_with_a_warning(self, monkeypatch):
-        from repro.cluster import transport as transport_module
-
-        monkeypatch.setattr(transport_module, "NUMPY_AVAILABLE", False)
-        with pytest.warns(RuntimeWarning, match="falling back"):
-            summary = ShardedSummary(inner_spec(), workers=1, transport="shm")
-        with summary:
-            summary.update("a", "b", 2.0)
-            assert summary.transport == "pipe"
-            assert summary.edge_query("a", "b") == 2.0
-
-    def test_unknown_transport_is_rejected(self):
-        with pytest.raises(ValueError, match="unknown transport"):
-            ShardedSummary(inner_spec(), workers=1, transport="carrier-pigeon")
+            assert summary.transport == transport
 
     def test_every_query_identical_across_transports_and_reference(self):
         # Deletions and buffer-overflow keys ride along: shard matrices of
         # width 8 cannot hold the ~400 distinct edges, so the leftover
-        # buffer path crosses the transports too.
+        # buffer path crosses the pipes too.
         items = nasty_items()
         config = GSSConfig(matrix_width=8, sequence_length=4, candidate_buckets=4)
         reference = PartitionedGSS(config, partitions=2, routing_seed=97)
@@ -259,67 +235,57 @@ class TestTransports:
         assert reference.buffer_edge_count > 0  # the overflow is real
         keys = sorted({(source, destination) for source, destination, _ in items})
         nodes = sorted({key for pair in keys for key in pair})
-        for transport in transports_available():
-            with ShardedSummary(
-                inner_spec(matrix_width=8), workers=2, transport=transport
-            ) as summary:
-                for start in range(0, len(items), 64):
-                    summary.update_many(items[start : start + 64])
-                for key in keys:
-                    assert summary.edge_query(*key) == reference.edge_query(*key), (
-                        transport,
-                        key,
-                    )
-                for node in nodes:
-                    assert summary.successor_query(node) == (
-                        reference.successor_query(node)
-                    )
-                    assert summary.precursor_query(node) == (
-                        reference.precursor_query(node)
-                    )
-                    assert summary.node_out_weight(node) == pytest.approx(
-                        reference.node_out_weight(node)
-                    )
-                    assert summary.node_in_weight(node) == pytest.approx(
-                        reference.node_in_weight(node)
-                    )
+        with ShardedSummary(inner_spec(matrix_width=8), workers=2) as summary:
+            for start in range(0, len(items), 64):
+                summary.update_many(items[start : start + 64])
+            for key in keys:
+                assert summary.edge_query(*key) == reference.edge_query(*key), key
+            for node in nodes:
+                assert summary.successor_query(node) == (
+                    reference.successor_query(node)
+                )
+                assert summary.precursor_query(node) == (
+                    reference.precursor_query(node)
+                )
+                assert summary.node_out_weight(node) == pytest.approx(
+                    reference.node_out_weight(node)
+                )
+                assert summary.node_in_weight(node) == pytest.approx(
+                    reference.node_in_weight(node)
+                )
 
     def test_ingest_stats_identical_across_transports(self):
         # max_pending_batches=1 plus a flush per chunk pins the queue-depth
         # high-water mark (otherwise timing-dependent: the handles drain
-        # replies opportunistically) so all three observable stats must be
-        # bit-identical across data planes.
+        # replies opportunistically) so all three observable stats must
+        # match the single-process reference's routing exactly.
         items = [(f"s{i % 17}", f"d{i % 5}", 1.0) for i in range(300)]
-        observed = {}
-        for transport in transports_available():
-            with ShardedSummary(
-                inner_spec(),
-                workers=2,
-                transport=transport,
-                max_pending_batches=1,
-            ) as summary:
-                for start in range(0, len(items), 50):
-                    summary.update_many(items[start : start + 50])
-                    summary.flush()
-                stats = summary.shard_ingest_stats()
-                observed[transport] = (
-                    stats.items_routed,
-                    stats.queue_depth_high_water,
-                    stats.routing_imbalance,
-                )
-        first = next(iter(observed.values()))
-        assert all(value == first for value in observed.values()), observed
-        assert first[1] == 1  # every chunk waited out: depth never exceeded 1
+        reference = PartitionedGSS(shard_config(), partitions=2, routing_seed=97)
+        reference.update_many(items)
+        with ShardedSummary(inner_spec(), workers=2, max_pending_batches=1) as summary:
+            for start in range(0, len(items), 50):
+                summary.update_many(items[start : start + 50])
+                summary.flush()
+            stats = summary.shard_ingest_stats()
+        routed = [0, 0]
+        for source, _, _ in items:
+            routed[reference.shard_of(source)] += 1
+        assert stats.items_routed == routed
+        assert stats.queue_depth_high_water == 1  # depth never exceeded 1
+        assert stats.routing_imbalance == max(routed) / (sum(routed) / 2)
 
+    @pytest.mark.parametrize("transport", ["pipe"])
     def test_client_hashes_each_routed_batch_exactly_once(self, transport):
         # The end-to-end hash-once law, observed at the client: routing a
         # batch costs one node hash per distinct key plus one routing hash
         # per distinct source — never one hash per item per layer.  (The
         # workers consume the shipped columns; their processes do not hash.)
+        # The case id names the data plane the count is taken on.
         items = [(f"s{i % 11}", f"d{i % 13}", 1.0) for i in range(500)]
         nodes = {key for source, destination, _ in items for key in (source, destination)}
         sources = {source for source, _, _ in items}
-        with ShardedSummary(inner_spec(), workers=2, transport=transport) as summary:
+        with ShardedSummary(inner_spec(), workers=2) as summary:
+            assert summary.transport == transport
             with count_key_hashes() as counter:
                 summary.update_many(items)
             assert counter.count == len(nodes) + len(sources)
@@ -329,10 +295,8 @@ class TestTransports:
             assert counter.count == 0  # memoized across batches
             assert summary.edge_query("s1", "d1") is not None
 
-    def test_interleaved_scalar_and_batch_preserve_order_on_all_transports(
-        self, transport
-    ):
-        with ShardedSummary(inner_spec(), workers=2, transport=transport) as summary:
+    def test_interleaved_scalar_and_batch_preserve_order_on_all_transports(self):
+        with ShardedSummary(inner_spec(), workers=2) as summary:
             summary.update("a", "b", 5.0)
             summary.update_many([("a", "b", -3.0)])
             assert summary.edge_query("a", "b") == 2.0
@@ -340,17 +304,16 @@ class TestTransports:
     def test_session_feed_equivalent_across_transports(self, small_stream):
         # StreamSession builds the hashed batches in this configuration (the
         # cluster publishes its hash spec), so this exercises the session →
-        # routing → transport → backend pipeline end to end, timestamps and
+        # routing → pipe → backend pipeline end to end, timestamps and
         # all (small_stream items carry timestamps; unwindowed summaries
         # drop them uniformly).
         reference = PartitionedGSS(shard_config(), partitions=2, routing_seed=97)
         StreamSession(reference, batch_size=64).feed(small_stream)
-        for transport in transports_available():
-            with ShardedSummary(inner_spec(), workers=2, transport=transport) as summary:
-                report = StreamSession(summary, batch_size=64).feed(small_stream)
-                assert report.items == len(small_stream)
-                for key in list(small_stream.aggregate_weights())[:100]:
-                    assert summary.edge_query(*key) == reference.edge_query(*key)
+        with ShardedSummary(inner_spec(), workers=2) as summary:
+            report = StreamSession(summary, batch_size=64).feed(small_stream)
+            assert report.items == len(small_stream)
+            for key in list(small_stream.aggregate_weights())[:100]:
+                assert summary.edge_query(*key) == reference.edge_query(*key)
 
 
 class TestIngestStats:

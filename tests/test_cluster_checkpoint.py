@@ -19,15 +19,12 @@ from repro.cluster import (
     save_checkpoint,
 )
 from repro.cluster.checkpoint import MANIFEST_NAME
-from repro.cluster.transport import shm_available
 
 SHARD_PARAMS = dict(matrix_width=20, sequence_length=4, candidate_buckets=4)
 
 
-def make_cluster(workers: int = 2, transport: str = "auto") -> ShardedSummary:
-    return ShardedSummary(
-        SketchSpec("gss", params=SHARD_PARAMS), workers=workers, transport=transport
-    )
+def make_cluster(workers: int = 2) -> ShardedSummary:
+    return ShardedSummary(SketchSpec("gss", params=SHARD_PARAMS), workers=workers)
 
 
 def stream_items(count: int = 160):
@@ -99,27 +96,26 @@ class TestRecovery:
         finally:
             restored.close()
 
-    @pytest.mark.skipif(not shm_available(), reason="needs the shm transport")
-    def test_kill_mid_stream_on_shm_transport_restores_equivalently(self, tmp_path):
-        # Same crash drill on the shared-memory data plane: in-flight ring
-        # segments die with the workers, the checkpoint (a flush barrier)
-        # defines the resume point, and the restored cluster — whatever
-        # transport it picks — answers like an uninterrupted shm run.
+    def test_kill_with_batches_in_flight_restores_from_checkpoint(self, tmp_path):
+        # Batches queued after the checkpoint are still in the worker pipes
+        # when the workers die; they are lost with them.  The checkpoint (a
+        # flush barrier) defines the resume point, and replaying the stream
+        # from there answers like an uninterrupted run.
         items = stream_items(300)
         half = len(items) // 2
 
-        with make_cluster(transport="shm") as uninterrupted:
+        with make_cluster() as uninterrupted:
             uninterrupted.update_many(items)
             expected = {
                 (source, destination): uninterrupted.edge_query(source, destination)
                 for source, destination, _ in items
             }
 
-        interrupted = make_cluster(transport="shm")
-        assert interrupted.transport == "shm"
+        interrupted = make_cluster()
         interrupted.update_many(items[:half])
         save_checkpoint(interrupted, tmp_path)
-        interrupted.kill()  # crash: ring segments released, workers gone
+        interrupted.update_many(items[half:])  # queued, never flushed
+        interrupted.kill()  # crash: the in-flight batches die with the workers
 
         restored = load_checkpoint(tmp_path)
         try:

@@ -3,7 +3,7 @@ signal-handler wiring of :mod:`repro.cluster.lifecycle`.
 
 The law: a shutdown — explicit call or SIGINT/SIGTERM — drains every
 in-flight batch, checkpoints when asked, and releases every worker process
-and shared-memory segment without ``resource_tracker`` warnings.
+without ``resource_tracker`` warnings.
 """
 
 from __future__ import annotations

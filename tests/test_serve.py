@@ -160,17 +160,50 @@ class TestBinaryIngestFrames:
         assert decoded.route_hashes is not None
         assert list(decoded.route_hashes) == list(batch.route_hashes)
 
-    def test_route_count_mismatch_rejected(self):
+    #: Malformed payload defect -> the ProtocolError message it must raise.
+    MALFORMED = {
+        "routes-exceed-rows": "route column",
+        "keys-short-of-header": "declares 3 rows",
+        "columns-past-payload": "does not hold",
+        "truncated-header": "shorter than its header",
+    }
+
+    @pytest.mark.parametrize("defect", list(MALFORMED))
+    def test_route_count_mismatch_rejected(self, defect):
+        import pickle
+
         import numpy as np
 
-        from repro.cluster.transport import encode_hashed_batch
+        from repro.core.config import GSSConfig
+        from repro.core.gss import GSS
+        from repro.streaming.batch import encode_hashed_batch
 
-        blob = encode_hashed_batch(self.batch(2))
-        payload = (
-            struct.pack("=Q", 3) + np.zeros(3, dtype=np.uint64).tobytes() + blob
-        )
-        with pytest.raises(protocol.ProtocolError, match="route column"):
-            protocol.decode_ingest_payload(payload, self.SPEC)
+        sketch = GSS(GSSConfig(matrix_width=16))
+        spec = sketch.hash_spec().with_routing(97)
+        items = [(f"s{i}", f"d{i}", float(i + 1)) for i in range(3)]
+        two = encode_hashed_batch(HashedBatch.from_items(items[:2], spec))
+        three = encode_hashed_batch(HashedBatch.from_items(items, spec))
+        no_routes = struct.pack("=Q", 0)
+        if defect == "routes-exceed-rows":
+            payload = (
+                struct.pack("=Q", 3) + np.zeros(3, dtype=np.uint64).tobytes() + two
+            )
+        elif defect == "keys-short-of-header":
+            # Three rows of hash columns, but only two keys per side.
+            keys = pickle.dumps((["s0", "s1"], ["d0", "d1"]))
+            columns = three[16 : 16 + 24 * 3]
+            payload = no_routes + struct.pack("=QQ", 3, len(keys)) + columns + keys
+        elif defect == "columns-past-payload":
+            # The header promises three rows; the payload ends after two.
+            keys = three[16 + 24 * 3 :]
+            columns = two[16 : 16 + 24 * 2]
+            payload = no_routes + three[:16] + columns + keys
+        else:
+            payload = no_routes + three[:8]
+        with pytest.raises(protocol.ProtocolError, match=self.MALFORMED[defect]):
+            sketch.update_many_hashed(protocol.decode_ingest_payload(payload, spec))
+        assert sketch.update_count == 0
+        assert sketch.matrix_edge_count == 0
 
     def test_batch_without_routes_travels(self):
         spec = HashSpec(seed=1, hash_range=1 << 12)  # no routing seed
