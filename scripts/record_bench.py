@@ -2,11 +2,11 @@
 """Record the Table I perf trajectory into ``BENCH_tab1.json``.
 
 Runs the tab1 update-speed experiment on the pure-Python backend and — when
-available — on the NumPy and native (compiled kernel) backends, in one
-process (same machine state, same streams), then writes one machine-readable
-document containing every row set plus the per-dataset ``GSS(update_many)``
-speedups (numpy vs python, native vs numpy) and the remaining gap to the
-exact adjacency-list baseline.  Re-running appends a new entry to the
+available — on the native (compiled kernel) backend, in one process (same
+machine state, same streams), then writes one machine-readable document
+containing every row set plus the per-dataset ``GSS(update_many)`` speedup
+(native vs python) and the remaining gap to the exact adjacency-list
+baseline.  Re-running appends a new entry to the
 ``runs`` list, so the file accumulates the perf trajectory across PRs.
 
 Usage::
@@ -225,11 +225,7 @@ def main(argv=None) -> int:
     # Probing also compiles/binds the kernel (the warm-up hook), so the
     # one-time build cost lands here, never inside a timed region.
     native_ready = native_available()
-    backends = (
-        ["python"]
-        + (["numpy"] if NUMPY_AVAILABLE else [])
-        + (["native"] if native_ready else [])
-    )
+    backends = ["python"] + (["native"] if native_ready else [])
     run_entry = {
         "label": args.label,
         "python": platform.python_version(),
@@ -304,24 +300,15 @@ def main(argv=None) -> int:
     if args.serve:
         print("== measuring served throughput (repro.serve over TCP) ==", flush=True)
         run_entry["serve"] = measure_serve(args)
-    if "numpy" in rates:
+    if "native" in rates:
         speedups = {
-            dataset: rates["numpy"][dataset] / rates["python"][dataset]
+            dataset: rates["native"][dataset] / rates["python"][dataset]
             for dataset in rates["python"]
-            if rates["python"].get(dataset)
+            if rates["python"].get(dataset) and rates["native"].get(dataset)
         }
-        run_entry["update_many_speedup_numpy_vs_python"] = speedups
+        run_entry["update_many_speedup_native_vs_python"] = speedups
         for dataset, speedup in speedups.items():
-            print(f"GSS(update_many) speedup on {dataset}: {speedup:.2f}x")
-    if "native" in rates and "numpy" in rates:
-        native_speedups = {
-            dataset: rates["native"][dataset] / rates["numpy"][dataset]
-            for dataset in rates["numpy"]
-            if rates["numpy"].get(dataset) and rates["native"].get(dataset)
-        }
-        run_entry["native_vs_numpy_speedup"] = native_speedups
-        for dataset, speedup in native_speedups.items():
-            print(f"GSS(update_many) native vs numpy on {dataset}: {speedup:.2f}x")
+            print(f"GSS(update_many) native vs python on {dataset}: {speedup:.2f}x")
     # How much faster the exact adjacency-list store still ingests than the
     # sketch's batched path, per backend (>1 means the baseline leads; the
     # native backend is meant to push this toward 1).

@@ -14,7 +14,7 @@ counting on cit-HepPh, so we provide the two insertion-only variants:
 from __future__ import annotations
 
 import random
-from typing import Dict, Hashable, Set, Tuple
+from typing import Dict, Hashable, List, Set, Tuple
 
 
 def _undirected_key(a: Hashable, b: Hashable) -> Tuple[Hashable, Hashable]:
@@ -23,27 +23,40 @@ def _undirected_key(a: Hashable, b: Hashable) -> Tuple[Hashable, Hashable]:
 
 
 class _ReservoirGraph:
-    """Adjacency view of the edges currently held in the reservoir."""
+    """Adjacency view of the edges currently held in the reservoir.
+
+    Edges live in a list plus a key -> position map rather than a set, so
+    :meth:`random_edge` draws by index: the same ``rng`` state picks the same
+    edge in every process, whatever ``PYTHONHASHSEED`` is.  Removal swaps the
+    last edge into the freed position, keeping both operations O(1).
+    """
 
     def __init__(self) -> None:
         self._adjacency: Dict[Hashable, Set[Hashable]] = {}
-        self._edges: Set[Tuple[Hashable, Hashable]] = set()
+        self._edges: List[Tuple[Hashable, Hashable]] = []
+        self._positions: Dict[Tuple[Hashable, Hashable], int] = {}
 
     def __len__(self) -> int:
         return len(self._edges)
 
     def __contains__(self, key: Tuple[Hashable, Hashable]) -> bool:
-        return key in self._edges
+        return key in self._positions
 
     def add(self, key: Tuple[Hashable, Hashable]) -> None:
         first, second = key
-        self._edges.add(key)
+        self._positions[key] = len(self._edges)
+        self._edges.append(key)
         self._adjacency.setdefault(first, set()).add(second)
         self._adjacency.setdefault(second, set()).add(first)
 
     def remove(self, key: Tuple[Hashable, Hashable]) -> None:
         first, second = key
-        self._edges.discard(key)
+        position = self._positions.pop(key, None)
+        if position is not None:
+            last = self._edges.pop()
+            if position < len(self._edges):
+                self._edges[position] = last
+                self._positions[last] = position
         self._adjacency.get(first, set()).discard(second)
         self._adjacency.get(second, set()).discard(first)
 
@@ -51,7 +64,7 @@ class _ReservoirGraph:
         return self._adjacency.get(a, set()) & self._adjacency.get(b, set())
 
     def random_edge(self, rng: random.Random) -> Tuple[Hashable, Hashable]:
-        return rng.choice(tuple(self._edges))
+        return self._edges[rng.randrange(len(self._edges))]
 
 
 class TriestBase:

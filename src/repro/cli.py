@@ -157,10 +157,11 @@ def build_parser() -> argparse.ArgumentParser:
         default="python",
         help=(
             "matrix backend for GSS and the TCM counters: 'python' (zero "
-            "dependencies, default), 'numpy' (vectorized), 'native' "
-            "(compiled placement kernel; counters use numpy) or 'auto' "
-            "(fastest available).  Missing prerequisites fall back down "
-            "the chain with a warning"
+            "dependencies, default), 'native' (GSS: compiled placement "
+            "kernel; counters: numpy), 'numpy' (GSS: same as native; "
+            "counters: numpy) or 'auto' (native when NumPy and a C "
+            "compiler are present, else python).  Missing prerequisites "
+            "fall back to python with a warning"
         ),
     )
     parser.add_argument(
@@ -229,8 +230,9 @@ def results_to_document(results: List, config: ExperimentConfig) -> Dict:
     ``BENCH_*.json`` trajectory: run metadata (backend, scale, interpreter)
     plus the raw rows of every experiment, so later sessions can diff
     throughput numbers without re-parsing text tables.  ``backend`` is the
-    backend that actually ran (``auto`` and unavailable-NumPy fallbacks
-    resolved); the raw request is kept in ``backend_requested``.
+    GSS backend that actually ran (``auto``, the legacy ``numpy`` name and
+    missing-kernel fallbacks resolved); the raw request is kept in
+    ``backend_requested``.
     """
     import warnings
 

@@ -11,10 +11,9 @@ Design notes
 * The original plan for this backend was a numba ``@njit`` kernel; the
   toolchain this project pins ships a C compiler but no numba, so the kernel
   is plain C with the same shape a numba kernel would have (struct-of-arrays
-  in, scalar control loop inside).  Both historical escape hatches are
-  honored: setting ``REPRO_DISABLE_NATIVE=1`` *or* ``REPRO_DISABLE_NUMBA=1``
+  in, scalar control loop inside).  Setting ``REPRO_DISABLE_NATIVE=1``
   disables the compiled backend exactly like ``REPRO_DISABLE_NUMPY`` does
-  for the vectorized one.
+  for the vectorized hashing.
 * Compilation output is cached under ``$REPRO_NATIVE_CACHE`` (default
   ``~/.cache/repro-gss/native``) keyed by a hash of the kernel source and
   compile flags, so rebuilding only happens when the kernel changes.  The
@@ -84,15 +83,8 @@ class NativeUnavailable(RuntimeError):
 
 
 def native_disabled() -> bool:
-    """True when an escape-hatch env var turns the compiled backend off.
-
-    ``REPRO_DISABLE_NATIVE`` is the canonical switch; ``REPRO_DISABLE_NUMBA``
-    is honored as an alias (the backend was specified as a jitted kernel —
-    scripts written against that contract keep working).
-    """
-    return bool(
-        os.environ.get("REPRO_DISABLE_NATIVE") or os.environ.get("REPRO_DISABLE_NUMBA")
-    )
+    """True when ``REPRO_DISABLE_NATIVE`` turns the compiled backend off."""
+    return bool(os.environ.get("REPRO_DISABLE_NATIVE"))
 
 
 def _find_compiler() -> Optional[str]:
@@ -263,10 +255,7 @@ def warm_up() -> bool:
 def load_native() -> ctypes.CDLL:
     """The bound kernel library, building it first if needed."""
     if native_disabled():
-        raise NativeUnavailable(
-            "the native backend is disabled by REPRO_DISABLE_NATIVE/"
-            "REPRO_DISABLE_NUMBA"
-        )
+        raise NativeUnavailable("the native backend is disabled by REPRO_DISABLE_NATIVE")
     lib, reason = _load()
     if lib is None:
         raise NativeUnavailable(reason)

@@ -33,7 +33,7 @@
  * because the buffer is an exact adjacency structure with Python dict
  * semantics.
  *
- * Equivalence with the python/numpy backends is load-bearing and exact:
+ * Equivalence with the python backend is load-bearing and exact:
  * the FNV/splitmix node hashes, the LCG walks, the probe order, the
  * first-seen contention winners and the IEEE-754 accumulation order all
  * match the scalar reference (see repro/core/backends.py module docstring

@@ -44,22 +44,15 @@ class GSSConfig:
         Seed of the node hash function, allowing independent sketches.
     backend:
         Matrix-storage backend: ``"python"`` (nested lists, zero
-        dependencies — the default), ``"numpy"`` (columnar arrays with the
-        vectorized batch-update pipeline), ``"native"`` (the numpy layout
-        with batched placement compiled to a C kernel) or ``"auto"`` (the
-        fastest the machine supports: native, then numpy, then python).
-        Requesting a backend whose prerequisites are missing falls back down
-        that chain with a warning.  All backends are observationally
-        identical; the choice only affects speed and dependencies.
-    scalar_tail_threshold:
-        Batch tails with at most this many new edges (or unresolved node
-        pairs) run through the scalar helpers instead of the array pipeline
-        on the numpy/native backends — fixed per-call NumPy overhead beats
-        vectorization on tiny inputs.  ``None`` (the default) uses the
-        micro-calibrated built-in default (96; see
-        ``scripts/calibrate_scalar_tail.py``).  Placement is identical on
-        both sides of the threshold by construction, so this is purely a
-        performance knob.
+        dependencies — the default), ``"native"`` (columnar NumPy arrays
+        with batched placement compiled to a C kernel; ``"numpy"`` is its
+        legacy name and resolves identically) or ``"auto"`` (native when
+        the machine has NumPy and a C compiler, else python).  An explicit
+        ``native``/``numpy`` request falls back to python with a warning
+        when the kernel cannot run, or when the config is outside the
+        kernel's envelope (``hash_range > 2^32`` or ``rooms >= 255``).  Both
+        backends are observationally identical; the choice only affects
+        speed and dependencies.
     """
 
     matrix_width: int
@@ -72,7 +65,6 @@ class GSSConfig:
     keep_node_index: bool = True
     seed: int = 0
     backend: str = "python"
-    scalar_tail_threshold: "int | None" = None
 
     def __post_init__(self) -> None:
         if self.matrix_width <= 0:
@@ -89,8 +81,6 @@ class GSSConfig:
             raise ValueError(
                 "backend must be one of 'python', 'numpy', 'native', 'auto'"
             )
-        if self.scalar_tail_threshold is not None and self.scalar_tail_threshold < 0:
-            raise ValueError("scalar_tail_threshold must be non-negative")
 
     @property
     def fingerprint_range(self) -> int:

@@ -14,11 +14,10 @@ paper's ablations.
 
 Matrix storage is pluggable (``GSSConfig.backend``, see
 :mod:`repro.core.backends`): the default pure-Python backend keeps the
-occupancy-indexed nested-list layout, and the NumPy backend stores rooms in
-columnar arrays and runs ``update_many`` / ``update_many_by_hash`` through a
-vectorized batch-hashing pipeline.  The two backends are observationally
-identical — every query answers the same — so the choice is purely about
-speed and dependencies.  In both cases scans cost O(stored edges), not
+occupancy-indexed nested-list layout, and the native backend stores rooms in
+columnar NumPy arrays and places every batch in a compiled C kernel.  The
+two backends are observationally identical — every query answers the same —
+so the choice is purely about speed and dependencies.  In both cases scans cost O(stored edges), not
 O(r * m) matrix slots, which is what makes the paper's O(1)-update /
 1-hop-query claims hold in this reproduction.
 """
@@ -26,8 +25,6 @@ O(r * m) matrix slots, which is what makes the paper's O(1)-update /
 from __future__ import annotations
 
 from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Set, Tuple
-
-import warnings
 
 from repro.core.backends import (
     ROOM_DEST_FP,
@@ -215,9 +212,8 @@ class GSS(SummaryShims):
         Equivalent to calling :meth:`update` once per item but measurably
         faster: node hashes (and reverse-index registrations) are computed
         once per distinct node, items targeting the same sketch edge are
-        pre-aggregated into a single insertion, and — on the NumPy backend —
-        hashing, hash splitting, address sequences and candidate pairs for
-        the whole batch are array operations.  Pre-aggregation is exact
+        pre-aggregated into a single insertion, and — on the native backend —
+        hashing and placement for the whole batch run in one kernel call.  Pre-aggregation is exact
         because a room, once placed, never moves — the first occurrence of an
         edge determines its placement and later occurrences only add weight.
 
@@ -292,9 +288,7 @@ class GSS(SummaryShims):
         ``None`` (rather than the paper's ``-1.0``) reports an absent edge, so
         the answer is unambiguous for streams with deletions: a stored edge
         whose weights sum to ``-1.0`` is reported as ``-1.0`` while a missing
-        edge is reported as ``None``.  The paper's sentinel convention
-        survives as the deprecated
-        :meth:`~repro.queries.primitives.SummaryShims.edge_query_sentinel`.
+        edge is reported as ``None``.
         """
         source_hash = self._hasher(source)
         destination_hash = self._hasher(destination)
@@ -308,18 +302,6 @@ class GSS(SummaryShims):
         if weight is not None:
             return weight
         return self._buffer.get(source_hash, destination_hash)
-
-    def edge_query_by_hash_opt(
-        self, source_hash: int, destination_hash: int
-    ) -> Optional[float]:
-        """Deprecated alias: :meth:`edge_query_by_hash` now returns ``Optional``."""
-        warnings.warn(
-            "edge_query_by_hash_opt is deprecated; edge_query_by_hash itself "
-            "now returns None when the edge is absent",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.edge_query_by_hash(source_hash, destination_hash)
 
     def successor_hashes(self, node: Hashable) -> Set[int]:
         """Sketch hashes of the 1-hop successors of ``node``."""
@@ -343,7 +325,7 @@ class GSS(SummaryShims):
         scan for precursors.
 
         The matrix scan is the backend's business (occupancy-indexed on the
-        Python backend, a vectorized mask on the NumPy backend); the
+        Python backend, a vectorized mask on the native backend); the
         left-over buffer is consulted here.
         """
         found = self._matrix.matrix_neighbor_hashes(node_hash, forward)

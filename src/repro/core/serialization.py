@@ -53,7 +53,6 @@ def sketch_to_dict(sketch: GSS, include_node_index: bool = True) -> Dict:
             # the same backend that actually wrote it — modulo the restoring
             # machine's own availability fallbacks.
             "backend": sketch.backend_name,
-            "scalar_tail_threshold": config.scalar_tail_threshold,
         },
         "matrix_edge_count": sketch.matrix_edge_count,
         "update_count": sketch.update_count,
@@ -79,7 +78,8 @@ def sketch_from_dict(document: Dict, backend: Optional[str] = None) -> GSS:
     written by one backend can be restored into the other (the room layout in
     the document is backend-agnostic, and both backends place restored rooms
     identically).  Snapshots written before the backend field existed restore
-    onto the pure-Python default.
+    onto the pure-Python default; ones recording the legacy ``"numpy"`` name
+    restore onto the native backend.
 
     Snapshots also record the hash-mapping version (see
     :data:`repro.hashing.hash_functions.HASH_VERSION`).  A snapshot written
@@ -110,7 +110,9 @@ def sketch_from_dict(document: Dict, backend: Optional[str] = None) -> GSS:
             RuntimeWarning,
             stacklevel=2,
         )
-    config = GSSConfig(**document["config"])
+    fields = dict(document["config"])
+    fields.pop("scalar_tail_threshold", None)  # removed tuning knob; ignored
+    config = GSSConfig(**fields)
     if backend is not None:
         config = replace(config, backend=backend)
     sketch = GSS(config)

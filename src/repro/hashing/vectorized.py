@@ -2,9 +2,9 @@
 
 Every function here is the array counterpart of a scalar primitive in
 :mod:`repro.hashing.hash_functions` or :mod:`repro.hashing.linear_congruence`
-and is **bit-for-bit identical** to it: the NumPy matrix backend relies on
-that equality so a sketch built through the vectorized pipeline answers every
-query exactly like one built through the scalar path (the differential tests
+and is **bit-for-bit identical** to it: hashed batches and the native matrix
+backend rely on that equality so a sketch built through the vectorized
+pipeline answers every query exactly like one built through the scalar path (the differential tests
 in ``tests/test_vectorized_hashing.py`` assert it input-by-input).
 
 The FNV-1a loop runs over an ``(n, max_len)`` byte matrix built with

@@ -5,8 +5,7 @@ Batched ingestion has four qualitatively different cost centers:
 * ``hashing`` — resolving original node IDs to packed sketch-edge keys
   (memo probes, vectorized FNV/splitmix over new nodes);
 * ``placement`` — aggregation, edge classification and the bucket-probe /
-  contention-resolution walk (array ops + Python loop on the numpy backend,
-  one kernel call on the native backend);
+  contention-resolution walk (one kernel call on the native backend);
 * ``buffer_spill`` — marshalling edges that overflowed to the left-over
   buffer;
 * ``memo`` — upkeep of the persistent node/pair caches.
@@ -18,7 +17,7 @@ batch.  Stages are disjoint — container spans subtract the nested stages
 recorded while they ran — so the stage times sum to (at most) the measured
 ingest time.  The pure-Python backend separates only ``hashing`` and
 ``placement`` (its buffer spill and per-item work are interleaved in one
-loop); the numpy and native backends report all four stages.
+loop); the native backend reports all four stages.
 """
 
 from __future__ import annotations

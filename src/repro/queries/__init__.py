@@ -11,7 +11,6 @@ hitters and cross-epoch heavy changers.
 """
 
 from repro.queries.primitives import (
-    EDGE_NOT_FOUND,
     NO_NEIGHBORS,
     Capabilities,
     GraphQueryInterface,
@@ -57,7 +56,6 @@ from repro.queries.heavy_changers import (
 )
 
 __all__ = [
-    "EDGE_NOT_FOUND",
     "NO_NEIGHBORS",
     "Capabilities",
     "GraphQueryInterface",

@@ -14,11 +14,9 @@ Exact stores answer them exactly; sketches answer them approximately.  The
 compound queries in this package only rely on this protocol, so they run
 unchanged on top of either.
 
-Since the ``repro.api`` redesign the canonical ``edge_query`` returns
-``Optional[float]`` — ``None`` when the edge is absent — because the paper's
-``-1.0`` sentinel collides with a real edge whose deletions sum to exactly
-``-1.0``.  The sentinel form survives as the deprecated
-``edge_query_sentinel`` shim (see :class:`SummaryShims`).
+``edge_query`` returns ``Optional[float]`` — ``None`` when the edge is
+absent — because the paper's ``-1.0`` sentinel collides with a real edge
+whose deletions sum to exactly ``-1.0``.
 
 This module also hosts :class:`Capabilities`, the feature descriptor every
 summary structure reports through its ``capabilities()`` classmethod, and
@@ -30,16 +28,8 @@ API re-exports them.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import asdict, dataclass, field
 from typing import Dict, Hashable, Iterable, List, Optional, Protocol, Set, Tuple, runtime_checkable
-
-#: Sentinel returned by the deprecated sentinel edge queries when the edge is
-#: not present (the paper's convention).
-# repro: allow(api-surface): deprecated compatibility shim — the one
-# place the paper's sentinel is still spelled out, kept so old callers
-# get a DeprecationWarning instead of a breakage.
-EDGE_NOT_FOUND: float = -1.0
 
 #: Sentinel set returned by the paper for empty successor/precursor results.
 NO_NEIGHBORS: Set[int] = frozenset({-1})
@@ -148,18 +138,10 @@ class ShardIngestStats:
 
 
 class SummaryShims:
-    """Shared protocol defaults and deprecated edge-query spellings.
+    """Shared protocol defaults, mixed into every summary structure.
 
-    Mixed into every summary structure.  The deprecated spellings keep the
-    pre-redesign call sites working while warning:
-
-    * ``edge_query_sentinel`` — the paper's ``-1.0``-when-absent convention,
-      formerly the behaviour of ``edge_query`` itself;
-    * ``edge_query_opt`` — the transitional ``None``-when-absent spelling,
-      now redundant because ``edge_query`` is the ``Optional`` form.
-
-    The mixin also supplies protocol defaults so every structure satisfies
-    the full :class:`repro.api.GraphSummary` surface: a generic item-by-item
+    The mixin supplies protocol defaults so every structure satisfies the
+    full :class:`repro.api.GraphSummary` surface: a generic item-by-item
     ``update_many`` loop (classes with an optimized batched path override
     it; the ``batched_updates`` capability flags the optimized ones), raising
     ``node_out_weight`` / ``node_in_weight``, and a raising ``to_dict`` for
@@ -196,27 +178,6 @@ class SummaryShims:
             f"{type(self).__name__} does not support serialization "
             "(capabilities().serializable is False)"
         )
-
-    def edge_query_sentinel(self, source: Hashable, destination: Hashable) -> float:
-        """Deprecated: ``edge_query`` with the legacy ``-1.0`` sentinel."""
-        warnings.warn(
-            "edge_query_sentinel is deprecated; use edge_query, which returns "
-            "None when the edge is absent",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        weight = self.edge_query(source, destination)
-        return EDGE_NOT_FOUND if weight is None else weight
-
-    def edge_query_opt(self, source: Hashable, destination: Hashable) -> Optional[float]:
-        """Deprecated alias: ``edge_query`` itself now returns ``Optional``."""
-        warnings.warn(
-            "edge_query_opt is deprecated; edge_query itself now returns None "
-            "when the edge is absent",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.edge_query(source, destination)
 
 
 @runtime_checkable

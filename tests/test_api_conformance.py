@@ -52,7 +52,7 @@ def _native_ready() -> bool:
 
 #: Every law runs once on each leg: the registry's default backend, plus the
 #: compiled ``native`` backend when a kernel can actually be built here (the
-#: leg disappears — not fails — under REPRO_DISABLE_NATIVE/NUMBA or without
+#: leg disappears — not fails — under REPRO_DISABLE_NATIVE or without
 #: a C toolchain, mirroring the CI matrix).
 BACKEND_LEGS = ["default"] + (["native"] if _native_ready() else [])
 
@@ -130,17 +130,6 @@ class TestConformance:
         # An edge over never-seen nodes is None or a float — never a sentinel.
         absent = summary.edge_query("ghost-node", "other-ghost")
         assert absent is None or isinstance(absent, float)
-
-    def test_sentinel_shims_warn(self, name, summaries):
-        summary = summaries[name]
-        if not summary.capabilities().edge_queries:
-            return
-        with pytest.warns(DeprecationWarning):
-            value = summary.edge_query_sentinel("ghost-node", "other-ghost")
-        assert isinstance(value, float)
-        with pytest.warns(DeprecationWarning):
-            opt = summary.edge_query_opt("hub", "n1")
-        assert opt == summary.edge_query("hub", "n1")
 
     def test_successor_queries(self, name, summaries, truth):
         summary = summaries[name]

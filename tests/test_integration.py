@@ -14,7 +14,7 @@ from repro.datasets.synthetic import labeled_stream, unreachable_pairs
 from repro.exact.adjacency_list import AdjacencyListGraph
 from repro.metrics.accuracy import average_precision, average_relative_error
 from repro.queries.node_query import node_out_weight
-from repro.queries.primitives import EDGE_NOT_FOUND, consume_stream
+from repro.queries.primitives import consume_stream
 from repro.queries.reachability import is_reachable
 from repro.queries.subgraph import LabeledDiGraph, SubgraphMatcher
 from repro.experiments.subgraph import random_walk_pattern

@@ -5,17 +5,19 @@ backend through the parametrized suites in ``tests/test_numpy_backend.py``
 and ``tests/test_api_conformance.py``.  This module covers what is specific
 to the compiled backend:
 
-* availability gating — the ``REPRO_DISABLE_NATIVE`` / ``REPRO_DISABLE_NUMBA``
-  escape hatches, and graceful degrade-with-warning when the kernel cannot
-  run (so no-toolchain and no-numpy environments stay green);
+* availability gating — the ``REPRO_DISABLE_NATIVE`` escape hatch, and
+  graceful degrade-with-warning to the python backend when the kernel
+  cannot run (so no-toolchain and no-numpy environments stay green);
 * the kernel envelope — packed uint64 keys and a uint8 fill table — with
-  silent degrade under ``auto`` and a warning on explicit requests;
+  a silent python fallback under ``auto`` and a warning on explicit
+  requests, answering identically either way;
 * the persistent C edge->slot map, including the ``2^64 - 1`` side slot;
 * the whole-batch text ingestion path and its fallbacks (non-string node
   IDs, embedded NUL bytes), which must be invisible to every observer:
   queries, node index, serialization, and the hash-once counter;
-* snapshots recording the *resolved* backend name, and old snapshots
-  (written before ``scalar_tail_threshold`` existed) loading unchanged.
+* snapshots recording the *resolved* backend name, and legacy snapshots
+  (recording ``"numpy"``, with or without the removed
+  ``scalar_tail_threshold`` key) restoring with identical answers.
 """
 
 from __future__ import annotations
@@ -61,31 +63,45 @@ def stream(count: int = 300, nodes: int = 40):
     ]
 
 
+def assert_same_answers(first: GSS, second: GSS, items) -> None:
+    assert first.reconstruct_sketch_edges() == second.reconstruct_sketch_edges()
+    assert sorted(first.buffer.edges()) == sorted(second.buffer.edges())
+    assert first.matrix_edge_count == second.matrix_edge_count
+    nodes = {item[0] for item in items} | {item[1] for item in items}
+    for node in nodes:
+        assert first.successor_query(node) == second.successor_query(node)
+        assert first.precursor_query(node) == second.precursor_query(node)
+    for source, destination, _ in items:
+        assert first.edge_query(source, destination) == second.edge_query(
+            source, destination
+        )
+
+
 class TestAvailabilityGates:
-    @pytest.mark.parametrize("variable", ["REPRO_DISABLE_NATIVE", "REPRO_DISABLE_NUMBA"])
+    @pytest.mark.parametrize("variable", ["REPRO_DISABLE_NATIVE"])
     def test_escape_hatches_disable_the_kernel(self, monkeypatch, variable):
         from repro.core import _native
 
         monkeypatch.setenv(variable, "1")
         assert _native.native_disabled()
         assert not _native.native_available()
-        assert resolve_backend_name("auto") in ("numpy", "python")
+        assert resolve_backend_name("auto") == "python"
 
     def test_explicit_native_degrades_with_warning_when_disabled(self, monkeypatch):
         monkeypatch.setenv("REPRO_DISABLE_NATIVE", "1")
-        with pytest.warns(RuntimeWarning, match="falling back"):
-            sketch = make("native")
-        expected = "numpy" if NUMPY_AVAILABLE else "python"
-        assert sketch.backend_name == expected
-        sketch.update("a", "b", 1.0)
-        assert sketch.edge_query("a", "b") == 1.0
+        for requested in ("native", "numpy"):
+            with pytest.warns(RuntimeWarning, match="falling back"):
+                sketch = make(requested)
+            assert sketch.backend_name == "python"
+            sketch.update("a", "b", 1.0)
+            assert sketch.edge_query("a", "b") == 1.0
 
     def test_auto_degrades_silently_when_disabled(self, monkeypatch):
-        monkeypatch.setenv("REPRO_DISABLE_NUMBA", "1")
+        monkeypatch.setenv("REPRO_DISABLE_NATIVE", "1")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             sketch = make("auto")
-        assert sketch.backend_name != "native"
+        assert sketch.backend_name == "python"
 
     def test_counter_backends_never_take_the_kernel(self):
         assert resolve_counter_backend_name("native") == (
@@ -104,21 +120,39 @@ class TestAvailabilityGates:
 
 @requires_native
 class TestKernelEnvelope:
-    def test_wide_hash_range_degrades_to_numpy_with_warning(self):
-        with pytest.warns(RuntimeWarning, match="envelope"):
-            sketch = make("native", fingerprint_bits=32)
-        assert sketch.backend_name == "numpy"
+    """Configs the kernel cannot pack run on the python backend instead."""
 
-    def test_many_rooms_degrade_to_numpy_with_warning(self):
+    OUTSIDE = [dict(fingerprint_bits=32), dict(rooms=255)]
+
+    def check_python_fallback(self, sketch: GSS, overrides) -> None:
+        assert sketch.backend_name == "python"
+        items = stream(200)
+        reference = make("python", **overrides)
+        sketch.update_many(items[:120])
+        reference.update_many(items[:120])
+        for source, destination, weight in items[120:]:
+            sketch.update(source, destination, weight)
+            reference.update(source, destination, weight)
+        assert_same_answers(sketch, reference, items)
+
+    @pytest.mark.parametrize("requested", ["native", "numpy"])
+    def test_wide_hash_range_falls_back_to_python(self, requested):
         with pytest.warns(RuntimeWarning, match="envelope"):
-            sketch = make("native", rooms=255)
-        assert sketch.backend_name == "numpy"
+            sketch = make(requested, fingerprint_bits=32)
+        self.check_python_fallback(sketch, dict(fingerprint_bits=32))
+
+    @pytest.mark.parametrize("requested", ["native", "numpy"])
+    def test_many_rooms_fall_back_to_python(self, requested):
+        with pytest.warns(RuntimeWarning, match="envelope"):
+            sketch = make(requested, rooms=255)
+        self.check_python_fallback(sketch, dict(rooms=255))
 
     def test_auto_degrades_outside_envelope_without_warning(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            sketch = make("auto", fingerprint_bits=32)
-        assert sketch.backend_name in ("numpy", "python")
+        for overrides in self.OUTSIDE:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                sketch = make("auto", **overrides)
+            self.check_python_fallback(sketch, overrides)
 
 
 @requires_native
@@ -133,7 +167,8 @@ class TestEdgeSlotMap:
         assert 123 in table
         assert 456 not in table
         assert len(table) == 1
-        table.update([(456, 9), (789, -1)])
+        table[456] = 9
+        table[789] = -1
         assert table.get(456) == 9
         assert table.get(789) == -1
         assert len(table) == 3
@@ -161,47 +196,40 @@ class TestEdgeSlotMap:
 
 @requires_native
 class TestTextPathEquivalence:
-    def assert_equal(self, first: GSS, second: GSS, items) -> None:
-        assert first.reconstruct_sketch_edges() == second.reconstruct_sketch_edges()
-        assert sorted(first.buffer.edges()) == sorted(second.buffer.edges())
-        assert first.matrix_edge_count == second.matrix_edge_count
-        nodes = {item[0] for item in items} | {item[1] for item in items}
-        for node in nodes:
-            assert first.successor_query(node) == second.successor_query(node)
-            assert first.precursor_query(node) == second.precursor_query(node)
+    """The kernel's text and per-key paths answer like the python reference."""
 
-    def test_string_batches_match_numpy_exactly(self):
+    def test_string_batches_match_python_exactly(self):
         items = stream()
         native = make("native")
-        reference = make("numpy")
+        reference = make("python")
         for offset in range(0, len(items), 64):
             native.update_many(items[offset : offset + 64])
             reference.update_many(items[offset : offset + 64])
-        self.assert_equal(native, reference, items)
+        assert_same_answers(native, reference, items)
         assert set(native.node_index.known_nodes()) == set(
             reference.node_index.known_nodes()
         )
         for node in reference.node_index.known_nodes():
             assert native.node_index.hash_of(node) == reference.node_index.hash_of(node)
 
-    def test_hash_once_counter_matches_numpy(self):
+    def test_hash_once_counts_each_distinct_node_once(self):
         items = stream()
-        counts = {}
-        for backend in ("numpy", "native"):
-            sketch = make(backend)
-            with count_key_hashes() as counter:
-                sketch.update_many(items)
-                sketch.update_many(items)  # all memoized: no extra hashing
-            counts[backend] = counter.count
-        assert counts["native"] == counts["numpy"]
+        distinct = {item[0] for item in items} | {item[1] for item in items}
+        sketch = make("native")
+        with count_key_hashes() as counter:
+            sketch.update_many(items)
+            sketch.update_many(items)  # all memoized: no extra hashing
+        assert counter.count == len(distinct)
 
     def test_non_string_ids_fall_back_identically(self):
         items = [(i % 9, (i * 5 + 1) % 9, 1.0) for i in range(100)]
         native = make("native")
-        reference = make("numpy")
-        native.update_many(items)
-        reference.update_many(items)
-        self.assert_equal(native, reference, items)
+        reference = make("python")
+        native.update_many(items[:60])
+        reference.update_many(items[:60])
+        native.update_many(items[60:])
+        reference.update_many(items[60:])
+        assert_same_answers(native, reference, items)
 
     def test_embedded_nul_and_mixed_batches_fall_back_identically(self):
         items = [
@@ -213,15 +241,15 @@ class TestTextPathEquivalence:
             ("\x00", "\x00\x00", 3.0),
         ]
         native = make("native")
-        reference = make("numpy")
+        reference = make("python")
         native.update_many(items)
         reference.update_many(items)
-        self.assert_equal(native, reference, items)
+        assert_same_answers(native, reference, items)
 
     def test_scalar_and_batched_updates_interleave(self):
         items = stream(120)
         native = make("native")
-        reference = make("numpy")
+        reference = make("python")
         native.update_many(items[:50])
         reference.update_many(items[:50])
         for source, destination, weight in items[50:70]:
@@ -229,7 +257,7 @@ class TestTextPathEquivalence:
             reference.update(source, destination, weight)
         native.update_many(items[70:])
         reference.update_many(items[70:])
-        self.assert_equal(native, reference, items)
+        assert_same_answers(native, reference, items)
 
 
 @requires_native
@@ -245,14 +273,17 @@ class TestSerializationAndMerge:
         assert restored.reconstruct_sketch_edges() == sketch.reconstruct_sketch_edges()
 
     def test_old_snapshot_without_new_config_keys_loads(self):
-        sketch = make("numpy")
-        sketch.update_many(stream(50))
+        items = stream(50)
+        sketch = make("native")
+        sketch.update_many(items)
         document = sketch_to_dict(sketch)
-        # Simulate a snapshot written before this release.
-        del document["config"]["scalar_tail_threshold"]
-        restored = sketch_from_dict(document, backend="native")
+        # A snapshot written by the former numpy backend, before the
+        # scalar_tail_threshold key existed.
+        document["config"]["backend"] = "numpy"
+        assert "scalar_tail_threshold" not in document["config"]
+        restored = sketch_from_dict(document)
         assert restored.backend_name == "native"
-        assert restored.reconstruct_sketch_edges() == sketch.reconstruct_sketch_edges()
+        assert_same_answers(restored, sketch, items)
 
     def test_mixed_backend_merge_includes_native(self):
         items = stream(240)
@@ -272,41 +303,35 @@ class TestSerializationAndMerge:
             assert merged.edge_query(*key) == reference.edge_query(*key)
 
 
-class TestScalarTailKnob:
-    def test_knob_validates(self):
-        with pytest.raises(ValueError, match="scalar_tail_threshold"):
-            GSSConfig(matrix_width=8, scalar_tail_threshold=-1)
-
-    @pytest.mark.skipif(not NUMPY_AVAILABLE, reason="NumPy not installed")
-    def test_knob_threads_into_numpy_backend(self):
-        default = make("numpy")
-        assert default._matrix._scalar_tail == default._matrix._SCALAR_TAIL_DEFAULT
-        tuned = make("numpy", scalar_tail_threshold=7)
-        assert tuned._matrix._scalar_tail == 7
-        # Zero disables the scalar tail entirely; results are unaffected.
-        vectorized = make("numpy", scalar_tail_threshold=0)
-        items = stream(90)
-        tuned.update_many(items)
-        vectorized.update_many(items)
-        assert tuned.reconstruct_sketch_edges() == vectorized.reconstruct_sketch_edges()
-
-    def test_knob_round_trips_through_snapshots(self):
-        sketch = GSS(GSSConfig(matrix_width=8, sequence_length=2,
-                               candidate_buckets=2, scalar_tail_threshold=13))
-        sketch.update("a", "b", 1.0)
+class TestLegacySnapshots:
+    def test_numpy_snapshot_with_scalar_tail_key_restores(self):
+        items = stream(80)
+        sketch = make("python")
+        sketch.update_many(items)
         document = sketch_to_dict(sketch)
-        assert document["config"]["scalar_tail_threshold"] == 13
-        restored = sketch_from_dict(document)
-        assert restored.config.scalar_tail_threshold == 13
+        # The shape a numpy-backend sketch with a tuned scalar tail wrote.
+        document["config"]["backend"] = "numpy"
+        document["config"]["scalar_tail_threshold"] = 13
+        with warnings.catch_warnings():
+            # Without the kernel, "numpy" falls back to python with a warning.
+            warnings.simplefilter("ignore", RuntimeWarning)
+            restored = sketch_from_dict(document)
+        assert restored.backend_name == ("native" if _native_ready() else "python")
+        assert not hasattr(restored.config, "scalar_tail_threshold")
+        assert restored.update_count == sketch.update_count
+        assert_same_answers(restored, sketch, items)
+        assert "scalar_tail_threshold" not in sketch_to_dict(restored)["config"]
 
 
 class TestCompileFlags:
     """The kernel build is strict by construction, and the sanitize mode
     is a first-class flavor of the same cache."""
 
-    def test_default_flags_are_warning_strict(self):
+    def test_default_flags_are_warning_strict(self, monkeypatch):
         from repro.core import _native
 
+        # The default flavor, even when this suite itself runs sanitized.
+        monkeypatch.delenv("REPRO_NATIVE_SANITIZE", raising=False)
         flags = _native.compile_flags()
         assert "-Wall" in flags and "-Wextra" in flags
         assert "-O3" in flags
@@ -324,6 +349,7 @@ class TestCompileFlags:
     def test_flag_flavors_key_separate_cache_entries(self, monkeypatch):
         from repro.core import _native
 
+        monkeypatch.delenv("REPRO_NATIVE_SANITIZE", raising=False)
         default_tag = _native._source_tag()
         monkeypatch.setenv("REPRO_NATIVE_SANITIZE", "1")
         assert _native._source_tag() != default_tag

@@ -1,16 +1,19 @@
-"""Differential property tests: NumPy matrix backend vs pure-Python backend.
+"""Differential property tests: columnar (native) backend vs pure-Python backend.
 
 The contract of the backend layer is *observational identity*: for any stream
 — including deletions, hash collisions (tiny fingerprints), buffer overflow
-(tiny matrices) and any mix of scalar and batched updates — a NumPy-backed
-sketch answers every query exactly like a Python-backed one, reconstructs the
-identical edge list in the identical order, and round-trips through
-serialization into either backend.  These tests extend the
-``tests/test_indexed_backend.py`` pattern to the cross-backend setting.
+(tiny matrices) and any mix of scalar and batched updates — a sketch on the
+columnar NumPy storage with kernel placement answers every query exactly
+like a Python-backed one, reconstructs the identical edge list in the
+identical order, and round-trips through serialization into either backend.
+These tests extend the ``tests/test_indexed_backend.py`` pattern to the
+cross-backend setting.  ``"numpy"`` is the legacy name of the columnar
+backend and must land on the same engine, so the suites run under both
+requested names.
 
-Everything here is skipped gracefully when NumPy is not installed (the CI
-matrix runs the suite both ways); the fallback behaviour itself is tested at
-the bottom without requiring NumPy.
+Everything here is skipped gracefully when NumPy or the kernel is missing
+(the CI matrix runs the suite both ways); the fallback behaviour itself is
+tested at the bottom without requiring NumPy.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.backends import NUMPY_AVAILABLE, resolve_backend_name
+from repro.core.backends import resolve_backend_name
 from repro.core.config import GSSConfig
 from repro.core.ensemble import GSSEnsemble
 from repro.core.gss import GSS
@@ -31,8 +34,6 @@ from repro.core.serialization import sketch_from_dict, sketch_to_dict
 from repro.core.undirected import UndirectedGSS
 from repro.core.windowed import WindowedGSS
 
-requires_numpy = pytest.mark.skipif(not NUMPY_AVAILABLE, reason="NumPy not installed")
-
 
 def _native_ready() -> bool:
     from repro.core._native import native_available
@@ -40,22 +41,14 @@ def _native_ready() -> bool:
     return native_available()
 
 
-#: The vectorized backends under differential test against the scalar
-#: reference.  The native leg skips — not fails — when no kernel can be
-#: built (no C toolchain) or the escape hatches are set.
-vector_backends = pytest.mark.parametrize(
-    "backend",
-    [
-        "numpy",
-        pytest.param(
-            "native",
-            marks=pytest.mark.skipif(
-                not _native_ready(),
-                reason="native kernel unavailable or disabled",
-            ),
-        ),
-    ],
+requires_native = pytest.mark.skipif(
+    not _native_ready(), reason="native kernel unavailable or disabled"
 )
+
+#: The requested backend names that select the columnar backend, under
+#: differential test against the scalar reference.  They skip — not fail —
+#: when no kernel can be built (no C toolchain) or the escape hatch is set.
+vector_backends = pytest.mark.parametrize("backend", ["numpy", "native"])
 
 # Streams over a small node universe with insertions AND deletions (negative
 # weights), sized so small matrices overflow into the left-over buffer.
@@ -105,7 +98,7 @@ def assert_observationally_equal(first: GSS, second: GSS, items) -> None:
             assert first.edge_query(node, other) == second.edge_query(node, other)
 
 
-@requires_numpy
+@requires_native
 @vector_backends
 class TestBackendEquivalence:
     @given(items=streams, config=configs)
@@ -113,9 +106,9 @@ class TestBackendEquivalence:
     def test_batched_vector_equals_scalar_python(self, backend, items, config):
         python_sketch = build_python(config, items)
         vector_sketch = GSS(replace(config, backend=backend))
-        assert vector_sketch.backend_name == backend
+        assert vector_sketch.backend_name == "native"
         batch = named(items)
-        # Uneven chunks exercise cross-batch cache reuse and the scalar tails.
+        # Uneven chunks exercise cross-batch memo reuse.
         third = max(1, len(batch) // 3)
         vector_sketch.update_many(batch[:third])
         vector_sketch.update_many(batch[third:])
@@ -172,41 +165,28 @@ class TestBackendEquivalence:
         )
 
     def test_wide_hash_range_fallback_path(self, backend):
-        # fingerprint_bits=32 pushes H(s)*M+H(d) past uint64: the tuple-key
-        # ingest fallback must stay observationally identical.  The native
-        # backend requires packed keys, so an explicit request outside that
-        # envelope degrades to numpy storage with a warning.
+        # fingerprint_bits=32 pushes H(s)*M+H(d) past uint64, outside the
+        # kernel's packed keys: an explicit request falls back to the python
+        # backend with a warning and stays observationally identical.
         config = GSSConfig(matrix_width=6, fingerprint_bits=32,
                            sequence_length=3, candidate_buckets=3)
         items = [(s % 7, (s * 2 + 1) % 7, 1.0) for s in range(40)]
         python_sketch = build_python(config, items)
-        if backend == "native":
-            with pytest.warns(RuntimeWarning, match="native"):
-                vector_sketch = GSS(replace(config, backend=backend))
-            assert vector_sketch.backend_name == "numpy"
-        else:
+        with pytest.warns(RuntimeWarning, match="envelope"):
             vector_sketch = GSS(replace(config, backend=backend))
-        assert not vector_sketch._matrix._packed_keys
+        assert vector_sketch.backend_name == "python"
         vector_sketch.update_many(named(items))
         assert_observationally_equal(python_sketch, vector_sketch, items)
 
 
-@requires_numpy
+@requires_native
 class TestCrossBackendRoundTrips:
     def _sample_items(self):
         return [(s % 9, (s * 3 + 1) % 9, float(1 + s % 4)) for s in range(60)]
 
     @pytest.mark.parametrize("source_backend,target_backend", [
-        ("python", "numpy"), ("numpy", "python"),
-        ("python", "python"), ("numpy", "numpy"),
-    ] + [
-        pytest.param(source, target, marks=pytest.mark.skipif(
-            not _native_ready(), reason="native kernel unavailable or disabled",
-        ))
-        for source, target in [
-            ("python", "native"), ("native", "python"),
-            ("numpy", "native"), ("native", "numpy"), ("native", "native"),
-        ]
+        ("python", "python"), ("python", "native"),
+        ("native", "python"), ("native", "native"),
     ])
     def test_serialization_round_trips_across_backends(self, source_backend, target_backend):
         config = GSSConfig(matrix_width=6, fingerprint_bits=8, sequence_length=4,
@@ -228,8 +208,9 @@ class TestCrossBackendRoundTrips:
         sketch = GSS(config)
         sketch.update("a", "b", 2.0)
         document = sketch_to_dict(sketch)
-        assert document["config"]["backend"] == "numpy"
-        assert sketch_from_dict(document).backend_name == "numpy"
+        # The resolved name is recorded, not the legacy alias.
+        assert document["config"]["backend"] == "native"
+        assert sketch_from_dict(document).backend_name == "native"
 
     def test_merge_across_backends(self):
         base = GSSConfig(matrix_width=8, fingerprint_bits=8, sequence_length=4,
@@ -243,7 +224,7 @@ class TestCrossBackendRoundTrips:
             first, sketch_from_dict(sketch_to_dict(second), backend="python"),
         ])
         assert merged.reconstruct_sketch_edges() == reference.reconstruct_sketch_edges()
-        # And merging INTO a numpy sketch works symmetrically.
+        # And merging INTO a columnar sketch works symmetrically.
         target = GSS(replace(base, backend="numpy"))
         merge_into(target, first)
         merge_into(target, second)
@@ -252,9 +233,9 @@ class TestCrossBackendRoundTrips:
         )
 
 
-@requires_numpy
+@requires_native
 class TestMixedBackendMergeProperty:
-    """``merge_sketches`` over one NumPy-backend and one Python-backend GSS
+    """``merge_sketches`` over one columnar-backend and one Python-backend GSS
     must agree with a single reference sketch that saw the whole stream.
 
     The distributed story of :mod:`repro.core.merge` (and the
@@ -307,8 +288,10 @@ class TestMixedBackendMergeProperty:
             assert forward.edge_query(*key) == backward.edge_query(*key)
 
 
-@requires_numpy
+@requires_native
 class TestWrappersOnNumpyBackend:
+    """Wrappers built with the legacy ``"numpy"`` name answer like python."""
+
     def test_windowed_wrapper(self):
         items = [(f"n{i % 7}", f"n{(i * 2) % 7}", 1.0, float(i)) for i in range(50)]
         results = {}
@@ -342,7 +325,7 @@ class TestWrappersOnNumpyBackend:
         sharded = PartitionedGSS(config, partitions=3)
         sharded.update_many(items)
         merged = sharded.merge_into_single()
-        assert merged.backend_name == "numpy"
+        assert merged.backend_name == "native"
         assert merged.matrix_edge_count + merged.buffer_edge_count > 0
 
     def test_undirected_and_ensemble_wrappers(self):
@@ -352,11 +335,12 @@ class TestWrappersOnNumpyBackend:
                                candidate_buckets=4, backend=backend)
             undirected = UndirectedGSS(config)
             undirected.update_many(items)
-            assert undirected.sketch.backend_name == backend
+            expected = "native" if backend == "numpy" else backend
+            assert undirected.sketch.backend_name == expected
             assert undirected.edge_query("n0", "n2") == undirected.edge_query("n2", "n0")
             ensemble = GSSEnsemble(config, sketches=2)
             ensemble.update_many(items)
-            assert all(member.backend_name == backend for member in ensemble.members)
+            assert all(member.backend_name == expected for member in ensemble.members)
             assert ensemble.edge_query("n0", "n2") >= 1.0
 
 
@@ -370,22 +354,14 @@ class TestBackendSelection:
             GSSConfig(matrix_width=4, backend="fortran")
 
     def test_auto_resolves_to_available_backend(self):
-        # auto prefers native > numpy > python, whichever is available.
-        from repro.core._native import native_available
-
-        if native_available():
-            expected = "native"
-        elif NUMPY_AVAILABLE:
-            expected = "numpy"
-        else:
-            expected = "python"
+        # auto prefers native, else python.
+        expected = "native" if _native_ready() else "python"
         assert resolve_backend_name("auto") == expected
         assert GSS(GSSConfig(matrix_width=4, backend="auto")).backend_name == expected
 
     def test_auto_skips_native_when_disabled(self, monkeypatch):
         monkeypatch.setenv("REPRO_DISABLE_NATIVE", "1")
-        expected = "numpy" if NUMPY_AVAILABLE else "python"
-        assert resolve_backend_name("auto") == expected
+        assert resolve_backend_name("auto") == "python"
 
     def test_numpy_request_without_numpy_falls_back_with_warning(self, monkeypatch):
         import repro.core.backends as backends_module

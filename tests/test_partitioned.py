@@ -7,7 +7,7 @@ import pytest
 from repro.core.config import GSSConfig
 from repro.core.gss import GSS
 from repro.core.partitioned import PartitionedGSS
-from repro.queries.primitives import EDGE_NOT_FOUND, consume_stream
+from repro.queries.primitives import consume_stream
 from repro.queries.reachability import is_reachable
 
 

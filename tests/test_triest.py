@@ -1,6 +1,11 @@
 """Unit tests for the TRIEST streaming triangle counters."""
 
+import os
 import random
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -56,6 +61,40 @@ class TestTriestBase:
 
     def test_memory_model(self):
         assert TriestBase(reservoir_size=100).memory_bytes() == 1600
+
+    def test_estimate_independent_of_string_hash_seed(self):
+        # Reservoir evictions must not depend on set iteration order, which
+        # PYTHONHASHSEED changes from one process to the next for str keys.
+        script = textwrap.dedent(
+            """
+            import random
+            from repro.baselines.triest import TriestBase, TriestImproved
+            from repro.streaming.edge import StreamEdge
+            from repro.streaming.stream import GraphStream
+
+            edges = []
+            for index in range(120):
+                a, b, c = f"a{index}", f"b{index}", f"c{index}"
+                edges += [StreamEdge(a, b), StreamEdge(b, c), StreamEdge(c, a)]
+            random.Random(11).shuffle(edges)
+            for cls in (TriestBase, TriestImproved):
+                counter = cls(reservoir_size=200, seed=1)
+                counter.ingest(GraphStream(edges))
+                print(repr(counter.triangle_estimate()))
+            """
+        )
+        src_dir = Path(__file__).resolve().parent.parent / "src"
+        outputs = []
+        for hash_seed in ("0", "95"):
+            env = dict(os.environ)
+            env["PYTHONPATH"] = str(src_dir) + os.pathsep + env.get("PYTHONPATH", "")
+            env["PYTHONHASHSEED"] = hash_seed
+            result = subprocess.run(
+                [sys.executable, "-c", script],
+                capture_output=True, env=env, text=True, timeout=60, check=True,
+            )
+            outputs.append(result.stdout)
+        assert outputs[0] == outputs[1]
 
 
 class TestTriestImproved:

@@ -5,7 +5,6 @@ import pytest
 from repro.core.config import GSSConfig
 from repro.core.undirected import UndirectedGSS, canonical_orientation
 from repro.exact.adjacency_list import AdjacencyListGraph
-from repro.queries.primitives import EDGE_NOT_FOUND
 from repro.queries.reachability import is_reachable
 from repro.queries.triangle import count_triangles
 from repro.streaming.edge import StreamEdge

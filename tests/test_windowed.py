@@ -6,7 +6,6 @@ import pytest
 
 from repro.core.config import GSSConfig
 from repro.core.windowed import WindowedGSS
-from repro.queries.primitives import EDGE_NOT_FOUND
 from repro.streaming.edge import StreamEdge
 
 
