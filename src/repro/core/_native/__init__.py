@@ -1,10 +1,11 @@
 """Build/load machinery for the compiled ``native`` matrix backend.
 
-The placement kernel lives in ``kernel.c`` next to this module and is
-compiled **once per machine** with the system C compiler into a cached
-shared library, then bound through :mod:`ctypes`.  Nothing here imports at
-package-import time: availability probing, compilation and symbol binding
-all happen lazily on first use, so pure-Python users never pay for it.
+The placement and neighbour-scan kernel lives in ``kernel.c`` next to this
+module and is compiled **once per machine** with the system C compiler into
+a cached shared library, then bound through :mod:`ctypes`.  Nothing here
+imports at package-import time: availability probing, compilation and
+symbol binding all happen lazily on first use, so pure-Python users never
+pay for it.
 
 Design notes
 ------------
@@ -154,8 +155,6 @@ def _bind(path: Path) -> ctypes.CDLL:
         c.c_int64, c.c_int64,  # seq_length, candidates
         c.c_int32, c.c_int32,  # square_hashing, sampling
         c.c_uint64, c.c_uint64, c.c_uint64,  # lcg a, b, p
-        c.c_int64,  # size
-        c.c_void_p, c.c_void_p,  # rows, cols
         c.c_void_p, c.c_void_p,  # src_fp, dst_fp
         c.c_void_p, c.c_void_p,  # src_idx, dst_idx
         c.c_void_p,  # room_weights
@@ -174,8 +173,6 @@ def _bind(path: Path) -> ctypes.CDLL:
         c.c_int64, c.c_int64,  # seq_length, candidates
         c.c_int32, c.c_int32,  # square_hashing, sampling
         c.c_uint64, c.c_uint64, c.c_uint64,  # lcg a, b, p
-        c.c_int64,  # size
-        c.c_void_p, c.c_void_p,  # rows, cols
         c.c_void_p, c.c_void_p,  # src_fp, dst_fp
         c.c_void_p, c.c_void_p,  # src_idx, dst_idx
         c.c_void_p,  # room_weights
@@ -184,6 +181,17 @@ def _bind(path: Path) -> ctypes.CDLL:
         c.c_void_p, c.c_void_p, c.c_void_p,  # rebuf keys/sums/count
         c.c_void_p, c.c_void_p, c.c_void_p,  # new-node offs/lens/hashes
         c.c_void_p,  # new-node count
+    ]
+    lib.gss_neighbor_scan.restype = c.c_int64
+    lib.gss_neighbor_scan.argtypes = [
+        c.c_uint64, c.c_int32,  # node_hash, forward
+        c.c_uint64, c.c_int64, c.c_int64,  # fp_range, width, rooms
+        c.c_int64, c.c_int32,  # seq_length, square_hashing
+        c.c_uint64, c.c_uint64, c.c_uint64,  # lcg a, b, p
+        c.c_void_p, c.c_void_p,  # src_fp, dst_fp
+        c.c_void_p, c.c_void_p,  # src_idx, dst_idx
+        c.c_void_p,  # fill
+        c.c_void_p,  # out
     ]
     return lib
 

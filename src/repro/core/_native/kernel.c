@@ -1,18 +1,23 @@
-/* Compiled placement kernel for the GSS "native" matrix backend.
+/* Compiled placement and scan kernel for the GSS "native" matrix backend.
+ *
+ * Rooms are stored in the paper's own matrix layout, bucket-major: room q of
+ * bucket (row, col) lives at slot (row * m + col) * l + q of the caller's
+ * struct-of-arrays storage (fingerprint pair, index pair, weight), and the
+ * per-bucket fill table says which of a bucket's l slots are live.  Rooms
+ * fill a bucket in insertion order and never move.
  *
  * One call to gss_ingest_batch() carries a whole batch of packed sketch-edge
- * keys across the Python/C boundary and performs everything the NumPy
- * backend's _ingest_keys() does in Python + array ops:
+ * keys across the Python/C boundary and:
  *
- *   1. aggregate the batch per unique key (first-seen order, stream-order
- *      weight accumulation — bit-identical to the dict/bincount paths);
- *   2. classify every unique key against the persistent edge->slot map
+ *   1. aggregates the batch per unique key (first-seen order, stream-order
+ *      weight accumulation — bit-identical to the scalar dict path);
+ *   2. classifies every unique key against the persistent edge->slot map
  *      (placed / buffered / unseen);
- *   3. place unseen edges: split hashes, run the square-hashing LCG address
- *      sequences and the candidate-bucket LCG sampling, probe the fill
- *      table in candidate order, append winning rooms to the caller's
- *      struct-of-arrays storage;
- *   4. spill edges whose candidates are all full, in first-seen order.
+ *   3. places unseen edges: splits hashes, runs the square-hashing LCG
+ *      address sequences and the candidate-bucket LCG sampling, probes the
+ *      fill table in candidate order and writes the winning room at its
+ *      bucket's next free slot;
+ *   4. spills edges whose candidates are all full, in first-seen order.
  *
  * gss_ingest_text_batch() pushes the boundary one stage earlier: it takes
  * the batch's node identifiers as a single NUL-joined UTF-8 blob
@@ -25,6 +30,13 @@
  * new nodes come back as (blob offset, length, hash) triples so Python can
  * register them in the reverse node index in the same first-seen
  * interleaved order the scalar backends use.
+ *
+ * gss_neighbor_scan() answers the matrix half of a successor (precursor)
+ * query the way Section V of the paper does: it walks the node's r rows
+ * (columns) bucket by bucket up to each bucket's fill, keeps rooms whose own
+ * fingerprint and index match, and recovers the other endpoint's hash from
+ * the column (row), its fingerprint and its index (Theorem 1).  The cost is
+ * O(r * m * l) slots, whatever the number of stored edges.
  *
  * The edge->slot map and the node table are the kernel's only persistent
  * state (gss_ctx).  Room arrays, the per-bucket fill table and the
@@ -115,8 +127,6 @@ int64_t gss_ingest_batch(
     int64_t seq_length, int64_t candidates,
     int32_t square_hashing, int32_t sampling,
     uint64_t lcg_a, uint64_t lcg_b, uint64_t lcg_p,
-    int64_t size,
-    int64_t *rows, int64_t *cols,
     int64_t *src_fp_arr, int64_t *dst_fp_arr,
     int64_t *src_idx_arr, int64_t *dst_idx_arr,
     double *room_weights,
@@ -133,8 +143,6 @@ int64_t gss_ingest_text_batch(
     int64_t seq_length, int64_t candidates,
     int32_t square_hashing, int32_t sampling,
     uint64_t lcg_a, uint64_t lcg_b, uint64_t lcg_p,
-    int64_t size,
-    int64_t *rows, int64_t *cols,
     int64_t *src_fp_arr, int64_t *dst_fp_arr,
     int64_t *src_idx_arr, int64_t *dst_idx_arr,
     double *room_weights,
@@ -143,6 +151,15 @@ int64_t gss_ingest_text_batch(
     uint64_t *rebuf_keys, double *rebuf_sums, int64_t *rebuf_count,
     int64_t *new_offs, int64_t *new_lens, uint64_t *new_hashes,
     int64_t *new_count);
+int64_t gss_neighbor_scan(
+    uint64_t node_hash, int32_t forward,
+    uint64_t fp_range, int64_t width, int64_t rooms,
+    int64_t seq_length, int32_t square_hashing,
+    uint64_t lcg_a, uint64_t lcg_b, uint64_t lcg_p,
+    const int64_t *src_fp_arr, const int64_t *dst_fp_arr,
+    const int64_t *src_idx_arr, const int64_t *dst_idx_arr,
+    const uint8_t *fill,
+    uint64_t *out);
 
 static uint64_t mix_key(uint64_t value) {
     /* splitmix64 finalizer — identical to hash_functions._splitmix64 */
@@ -333,6 +350,7 @@ static int ensure_scratch(gss_ctx *ctx, int64_t n, int64_t seq_length) {
     return 0;
 }
 
+/* Shared placement pipeline; returns the number of rooms placed or -1. */
 static int64_t ingest_core(
     gss_ctx *ctx,
     const uint64_t *keys, const double *weights, int64_t n,
@@ -341,8 +359,6 @@ static int64_t ingest_core(
     int64_t seq_length, int64_t candidates,
     int32_t square_hashing, int32_t sampling,
     uint64_t lcg_a, uint64_t lcg_b, uint64_t lcg_p,
-    int64_t size,
-    int64_t *rows, int64_t *cols,
     int64_t *src_fp_arr, int64_t *dst_fp_arr,
     int64_t *src_idx_arr, int64_t *dst_idx_arr,
     double *room_weights,
@@ -393,6 +409,7 @@ static int64_t ingest_core(
     int64_t *daddr = ctx->saddr + seq_length;
     int64_t span = seq_length * seq_length;
     int fast31 = (lcg_p == MERSENNE31);
+    int64_t placed = 0;
     *spill_count = 0;
     *rebuf_count = 0;
     for (int64_t u = 0; u < nunique; u++) {
@@ -448,7 +465,7 @@ static int64_t ingest_core(
             daddr[0] = destination_base % width;
             probes = 1;
         }
-        int placed = 0;
+        int64_t before = placed;
         uint64_t cur = fast31
             ? mod_m31((uint64_t)(source_fp + destination_fp))
             : ((uint64_t)(source_fp + destination_fp)) % lcg_p;
@@ -471,28 +488,26 @@ static int64_t ingest_core(
             int64_t column = daddr[j];
             int64_t bucket = row * width + column;
             if (fill[bucket] < rooms) {
+                int64_t room = bucket * rooms + fill[bucket];
                 fill[bucket]++;
-                rows[size] = row;
-                cols[size] = column;
-                src_fp_arr[size] = source_fp;
-                dst_fp_arr[size] = destination_fp;
-                src_idx_arr[size] = i + 1;
-                dst_idx_arr[size] = j + 1;
-                room_weights[size] = sum;
-                if (gss_map_put(ctx, key, size) != 0) return -1;
-                size++;
-                placed = 1;
+                src_fp_arr[room] = source_fp;
+                dst_fp_arr[room] = destination_fp;
+                src_idx_arr[room] = i + 1;
+                dst_idx_arr[room] = j + 1;
+                room_weights[room] = sum;
+                if (gss_map_put(ctx, key, room) != 0) return -1;
+                placed++;
                 break;
             }
         }
-        if (!placed) {
+        if (placed == before) {
             if (gss_map_put(ctx, key, SLOT_BUFFERED) != 0) return -1;
             spill_keys[*spill_count] = key;
             spill_sums[*spill_count] = sum;
             (*spill_count)++;
         }
     }
-    return size;
+    return placed;
 }
 
 int64_t gss_ingest_batch(
@@ -503,8 +518,6 @@ int64_t gss_ingest_batch(
     int64_t seq_length, int64_t candidates,
     int32_t square_hashing, int32_t sampling,
     uint64_t lcg_a, uint64_t lcg_b, uint64_t lcg_p,
-    int64_t size,
-    int64_t *rows, int64_t *cols,
     int64_t *src_fp_arr, int64_t *dst_fp_arr,
     int64_t *src_idx_arr, int64_t *dst_idx_arr,
     double *room_weights,
@@ -512,20 +525,20 @@ int64_t gss_ingest_batch(
     uint64_t *spill_keys, double *spill_sums, int64_t *spill_count,
     uint64_t *rebuf_keys, double *rebuf_sums, int64_t *rebuf_count)
 {
-    if (n <= 0) return size;
+    if (n <= 0) return 0;
     return ingest_core(
         ctx, keys, weights, n, hash_range, fp_range, width, rooms,
         seq_length, candidates, square_hashing, sampling,
-        lcg_a, lcg_b, lcg_p, size,
-        rows, cols, src_fp_arr, dst_fp_arr, src_idx_arr, dst_idx_arr,
+        lcg_a, lcg_b, lcg_p,
+        src_fp_arr, dst_fp_arr, src_idx_arr, dst_idx_arr,
         room_weights, fill,
         spill_keys, spill_sums, spill_count,
         rebuf_keys, rebuf_sums, rebuf_count);
 }
 
 /* Whole-batch text ingestion: blob holds 2n NUL-separated UTF-8 node IDs in
- * interleaved (source, destination) stream order.  Returns the new room
- * count, -1 on allocation failure, or -2 when the token count does not
+ * interleaved (source, destination) stream order.  Returns the number of
+ * rooms placed, -1 on allocation failure, or -2 when the token count does not
  * match 2n (checked before any state mutation, so the caller can fall back
  * to the per-key path with the kernel untouched). */
 int64_t gss_ingest_text_batch(
@@ -538,8 +551,6 @@ int64_t gss_ingest_text_batch(
     int64_t seq_length, int64_t candidates,
     int32_t square_hashing, int32_t sampling,
     uint64_t lcg_a, uint64_t lcg_b, uint64_t lcg_p,
-    int64_t size,
-    int64_t *rows, int64_t *cols,
     int64_t *src_fp_arr, int64_t *dst_fp_arr,
     int64_t *src_idx_arr, int64_t *dst_idx_arr,
     double *room_weights,
@@ -549,7 +560,7 @@ int64_t gss_ingest_text_batch(
     int64_t *new_offs, int64_t *new_lens, uint64_t *new_hashes,
     int64_t *new_count)
 {
-    if (n <= 0) return size;
+    if (n <= 0) return 0;
     /* Defensive token-count check (Python already screens for embedded
      * NULs); runs before any mutation so -2 is a clean fallback. */
     int64_t seps = 0;
@@ -627,9 +638,79 @@ int64_t gss_ingest_text_batch(
     return ingest_core(
         ctx, ctx->tkeys, weights, n, hash_range, fp_range, width, rooms,
         seq_length, candidates, square_hashing, sampling,
-        lcg_a, lcg_b, lcg_p, size,
-        rows, cols, src_fp_arr, dst_fp_arr, src_idx_arr, dst_idx_arr,
+        lcg_a, lcg_b, lcg_p,
+        src_fp_arr, dst_fp_arr, src_idx_arr, dst_idx_arr,
         room_weights, fill,
         spill_keys, spill_sums, spill_count,
         rebuf_keys, rebuf_sums, rebuf_count);
+}
+
+/* One LCG step q' = (a * q + b) % p, with the Mersenne fold for the default
+ * modulus. */
+static inline uint64_t lcg_next(uint64_t cur, uint64_t lcg_a, uint64_t lcg_b,
+                                uint64_t lcg_p) {
+    return lcg_p == MERSENNE31 ? mod_m31(lcg_a * cur + lcg_b)
+                               : (lcg_a * cur + lcg_b) % lcg_p;
+}
+
+/* Matrix half of a successor (forward) or precursor query for node_hash.
+ * Walks the node's r addressed rows (columns) bucket by bucket up to each
+ * bucket's fill and writes the recovered hash of every matching room's
+ * other endpoint to out; returns how many it wrote.  A room matches at most
+ * once — only at the address position its stored own index names — so out
+ * needs r * m * l entries (r = 1 without square hashing).  Without square
+ * hashing the other endpoint's base address is the column (row) itself;
+ * with it, the base is recovered as in linear_congruence.recover_address. */
+int64_t gss_neighbor_scan(
+    uint64_t node_hash, int32_t forward,
+    uint64_t fp_range, int64_t width, int64_t rooms,
+    int64_t seq_length, int32_t square_hashing,
+    uint64_t lcg_a, uint64_t lcg_b, uint64_t lcg_p,
+    const int64_t *src_fp_arr, const int64_t *dst_fp_arr,
+    const int64_t *src_idx_arr, const int64_t *dst_idx_arr,
+    const uint8_t *fill,
+    uint64_t *out)
+{
+    uint64_t base = node_hash / fp_range;
+    int64_t fingerprint = (int64_t)(node_hash % fp_range);
+    const int64_t *own_fp = forward ? src_fp_arr : dst_fp_arr;
+    const int64_t *own_idx = forward ? src_idx_arr : dst_idx_arr;
+    const int64_t *other_fp = forward ? dst_fp_arr : src_fp_arr;
+    const int64_t *other_idx = forward ? dst_idx_arr : src_idx_arr;
+    /* bucket (line, k) of a row scan is line * m + k, of a column scan
+     * k * m + line */
+    int64_t line_stride = forward ? width : 1;
+    int64_t step = forward ? 1 : width;
+    int64_t lines = square_hashing ? seq_length : 1;
+    uint64_t cur = (uint64_t)fingerprint % lcg_p;
+    int64_t found = 0;
+    for (int64_t i = 0; i < lines; i++) {
+        int64_t line;
+        if (square_hashing) {
+            cur = lcg_next(cur, lcg_a, lcg_b, lcg_p);
+            line = (int64_t)((base + cur) % (uint64_t)width);
+        } else {
+            line = (int64_t)(base % (uint64_t)width);
+        }
+        for (int64_t k = 0; k < width; k++) {
+            int64_t bucket = line * line_stride + k * step;
+            int64_t slot = bucket * rooms;
+            int64_t end = slot + fill[bucket];
+            for (; slot < end; slot++) {
+                if (own_fp[slot] != fingerprint || own_idx[slot] != i + 1)
+                    continue;
+                uint64_t fp = (uint64_t)other_fp[slot];
+                uint64_t other_base = (uint64_t)k;
+                if (square_hashing) {
+                    uint64_t offset = fp % lcg_p;
+                    for (int64_t n = 0; n < other_idx[slot]; n++)
+                        offset = lcg_next(offset, lcg_a, lcg_b, lcg_p);
+                    other_base = ((uint64_t)k + (uint64_t)width
+                                  - offset % (uint64_t)width) % (uint64_t)width;
+                }
+                out[found++] = other_base * fp_range + fp;
+            }
+        }
+    }
+    return found;
 }

@@ -9,14 +9,17 @@ provided:
   nested room lists per bucket, per-row/per-column occupancy sets and an
   O(1) room map.  Zero dependencies; the default, and the reference the
   differential tests compare against.
-* :class:`NativeMatrixBackend` — columnar storage: one contiguous NumPy
-  array per room field (fingerprint pairs, index pairs, weights) plus a
-  bucket-fill table and an edge-to-slot map, with the whole per-batch
-  aggregate/classify/place pipeline (including the inherently sequential
-  first-seen contention loop) compiled to a C kernel
-  (:mod:`repro.core._native`).  A batch crosses the Python/kernel boundary
-  once; only buffer spills come back to Python.  Neighbor scans and
-  reconstruction are whole-array operations.
+* :class:`NativeMatrixBackend` — the paper's ``m x m x l`` matrix stored
+  bucket-major: one NumPy array per room field (fingerprint pairs, index
+  pairs, weights) with room ``q`` of bucket ``(row, col)`` at slot
+  ``(row * m + col) * l + q``, plus a bucket-fill table and an edge-to-slot
+  map.  The ``m² · l`` slots are allocated on the first write.  The whole
+  per-batch aggregate/classify/place pipeline (including the inherently
+  sequential first-seen contention loop) and the neighbour scans run in a
+  C kernel (:mod:`repro.core._native`).  A batch crosses the Python/kernel
+  boundary once; only buffer spills come back to Python.  A neighbour scan
+  is one kernel call over the node's ``r`` rows (or columns): it reads
+  ``O(r * m * l)`` slots, as in Section V of the paper.
 
 Equivalence is not accidental — it is load-bearing.  Both backends place
 every sketch edge in exactly the same room (or buffer entry), because:
@@ -29,7 +32,7 @@ every sketch edge in exactly the same room (or buffer entry), because:
   ``H(s)`` and ``H(d)``, Theorem 1), so an edge that has been placed — or
   has overflowed to the buffer — keeps that fate forever.
 
-The last point is what lets the columnar backend replace the room map with
+The last point is what lets the native backend replace the room map with
 a per-*edge* slot map and skip per-candidate room lookups entirely for edges
 it has already seen.  ``tests/test_numpy_backend.py`` and
 ``tests/test_native_backend.py`` drive both backends through random streams
@@ -485,21 +488,26 @@ class _NativeEdgeSlotMap:
 
 
 class NativeMatrixBackend:
-    """Columnar matrix storage whose batch placement runs in a C kernel.
+    """Bucket-major matrix storage whose placement and scans run in a C kernel.
 
-    Rooms live in parallel growable NumPy arrays (struct-of-arrays layout):
-    row and column, the fingerprint pair, the index pair and the weight, one
-    entry per room in insertion order.  Two side structures keep updates
-    O(1):
+    Rooms live in the paper's own ``m x m x l`` layout, one NumPy array per
+    room field (the fingerprint pair, the index pair and the weight): room
+    ``q`` of bucket ``(row, col)`` sits at slot ``(row * m + col) * l + q``.
+    The arrays hold all ``m² · l`` slots that
+    ``GSSConfig.matrix_memory_bytes()`` counts (40 bytes a slot here, not
+    the paper's packed room) and are allocated on the first write,
+    uninitialised, because a slot is only read once the fill table marks it
+    live.  Two side structures keep updates O(1):
 
-    * ``_bucket_fill`` — rooms per bucket, a uint8 array both Python and the
-      kernel write;
-    * ``_edge_slot`` — packed sketch-edge key ``H(s) * M + H(d)`` -> room
-      slot (or ``-1`` for edges that overflowed to the buffer).  Because an
-      edge's placement is permanent (see the module docstring), this
-      replaces the per-room map of the Python backend and short-circuits
-      every repeat update.  It is the kernel's persistent C table, wrapped
-      by :class:`_NativeEdgeSlotMap` for the scalar paths.
+    * ``_bucket_fill`` — live rooms per bucket, a uint8 array both Python
+      and the kernel write.  A bucket's rooms fill its slots in insertion
+      order and never move, so slots ``[0, fill)`` of a bucket are live;
+    * ``_edge_slot`` — packed sketch-edge key ``H(s) * M + H(d)`` -> the
+      slot of its room (or ``-1`` for edges that overflowed to the buffer).
+      Because an edge's placement is permanent (see the module docstring),
+      this replaces the per-room map of the Python backend and
+      short-circuits every repeat update.  It is the kernel's persistent C
+      table, wrapped by :class:`_NativeEdgeSlotMap` for the scalar paths.
 
     Batched ingestion — aggregation, edge classification and the
     first-seen-order bucket-probe/contention loop — runs inside one
@@ -507,7 +515,12 @@ class NativeMatrixBackend:
     crosses the Python/kernel boundary exactly once.  Only buffer traffic
     comes back out, as (key, aggregated weight) arrays, because the
     left-over buffer is an exact structure with Python dict semantics.
-    Scalar inserts, restores and every query work on the arrays directly.
+    A successor/precursor query is one ``gss_neighbor_scan`` call over the
+    node's ``r`` rows (columns): ``O(r * m * l)`` slots, whatever the
+    number of stored edges.  The scan writes into one reusable output
+    buffer, so — as with ingestion — one sketch must not be used from two
+    threads at once.  Scalar inserts and restores write the arrays
+    directly.
 
     Construction compiles/binds the kernel, so building a store *is* the
     warm-up; every benchmark harness in this repo constructs stores outside
@@ -517,7 +530,6 @@ class NativeMatrixBackend:
 
     name = "native"
 
-    _INITIAL_CAPACITY = 1024
     #: Cap on the persistent node -> hash and pair -> key memos.  Past the
     #: cap, unseen nodes are still hashed (and re-hashed) correctly, just
     #: without caching, so a long-running process cannot grow without bound.
@@ -532,17 +544,13 @@ class NativeMatrixBackend:
         self._sketch = sketch
         config = sketch.config
         self._width = config.matrix_width
+        self._rooms = config.rooms
         self._fingerprint_range = config.fingerprint_range
         self._hash_range = config.hash_range
-        capacity = self._INITIAL_CAPACITY
-        self._rows = np.zeros(capacity, dtype=np.int64)
-        self._cols = np.zeros(capacity, dtype=np.int64)
-        self._src_fp = np.zeros(capacity, dtype=np.int64)
-        self._dst_fp = np.zeros(capacity, dtype=np.int64)
-        self._src_idx = np.zeros(capacity, dtype=np.int64)
-        self._dst_idx = np.zeros(capacity, dtype=np.int64)
-        self._weights = np.zeros(capacity, dtype=np.float64)
-        self._size = 0
+        # Room arrays (and the kernel's pointers into them) appear with the
+        # first write; see _allocate_rooms.
+        self._src_fp = self._dst_fp = self._src_idx = self._dst_idx = None
+        self._weights = None
         self._bucket_fill = np.zeros(self._width * self._width, dtype=np.uint8)
         self._node_hash_cache: Dict[Hashable, int] = {}
         # (source, destination) original-ID pair -> packed edge key, so
@@ -587,59 +595,103 @@ class NativeMatrixBackend:
 
     # -- storage plumbing --------------------------------------------------
 
-    def _ensure_capacity(self, extra: int) -> None:
-        needed = self._size + extra
-        capacity = len(self._weights)
-        if needed <= capacity:
-            return
-        while capacity < needed:
-            capacity *= 2
-        for attribute in ("_rows", "_cols", "_src_fp", "_dst_fp", "_src_idx", "_dst_idx", "_weights"):
-            old = getattr(self, attribute)
-            grown = np.zeros(capacity, dtype=old.dtype)
-            grown[: self._size] = old[: self._size]
-            setattr(self, attribute, grown)
+    def _allocate_rooms(self) -> None:
+        """Allocate the ``m² · l`` room slots and bind the kernel to them.
+
+        The arrays never move afterwards, so their addresses are computed
+        once here.  The scan's output buffer holds ``r * m * l`` hashes:
+        every room of the node's ``r`` rows (columns) can match, but none
+        twice.
+        """
+        config = self._sketch.config
+        lcg = self._sketch._lcg
+        slots = self._width * self._width * self._rooms
+        self._src_fp = np.empty(slots, dtype=np.int64)
+        self._dst_fp = np.empty(slots, dtype=np.int64)
+        self._src_idx = np.empty(slots, dtype=np.int64)
+        self._dst_idx = np.empty(slots, dtype=np.int64)
+        self._weights = np.empty(slots, dtype=np.float64)
+        lines = config.sequence_length if config.square_hashing else 1
+        self._scan_out = np.empty(lines * self._width * self._rooms, dtype=np.uint64)
+        src_fp, dst_fp, src_idx, dst_idx, weights = (
+            array.ctypes.data for array in self._room_columns()
+        )
+        fill = self._bucket_fill.ctypes.data
+        self._room_pointers = (src_fp, dst_fp, src_idx, dst_idx, weights, fill)
+        self._scan_args = (
+            self._fingerprint_range,
+            self._width,
+            self._rooms,
+            config.sequence_length,
+            1 if config.square_hashing else 0,
+            lcg.multiplier,
+            lcg.increment,
+            lcg.modulus,
+            src_fp,
+            dst_fp,
+            src_idx,
+            dst_idx,
+            fill,
+            self._scan_out.ctypes.data,
+        )
+
+    def _room_columns(self) -> tuple:
+        """The room arrays in room-list order ``[f_s, f_d, i_s, i_d, weight]``."""
+        return (self._src_fp, self._dst_fp, self._src_idx, self._dst_idx, self._weights)
 
     def _append_room(
         self, row, column, source_fp, destination_fp, source_index, destination_index, weight
-    ) -> None:
-        """Append one room and fill its bucket; the caller indexes its edge."""
-        self._ensure_capacity(1)
-        slot = self._size
-        self._rows[slot] = row
-        self._cols[slot] = column
+    ) -> int:
+        """Write one room at its bucket's next free slot and return the slot.
+
+        The caller indexes its edge.
+        """
+        if self._weights is None:
+            self._allocate_rooms()
+        bucket = row * self._width + column
+        slot = bucket * self._rooms + int(self._bucket_fill[bucket])
         self._src_fp[slot] = source_fp
         self._dst_fp[slot] = destination_fp
         self._src_idx[slot] = source_index
         self._dst_idx[slot] = destination_index
         self._weights[slot] = weight
-        self._bucket_fill[row * self._width + column] += 1
-        self._size = slot + 1
+        self._bucket_fill[bucket] += 1
         self.matrix_edge_count += 1
+        return slot
+
+    def _live_slots(self):
+        """``(buckets, slots)``: the occupied buckets in row-major order and
+        the slots of their live rooms in the same order, each bucket's rooms
+        in insertion order."""
+        fill = self._bucket_fill
+        buckets = np.flatnonzero(fill)
+        counts = fill[buckets].astype(np.int64)
+        ends = np.cumsum(counts)
+        starts = np.repeat(buckets * self._rooms - ends + counts, counts)
+        return buckets, starts + np.arange(len(starts))
 
     def bucket_at(self, row: int, column: int) -> Optional[List[List]]:
-        """Materialize one bucket's rooms (diagnostic/reference path only)."""
-        n = self._size
-        if n == 0:
+        """One bucket's rooms as ``[f_s, f_d, i_s, i_d, weight]`` lists: an
+        O(l) slice (diagnostic/reference path only)."""
+        bucket = row * self._width + column
+        count = int(self._bucket_fill[bucket])
+        if not count:
             return None
-        mask = (self._rows[:n] == row) & (self._cols[:n] == column)
-        slots = np.nonzero(mask)[0]
-        if not len(slots):
-            return None
+        start = bucket * self._rooms
         return [
-            [
-                int(self._src_fp[slot]),
-                int(self._dst_fp[slot]),
-                int(self._src_idx[slot]),
-                int(self._dst_idx[slot]),
-                float(self._weights[slot]),
-            ]
-            for slot in slots
+            list(room)
+            for room in zip(
+                *(array[start : start + count].tolist() for array in self._room_columns())
+            )
         ]
 
     def register_room(self, row: int, column: int, room: List) -> None:
-        """Append one room (deserialization/restore path) and index its edge."""
+        """Store one room (deserialization/restore path) and index its edge."""
         source_fp, destination_fp, source_index, destination_index, weight = room
+        if self._bucket_fill[row * self._width + column] >= self._rooms:
+            raise ValueError(
+                f"bucket ({row}, {column}) already holds {self._rooms} rooms"
+            )
         sketch = self._sketch
         if sketch.config.square_hashing:
             source_base = recover_address(
@@ -653,38 +705,24 @@ class NativeMatrixBackend:
             destination_base = column
         source_hash = source_base * self._fingerprint_range + source_fp
         destination_hash = destination_base * self._fingerprint_range + destination_fp
-        self._edge_slot[source_hash * self._hash_range + destination_hash] = self._size
-        self._append_room(
+        self._edge_slot[source_hash * self._hash_range + destination_hash] = self._append_room(
             row, column, source_fp, destination_fp, source_index, destination_index, weight
         )
 
     def occupied_buckets(self) -> Iterator[Tuple[int, int, List[List]]]:
         """Yield ``(row, column, bucket)`` row-major, rooms in insertion order."""
-        n = self._size
-        if n == 0:
+        if self._weights is None:
             return
-        order = np.lexsort((self._cols[:n], self._rows[:n]))
-        rows = self._rows[order].tolist()
-        cols = self._cols[order].tolist()
-        src_fp = self._src_fp[order].tolist()
-        dst_fp = self._dst_fp[order].tolist()
-        src_idx = self._src_idx[order].tolist()
-        dst_idx = self._dst_idx[order].tolist()
-        weights = self._weights[order].tolist()
-        bucket: List[List] = []
-        current: Optional[Tuple[int, int]] = None
-        for position in range(n):
-            coordinates = (rows[position], cols[position])
-            if coordinates != current:
-                if bucket:
-                    yield current[0], current[1], bucket
-                bucket = []
-                current = coordinates
-            bucket.append(
-                [src_fp[position], dst_fp[position], src_idx[position], dst_idx[position], weights[position]]
-            )
-        if bucket:
-            yield current[0], current[1], bucket
+        buckets, slots = self._live_slots()
+        rooms = [
+            list(room)
+            for room in zip(*(array[slots].tolist() for array in self._room_columns()))
+        ]
+        position = 0
+        for bucket, count in zip(buckets.tolist(), self._bucket_fill[buckets].tolist()):
+            row, column = divmod(bucket, self._width)
+            yield row, column, rooms[position : position + count]
+            position += count
 
     # -- updates -----------------------------------------------------------
 
@@ -712,8 +750,7 @@ class NativeMatrixBackend:
             row = source_addresses[source_index]
             column = destination_addresses[destination_index]
             if fill[row * width + column] < rooms_per_bucket:
-                self._edge_slot[key] = self._size
-                self._append_room(
+                self._edge_slot[key] = self._append_room(
                     row,
                     column,
                     source_fp,
@@ -772,7 +809,8 @@ class NativeMatrixBackend:
         if blob.count(0) != 2 * count - 1:
             return self._update_many_by_pairs(sources, destinations, weights)
         weight_array = np.ascontiguousarray(weights, dtype=np.float64)
-        self._ensure_capacity(count)
+        if self._weights is None:
+            self._allocate_rooms()
         self._ensure_batch_scratch(count)
         spill_count = self._spill_ctr
         rebuf_count = self._rebuf_ctr
@@ -780,7 +818,7 @@ class NativeMatrixBackend:
         if profile is not None:
             profile.add("hashing", perf_counter() - started)
             started = perf_counter()
-        new_size = self._lib.gss_ingest_text_batch(
+        placed = self._lib.gss_ingest_text_batch(
             self._ctx,
             blob,
             len(blob),
@@ -788,15 +826,7 @@ class NativeMatrixBackend:
             count,
             self._fnv_state0,
             *self._kernel_config,
-            self._size,
-            self._rows.ctypes.data,
-            self._cols.ctypes.data,
-            self._src_fp.ctypes.data,
-            self._dst_fp.ctypes.data,
-            self._src_idx.ctypes.data,
-            self._dst_idx.ctypes.data,
-            self._weights.ctypes.data,
-            self._bucket_fill.ctypes.data,
+            *self._room_pointers,
             self._sc_spill_keys.ctypes.data,
             self._sc_spill_sums.ctypes.data,
             ctypes.addressof(spill_count),
@@ -808,12 +838,11 @@ class NativeMatrixBackend:
             self._sc_new_hashes.ctypes.data,
             ctypes.addressof(new_count),
         )
-        if new_size == -2:  # pragma: no cover - screened by the NUL check
+        if placed == -2:  # pragma: no cover - screened by the NUL check
             return self._update_many_by_pairs(sources, destinations, weights)
-        if new_size < 0:  # pragma: no cover - allocation failure
+        if placed < 0:  # pragma: no cover - allocation failure
             raise MemoryError("native kernel batch allocation failed")
-        self.matrix_edge_count += new_size - self._size
-        self._size = new_size
+        self.matrix_edge_count += placed
         if profile is not None:
             profile.add("placement", perf_counter() - started)
             started = perf_counter()
@@ -973,27 +1002,18 @@ class NativeMatrixBackend:
             started = perf_counter()
         keys = np.ascontiguousarray(keys, dtype=np.uint64)
         weights = np.ascontiguousarray(weights, dtype=np.float64)
-        # Worst case every key is new and placeable: reserve room slots up
-        # front so the kernel can append without reallocating.
-        self._ensure_capacity(count)
+        if self._weights is None:
+            self._allocate_rooms()
         self._ensure_batch_scratch(count)
         spill_count = self._spill_ctr
         rebuf_count = self._rebuf_ctr
-        new_size = self._lib.gss_ingest_batch(
+        placed = self._lib.gss_ingest_batch(
             self._ctx,
             keys.ctypes.data,
             weights.ctypes.data,
             count,
             *self._kernel_config,
-            self._size,
-            self._rows.ctypes.data,
-            self._cols.ctypes.data,
-            self._src_fp.ctypes.data,
-            self._dst_fp.ctypes.data,
-            self._src_idx.ctypes.data,
-            self._dst_idx.ctypes.data,
-            self._weights.ctypes.data,
-            self._bucket_fill.ctypes.data,
+            *self._room_pointers,
             self._sc_spill_keys.ctypes.data,
             self._sc_spill_sums.ctypes.data,
             ctypes.addressof(spill_count),
@@ -1001,10 +1021,9 @@ class NativeMatrixBackend:
             self._sc_rebuf_sums.ctypes.data,
             ctypes.addressof(rebuf_count),
         )
-        if new_size < 0:  # pragma: no cover - allocation failure
+        if placed < 0:  # pragma: no cover - allocation failure
             raise MemoryError("native kernel batch allocation failed")
-        self.matrix_edge_count += new_size - self._size
-        self._size = new_size
+        self.matrix_edge_count += placed
         if profile is not None:
             profile.add("placement", perf_counter() - started)
             started = perf_counter()
@@ -1057,55 +1076,24 @@ class NativeMatrixBackend:
         return float(self._weights[slot])
 
     def matrix_neighbor_hashes(self, node_hash: int, forward: bool) -> Set[int]:
-        """Vectorized neighbor scan over the columnar room arrays."""
-        n = self._size
-        if n == 0:
+        """Scan the node's ``r`` rows (or columns) in the kernel."""
+        if self._weights is None:
             return set()
-        sketch = self._sketch
-        _, fingerprint = sketch._split(node_hash)
-        addresses = sketch._addresses(node_hash)
-        if forward:
-            own_positions = self._rows[:n]
-            own_fp = self._src_fp[:n]
-            own_idx = self._src_idx[:n]
-            other_positions = self._cols[:n]
-            other_fp = self._dst_fp[:n]
-            other_idx = self._dst_idx[:n]
-        else:
-            own_positions = self._cols[:n]
-            own_fp = self._dst_fp[:n]
-            own_idx = self._dst_idx[:n]
-            other_positions = self._rows[:n]
-            other_fp = self._src_fp[:n]
-            other_idx = self._src_idx[:n]
-        mask = np.zeros(n, dtype=bool)
-        for position, address in enumerate(addresses):
-            mask |= (own_positions == address) & (own_idx == position + 1)
-        mask &= own_fp == fingerprint
-        if not mask.any():
-            return set()
-        matched_fp = other_fp[mask]
-        if sketch.config.square_hashing:
-            offsets = lcg_values_at(matched_fp, other_idx[mask], sketch._lcg)
-            bases = (other_positions[mask] - offsets) % self._width
-        else:
-            bases = other_positions[mask]
-        return set((bases * self._fingerprint_range + matched_fp).tolist())
+        found = self._lib.gss_neighbor_scan(node_hash, forward, *self._scan_args)
+        return set(self._scan_out[:found].tolist())
 
     def reconstruct(self) -> List[Tuple[int, int, float]]:
-        """Vectorized matrix-edge recovery, row-major like a full scan."""
-        n = self._size
-        if n == 0:
+        """Matrix-edge recovery, row-major like a full scan."""
+        if self._weights is None:
             return []
         sketch = self._sketch
-        order = np.lexsort((self._cols[:n], self._rows[:n]))
-        rows = self._rows[order]
-        cols = self._cols[order]
-        src_fp = self._src_fp[order]
-        dst_fp = self._dst_fp[order]
+        _, slots = self._live_slots()
+        rows, cols = np.divmod(slots // self._rooms, self._width)
+        src_fp = self._src_fp[slots]
+        dst_fp = self._dst_fp[slots]
         if sketch.config.square_hashing:
-            source_bases = (rows - lcg_values_at(src_fp, self._src_idx[order], sketch._lcg)) % self._width
-            destination_bases = (cols - lcg_values_at(dst_fp, self._dst_idx[order], sketch._lcg)) % self._width
+            source_bases = (rows - lcg_values_at(src_fp, self._src_idx[slots], sketch._lcg)) % self._width
+            destination_bases = (cols - lcg_values_at(dst_fp, self._dst_idx[slots], sketch._lcg)) % self._width
         else:
             source_bases = rows
             destination_bases = cols
@@ -1114,6 +1102,6 @@ class NativeMatrixBackend:
             zip(
                 (source_bases * fingerprint_range + src_fp).tolist(),
                 (destination_bases * fingerprint_range + dst_fp).tolist(),
-                self._weights[order].tolist(),
+                self._weights[slots].tolist(),
             )
         )

@@ -44,9 +44,9 @@ class GSSConfig:
         Seed of the node hash function, allowing independent sketches.
     backend:
         Matrix-storage backend: ``"python"`` (nested lists, zero
-        dependencies — the default), ``"native"`` (columnar NumPy arrays
-        with batched placement compiled to a C kernel; ``"numpy"`` is its
-        legacy name and resolves identically) or ``"auto"`` (native when
+        dependencies — the default), ``"native"`` (bucket-major NumPy
+        arrays with batched placement and neighbour scans compiled to a C
+        kernel; ``"numpy"`` is its legacy name and resolves identically) or ``"auto"`` (native when
         the machine has NumPy and a C compiler, else python).  An explicit
         ``native``/``numpy`` request falls back to python with a warning
         when the kernel cannot run, or when the config is outside the

@@ -14,26 +14,21 @@ paper's ablations.
 
 Matrix storage is pluggable (``GSSConfig.backend``, see
 :mod:`repro.core.backends`): the default pure-Python backend keeps the
-occupancy-indexed nested-list layout, and the native backend stores rooms in
-columnar NumPy arrays and places every batch in a compiled C kernel.  The
-two backends are observationally identical — every query answers the same —
-so the choice is purely about speed and dependencies.  In both cases scans cost O(stored edges), not
-O(r * m) matrix slots, which is what makes the paper's O(1)-update /
-1-hop-query claims hold in this reproduction.
+occupancy-indexed nested-list layout, and the native backend stores rooms
+bucket-major in NumPy arrays — the paper's ``m x m x l`` layout, allocated
+on the first write — and places every batch and scans every queried node in
+a compiled C kernel.  The two backends are observationally identical —
+every query answers the same — so the choice is purely about speed and
+dependencies.  A successor/precursor scan touches only the node's ``r``
+rows (columns): the python backend visits their occupied buckets, the
+kernel their ``r * m * l`` slots, as in Section V of the paper.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Set, Tuple
 
-from repro.core.backends import (
-    ROOM_DEST_FP,
-    ROOM_DEST_INDEX,
-    ROOM_SOURCE_FP,
-    ROOM_SOURCE_INDEX,
-    ROOM_WEIGHT,
-    make_backend,
-)
+from repro.core.backends import make_backend
 from repro.core.buffer import LeftoverBuffer
 from repro.core.config import GSSConfig
 from repro.core.reverse_index import NodeIndex
@@ -42,7 +37,6 @@ from repro.hashing.linear_congruence import (
     LinearCongruentialSequence,
     address_sequence,
     candidate_sequence,
-    recover_address,
     unique_candidates,
 )
 from repro.queries.primitives import Capabilities, SummaryShims
@@ -51,14 +45,6 @@ from repro.queries.primitives import Capabilities, SummaryShims
 #: fingerprint pair seen).  Past the cap, sequences are recomputed instead of
 #: cached so a long-running process cannot grow without bound.
 _CANDIDATE_CACHE_LIMIT = 1 << 16
-
-# Backwards-compatible aliases for the room-slot layout (now owned by
-# repro.core.backends).
-_ROOM_SOURCE_FP = ROOM_SOURCE_FP
-_ROOM_DEST_FP = ROOM_DEST_FP
-_ROOM_SOURCE_INDEX = ROOM_SOURCE_INDEX
-_ROOM_DEST_INDEX = ROOM_DEST_INDEX
-_ROOM_WEIGHT = ROOM_WEIGHT
 
 
 class GSS(SummaryShims):
@@ -325,57 +311,11 @@ class GSS(SummaryShims):
         scan for precursors.
 
         The matrix scan is the backend's business (occupancy-indexed on the
-        Python backend, a vectorized mask on the native backend); the
-        left-over buffer is consulted here.
+        Python backend, the kernel's scan of the ``r * m * l`` bucket-major
+        slots on the native backend); the left-over buffer is consulted
+        here.
         """
         found = self._matrix.matrix_neighbor_hashes(node_hash, forward)
-        if forward:
-            found.update(self._buffer.successors_of(node_hash))
-        else:
-            found.update(self._buffer.precursors_of(node_hash))
-        return found
-
-    def _neighbor_hashes_unindexed(self, node_hash: int, forward: bool) -> Set[int]:
-        """Reference implementation of :meth:`_neighbor_hashes` without the
-        backend's indexes: the original full ``r * m`` slot scan.
-
-        Kept for the property tests that assert the indexed scan returns
-        identical results; not used on any production path.
-        """
-        _, fingerprint = self._split(node_hash)
-        addresses = self._addresses(node_hash)
-        found: Set[int] = set()
-        width = self._width
-
-        own_fp_slot = _ROOM_SOURCE_FP if forward else _ROOM_DEST_FP
-        own_index_slot = _ROOM_SOURCE_INDEX if forward else _ROOM_DEST_INDEX
-        other_fp_slot = _ROOM_DEST_FP if forward else _ROOM_SOURCE_FP
-        other_index_slot = _ROOM_DEST_INDEX if forward else _ROOM_SOURCE_INDEX
-
-        for position, address in enumerate(addresses):
-            expected_index = position + 1
-            for offset in range(width):
-                if forward:
-                    bucket = self._bucket_at(address, offset)
-                else:
-                    bucket = self._bucket_at(offset, address)
-                if bucket is None:
-                    continue
-                for room in bucket:
-                    if room[own_fp_slot] != fingerprint:
-                        continue
-                    if room[own_index_slot] != expected_index:
-                        continue
-                    other_fp = room[other_fp_slot]
-                    other_index = room[other_index_slot]
-                    if self.config.square_hashing:
-                        other_base = recover_address(
-                            offset, other_fp, other_index, width, self._lcg
-                        )
-                    else:
-                        other_base = offset
-                    found.add(other_base * self._fingerprint_range + other_fp)
-
         if forward:
             found.update(self._buffer.successors_of(node_hash))
         else:
@@ -435,46 +375,10 @@ class GSS(SummaryShims):
 
         This demonstrates the paper's claim that the whole graph can be
         re-constructed from the data structure.  The scan yields edges in
-        row-major bucket order (the sequence a full matrix scan would
-        produce) at O(stored edges) cost on both backends.
+        row-major bucket order, rooms in insertion order (the sequence a
+        full matrix scan would produce), visiting only occupied buckets.
         """
         edges = self._matrix.reconstruct()
-        edges.extend(self._buffer.edges())
-        return edges
-
-    def reconstruct_sketch_edges_unindexed(self) -> List[Tuple[int, int, float]]:
-        """Reference full ``m * m`` matrix scan of :meth:`reconstruct_sketch_edges`.
-
-        Kept so the property tests can assert the backend scans are
-        byte-identical; not used on any production path.
-        """
-        edges: List[Tuple[int, int, float]] = []
-        width = self._width
-        for row in range(width):
-            for column in range(width):
-                bucket = self._bucket_at(row, column)
-                if bucket is None:
-                    continue
-                for room in bucket:
-                    source_fp = room[_ROOM_SOURCE_FP]
-                    destination_fp = room[_ROOM_DEST_FP]
-                    if self.config.square_hashing:
-                        source_base = recover_address(
-                            row, source_fp, room[_ROOM_SOURCE_INDEX], width, self._lcg
-                        )
-                        destination_base = recover_address(
-                            column, destination_fp, room[_ROOM_DEST_INDEX], width, self._lcg
-                        )
-                    else:
-                        source_base = row
-                        destination_base = column
-                    edges.append(
-                        (
-                            source_base * self._fingerprint_range + source_fp,
-                            destination_base * self._fingerprint_range + destination_fp,
-                            room[_ROOM_WEIGHT],
-                        )
-                    )
         edges.extend(self._buffer.edges())
         return edges
 

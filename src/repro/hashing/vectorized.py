@@ -9,8 +9,8 @@ in ``tests/test_vectorized_hashing.py`` assert it input-by-input).
 
 The FNV-1a loop runs over an ``(n, max_len)`` byte matrix built with
 ``np.frombuffer`` — one masked vector operation per byte *position* instead of
-one Python operation per byte — and the splitmix64 finalizer, hash splitting,
-square-hashing address sequences and candidate-pair sampling are plain uint64 /
+one Python operation per byte — and the splitmix64 finalizer, hash splitting
+and the square-hashing LCG values used to recover addresses are plain uint64 /
 int64 array arithmetic (unsigned overflow wraps modulo 2^64, exactly like the
 ``& _MASK64`` in the scalar code).
 
@@ -191,34 +191,7 @@ def split_hashes(values: "np.ndarray", fingerprint_range: int) -> Tuple["np.ndar
     return values // fingerprint_range, values % fingerprint_range
 
 
-# -- square-hashing sequences ----------------------------------------------
-
-
-def address_sequences(
-    base_addresses: "np.ndarray",
-    fingerprints: "np.ndarray",
-    length: int,
-    matrix_width: int,
-    lcg: LinearCongruentialSequence = LinearCongruentialSequence(),
-) -> "np.ndarray":
-    """Vectorized :func:`~repro.hashing.linear_congruence.address_sequence`.
-
-    Returns an ``(n, length)`` int64 matrix whose row ``v`` is the address
-    sequence ``{h_i(v)}`` of node ``v``.
-    """
-    load_numpy()
-    if matrix_width <= 0:
-        raise ValueError("matrix_width must be positive")
-    if length < 0:
-        raise ValueError("length must be non-negative")
-    count = len(fingerprints)
-    current = fingerprints.astype(np.int64, copy=True) % lcg.modulus
-    base = base_addresses.astype(np.int64, copy=False)
-    addresses = np.empty((count, length), dtype=np.int64)
-    for step in range(length):
-        current = (lcg.multiplier * current + lcg.increment) % lcg.modulus
-        addresses[:, step] = (base + current) % matrix_width
-    return addresses
+# -- square-hashing address recovery --------------------------------------
 
 
 def lcg_values_at(
@@ -254,44 +227,6 @@ def recover_addresses(
     """Vectorized :func:`~repro.hashing.linear_congruence.recover_address`."""
     offsets = lcg_values_at(fingerprints, indices, lcg)
     return (observed.astype(np.int64, copy=False) - offsets) % matrix_width
-
-
-def candidate_pair_arrays(
-    source_fingerprints: "np.ndarray",
-    destination_fingerprints: "np.ndarray",
-    sample_size: int,
-    sequence_length: int,
-    lcg: LinearCongruentialSequence = LinearCongruentialSequence(),
-) -> Tuple["np.ndarray", "np.ndarray"]:
-    """Vectorized :func:`~repro.hashing.linear_congruence.candidate_sequence`.
-
-    Returns two ``(n, sample_size)`` int64 matrices holding the row-index and
-    column-index halves of every edge's candidate pairs, in probe order.
-    Unlike the scalar helper the pairs are *not* deduplicated: a duplicate
-    candidate re-probes a bucket whose state cannot have changed, so skipping
-    the dedup preserves placement semantics while keeping the arrays
-    rectangular.
-    """
-    load_numpy()
-    if sequence_length <= 0:
-        raise ValueError("sequence_length must be positive")
-    if sample_size < 0:
-        raise ValueError("sample_size must be non-negative")
-    count = len(source_fingerprints)
-    seeds = (
-        source_fingerprints.astype(np.int64, copy=False)
-        + destination_fingerprints.astype(np.int64, copy=False)
-    )
-    current = seeds % lcg.modulus
-    span = sequence_length * sequence_length
-    rows = np.empty((count, sample_size), dtype=np.int64)
-    columns = np.empty((count, sample_size), dtype=np.int64)
-    for draw in range(sample_size):
-        current = (lcg.multiplier * current + lcg.increment) % lcg.modulus
-        rows[:, draw], columns[:, draw] = np.divmod(
-            current % span, sequence_length
-        )
-    return rows, columns
 
 
 def as_int_list(values: "np.ndarray") -> List[int]:

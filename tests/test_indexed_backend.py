@@ -3,8 +3,8 @@
 The indexed backend must be *observationally identical* to the original full
 matrix scans: the property tests here drive random streams — including
 deletions and configurations small enough to overflow into the
-``LeftoverBuffer`` — and assert the indexed and unindexed code paths agree
-bucket-for-bucket.  The module also covers the satellite bugfixes: the
+``LeftoverBuffer`` — and assert the indexed scans agree bucket-for-bucket
+with the full-scan oracles in ``scan_oracles.py``.  The module also covers the satellite bugfixes: the
 ``None``-based edge query (sentinel collision), the ``NodeIndex`` hash
 conflict, and the tier-1 collection boundary.
 """
@@ -29,6 +29,8 @@ from repro.core.reverse_index import NodeIndex
 from repro.core.serialization import sketch_from_dict, sketch_to_dict
 from repro.core.undirected import UndirectedGSS
 from repro.core.windowed import WindowedGSS
+
+from scan_oracles import neighbor_hashes_unindexed, reconstruct_sketch_edges_unindexed
 
 # Streams over a small node universe with insertions AND deletions (negative
 # weights), sized so small matrices overflow into the left-over buffer.
@@ -86,12 +88,12 @@ class TestIndexedEqualsUnindexed:
         for node in nodes:
             node_hash = sketch.node_hash(node)
             assert sketch._neighbor_hashes(node_hash, forward=True) == (
-                sketch._neighbor_hashes_unindexed(node_hash, forward=True)
+                neighbor_hashes_unindexed(sketch, node_hash, forward=True)
             )
             assert sketch._neighbor_hashes(node_hash, forward=False) == (
-                sketch._neighbor_hashes_unindexed(node_hash, forward=False)
+                neighbor_hashes_unindexed(sketch, node_hash, forward=False)
             )
-        assert sketch.reconstruct_sketch_edges() == sketch.reconstruct_sketch_edges_unindexed()
+        assert sketch.reconstruct_sketch_edges() == reconstruct_sketch_edges_unindexed(sketch)
         assert_indexes_consistent(sketch)
 
     @given(items=streams, config=configs)
@@ -118,7 +120,7 @@ class TestIndexedEqualsUnindexed:
         items = [(s, d, 1.0) for s in range(12) for d in range(12)]
         sketch = ingest(config, items)
         assert sketch.buffer_edge_count > 0  # the scenario actually overflows
-        assert sketch.reconstruct_sketch_edges() == sketch.reconstruct_sketch_edges_unindexed()
+        assert sketch.reconstruct_sketch_edges() == reconstruct_sketch_edges_unindexed(sketch)
 
 
 class TestIndexesSurviveRoundTrips:

@@ -17,7 +17,11 @@ to the compiled backend:
   queries, node index, serialization, and the hash-once counter;
 * snapshots recording the *resolved* backend name, and legacy snapshots
   (recording ``"numpy"``, with or without the removed
-  ``scalar_tail_threshold`` key) restoring with identical answers.
+  ``scalar_tail_threshold`` key) restoring with identical answers;
+* the kernel's neighbour scan over the bucket-major room layout at its
+  edges — repeated address rows, full 254-room buckets, the ablation
+  switches, a scan whose every room matches, a restored sketch that keeps
+  ingesting — against the python backend and the full-scan oracles.
 """
 
 from __future__ import annotations
@@ -36,6 +40,8 @@ from repro.core.gss import GSS
 from repro.core.merge import merge_sketches
 from repro.core.serialization import sketch_from_dict, sketch_to_dict
 from repro.hashing.hash_functions import count_key_hashes
+
+from scan_oracles import neighbor_hashes_unindexed, reconstruct_sketch_edges_unindexed
 
 
 def _native_ready() -> bool:
@@ -75,6 +81,24 @@ def assert_same_answers(first: GSS, second: GSS, items) -> None:
         assert first.edge_query(source, destination) == second.edge_query(
             source, destination
         )
+
+
+def assert_scans_match(native: GSS, reference: GSS, nodes) -> None:
+    """Neighbour scans and reconstruction agree with the python backend and
+    with the full-scan oracles run over the native sketch's own buckets."""
+    for node in nodes:
+        node_hash = native.node_hash(node)
+        for forward in (True, False):
+            expected = neighbor_hashes_unindexed(native, node_hash, forward)
+            assert native._neighbor_hashes(node_hash, forward) == expected
+            assert reference._neighbor_hashes(node_hash, forward) == expected
+    edges = native.reconstruct_sketch_edges()
+    assert edges == reference.reconstruct_sketch_edges()
+    assert edges == reconstruct_sketch_edges_unindexed(native)
+
+
+def nodes_of(items):
+    return {item[0] for item in items} | {item[1] for item in items}
 
 
 class TestAvailabilityGates:
@@ -285,6 +309,17 @@ class TestSerializationAndMerge:
         assert restored.backend_name == "native"
         assert_same_answers(restored, sketch, items)
 
+    def test_snapshot_with_an_overfull_bucket_is_rejected(self):
+        # A bucket's l rooms are adjacent slots, so an extra room would
+        # overwrite the next bucket: restore refuses it instead.
+        sketch = make("python", matrix_width=4, rooms=1)
+        sketch.update_many(stream(50))
+        document = sketch_to_dict(sketch)
+        entry = document["buckets"][0]
+        entry["rooms"].append(list(entry["rooms"][0]))
+        with pytest.raises(ValueError, match="already holds 1 rooms"):
+            sketch_from_dict(document, backend="native")
+
     def test_mixed_backend_merge_includes_native(self):
         items = stream(240)
         parts = []
@@ -301,6 +336,76 @@ class TestSerializationAndMerge:
         keys = {(source, destination) for source, destination, _ in items}
         for key in sorted(keys):
             assert merged.edge_query(*key) == reference.edge_query(*key)
+
+
+@requires_native
+class TestKernelScanEdges:
+    """``gss_neighbor_scan`` and the bucket-major reconstruction at the edges
+    of the room layout (``scripts/native_sanitize.py`` runs these under
+    ASan/UBSan, so an out-of-bounds slot or output write aborts)."""
+
+    def check(self, items, **overrides) -> GSS:
+        native = make("native", **overrides)
+        reference = make("python", **overrides)
+        assert native.backend_name == "native"
+        native.update_many(items)
+        reference.update_many(items)
+        assert_scans_match(native, reference, nodes_of(items))
+        return native
+
+    def test_sequence_longer_than_matrix_width(self):
+        overrides = dict(matrix_width=3, sequence_length=8, candidate_buckets=8)
+        native = self.check(stream(), **overrides)
+        # Eight addresses over three rows: every node revisits some row at
+        # another index, and a room matches only at its own index.
+        node_hash = native.node_hash("s0")
+        assert len(set(native._addresses(node_hash))) < 8
+
+    def test_full_254_room_buckets(self):
+        items = [(f"s{i % 37}", f"d{i}", 1.0) for i in range(1500)]
+        native = self.check(items, matrix_width=2, rooms=254)
+        assert int(native._matrix._bucket_fill.max()) == 254
+        assert native.buffer_edge_count > 0
+
+    @pytest.mark.parametrize("switch", ["square_hashing", "sampling"])
+    def test_ablation_switches(self, switch):
+        self.check(stream(), matrix_width=6, **{switch: False})
+
+    @pytest.mark.parametrize("forward", [True, False])
+    def test_every_room_in_the_scanned_lines_matches(self, forward):
+        # Only the hub's edges exist, so its r rows (columns) fill up with
+        # rooms that all match it: the scan writes its whole r * m * l
+        # output bound.
+        width, rooms, lines = 8, 2, 4
+        overrides = dict(matrix_width=width, rooms=rooms, sequence_length=lines,
+                         sampling=False, fingerprint_bits=16)
+        probe = make("native", **overrides)
+        hub = next(
+            name for name in (f"hub{i}" for i in range(1000))
+            if len(set(probe._addresses(probe.node_hash(name)))) == lines
+        )
+        others = [f"x{i}" for i in range(40 * lines * width * rooms)]
+        items = [(hub, other, 1.0) if forward else (other, hub, 1.0) for other in others]
+        native = self.check(items, **overrides)
+        bound = lines * width * rooms
+        assert native.matrix_edge_count == bound
+        assert len(native._matrix.matrix_neighbor_hashes(native.node_hash(hub), forward)) == bound
+
+    def test_restored_sketch_keeps_ingesting(self):
+        items = stream(400)
+        first, rest = items[:200], items[200:] + items[:50]
+        original = make("native", matrix_width=6)
+        original.update_many(first)
+        restored = GSS.from_dict(original.to_dict())
+        assert restored.backend_name == "native"
+        reference = make("python", matrix_width=6)
+        reference.update_many(first)
+        # Repeats of restored edges add to their rooms in place; new edges
+        # land next to the restored rooms of their buckets.
+        restored.update_many(rest)
+        reference.update_many(rest)
+        assert_scans_match(restored, reference, nodes_of(items))
+        assert_same_answers(restored, reference, items)
 
 
 class TestLegacySnapshots:

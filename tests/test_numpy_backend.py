@@ -34,6 +34,8 @@ from repro.core.serialization import sketch_from_dict, sketch_to_dict
 from repro.core.undirected import UndirectedGSS
 from repro.core.windowed import WindowedGSS
 
+from scan_oracles import neighbor_hashes_unindexed, reconstruct_sketch_edges_unindexed
+
 
 def _native_ready() -> bool:
     from repro.core._native import native_available
@@ -132,13 +134,13 @@ class TestBackendEquivalence:
         vector_sketch = GSS(replace(config, backend=backend))
         vector_sketch.update_many(named(items))
         assert vector_sketch.reconstruct_sketch_edges() == (
-            vector_sketch.reconstruct_sketch_edges_unindexed()
+            reconstruct_sketch_edges_unindexed(vector_sketch)
         )
         for node in {f"n{s}" for s, _, _ in items}:
             node_hash = vector_sketch.node_hash(node)
             for forward in (True, False):
                 assert vector_sketch._neighbor_hashes(node_hash, forward) == (
-                    vector_sketch._neighbor_hashes_unindexed(node_hash, forward)
+                    neighbor_hashes_unindexed(vector_sketch, node_hash, forward)
                 )
 
     def test_overflowing_stream_hits_buffer_identically(self, backend):

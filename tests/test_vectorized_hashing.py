@@ -29,16 +29,9 @@ from repro.hashing.hash_functions import (
     hash_key,
     hash_string,
 )
-from repro.hashing.linear_congruence import (
-    LinearCongruentialSequence,
-    address_sequence,
-    candidate_sequence,
-    recover_address,
-)
+from repro.hashing.linear_congruence import LinearCongruentialSequence, recover_address
 from repro.hashing.vectorized import (
     NUMPY_AVAILABLE,
-    address_sequences,
-    candidate_pair_arrays,
     hash_bytes_array,
     hash_ints_array,
     hash_keys_array,
@@ -125,13 +118,6 @@ class TestVectorizedEqualsScalar:
 class TestVectorizedLCG:
     lcg = LinearCongruentialSequence()
 
-    def test_address_sequences(self):
-        bases = np.array([0, 5, 17, 30], dtype=np.int64)
-        fps = np.array([3, 250, 0, 65535], dtype=np.int64)
-        matrix = address_sequences(bases, fps, 8, 31, self.lcg)
-        for row, (base, fp) in enumerate(zip(bases.tolist(), fps.tolist())):
-            assert matrix[row].tolist() == address_sequence(base, fp, 8, 31, self.lcg)
-
     def test_lcg_values_at_and_recover(self):
         fps = np.array([3, 250, 0, 65535, 9], dtype=np.int64)
         indices = np.array([1, 4, 2, 8, 1], dtype=np.int64)
@@ -148,15 +134,3 @@ class TestVectorizedLCG:
     def test_lcg_values_at_rejects_zero_index(self):
         with pytest.raises(ValueError):
             lcg_values_at(np.array([1]), np.array([0]), self.lcg)
-
-    def test_candidate_pair_arrays_match_scalar_draws(self):
-        source_fps = np.array([3, 250, 0, 77], dtype=np.int64)
-        destination_fps = np.array([9, 1, 65535, 77], dtype=np.int64)
-        rows, columns = candidate_pair_arrays(source_fps, destination_fps, 16, 8, self.lcg)
-        for edge in range(len(source_fps)):
-            scalar = candidate_sequence(
-                int(source_fps[edge]), int(destination_fps[edge]), 16, 8, self.lcg
-            )
-            # The vectorized variant keeps duplicates (probing a bucket twice
-            # is a no-op); the scalar helper returns the same draws pre-dedup.
-            assert list(zip(rows[edge].tolist(), columns[edge].tolist())) == scalar
