@@ -9,7 +9,9 @@ systems" (GraphX, PowerGraph, Pregel).  This example simulates that
 deployment on one machine:
 
 * the web-NotreDame analog stream is routed to 4 source-partitioned shards,
-  each an independent GSS that a separate worker could own;
+  each an independent GSS that a separate worker could own (the registry's
+  ``partitioned-gss`` holds them in-process; ``sharded-gss`` runs the same
+  deployment over worker processes);
 * queries are answered through the sharded interface (edge and successor
   queries touch a single shard, precursor queries fan out);
 * the shards are finally merged back into one summary for a central analyser,
@@ -20,7 +22,8 @@ deployment on one machine:
 from __future__ import annotations
 
 from repro import GSS, GSSConfig, AdjacencyListGraph
-from repro.core.partitioned import PartitionedGSS
+from repro.api import StreamSession, build
+from repro.core.merge import merge_sketches
 from repro.datasets import load_dataset
 from repro.metrics import average_precision
 from repro.queries.primitives import consume_stream
@@ -34,14 +37,13 @@ def main() -> None:
 
     # 1. Shard the stream over 4 workers with the same total capacity a
     #    monolithic sketch would get.
-    sharded = PartitionedGSS.for_total_capacity(
-        statistics.distinct_edges,
-        partitions=4,
-        sequence_length=8,
-        candidate_buckets=8,
+    sharded = build(
+        "partitioned-gss",
+        expected_edges=statistics.distinct_edges,
+        params={"partitions": 4, "sequence_length": 8, "candidate_buckets": 8},
     )
-    sharded.ingest(stream)
-    print(f"4 shards of width {sharded.config.matrix_width}, "
+    StreamSession(sharded).feed(stream)
+    print(f"4 shards of width {sharded.shards[0].config.matrix_width}, "
           f"total memory {sharded.memory_bytes() / 1024:.1f} KiB")
     print(f"shard loads (sketch edges): {sharded.shard_loads()}, "
           f"imbalance {sharded.load_imbalance():.2f}x")
@@ -56,7 +58,7 @@ def main() -> None:
           f"{average_precision(pairs):.4f}")
 
     # 3. Collapse the shards into a single summary for central analysis.
-    merged = sharded.merge_into_single()
+    merged = merge_sketches(sharded.shards)
     monolithic_config = GSSConfig.for_edge_count(
         statistics.distinct_edges, sequence_length=8, candidate_buckets=8
     )

@@ -9,8 +9,9 @@ Exercises the full production story on a small dataset, end to end:
    (crash simulation — no graceful flush after the checkpoint);
 3. restore the cluster from the checkpoint, ingest the second half;
 4. verify the resumed cluster answers every edge/successor/precursor/node
-   query identically to an equivalently-sharded single-process
-   ``PartitionedGSS`` that saw the whole stream uninterrupted.
+   query identically to an equivalently-sharded ``ShardedSummary`` with
+   in-process shards (``partitioned-gss``) that saw the whole stream
+   uninterrupted.
 
 Exits non-zero (with a message) on any mismatch.  Runs in seconds.
 
@@ -51,8 +52,8 @@ def main(argv=None) -> int:
         f"{expected} distinct edges, workers={args.workers}"
     )
 
-    # The reference: a single-process partitioned deployment with the same
-    # shard count, shard configuration and routing seed, fed uninterrupted.
+    # The reference: an in-process sharded deployment with the same shard
+    # count, shard configuration and routing seed, fed uninterrupted.
     reference = build(
         SketchSpec(
             "partitioned-gss",
@@ -61,7 +62,7 @@ def main(argv=None) -> int:
         )
     )
     StreamSession(reference).feed(edges)
-    shard_config = reference.config
+    shard_config = reference.shards[0].config
 
     cluster_spec = SketchSpec(
         "sharded-gss",

@@ -39,7 +39,6 @@ from repro.core.basic import GSSBasic
 from repro.core.config import GSSConfig
 from repro.core.ensemble import GSSEnsemble
 from repro.core.gss import GSS
-from repro.core.partitioned import PartitionedGSS
 from repro.core.undirected import UndirectedGSS
 from repro.core.windowed import WindowedGSS
 
@@ -325,45 +324,24 @@ def _build_windowed(spec: SketchSpec) -> WindowedGSS:
     return WindowedGSS(config, window_span=window_span, slices=slices)
 
 
-def _build_partitioned(spec: SketchSpec) -> PartitionedGSS:
-    partitions = spec.params.get("partitions", 4)
-    routing_seed = spec.params.get("routing_seed", 97)
-    if spec.memory_bytes is None and spec.expected_edges is None:
-        shard_spec = spec
-    elif spec.memory_bytes is None:
-        # Give every shard an equal share of the expected edges, the
-        # ``m ~ sqrt(|E| / partitions)`` guidance for distributed deployments.
-        shard_spec = replace(
-            spec, expected_edges=max(1, spec.expected_edges // max(1, partitions))
-        )
-    else:
-        shard_spec = replace(
-            spec,
-            memory_bytes=max(1, reference_budget_bytes(spec) // max(1, partitions)),
-            expected_edges=None,
-        )
-    config = _gss_config(shard_spec, extra_exclude=("partitions", "routing_seed"))
-    return PartitionedGSS(config, partitions=partitions, routing_seed=routing_seed)
-
-
-#: Cluster-level parameters of ``sharded-gss``; everything else in the spec's
-#: ``params`` is passed through to the inner per-shard GSS.
-_CLUSTER_PARAMS = ("workers", "routing_seed", "batch_size")
-
-
-def _build_sharded(spec: SketchSpec) -> ShardedSummary:
-    """Build a multi-process GSS cluster (see :mod:`repro.cluster`).
+def _sharded_deployment(
+    spec: SketchSpec, count_param: str, default_count: int, in_process: bool
+) -> ShardedSummary:
+    """Build a :class:`ShardedSummary` of ``spec.params[count_param]`` GSS
+    shards (see :mod:`repro.cluster`).
 
     The memory budget (or expected edge count) is split evenly across the
-    worker processes, the same arithmetic as ``partitioned-gss``, so a
-    cluster and a monolithic sketch built at the same budget are an
-    equal-memory comparison.
+    shards — the ``m ~ sqrt(|E| / shards)`` guidance for distributed
+    deployments — so a sharded deployment and a monolithic sketch built at
+    the same budget are an equal-memory comparison.  Every parameter except
+    the deployment's own passes through to the per-shard GSS.
     """
-    workers = spec.params.get("workers", 2)
-    if workers < 1:
-        raise ValueError("workers must be at least 1")
+    deployment_params = (count_param, "routing_seed", "batch_size")
+    shards = spec.params.get(count_param, default_count)
+    if shards < 1:
+        raise ValueError(f"{count_param} must be at least 1")
     inner_params = {
-        key: value for key, value in spec.params.items() if key not in _CLUSTER_PARAMS
+        key: value for key, value in spec.params.items() if key not in deployment_params
     }
     inner = SketchSpec(
         "gss", backend=spec.backend, seed=spec.seed, params=inner_params
@@ -372,23 +350,34 @@ def _build_sharded(spec: SketchSpec) -> ShardedSummary:
         pass  # explicitly sized shards
     elif spec.memory_bytes is not None:
         inner = replace(
-            inner, memory_bytes=max(1, reference_budget_bytes(spec) // workers)
+            inner, memory_bytes=max(1, reference_budget_bytes(spec) // shards)
         )
     elif spec.expected_edges is not None:
+        if spec.expected_edges <= 0:
+            raise ValueError("expected_edges must be positive")
         inner = replace(
-            inner, expected_edges=max(1, spec.expected_edges // workers)
+            inner, expected_edges=max(1, spec.expected_edges // shards)
         )
     else:
         raise SpecSizingError(
-            "SketchSpec('sharded-gss') needs memory_bytes, expected_edges or "
+            f"SketchSpec({spec.sketch!r}) needs memory_bytes, expected_edges or "
             "params['matrix_width']"
         )
     return ShardedSummary(
         inner,
-        workers=workers,
+        workers=shards,
         routing_seed=spec.params.get("routing_seed", DEFAULT_ROUTING_SEED),
         batch_size=spec.params.get("batch_size", 1024),
+        in_process=in_process,
     )
+
+
+def _build_partitioned(spec: SketchSpec) -> ShardedSummary:
+    return _sharded_deployment(spec, "partitions", 4, in_process=True)
+
+
+def _build_sharded(spec: SketchSpec) -> ShardedSummary:
+    return _sharded_deployment(spec, "workers", 2, in_process=False)
 
 
 def _build_tcm(spec: SketchSpec) -> TCM:
@@ -484,8 +473,10 @@ def _register_defaults() -> None:
         ),
         SketchInfo(
             name="partitioned-gss",
-            description="source-partitioned GSS shards (distributed deployment)",
-            capabilities=PartitionedGSS.capabilities(),
+            description="source-partitioned GSS shards held in-process",
+            # ShardedSummary.capabilities() of in-process gss shards: the
+            # shards merge (merge_sketches), but there is no snapshot format.
+            capabilities=Capabilities(mergeable=True),
             builder=_build_partitioned,
             param_names=_GSS_PARAMS + ("partitions", "routing_seed"),
         ),
@@ -497,7 +488,7 @@ def _register_defaults() -> None:
             # ShardedSummary.capabilities() reports for a gss inner spec.
             capabilities=Capabilities(serializable=True),
             builder=_build_sharded,
-            param_names=_GSS_PARAMS + _CLUSTER_PARAMS,
+            param_names=_GSS_PARAMS + ("workers", "routing_seed", "batch_size"),
             restorer=ShardedSummary.from_dict,
         ),
         SketchInfo(

@@ -42,8 +42,8 @@ class IngestReport:
 
     ``shard_items`` and ``queue_depth_high_water`` are populated only when
     the summary is a sharded deployment exposing ``shard_ingest_stats()``
-    (:class:`~repro.core.partitioned.PartitionedGSS`,
-    :class:`~repro.cluster.ShardedSummary`): items routed to each shard *by
+    (:class:`~repro.cluster.ShardedSummary`, in-process or worker
+    processes): items routed to each shard *by
     this feed*, and the largest number of batches in flight to any single
     worker observed so far (always 0 for synchronous in-process sharding).
     """

@@ -1,18 +1,15 @@
-"""``repro.cluster`` — multi-process sharded deployment of the summaries.
-
-The subsystem takes the single-process sharding simulation of
-:class:`~repro.core.partitioned.PartitionedGSS` across real process
-boundaries:
+"""``repro.cluster`` — sharded deployment of the summaries.
 
 * :class:`ShardedSummary` — hash-partitions edges by source node over N
-  worker processes, pipelines batched ingestion through each worker's
-  ``update_many`` fast path, and serves capability-gated fan-out queries
-  (edge / successor / node-out-weight route to one shard; precursor and
-  node-in-weight scatter-gather);
+  shards, in-process or worker processes, pipelines batched ingestion
+  through each shard's ``update_many`` fast path, and serves
+  capability-gated fan-out queries (edge / successor / node-out-weight route
+  to one shard; precursor and node-in-weight scatter-gather);
 * :mod:`repro.cluster.checkpoint` — whole-cluster checkpoint/recovery built
   on the shards' ``to_dict`` snapshots (per-shard files + a manifest),
   resumable mid-stream;
-* :mod:`repro.cluster.worker` — the shard worker process protocol;
+* :mod:`repro.cluster.worker` — the shard request protocol, applied by a
+  worker process or, in-process, directly;
 * :mod:`repro.cluster.lifecycle` — graceful SIGINT/SIGTERM teardown
   (:func:`install_signal_handlers`: drain → checkpoint → close) for
   script-style cluster users; the network front end in :mod:`repro.serve`
@@ -20,7 +17,9 @@ boundaries:
   :meth:`ShardedSummary.shutdown` drain path.
 
 The cluster registers in the :mod:`repro.api` factory as ``"sharded-gss"``
-(parameters: ``workers``, ``routing_seed``, ``batch_size`` plus every GSS
+(worker processes; parameters: ``workers``, ``routing_seed``,
+``batch_size`` plus every GSS parameter) and as ``"partitioned-gss"``
+(in-process shards; ``partitions``, ``routing_seed`` plus every GSS
 parameter), so ``StreamSession``, the conformance laws, the CLI's
 ``--sketch``/``--workers`` flags and the tab1 throughput rows drive it like
 any other summary.

@@ -1,34 +1,37 @@
-"""Multi-process sharded ingestion and fan-out queries.
+"""Sharded ingestion and fan-out queries, in-process or over worker processes.
 
 The GSS paper argues the summary supports high-speed streams because updates
-are hash-local; the same property makes it shard cleanly.
-:class:`ShardedSummary` takes the simulated deployment of
-:class:`~repro.core.partitioned.PartitionedGSS` across real process
-boundaries:
+are hash-local and that it "can also be used in existing distributed graph
+systems"; the same property makes it shard cleanly.  :class:`ShardedSummary`
+models that deployment once, for two kinds of shard handle:
 
-* edges are routed to one of ``workers`` shard *processes* by hashing the
-  source node (the same source-cut routing, same hash, as ``PartitionedGSS``
-  — a cluster and a single-process partitioned sketch with equal shard
-  configurations answer every query identically);
-* each worker owns any registry-buildable summary (GSS by default, with its
-  own matrix backend); when the worker's summary exposes a hashed ingest path
-  the client hashes every batch exactly once (node + routing hashes, see
-  :class:`~repro.streaming.batch.HashedBatch`) and ships the precomputed
-  columns down the worker's pipe as one hashed-batch blob (see
+* edges are routed to one of ``workers`` shards by hashing the source node
+  (source-cut routing, the scheme Pregel-style systems use for out-edges);
+* each shard owns any registry-buildable summary (GSS by default, with its
+  own matrix backend), held either in a worker *process* or, for the
+  registry's ``partitioned-gss``, in the caller's process — both kinds apply
+  requests through the same :class:`~repro.cluster.worker.Shard`, so the two
+  deployments answer every query identically;
+* when the shard summary exposes a hashed ingest path the client hashes
+  every batch exactly once (node + routing hashes, see
+  :class:`~repro.streaming.batch.HashedBatch`); a worker receives the
+  precomputed columns down its pipe as one hashed-batch blob (see
   :func:`~repro.streaming.batch.encode_hashed_batch`), or as the pickled
-  batch object when NumPy is unavailable;
-* ingestion is pipelined: batches are queued to workers without waiting, a
+  batch object when NumPy is unavailable, and an in-process shard receives
+  the batch object itself;
+* worker ingestion is pipelined: batches are queued without waiting, a
   bounded number of batches may be in flight per worker (back-pressure), and
   every query acts as a per-shard barrier because the pipes are FIFO;
 * queries are capability-gated fan-out: edge / successor / node-out-weight
   route to the single owning shard, precursor and node-in-weight scatter to
   every shard and merge the answers;
-* the whole cluster checkpoints through the shards' ``to_dict`` snapshots
-  (see :mod:`repro.cluster.checkpoint`) and restores mid-stream.
+* a worker-process cluster checkpoints through the shards' ``to_dict``
+  snapshots (see :mod:`repro.cluster.checkpoint`) and restores mid-stream.
 
 The class satisfies the :class:`repro.api.GraphSummary` protocol and is
-registered in the factory as ``"sharded-gss"``, so :class:`StreamSession`,
-the conformance laws, the CLI and the experiment runners drive it unchanged.
+registered in the factory as ``"sharded-gss"`` (worker processes) and
+``"partitioned-gss"`` (in-process shards), so :class:`StreamSession`, the
+conformance laws, the CLI and the experiment runners drive it unchanged.
 """
 
 from __future__ import annotations
@@ -38,18 +41,23 @@ import threading
 from time import perf_counter
 from typing import Dict, Hashable, Iterable, List, Optional, Set, Tuple, Union
 
-from repro.cluster.worker import worker_main
+from repro.cluster.worker import Shard, worker_main
 from repro.hashing.hash_functions import hash_key
 from repro.hashing.vectorized import NUMPY_AVAILABLE
 from repro.obs import trace as obs_trace
 from repro.obs.registry import MetricsRegistry, merge_snapshots
-from repro.queries.primitives import Capabilities, ShardIngestStats, SummaryShims
+from repro.queries.primitives import (
+    Capabilities,
+    ShardIngestStats,
+    SummaryShims,
+    UnsupportedQueryError,
+)
 from repro.streaming.batch import HashedBatch, HashSpec, encode_hashed_batch
 
 __all__ = ["ClusterError", "ShardedSummary", "DEFAULT_ROUTING_SEED"]
 
-#: Default seed of the shard-routing hash; shared with ``PartitionedGSS`` so
-#: the two deployments route identically out of the box.
+#: Default seed of the shard-routing hash, for both the in-process and the
+#: worker-process deployment.
 DEFAULT_ROUTING_SEED = 97
 
 SNAPSHOT_FORMAT_VERSION = 1
@@ -134,6 +142,14 @@ class _WorkerHandle:
                 f"shard worker {self.worker_id} died (pipe closed): {error!r}"
             ) from None
 
+    def _send(self, message: Tuple) -> None:
+        try:
+            self.conn.send(message)
+        except OSError as error:
+            raise ClusterError(
+                f"shard worker {self.worker_id} died (pipe closed): {error!r}"
+            ) from None
+
     def _read_reply(self):
         """Read one uncounted reply (the build handshake only)."""
         kind, payload = self._recv()
@@ -162,7 +178,7 @@ class _WorkerHandle:
         and the number of in-flight batches is bounded by ``max_pending`` so
         a slow shard exerts back-pressure instead of buffering unboundedly.
         """
-        self.conn.send(message)
+        self._send(message)
         self.pending += 1
         self.items_routed += item_count
         if self.obs_items is not None:
@@ -197,7 +213,7 @@ class _WorkerHandle:
 
     def send_request(self, message: Tuple) -> None:
         """Send a request whose reply will be collected later (fan-out)."""
-        self.conn.send(message)
+        self._send(message)
         self.pending += 1
 
     def collect(self):
@@ -248,21 +264,82 @@ class _WorkerHandle:
         self.conn.close()
 
 
+class _InlineHandle:
+    """One shard held in the caller's process, behind :class:`_WorkerHandle`'s
+    interface.
+
+    Every message is applied on the spot by the handle's :class:`Shard`, so
+    nothing is ever in flight (``pending`` and ``high_water`` stay 0) and
+    shard exceptions propagate unchanged.  A stopped or killed handle raises
+    :class:`ClusterError` naming the shard, like a dead worker.
+    """
+
+    pending = 0
+    high_water = 0
+
+    def __init__(self, spec, worker_id: int, snapshot=None, snapshot_backend=None) -> None:
+        self.worker_id = worker_id
+        self.obs_items = None
+        self.items_routed = 0
+        self.shard: Optional[Shard] = Shard(spec, worker_id, snapshot, snapshot_backend)
+        self.info: Dict = {"hash_spec": self.shard.hash_spec}
+        self._reply = None
+
+    def request(self, message: Tuple):
+        if self.shard is None:
+            raise ClusterError(f"shard {self.worker_id} is gone (stopped or killed)")
+        operation = message[0]
+        if operation == "obs_enable":
+            return True
+        if operation == "obs":
+            # Inline spans already record into the caller's registry; a
+            # snapshot of it would be merged in a second time.
+            return None
+        return self.shard.apply(message)
+
+    def _post(self, message: Tuple, item_count: int) -> None:
+        self.request(message)
+        self.items_routed += item_count
+        if self.obs_items is not None:
+            self.obs_items.inc(item_count)
+
+    def send_batch(self, items: List[Tuple[Hashable, Hashable, float]]) -> None:
+        self._post(("batch", items), len(items))
+
+    def send_hashed(self, batch: HashedBatch) -> None:
+        self._post(("hbatch", batch), len(batch))
+
+    def send_request(self, message: Tuple) -> None:
+        self._reply = self.request(message)
+
+    def collect(self):
+        reply, self._reply = self._reply, None
+        return reply
+
+    def drain(self) -> None:
+        """Nothing is ever queued."""
+
+    def stop(self) -> None:
+        self.shard = None
+
+    kill = stop
+
+
 class ShardedSummary(SummaryShims):
-    """A graph-stream summary sharded across worker processes.
+    """A graph-stream summary sharded in-process or across worker processes.
 
     Parameters
     ----------
     inner_spec:
-        :class:`~repro.api.registry.SketchSpec` every worker builds its shard
-        from.  The spec must carry sizing (a budget, expected edges, or an
-        explicit size parameter); the registry's ``sharded-gss`` builder does
-        the budget-splitting arithmetic.
+        :class:`~repro.api.registry.SketchSpec` every shard is built from.
+        The spec must carry sizing (a budget, expected edges, or an explicit
+        size parameter); the registry's ``sharded-gss`` and
+        ``partitioned-gss`` builders do the budget-splitting arithmetic.
     workers:
-        Number of shard processes.
+        Number of shards.
     routing_seed:
-        Seed of the source-node routing hash (kept at
-        :data:`DEFAULT_ROUTING_SEED` to match ``PartitionedGSS``).
+        Seed of the source-node routing hash (default
+        :data:`DEFAULT_ROUTING_SEED`).
     batch_size:
         Scalar ``update`` calls are coalesced client-side into batches of
         this size before being queued to a shard.
@@ -274,6 +351,11 @@ class ShardedSummary(SummaryShims):
         Restore path (used by :meth:`from_dict` / checkpoint recovery): one
         snapshot document per worker, rebuilt inside each worker during the
         start-up handshake instead of building a fresh sketch.
+    in_process:
+        Hold the shards in the caller's process instead of worker processes
+        (the registry's ``partitioned-gss``).  Such a deployment exposes
+        :attr:`shards`, merges with :func:`~repro.core.merge.merge_sketches`
+        and has no snapshot format.
 
     Examples
     --------
@@ -296,6 +378,7 @@ class ShardedSummary(SummaryShims):
         start_method: Optional[str] = None,
         shard_snapshots: Optional[List[Dict]] = None,
         snapshot_backend: Optional[str] = None,
+        in_process: bool = False,
     ) -> None:
         if workers < 1:
             raise ValueError("workers must be at least 1")
@@ -310,6 +393,7 @@ class ShardedSummary(SummaryShims):
         self.inner_spec = inner_spec
         self.workers = workers
         self.batch_size = batch_size
+        self.in_process = in_process
         self._routing_seed = routing_seed
         self._update_count = 0
         self._closed = False
@@ -321,34 +405,37 @@ class ShardedSummary(SummaryShims):
         # a concurrent query observes either the whole pre-checkpoint state
         # or the whole post-checkpoint state — never a partial mix.
         self._lock = threading.RLock()
-        self._context = _pick_context(start_method)
         # Cluster telemetry: adopted from the globally-enabled registry when
         # one is active at construction time, or installed later through
         # :meth:`enable_obs` (the serve front end's path).  Workers record
         # into their own process-local registries; the parent caches their
         # snapshots on every flush so :meth:`obs_snapshot` never has to touch
-        # a pipe.
+        # a pipe.  In-process shards record into the caller's registry.
         self._obs = obs_trace.active()
         self._obs_worker_cache: Optional[Dict] = None
-        self._handles: List[_WorkerHandle] = []
+        self._handles: List[Union[_WorkerHandle, _InlineHandle]] = []
+        context = None if in_process else _pick_context(start_method)
         try:
             for worker_id in range(workers):
                 # On the restore path each worker rebuilds its summary from
                 # its snapshot during the handshake, instead of building a
                 # fresh sketch only to throw it away.
-                self._handles.append(
-                    _WorkerHandle(
-                        self._context,
+                snapshot = shard_snapshots[worker_id] if shard_snapshots else None
+                if in_process:
+                    handle = _InlineHandle(
+                        inner_spec, worker_id, snapshot, snapshot_backend
+                    )
+                else:
+                    handle = _WorkerHandle(
+                        context,
                         inner_spec,
                         worker_id,
                         max_pending_batches,
-                        snapshot=(
-                            shard_snapshots[worker_id] if shard_snapshots else None
-                        ),
+                        snapshot=snapshot,
                         snapshot_backend=snapshot_backend,
                         obs_enabled=self._obs is not None,
                     )
-                )
+                self._handles.append(handle)
         except Exception:
             self.close()
             raise
@@ -380,8 +467,9 @@ class ShardedSummary(SummaryShims):
 
     @property
     def transport(self) -> str:
-        """The data-plane transport: always ``"pipe"`` (one per worker)."""
-        return "pipe"
+        """The data-plane transport: ``"pipe"`` (one per worker process), or
+        ``"inline"`` for in-process shards."""
+        return "inline" if self.in_process else "pipe"
 
     def hash_spec(self) -> Optional[HashSpec]:
         """Shard node-hash family plus this cluster's routing seed.
@@ -609,6 +697,61 @@ class ShardedSummary(SummaryShims):
         """Total memory of all shard summaries (the comparison unit)."""
         return sum(self.shard_memory_bytes())
 
+    @property
+    def matrix_edge_count(self) -> int:
+        """Distinct sketch edges stored in the shard matrices."""
+        return sum(self._ask_all("matrix_edge_count"))
+
+    @property
+    def buffer_edge_count(self) -> int:
+        """Distinct sketch edges stored in the shard buffers."""
+        return sum(self._ask_all("buffer_edge_count"))
+
+    @property
+    def buffer_percentage(self) -> float:
+        """Fraction of stored sketch edges that had to go to shard buffers."""
+        with self._lock:
+            buffered = self.buffer_edge_count
+            total = self.matrix_edge_count + buffered
+        return buffered / total if total else 0.0
+
+    def shard_loads(self) -> List[int]:
+        """Number of sketch edges (matrix + buffer) stored per shard.
+
+        Source-cut routing follows the node-popularity skew of the stream, so
+        the spread of this list quantifies the load imbalance a real
+        distributed deployment would see.
+        """
+        with self._lock:
+            matrix = self._ask_all("matrix_edge_count")
+            buffered = self._ask_all("buffer_edge_count")
+        return [stored + spilled for stored, spilled in zip(matrix, buffered)]
+
+    def load_imbalance(self) -> float:
+        """Max shard load over the mean shard load (1.0 = perfectly even).
+
+        An all-zero load vector (nothing stored yet) reports a perfectly
+        even 1.0 instead of dividing by zero.
+        """
+        loads = self.shard_loads()
+        mean = sum(loads) / len(loads)
+        return max(loads) / mean if mean else 1.0
+
+    @property
+    def shards(self) -> List:
+        """The shard summaries, after a flush (in-process deployments only).
+
+        Read-only use intended; e.g. ``merge_sketches(deployment.shards)``
+        collapses a GSS deployment into one sketch.
+        """
+        if not self.in_process:
+            raise UnsupportedQueryError(
+                "the shards of a worker-process deployment live in the workers"
+            )
+        with self._lock:
+            self.flush()
+            return [handle.shard.summary for handle in self._handles]
+
     # -- telemetry -----------------------------------------------------------
 
     def _attach_obs_instruments(self) -> None:
@@ -686,8 +829,10 @@ class ShardedSummary(SummaryShims):
             return merge_snapshots(parent, self._obs_worker_cache)
 
     def capabilities(self) -> Capabilities:
-        """Cluster capabilities: the inner sketch's, minus single-sketch-only
-        features (hash-level paths, in-place merging, window expiry)."""
+        """The inner sketch's capabilities, minus single-sketch-only features
+        (hash-level paths, window expiry).  An in-process deployment merges
+        (its :attr:`shards` are plain sketches) but has no snapshot format;
+        a worker-process one is the reverse."""
         from repro.api.registry import sketch_info
 
         inner = sketch_info(self.inner_spec.sketch).capabilities
@@ -699,8 +844,8 @@ class ShardedSummary(SummaryShims):
             node_in_weights=inner.node_in_weights,
             deletions=inner.deletions,
             batched_updates=True,
-            serializable=inner.serializable,
-            mergeable=False,
+            serializable=inner.serializable and not self.in_process,
+            mergeable=inner.mergeable and self.in_process,
             windowed=False,
             by_hash=False,
             triangle_estimates=False,
@@ -717,6 +862,7 @@ class ShardedSummary(SummaryShims):
         the snapshots are consistent, so it can never observe a state where
         some shards have flushed batches the others have not.
         """
+        self._ensure_serializable()
         with self._lock:
             self.flush()
             self._ensure_open()
@@ -732,6 +878,7 @@ class ShardedSummary(SummaryShims):
         (:mod:`repro.cluster.checkpoint`) stores it alongside per-shard
         files.
         """
+        self._ensure_serializable()
         stats = self.shard_ingest_stats()
         return {
             "format_version": SNAPSHOT_FORMAT_VERSION,
@@ -822,6 +969,14 @@ class ShardedSummary(SummaryShims):
     def _ensure_open(self) -> None:
         if self._closed:
             raise ClusterError("the cluster has been closed")
+
+    def _ensure_serializable(self) -> None:
+        # An in-process snapshot must never pass for a sharded-gss one.
+        if self.in_process:
+            raise UnsupportedQueryError(
+                "an in-process deployment (partitioned-gss) has no snapshot "
+                "format (capabilities().serializable is False)"
+            )
 
     def close(self) -> None:
         """Flush nothing, stop every worker, and release the pipes.

@@ -11,7 +11,9 @@ request        payload                        reply payload
 ``hbatch``     a hashed-batch blob, or a      number of items applied
                pickled ``HashedBatch``
                without NumPy
-``call``       (method name, args tuple)      the method's return value
+``call``       (method name, args tuple)      the method's return value (an
+                                              attribute's value when it is
+                                              not callable)
 ``snapshot``   —                              the summary's ``to_dict`` document
 ``obs_enable`` —                              ``True`` (telemetry now recording)
 ``obs``        —                              the worker registry's snapshot
@@ -30,9 +32,13 @@ precomputed hash columns.  Every request gets exactly one reply, ``("ok", payloa
 what lets the parent pipeline batch requests without waiting and still know
 that a ``call`` sent afterwards observes every prior batch.
 
+The data and query requests are applied by :class:`Shard`, which an
+in-process cluster also holds directly (one per shard, no pipe), so both
+deployments answer through the same code.
+
 The module is import-light on purpose: :mod:`repro.api` is imported inside
-:func:`worker_main` (i.e. in the child process) so that ``repro.cluster`` can
-be imported by the registry without creating an import cycle.
+:class:`Shard` (i.e. when a shard is built) so that ``repro.cluster`` can be
+imported by the registry without creating an import cycle.
 """
 
 from __future__ import annotations
@@ -40,33 +46,91 @@ from __future__ import annotations
 import traceback
 from typing import Any, Dict, Optional
 
+from repro.obs import trace as obs_trace
 from repro.streaming.batch import decode_hashed_batch
 
 
-def _ingest(summary, hashed_ingest, batch) -> int:
-    """Feed one HashedBatch through the summary's best available path."""
-    if hashed_ingest is not None:
-        return hashed_ingest(batch)
-    return summary.update_many(batch.items())
+class Shard:
+    """One shard's summary and the data/query requests applied to it.
+
+    Shared by both deployments: a worker process runs one inside
+    :func:`worker_main`, and an in-process cluster holds one per shard
+    handle.  The summary is built from ``spec`` with the registry's
+    ``build``, or restored from ``snapshot`` with its ``from_dict``
+    (``backend`` optionally re-targets the restored matrix backend).
+    :attr:`hash_spec` is the summary's hash spec when it has a hashed ingest
+    path, else ``None``.
+    """
+
+    def __init__(
+        self,
+        spec,
+        worker_id: int,
+        snapshot: Optional[Dict] = None,
+        backend: Optional[str] = None,
+    ) -> None:
+        from repro.api.registry import build, from_dict
+
+        self.worker_id = worker_id
+        if snapshot is not None:
+            self.summary = from_dict(snapshot, backend=backend)
+        else:
+            self.summary = build(spec)
+        self.hash_spec = None
+        self._hashed_ingest = getattr(self.summary, "update_many_hashed", None)
+        spec_of = getattr(self.summary, "hash_spec", None)
+        if callable(self._hashed_ingest) and callable(spec_of):
+            self.hash_spec = spec_of()
+        else:
+            self._hashed_ingest = None
+        #: Items-applied counter, set when the worker's telemetry is on.
+        self.obs_items = None
+
+    def apply(self, request) -> Any:
+        """Apply one ``batch``/``hbatch``/``call``/``snapshot`` request and
+        return its reply payload."""
+        operation = request[0]
+        if operation == "call":
+            method, args = request[1], request[2]
+            with obs_trace.span("worker.query", shard=self.worker_id):
+                value = getattr(self.summary, method)
+                # Properties (matrix_edge_count, ...) come back as values.
+                return value(*args) if callable(value) else value
+        if operation == "snapshot":
+            with obs_trace.span("worker.snapshot", shard=self.worker_id):
+                return self.summary.to_dict()
+        if operation not in ("batch", "hbatch"):
+            raise ValueError(f"unknown request {operation!r}")
+        batch = request[1]
+        with obs_trace.span("worker.ingest", shard=self.worker_id):
+            if operation == "batch":
+                applied = self.summary.update_many(batch)
+            else:
+                if isinstance(batch, bytes):
+                    batch = decode_hashed_batch(batch, 0, len(batch), self.hash_spec)
+                if self._hashed_ingest is not None:
+                    applied = self._hashed_ingest(batch)
+                else:
+                    applied = self.summary.update_many(batch.items())
+        if self.obs_items is not None:
+            self.obs_items.inc(applied)
+        return applied
 
 
 def _enable_worker_obs(worker_id: int):
-    """Install a *fresh* per-process registry and return its instruments.
+    """Install a *fresh* per-process registry; return its items counter.
 
     Fresh matters: under the ``fork`` start method the child inherits the
     parent's registry object, and recording into it would double-count
     everything once the parent merges worker snapshots back in.
     """
-    from repro.obs import trace
     from repro.obs.registry import MetricsRegistry
 
-    registry = trace.enable(MetricsRegistry())
-    items = registry.counter(
+    return obs_trace.enable(MetricsRegistry()).counter(
         "repro_worker_items_total",
         "Stream items applied by each shard worker process.",
         shard=worker_id,
     )
-    return registry, items
 
 
 def worker_main(
@@ -90,25 +154,11 @@ def worker_main(
     parent collects over this same pipe (the ``obs`` request) and merges
     into the cluster-wide telemetry view.
     """
-    from repro.api.registry import build, from_dict
-    from repro.obs import trace as obs_trace
-
-    obs_items = None
-    if obs_enabled:
-        _, obs_items = _enable_worker_obs(worker_id)
+    obs_items = _enable_worker_obs(worker_id) if obs_enabled else None
     try:
-        if snapshot is not None:
-            summary = from_dict(snapshot, backend=backend)
-        else:
-            summary = build(spec)
-        hash_spec = None
-        hashed_ingest = getattr(summary, "update_many_hashed", None)
-        spec_of = getattr(summary, "hash_spec", None)
-        if callable(hashed_ingest) and callable(spec_of):
-            hash_spec = spec_of()
-        else:
-            hashed_ingest = None
-        conn.send(("ok", ("ready", {"hash_spec": hash_spec})))
+        shard = Shard(spec, worker_id, snapshot, backend)
+        shard.obs_items = obs_items
+        conn.send(("ok", ("ready", {"hash_spec": shard.hash_spec})))
     except Exception:
         _send_error(conn, worker_id, traceback.format_exc())
         conn.close()
@@ -125,33 +175,9 @@ def worker_main(
             if operation == "stop":
                 conn.send(("ok", "stopped"))
                 break
-            elif operation == "batch":
-                with obs_trace.span("worker.ingest", shard=worker_id):
-                    applied = summary.update_many(request[1])
-                if obs_items is not None:
-                    obs_items.inc(applied)
-                conn.send(("ok", applied))
-            elif operation == "hbatch":
-                batch = request[1]
-                with obs_trace.span("worker.ingest", shard=worker_id):
-                    if isinstance(batch, bytes):
-                        batch = decode_hashed_batch(batch, 0, len(batch), hash_spec)
-                    applied = _ingest(summary, hashed_ingest, batch)
-                if obs_items is not None:
-                    obs_items.inc(applied)
-                conn.send(("ok", applied))
-            elif operation == "call":
-                method, args = request[1], request[2]
-                with obs_trace.span("worker.query", shard=worker_id):
-                    value = getattr(summary, method)(*args)
-                conn.send(("ok", value))
-            elif operation == "snapshot":
-                with obs_trace.span("worker.snapshot", shard=worker_id):
-                    document = summary.to_dict()
-                conn.send(("ok", document))
             elif operation == "obs_enable":
-                if obs_items is None:
-                    _, obs_items = _enable_worker_obs(worker_id)
+                if shard.obs_items is None:
+                    shard.obs_items = _enable_worker_obs(worker_id)
                 conn.send(("ok", True))
             elif operation == "obs":
                 registry = obs_trace.active()
@@ -159,7 +185,7 @@ def worker_main(
                     ("ok", registry.snapshot() if registry is not None else None)
                 )
             else:
-                _send_error(conn, worker_id, f"unknown request {operation!r}")
+                conn.send(("ok", shard.apply(request)))
         except Exception:
             _send_error(conn, worker_id, traceback.format_exc())
     conn.close()

@@ -13,10 +13,10 @@ Two implementations are provided:
 
 Beyond the two sketches, the subpackage provides the deployment wrappers the
 paper's introduction motivates: :class:`~repro.core.windowed.WindowedGSS`
-(sliding-window summaries), :class:`~repro.core.partitioned.PartitionedGSS`
-(source-partitioned shards, as in distributed graph systems),
-:class:`~repro.core.undirected.UndirectedGSS` and sketch merging
-(:mod:`repro.core.merge`).
+(sliding-window summaries), :class:`~repro.core.undirected.UndirectedGSS`
+and sketch merging (:mod:`repro.core.merge`).  Source-partitioned shards, as
+in distributed graph systems, are :class:`repro.cluster.ShardedSummary`,
+in-process or worker processes.
 """
 
 from repro.core.config import GSSConfig
@@ -26,7 +26,6 @@ from repro.core.buffer import LeftoverBuffer
 from repro.core.reverse_index import NodeIndex
 from repro.core.undirected import UndirectedGSS
 from repro.core.windowed import WindowedGSS
-from repro.core.partitioned import PartitionedGSS
 from repro.core.ensemble import GSSEnsemble
 from repro.core.merge import compatible_for_merge, merge_into, merge_sketches
 
@@ -39,7 +38,6 @@ __all__ = [
     "NodeIndex",
     "UndirectedGSS",
     "WindowedGSS",
-    "PartitionedGSS",
     "compatible_for_merge",
     "merge_into",
     "merge_sketches",

@@ -257,12 +257,6 @@ class GSS(SummaryShims):
         self._update_count += count
         return count
 
-    def _insert_sketch_edge(
-        self, source_hash: int, destination_hash: int, weight: float
-    ) -> None:
-        """Insert (or aggregate) one edge of the graph sketch ``Gh``."""
-        self._matrix.insert_edge(source_hash, destination_hash, weight)
-
     # -- query primitives -------------------------------------------------------
 
     def edge_query(self, source: Hashable, destination: Hashable) -> Optional[float]:

@@ -19,7 +19,8 @@ from repro.queries.primitives import edge_weight_or_zero
 
 
 def run_partition_experiment(config: ExperimentConfig = None) -> ExperimentResult:
-    """Accuracy and balance of PartitionedGSS for several shard counts."""
+    """Accuracy and balance of in-process ``partitioned-gss`` deployments
+    for several shard counts."""
     config = config or ExperimentConfig()
     fingerprint_bits = max(config.fingerprint_bits)
     partition_counts = config.extras.get("partition_counts", (1, 2, 4, 8))

@@ -9,8 +9,8 @@ in ``tests/test_vectorized_hashing.py`` assert it input-by-input).
 
 The FNV-1a loop runs over an ``(n, max_len)`` byte matrix built with
 ``np.frombuffer`` — one masked vector operation per byte *position* instead of
-one Python operation per byte — and the splitmix64 finalizer, hash splitting
-and the square-hashing LCG values used to recover addresses are plain uint64 /
+one Python operation per byte — and the splitmix64 finalizer and the
+square-hashing LCG values used to recover addresses are plain uint64 /
 int64 array arithmetic (unsigned overflow wraps modulo 2^64, exactly like the
 ``& _MASK64`` in the scalar code).
 
@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import os
 from importlib.util import find_spec
-from typing import List, Sequence, Tuple
+from typing import Sequence
 
 from repro.hashing.hash_functions import (
     _FNV_OFFSET,
@@ -182,15 +182,6 @@ def node_hashes_array(keys: Sequence, value_range: int, seed: int = 0) -> "np.nd
     return hash_keys_array(keys, seed) % np.uint64(value_range)
 
 
-def split_hashes(values: "np.ndarray", fingerprint_range: int) -> Tuple["np.ndarray", "np.ndarray"]:
-    """Vectorized hash split ``H(v) -> (h(v), f(v))`` (Definition 5)."""
-    load_numpy()
-    if fingerprint_range <= 0:
-        raise ValueError("fingerprint_range must be positive")
-    values = values.astype(np.int64, copy=False)
-    return values // fingerprint_range, values % fingerprint_range
-
-
 # -- square-hashing address recovery --------------------------------------
 
 
@@ -215,20 +206,3 @@ def lcg_values_at(
         if at_step.any():
             result[at_step] = current[at_step]
     return result
-
-
-def recover_addresses(
-    observed: "np.ndarray",
-    fingerprints: "np.ndarray",
-    indices: "np.ndarray",
-    matrix_width: int,
-    lcg: LinearCongruentialSequence = LinearCongruentialSequence(),
-) -> "np.ndarray":
-    """Vectorized :func:`~repro.hashing.linear_congruence.recover_address`."""
-    offsets = lcg_values_at(fingerprints, indices, lcg)
-    return (observed.astype(np.int64, copy=False) - offsets) % matrix_width
-
-
-def as_int_list(values: "np.ndarray") -> List[int]:
-    """Convert an array to a list of Python ints (dict keys, set members)."""
-    return values.tolist()

@@ -102,10 +102,9 @@ class Capabilities:
 class ShardIngestStats:
     """Per-shard ingestion stats of a sharded deployment.
 
-    Reported by summaries that route items across shards — the in-process
-    :class:`~repro.core.partitioned.PartitionedGSS` and the multi-process
-    :class:`~repro.cluster.ShardedSummary` — through their
-    ``shard_ingest_stats()`` method, and surfaced per feed by
+    Reported by summaries that route items across shards —
+    :class:`~repro.cluster.ShardedSummary`, in-process or worker processes —
+    through its ``shard_ingest_stats()`` method, and surfaced per feed by
     :class:`repro.api.StreamSession` so routing imbalance is observable from
     the facade.  Defined here (not in ``repro.cluster``) so core modules can
     report it without depending on the cluster package.
@@ -127,7 +126,7 @@ class ShardIngestStats:
         """Max items routed to one shard over the mean (1.0 = perfectly even).
 
         Returns 1.0 for an empty cluster instead of dividing by zero, the
-        same convention as ``PartitionedGSS.load_imbalance``.
+        same convention as ``ShardedSummary.load_imbalance``.
         """
         if not self.items_routed:
             return 1.0

@@ -2,9 +2,8 @@
 
 The hot path of every summary is dominated by node hashing, yet the layered
 deployment used to hash each edge up to three times: once for shard routing
-(:class:`~repro.core.partitioned.PartitionedGSS`,
-:class:`~repro.cluster.ShardedSummary`), again inside each shard's
-``update_many``, and again for memo upkeep.  :class:`HashedBatch` fixes that
+(:class:`~repro.cluster.ShardedSummary`, in-process or worker processes),
+again inside each shard's ``update_many``, and again for memo upkeep.  :class:`HashedBatch` fixes that
 by hashing **once at the edge of the system** and carrying the results as
 columns the rest of the pipeline consumes directly:
 
@@ -384,41 +383,6 @@ class HashedBatch:
         """
         yield from zip(self.sources, self.source_hash_list())
         yield from zip(self.destinations, self.destination_hash_list())
-
-    def address_fingerprint_columns(
-        self, fingerprint_range: int
-    ) -> Tuple[Sequence, Sequence, Sequence, Sequence]:
-        """Address/fingerprint split of both hash columns (Definition 5).
-
-        Returns ``(source_addresses, source_fingerprints,
-        destination_addresses, destination_fingerprints)`` with the column
-        type matching the batch's (arrays on the vectorized path, lists on
-        the scalar one).  Backends typically derive these internally; this
-        helper exists for consumers that want the split without re-hashing.
-        """
-        if fingerprint_range <= 0:
-            raise ValueError("fingerprint_range must be positive")
-        if isinstance(self.source_hashes, list):
-            return (
-                [value // fingerprint_range for value in self.source_hashes],
-                [value % fingerprint_range for value in self.source_hashes],
-                [value // fingerprint_range for value in self.destination_hashes],
-                [value % fingerprint_range for value in self.destination_hashes],
-            )
-        from repro.hashing.vectorized import split_hashes
-
-        source_addresses, source_fingerprints = split_hashes(
-            self.source_hashes, fingerprint_range
-        )
-        destination_addresses, destination_fingerprints = split_hashes(
-            self.destination_hashes, fingerprint_range
-        )
-        return (
-            source_addresses,
-            source_fingerprints,
-            destination_addresses,
-            destination_fingerprints,
-        )
 
     # -- routing -------------------------------------------------------------
 

@@ -1,12 +1,16 @@
 """Tests for :mod:`repro.cluster`: multi-process sharded ingestion/queries.
 
-The load-bearing law is *deployment equivalence*: a ``ShardedSummary`` and a
-single-process ``PartitionedGSS`` with the same shard count, shard
-configuration and routing seed answer every query identically on the same
-stream — crossing process boundaries changes throughput, never answers.
+The load-bearing law is *deployment equivalence*: a ``ShardedSummary`` —
+with worker processes (``sharded-gss``) or in-process shards
+(``partitioned-gss``) — and the independent :class:`ShardOracle` with the
+same shard count, shard configuration and routing seed answer every query
+identically on the same stream: crossing process boundaries changes
+throughput, never answers.
 """
 
 from __future__ import annotations
+
+import time
 
 import pytest
 
@@ -19,10 +23,11 @@ from repro.api import (
 )
 from repro.cluster import ClusterError, ShardedSummary
 from repro.core.config import GSSConfig
-from repro.core.partitioned import PartitionedGSS
 from repro.hashing import count_key_hashes
+from repro.queries.primitives import UnsupportedQueryError
+from shard_oracle import ShardOracle, partitioned_gss
 
-#: Shard parameters shared by the cluster and the in-process reference.
+#: Shard parameters shared by the deployments and the oracle.
 SHARD_PARAMS = dict(matrix_width=24, sequence_length=4, candidate_buckets=4)
 
 
@@ -158,44 +163,53 @@ class TestUpdatesAndQueries:
 
 
 class TestPartitionedEquivalence:
-    """Cluster answers == single-process PartitionedGSS answers, always."""
+    """Both deployments' answers == the shard oracle's answers, always."""
 
     @pytest.fixture()
-    def fed_pair(self, small_stream):
-        reference = PartitionedGSS(shard_config(), partitions=3, routing_seed=97)
-        summary = ShardedSummary(inner_spec(), workers=3, routing_seed=97)
+    def fed(self, small_stream):
+        oracle = ShardOracle(shard_config(), shards=3)
+        deployments = [
+            partitioned_gss(shard_config(), partitions=3),
+            ShardedSummary(inner_spec(), workers=3, routing_seed=97),
+        ]
         items = [(e.source, e.destination, e.weight) for e in small_stream]
-        reference.update_many(items)
-        summary.update_many(items)
-        yield reference, summary, small_stream
-        summary.close()
+        oracle.update_many(items)
+        for summary in deployments:
+            summary.update_many(items)
+        yield oracle, deployments, small_stream
+        for summary in deployments:
+            summary.close()
 
-    def test_edge_queries_identical(self, fed_pair):
-        reference, summary, stream = fed_pair
-        for key in list(stream.aggregate_weights())[:150]:
-            assert summary.edge_query(*key) == reference.edge_query(*key)
-        assert summary.edge_query("ghost", "nothing") is None
+    def test_edge_queries_identical(self, fed):
+        oracle, deployments, stream = fed
+        for summary in deployments:
+            for key in list(stream.aggregate_weights())[:150]:
+                assert summary.edge_query(*key) == oracle.edge_query(*key)
+            assert summary.edge_query("ghost", "nothing") is None
 
-    def test_topology_queries_identical(self, fed_pair):
-        reference, summary, stream = fed_pair
-        for node in stream.nodes()[:60]:
-            assert summary.successor_query(node) == reference.successor_query(node)
-            assert summary.precursor_query(node) == reference.precursor_query(node)
+    def test_topology_queries_identical(self, fed):
+        oracle, deployments, stream = fed
+        for summary in deployments:
+            for node in stream.nodes()[:60]:
+                assert summary.successor_query(node) == oracle.successor_query(node)
+                assert summary.precursor_query(node) == oracle.precursor_query(node)
 
-    def test_node_weights_identical(self, fed_pair):
-        reference, summary, stream = fed_pair
-        for node in stream.nodes()[:40]:
-            assert summary.node_out_weight(node) == pytest.approx(
-                reference.node_out_weight(node)
-            )
-            assert summary.node_in_weight(node) == pytest.approx(
-                reference.node_in_weight(node)
-            )
+    def test_node_weights_identical(self, fed):
+        oracle, deployments, stream = fed
+        for summary in deployments:
+            for node in stream.nodes()[:40]:
+                assert summary.node_out_weight(node) == pytest.approx(
+                    oracle.node_out_weight(node)
+                )
+                assert summary.node_in_weight(node) == pytest.approx(
+                    oracle.node_in_weight(node)
+                )
 
-    def test_same_routing_hash_as_partitioned(self, fed_pair):
-        reference, summary, stream = fed_pair
-        for node in stream.nodes()[:60]:
-            assert summary.shard_of(node) == reference.shard_of(node)
+    def test_same_routing_hash_as_partitioned(self, fed):
+        oracle, deployments, stream = fed
+        for summary in deployments:
+            for node in stream.nodes()[:60]:
+                assert summary.shard_of(node) == oracle.shard_of(node)
 
 
 def nasty_items():
@@ -213,9 +227,9 @@ class TestTransports:
     """The worker pipes change throughput, never answers or stats.
 
     With NumPy each routed batch crosses the pipe as its hashed-batch blob;
-    without NumPy, as the pickled batch object.  The same tests run on both
-    interpreter configurations, so both payloads are held to the
-    single-process reference.
+    without NumPy, as the pickled batch object; in-process shards receive
+    the batch object itself.  The same tests run on both interpreter
+    configurations, so every payload is held to the shard oracle.
     """
 
     @pytest.mark.parametrize("transport", ["pipe"])
@@ -230,49 +244,59 @@ class TestTransports:
         # buffer path crosses the pipes too.
         items = nasty_items()
         config = GSSConfig(matrix_width=8, sequence_length=4, candidate_buckets=4)
-        reference = PartitionedGSS(config, partitions=2, routing_seed=97)
-        reference.update_many(items)
-        assert reference.buffer_edge_count > 0  # the overflow is real
+        oracle = ShardOracle(config, shards=2)
+        oracle.update_many(items)
+        assert sum(shard.buffer_edge_count for shard in oracle.shards) > 0
         keys = sorted({(source, destination) for source, destination, _ in items})
         nodes = sorted({key for pair in keys for key in pair})
-        with ShardedSummary(inner_spec(matrix_width=8), workers=2) as summary:
-            for start in range(0, len(items), 64):
-                summary.update_many(items[start : start + 64])
-            for key in keys:
-                assert summary.edge_query(*key) == reference.edge_query(*key), key
-            for node in nodes:
-                assert summary.successor_query(node) == (
-                    reference.successor_query(node)
-                )
-                assert summary.precursor_query(node) == (
-                    reference.precursor_query(node)
-                )
-                assert summary.node_out_weight(node) == pytest.approx(
-                    reference.node_out_weight(node)
-                )
-                assert summary.node_in_weight(node) == pytest.approx(
-                    reference.node_in_weight(node)
-                )
+        deployments = [
+            partitioned_gss(config, partitions=2),
+            ShardedSummary(inner_spec(matrix_width=8), workers=2),
+        ]
+        for summary in deployments:
+            with summary:
+                for start in range(0, len(items), 64):
+                    summary.update_many(items[start : start + 64])
+                for key in keys:
+                    assert summary.edge_query(*key) == oracle.edge_query(*key), key
+                for node in nodes:
+                    assert summary.successor_query(node) == (
+                        oracle.successor_query(node)
+                    )
+                    assert summary.precursor_query(node) == (
+                        oracle.precursor_query(node)
+                    )
+                    assert summary.node_out_weight(node) == pytest.approx(
+                        oracle.node_out_weight(node)
+                    )
+                    assert summary.node_in_weight(node) == pytest.approx(
+                        oracle.node_in_weight(node)
+                    )
 
     def test_ingest_stats_identical_across_transports(self):
-        # max_pending_batches=1 plus a flush per chunk pins the queue-depth
-        # high-water mark (otherwise timing-dependent: the handles drain
-        # replies opportunistically) so all three observable stats must
-        # match the single-process reference's routing exactly.
+        # max_pending_batches=1 plus a flush per chunk pins the worker
+        # queue-depth high-water mark (otherwise timing-dependent: the
+        # handles drain replies opportunistically) so all three observable
+        # stats must match the oracle's routing exactly.  In-process shards
+        # never queue a batch.
         items = [(f"s{i % 17}", f"d{i % 5}", 1.0) for i in range(300)]
-        reference = PartitionedGSS(shard_config(), partitions=2, routing_seed=97)
-        reference.update_many(items)
-        with ShardedSummary(inner_spec(), workers=2, max_pending_batches=1) as summary:
-            for start in range(0, len(items), 50):
-                summary.update_many(items[start : start + 50])
-                summary.flush()
-            stats = summary.shard_ingest_stats()
+        oracle = ShardOracle(shard_config(), shards=2)
         routed = [0, 0]
         for source, _, _ in items:
-            routed[reference.shard_of(source)] += 1
-        assert stats.items_routed == routed
-        assert stats.queue_depth_high_water == 1  # depth never exceeded 1
-        assert stats.routing_imbalance == max(routed) / (sum(routed) / 2)
+            routed[oracle.shard_of(source)] += 1
+        deployments = [
+            (partitioned_gss(shard_config(), partitions=2), 0),
+            (ShardedSummary(inner_spec(), workers=2, max_pending_batches=1), 1),
+        ]
+        for summary, high_water in deployments:
+            with summary:
+                for start in range(0, len(items), 50):
+                    summary.update_many(items[start : start + 50])
+                    summary.flush()
+                stats = summary.shard_ingest_stats()
+            assert stats.items_routed == routed
+            assert stats.queue_depth_high_water == high_water
+            assert stats.routing_imbalance == max(routed) / (sum(routed) / 2)
 
     @pytest.mark.parametrize("transport", ["pipe"])
     def test_client_hashes_each_routed_batch_exactly_once(self, transport):
@@ -303,17 +327,89 @@ class TestTransports:
 
     def test_session_feed_equivalent_across_transports(self, small_stream):
         # StreamSession builds the hashed batches in this configuration (the
-        # cluster publishes its hash spec), so this exercises the session →
-        # routing → pipe → backend pipeline end to end, timestamps and
+        # deployment publishes its hash spec), so this exercises the session
+        # → routing → handle → backend pipeline end to end, timestamps and
         # all (small_stream items carry timestamps; unwindowed summaries
         # drop them uniformly).
-        reference = PartitionedGSS(shard_config(), partitions=2, routing_seed=97)
-        StreamSession(reference, batch_size=64).feed(small_stream)
-        with ShardedSummary(inner_spec(), workers=2) as summary:
-            report = StreamSession(summary, batch_size=64).feed(small_stream)
-            assert report.items == len(small_stream)
-            for key in list(small_stream.aggregate_weights())[:100]:
-                assert summary.edge_query(*key) == reference.edge_query(*key)
+        oracle = ShardOracle(shard_config(), shards=2)
+        for edge in small_stream:
+            oracle.update(edge.source, edge.destination, edge.weight)
+        deployments = [
+            partitioned_gss(shard_config(), partitions=2),
+            ShardedSummary(inner_spec(), workers=2),
+        ]
+        for summary in deployments:
+            with summary:
+                report = StreamSession(summary, batch_size=64).feed(small_stream)
+                assert report.items == len(small_stream)
+                for key in list(small_stream.aggregate_weights())[:100]:
+                    assert summary.edge_query(*key) == oracle.edge_query(*key)
+
+
+class TestStatsParity:
+    def test_sketch_stats_equal_across_deployments(self):
+        # nasty_items() overflows width-8 shards into their buffers, so every
+        # stat below has a non-trivial value on both deployments.
+        items = nasty_items()
+        config = GSSConfig(matrix_width=8, sequence_length=4, candidate_buckets=4)
+        oracle = ShardOracle(config, shards=2)
+        oracle.update_many(items)
+        inline = partitioned_gss(config, partitions=2)
+        with inline, ShardedSummary(inner_spec(matrix_width=8), workers=2) as process:
+            inline.update_many(items)
+            process.update_many(items)
+            assert process.buffer_edge_count > 0
+            for stat in ("matrix_edge_count", "buffer_edge_count", "buffer_percentage"):
+                assert getattr(process, stat) == getattr(inline, stat), stat
+            assert process.shard_loads() == inline.shard_loads() == oracle.shard_loads()
+            assert process.load_imbalance() == inline.load_imbalance()
+            assert process.memory_bytes() == inline.memory_bytes()
+
+    def test_only_in_process_shards_are_exposed_and_never_serialized(self):
+        inline = partitioned_gss(shard_config(), partitions=2)
+        inline.update("a", "b", 2.0)
+        assert inline.shards[inline.shard_of("a")].edge_query("a", "b") == 2.0
+        for snapshot in (inline.to_dict, inline.snapshot_metadata, inline.shard_snapshots):
+            with pytest.raises(UnsupportedQueryError):
+                snapshot()
+        with ShardedSummary(inner_spec(), workers=1) as process:
+            with pytest.raises(UnsupportedQueryError):
+                process.shards
+
+
+class TestDeadShard:
+    """A dead shard fails its calls with ClusterError; the others still answer."""
+
+    @pytest.mark.parametrize("kind", ["inline", "process"])
+    def test_calls_routed_to_a_dead_shard_raise_cluster_error(self, kind):
+        if kind == "inline":
+            summary = partitioned_gss(shard_config(), partitions=2)
+        else:
+            summary = ShardedSummary(inner_spec(), workers=2)
+        with summary:
+            nodes = [f"n{i}" for i in range(40)]
+            dead = next(node for node in nodes if summary.shard_of(node) == 1)
+            live = next(node for node in nodes if summary.shard_of(node) == 0)
+            summary.update_many([(dead, live, 1.0), (live, dead, 2.0)])
+            summary.flush()
+            handle = summary._handles[1]
+            if kind == "inline":
+                handle.kill()
+            else:
+                handle.process.terminate()
+                handle.process.join(timeout=5)
+            calls = {
+                "edge_query": lambda: summary.edge_query(dead, live),
+                "precursor_query": lambda: summary.precursor_query(live),
+                "update_many": lambda: summary.update_many([(dead, live, 1.0)]),
+            }
+            for name, call in calls.items():
+                started = time.perf_counter()
+                with pytest.raises(ClusterError, match=r"shard (worker )?1\b"):
+                    call()
+                assert time.perf_counter() - started < 5, name
+            assert summary.edge_query(live, dead) == 2.0
+            assert summary.successor_query(live) == {dead}
 
 
 class TestIngestStats:

@@ -1,9 +1,9 @@
 """Smoke tests for the runnable examples.
 
 Every example must at least be importable (valid syntax, resolvable imports,
-a ``main`` entry point).  The quickest example is additionally executed end to
-end at a reduced dataset scale so the documented user journey is exercised in
-CI without making the suite slow.
+a ``main`` entry point).  The quickest examples are additionally executed end
+to end (quickstart at a reduced dataset scale) so the documented user
+journeys are exercised in CI without making the suite slow.
 """
 
 from __future__ import annotations
@@ -55,3 +55,11 @@ class TestQuickstartRuns:
         module.main()
         output = capsys.readouterr().out
         assert "GSS" in output
+
+
+class TestDistributedPartitionRuns:
+    def test_distributed_partition_executes(self, capsys):
+        load_example(EXAMPLES_DIR / "distributed_partition.py").main()
+        output = capsys.readouterr().out
+        assert "4 shards of width" in output
+        assert "500/500 merged answers cover the monolithic estimate" in output

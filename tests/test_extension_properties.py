@@ -22,11 +22,11 @@ from hypothesis import given, settings, strategies as st
 from repro.core.config import GSSConfig
 from repro.core.gss import GSS
 from repro.core.merge import merge_into
-from repro.core.partitioned import PartitionedGSS
 from repro.core.windowed import WindowedGSS
 from repro.streaming.edge import StreamEdge
 from repro.streaming.stream import GraphStream
 from repro.streaming.transforms import deduplicate, reverse_edges
+from shard_oracle import partitioned_gss
 
 edge_items = st.tuples(
     st.integers(min_value=0, max_value=20),
@@ -82,7 +82,7 @@ def test_merged_halves_never_underestimate(items, config):
 @given(items=streams, config=small_configs, partitions=st.integers(min_value=1, max_value=4))
 @settings(max_examples=60, deadline=None)
 def test_partitioned_never_underestimates(items, config, partitions):
-    sharded = PartitionedGSS(config, partitions=partitions)
+    sharded = partitioned_gss(config, partitions=partitions)
     for source, destination, weight in items:
         sharded.update(source, destination, weight)
     for (source, destination), weight in aggregate(items).items():
@@ -94,7 +94,7 @@ def test_partitioned_never_underestimates(items, config, partitions):
 @given(items=streams, config=small_configs, partitions=st.integers(min_value=1, max_value=4))
 @settings(max_examples=40, deadline=None)
 def test_partitioned_has_no_false_negative_neighbors(items, config, partitions):
-    sharded = PartitionedGSS(config, partitions=partitions)
+    sharded = partitioned_gss(config, partitions=partitions)
     successors = {}
     precursors = {}
     for source, destination, weight in items:

@@ -2,7 +2,7 @@
 
 The load-bearing invariant: every distinct key of a batch is hashed exactly
 once, at the edge of the system, and the resulting columns flow through
-routing (``PartitionedGSS``, ``ShardedSummary``) into the matrix backends
+routing (``ShardedSummary``, in-process or worker processes) into the matrix backends
 without any layer re-hashing.  The :func:`repro.hashing.count_key_hashes`
 instrumentation hook counts actual mixing passes (scalar and vectorized
 leaves alike), which is what lets these tests *prove* the invariant instead
@@ -15,10 +15,10 @@ import pytest
 
 from repro.core.config import GSSConfig
 from repro.core.gss import GSS
-from repro.core.partitioned import PartitionedGSS
 from repro.hashing import count_key_hashes, hash_key
 from repro.hashing.vectorized import NUMPY_AVAILABLE
 from repro.streaming.batch import HashedBatch, HashSpec
+from shard_oracle import partitioned_gss
 
 
 SPEC = HashSpec(seed=7, hash_range=1 << 20)
@@ -114,15 +114,6 @@ class TestHashedMode:
         batch = HashedBatch.from_items(items, SPEC)
         assert batch.items() == items
 
-    def test_address_fingerprint_columns_match_divmod(self):
-        fingerprint_range = 1 << 12
-        batch = HashedBatch.from_items(items_fixture(), SPEC)
-        sa, sf, da, df = batch.address_fingerprint_columns(fingerprint_range)
-        for sh, address, fingerprint in zip(batch.source_hash_list(), sa, sf):
-            assert (int(address), int(fingerprint)) == divmod(sh, fingerprint_range)
-        for dh, address, fingerprint in zip(batch.destination_hash_list(), da, df):
-            assert (int(address), int(fingerprint)) == divmod(dh, fingerprint_range)
-
     def test_tiny_batches_use_the_scalar_path_identically(self):
         # Below the vectorization threshold the columns are plain lists but
         # carry bit-identical hashes.
@@ -195,7 +186,7 @@ class TestHashOnceThroughTheStack:
         return len(nodes) + len(sources)
 
     def test_partitioned_update_many_hashes_once(self):
-        deployment = PartitionedGSS(
+        deployment = partitioned_gss(
             GSSConfig(matrix_width=16, sequence_length=4, candidate_buckets=4),
             partitions=3,
         )

@@ -24,13 +24,13 @@ from repro.core.config import GSSConfig
 from repro.core.ensemble import GSSEnsemble
 from repro.core.gss import GSS
 from repro.core.merge import merge_sketches
-from repro.core.partitioned import PartitionedGSS
 from repro.core.reverse_index import NodeIndex
 from repro.core.serialization import sketch_from_dict, sketch_to_dict
 from repro.core.undirected import UndirectedGSS
 from repro.core.windowed import WindowedGSS
 
 from scan_oracles import neighbor_hashes_unindexed, reconstruct_sketch_edges_unindexed
+from shard_oracle import partitioned_gss
 
 # Streams over a small node universe with insertions AND deletions (negative
 # weights), sized so small matrices overflow into the left-over buffer.
@@ -170,8 +170,8 @@ class TestBatchUpdateWrappers:
 
     def test_partitioned_update_many_matches_scalar(self):
         config = GSSConfig(matrix_width=8, sequence_length=4, candidate_buckets=4)
-        scalar = PartitionedGSS(config, partitions=3)
-        batched = PartitionedGSS(config, partitions=3)
+        scalar = partitioned_gss(config, partitions=3)
+        batched = partitioned_gss(config, partitions=3)
         items = [(f"n{i % 9}", f"n{(i * 4) % 9}", float(1 + i % 3)) for i in range(60)]
         for source, destination, weight in items:
             scalar.update(source, destination, weight)
@@ -227,7 +227,7 @@ class TestSentinelFix:
         assert windowed.edge_query("a", "b") == -1.0
         assert windowed.edge_query("a", "zz") is None
 
-        partitioned = PartitionedGSS(config, partitions=2)
+        partitioned = partitioned_gss(config, partitions=2)
         partitioned.update("a", "b", -1.0)
         assert partitioned.edge_query("a", "b") == -1.0
         assert partitioned.edge_query("zz", "a") is None

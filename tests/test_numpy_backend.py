@@ -29,12 +29,12 @@ from repro.core.config import GSSConfig
 from repro.core.ensemble import GSSEnsemble
 from repro.core.gss import GSS
 from repro.core.merge import merge_into, merge_sketches
-from repro.core.partitioned import PartitionedGSS
 from repro.core.serialization import sketch_from_dict, sketch_to_dict
 from repro.core.undirected import UndirectedGSS
 from repro.core.windowed import WindowedGSS
 
 from scan_oracles import neighbor_hashes_unindexed, reconstruct_sketch_edges_unindexed
+from shard_oracle import partitioned_gss
 
 
 def _native_ready() -> bool:
@@ -315,7 +315,7 @@ class TestWrappersOnNumpyBackend:
         for backend in ("python", "numpy"):
             config = GSSConfig(matrix_width=8, sequence_length=4,
                                candidate_buckets=4, backend=backend)
-            sharded = PartitionedGSS(config, partitions=3)
+            sharded = partitioned_gss(config, partitions=3)
             sharded.update_many(items)
             results[backend] = (
                 sharded.shard_loads(),
@@ -324,9 +324,9 @@ class TestWrappersOnNumpyBackend:
         assert results["python"] == results["numpy"]
         config = GSSConfig(matrix_width=8, sequence_length=4,
                            candidate_buckets=4, backend="numpy")
-        sharded = PartitionedGSS(config, partitions=3)
+        sharded = partitioned_gss(config, partitions=3)
         sharded.update_many(items)
-        merged = sharded.merge_into_single()
+        merged = merge_sketches(sharded.shards)
         assert merged.backend_name == "native"
         assert merged.matrix_edge_count + merged.buffer_edge_count > 0
 

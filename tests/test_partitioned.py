@@ -1,37 +1,42 @@
-"""Tests for the source-partitioned (sharded) GSS deployment."""
+"""Tests for the in-process source-partitioned GSS deployment
+(``partitioned-gss``: a :class:`~repro.cluster.ShardedSummary` whose shards
+live in the caller's process)."""
 
 from __future__ import annotations
 
 import pytest
 
+from repro.api import build
 from repro.core.config import GSSConfig
 from repro.core.gss import GSS
-from repro.core.partitioned import PartitionedGSS
+from repro.core.merge import merge_sketches
 from repro.queries.primitives import consume_stream
 from repro.queries.reachability import is_reachable
+from shard_oracle import partitioned_gss
 
 
-def make_partitioned(partitions: int = 4, width: int = 24) -> PartitionedGSS:
+def make_partitioned(partitions: int = 4, width: int = 24):
     config = GSSConfig(matrix_width=width, sequence_length=4, candidate_buckets=4)
-    return PartitionedGSS(config, partitions=partitions)
+    return partitioned_gss(config, partitions=partitions)
 
 
 class TestConstruction:
     def test_rejects_zero_partitions(self):
         with pytest.raises(ValueError):
-            PartitionedGSS(GSSConfig(matrix_width=8), partitions=0)
+            make_partitioned(partitions=0)
 
     def test_for_total_capacity_sizes_shards(self):
-        sharded = PartitionedGSS.for_total_capacity(4000, partitions=4)
+        # Sizing for a total edge count is the registry's expected_edges.
+        sharded = build("partitioned-gss", expected_edges=4000, params={"partitions": 4})
         total_rooms = sum(
             shard.config.matrix_width ** 2 * shard.config.rooms for shard in sharded.shards
         )
         assert total_rooms >= 4000
-        assert sharded.partitions == 4
+        assert sharded.workers == 4
 
     def test_for_total_capacity_rejects_bad_edges(self):
         with pytest.raises(ValueError):
-            PartitionedGSS.for_total_capacity(0)
+            build("partitioned-gss", expected_edges=0)
 
 
 class TestRoutingAndQueries:
@@ -112,7 +117,7 @@ class TestLoadAndMerge:
     def test_merge_into_single_preserves_edge_weights(self, small_stream):
         sharded = make_partitioned(partitions=3, width=40)
         consume_stream(sharded, small_stream)
-        merged = sharded.merge_into_single()
+        merged = merge_sketches(sharded.shards)
         assert isinstance(merged, GSS)
         truth = small_stream.aggregate_weights()
         for (source, destination), weight in list(truth.items())[:100]:
@@ -123,7 +128,7 @@ class TestLoadAndMerge:
         sharded.update("a", "b")
         other = GSSConfig(matrix_width=99, sequence_length=4, candidate_buckets=4)
         with pytest.raises(ValueError):
-            sharded.merge_into_single(other)
+            merge_sketches(sharded.shards, other)
 
     def test_buffer_percentage_bounds(self, small_stream):
         sharded = make_partitioned(partitions=2, width=40)
@@ -138,7 +143,6 @@ class TestZeroUpdateShardStats:
         sharded = make_partitioned(partitions=4)
         assert sharded.load_imbalance() == 1.0
         assert sharded.buffer_percentage == 0.0
-        assert sharded.shard_buffer_percentages() == [0.0, 0.0, 0.0, 0.0]
         stats = sharded.shard_ingest_stats()
         assert stats.items_routed == [0, 0, 0, 0]
         assert stats.routing_imbalance == 1.0
@@ -154,9 +158,7 @@ class TestZeroUpdateShardStats:
         # The zero-update shards must not break any derived ratio.
         assert stats.routing_imbalance == pytest.approx(4.0)
         assert sharded.load_imbalance() >= 1.0
-        percentages = sharded.shard_buffer_percentages()
-        assert len(percentages) == 4
-        assert all(0.0 <= pct <= 1.0 for pct in percentages)
+        assert 0.0 <= sharded.buffer_percentage <= 1.0
 
     def test_items_routed_tracks_both_update_paths(self, small_stream):
         sharded = make_partitioned(partitions=3, width=40)
@@ -173,27 +175,9 @@ class TestZeroUpdateShardStats:
 
 
 class TestMemoryParity:
-    def test_matrix_memory_bytes_totals_the_deployment(self):
-        sharded = make_partitioned(partitions=3)
-        assert sharded.matrix_memory_bytes() == sum(
-            shard.config.matrix_memory_bytes() for shard in sharded.shards
-        )
-        # The per-shard config accounts one shard only; the deployment-level
-        # accessor is what equal-memory comparisons must use.
-        assert sharded.matrix_memory_bytes() == 3 * sharded.config.matrix_memory_bytes()
-
     def test_factory_budget_lands_near_the_requested_bytes(self):
-        from repro.api import build
-
         budget = 64 * 1024
         sharded = build("partitioned-gss", memory_bytes=budget, params={"partitions": 4})
         assert budget / 2 <= sharded.memory_bytes() <= budget
-        assert budget / 2 <= sharded.matrix_memory_bytes() <= budget
-
-    def test_memory_bytes_include_node_index_parity_with_gss(self):
-        sharded = make_partitioned(partitions=2)
-        sharded.update("a", "b")
-        with_index = sharded.memory_bytes(include_node_index=True)
-        without = sharded.memory_bytes()
-        assert with_index >= without
-        assert without == sum(shard.memory_bytes() for shard in sharded.shards)
+        matrix_bytes = sum(shard.config.matrix_memory_bytes() for shard in sharded.shards)
+        assert budget / 2 <= matrix_bytes <= budget
