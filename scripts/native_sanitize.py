@@ -32,11 +32,13 @@ import sys
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
-#: The suites that drive the compiled kernel hard: direct backend tests
-#: plus the cross-backend equivalence sweeps.
+#: The suites that drive the compiled kernel hard: direct backend tests,
+#: the cross-backend equivalence sweeps, and StreamSession feeds (which
+#: reach the kernel through its text ingestion path).
 DEFAULT_SUITES = (
     "tests/test_native_backend.py",
     "tests/test_numpy_backend.py",
+    "tests/test_stream_session.py",
 )
 
 

@@ -12,12 +12,12 @@ dataset analog, size a sketch for it, feed the stream through the batched
   weight)`` triples, or a registered dataset by name;
 * auto-sizes a spec without explicit sizing from the stream's statistics
   (``expected_edges`` = the stream's distinct edge count);
-* chunks every feed through :class:`~repro.streaming.batch.HashedBatch`:
-  summaries exposing the hashed ingest protocol (``update_many_hashed`` +
-  ``hash_spec``) receive columnar batches whose node/routing hashes were
-  computed exactly once at the session boundary; everything else receives
-  the same normalized batches through ``update_many`` (or a scalar loop),
-  with timestamps preserved for windowed summaries;
+* chunks every feed into normalized batches (a spec-less
+  :class:`~repro.streaming.batch.HashedBatch`) and hands each one to the
+  summary's ``update_many`` (or a scalar loop): the summary hashes its own
+  batches — a GSS through its backend's batched path, a sharded deployment
+  once at its routing boundary — so the session never hashes a node;
+  timestamps are kept for windowed summaries and dropped for the rest;
 * reports items/batches/seconds/throughput, optionally through a progress
   hook.
 """
@@ -26,14 +26,18 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, Hashable, Iterable, List, Optional, Union
+from operator import itemgetter
+from typing import Callable, Iterable, List, Optional, Union
 
 from repro.api.protocol import GraphSummary
 from repro.api.registry import SketchSpec, SpecSizingError, build
 from repro.obs import trace as _obs
-from repro.streaming.batch import HashedBatch, HashSpec
+from repro.streaming.batch import HashedBatch
 
 __all__ = ["IngestReport", "StreamSession"]
+
+#: ``item[:3]`` — the ``(source, destination, weight)`` triple of an item.
+_TRIPLE = itemgetter(slice(3))
 
 
 @dataclass
@@ -126,10 +130,6 @@ class StreamSession:
         else:
             self._summary = summary
         self._total = IngestReport()
-        # Cross-batch hash memos threaded through HashedBatch.from_items so a
-        # key seen in an earlier chunk (or feed) is never hashed again.
-        self._node_memo: Dict[Hashable, int] = {}
-        self._route_memo: Dict[Hashable, int] = {}
 
     # -- summary access ------------------------------------------------------
 
@@ -194,16 +194,6 @@ class StreamSession:
         capabilities = getattr(summary, "capabilities", None)
         windowed = bool(capabilities and capabilities().windowed)
         update_many = getattr(summary, "update_many", None)
-        # Summaries speaking the hashed ingest protocol publish their hash
-        # spec; the session then hashes each chunk exactly once at this
-        # boundary and the columns flow through routing into the matrix
-        # backends.  Windowed summaries route by timestamp, which the hashed
-        # path does not model — they take the normalized-batch path.
-        update_many_hashed = getattr(summary, "update_many_hashed", None)
-        spec_of = getattr(summary, "hash_spec", None)
-        hash_spec: Optional[HashSpec] = None
-        if not windowed and callable(update_many_hashed) and callable(spec_of):
-            hash_spec = spec_of()
         # Sharded deployments report per-shard routing; snapshot the counters
         # so this feed's delta can be attributed to it.
         shard_stats = getattr(summary, "shard_ingest_stats", None)
@@ -213,25 +203,21 @@ class StreamSession:
         started = time.perf_counter()
 
         def flush(raw_chunk) -> None:
-            # One normalization/hashing pass for every ingest tier: hashed
-            # consumers get the columns, batched consumers get the normalized
-            # items, scalar summaries get a star-unpacked loop (so a windowed
-            # summary's timestamp — the optional fourth element — reaches
-            # update() instead of being dropped).
+            # One normalization pass for every ingest tier; the summary
+            # hashes the batch itself.  Scalar summaries get a star-unpacked
+            # loop, so a windowed summary's timestamp — the optional fourth
+            # element — reaches update() instead of being dropped.
             with _obs.span("session.feed.batch"):
-                batch = HashedBatch.from_items(
-                    raw_chunk,
-                    hash_spec,
-                    node_memo=self._node_memo,
-                    route_memo=self._route_memo,
-                    keep_timestamps=windowed,
-                )
-                if hash_spec is not None:
-                    update_many_hashed(batch)
-                elif update_many is not None:
-                    update_many(batch.items())
+                batch = HashedBatch.from_items(raw_chunk, keep_timestamps=windowed)
+                items = batch.items()
+                if not windowed:
+                    # Bare tuples pass the normalizer untouched; a fourth
+                    # element (a timestamp) is dropped here.
+                    items = list(map(_TRIPLE, items))
+                if update_many is not None:
+                    update_many(items)
                 else:
-                    for item in batch.items():
+                    for item in items:
                         summary.update(*item)
             report.items += len(batch)
             report.batches += 1

@@ -12,7 +12,7 @@ models that deployment once, for two kinds of shard handle:
   registry's ``partitioned-gss``, in the caller's process — both kinds apply
   requests through the same :class:`~repro.cluster.worker.Shard`, so the two
   deployments answer every query identically;
-* when the shard summary exposes a hashed ingest path the client hashes
+* the shard summary must expose a hashed ingest path: the client hashes
   every batch exactly once (node + routing hashes, see
   :class:`~repro.streaming.batch.HashedBatch`); a worker receives the
   precomputed columns down its pipe as one hashed-batch blob (see
@@ -196,10 +196,6 @@ class _WorkerHandle:
             if waited is not None:
                 self.obs_queue_wait.observe(perf_counter() - waited)
 
-    def send_batch(self, items: List[Tuple[Hashable, Hashable, float]]) -> None:
-        """Queue one plain triple batch (summaries without hashed ingest)."""
-        self._post(("batch", items), len(items))
-
     def send_hashed(self, batch: HashedBatch) -> None:
         """Queue one routed :class:`HashedBatch` (an ``hbatch`` message).
 
@@ -303,9 +299,6 @@ class _InlineHandle:
         if self.obs_items is not None:
             self.obs_items.inc(item_count)
 
-    def send_batch(self, items: List[Tuple[Hashable, Hashable, float]]) -> None:
-        self._post(("batch", items), len(items))
-
     def send_hashed(self, batch: HashedBatch) -> None:
         self._post(("hbatch", batch), len(batch))
 
@@ -335,6 +328,9 @@ class ShardedSummary(SummaryShims):
         The spec must carry sizing (a budget, expected edges, or an explicit
         size parameter); the registry's ``sharded-gss`` and
         ``partitioned-gss`` builders do the budget-splitting arithmetic.
+        The sketch must have a hashed ingest path (``hash_spec`` +
+        ``update_many_hashed``, as GSS has); any other raises
+        :class:`ValueError`, after the shards it started are stopped.
     workers:
         Number of shards.
     routing_seed:
@@ -439,19 +435,22 @@ class ShardedSummary(SummaryShims):
         except Exception:
             self.close()
             raise
+        # The shards report their summary's hash spec in the build
+        # handshake; the client hashes every batch exactly once under it
+        # (node + routing hashes, vectorized when NumPy is available) and
+        # ships the columns — the hash-once ingest pipeline.
+        shard_spec: Optional[HashSpec] = self._handles[0].info.get("hash_spec")
+        if shard_spec is None:
+            self.close()
+            raise ValueError(
+                f"cannot shard {getattr(inner_spec, 'sketch', inner_spec)!r}: "
+                "its summary has no hashed ingest path (hash_spec + "
+                "update_many_hashed)"
+            )
         if self._obs is not None:
             self._attach_obs_instruments()
-        # The workers report their summary's hash spec in the build
-        # handshake; when present, the client hashes every batch exactly
-        # once (node + routing hashes, vectorized when NumPy is available)
-        # and ships the columns — the hash-once ingest pipeline.  Summaries
-        # without a hashed ingest path fall back to plain triple batches.
-        self._shard_spec: Optional[HashSpec] = self._handles[0].info.get("hash_spec")
-        self._client_spec: Optional[HashSpec] = (
-            self._shard_spec.with_routing(routing_seed)
-            if self._shard_spec is not None
-            else None
-        )
+        self._shard_spec = shard_spec
+        self._client_spec = shard_spec.with_routing(routing_seed)
         self._node_memo: Dict[Hashable, int] = {}
         self._route_memo: Dict[Hashable, int] = {}
         # Client-side coalescing buffers for scalar updates.
@@ -471,12 +470,13 @@ class ShardedSummary(SummaryShims):
         ``"inline"`` for in-process shards."""
         return "inline" if self.in_process else "pipe"
 
-    def hash_spec(self) -> Optional[HashSpec]:
+    def hash_spec(self) -> HashSpec:
         """Shard node-hash family plus this cluster's routing seed.
 
-        ``None`` when the workers' summary type has no hashed ingest path —
-        callers (``StreamSession``) then feed plain batches instead of
-        prehashed ones.
+        The spec :meth:`update_many` hashes each batch under.  A caller that
+        ships prehashed batches — the serve client's ``FRAME_HBATCH`` —
+        builds them under it so :meth:`update_many_hashed` routes them
+        without re-hashing.
         """
         return self._client_spec
 
@@ -500,16 +500,14 @@ class ShardedSummary(SummaryShims):
         Returns the number of items routed.  The call does *not* wait for the
         workers to apply the batches — :meth:`flush` (or any query) is the
         barrier — which is what lets routing and shard ingestion overlap
-        across processes.  When the workers reported a hash spec, the items
-        become one :class:`~repro.streaming.batch.HashedBatch` (node and
-        routing hashes computed once, vectorized when NumPy is available)
-        whose shard sub-batches carry their hash columns all the way into
-        the workers' matrix backends.
+        across processes.  The items become one
+        :class:`~repro.streaming.batch.HashedBatch` (node and routing hashes
+        computed once, vectorized when NumPy is available) whose shard
+        sub-batches carry their hash columns all the way into the workers'
+        matrix backends.
         """
         with self._lock:
             self._ensure_open()
-            if self._client_spec is None:
-                return self._update_many_plain(items)
             return self.update_many_hashed(
                 HashedBatch.from_items(
                     items,
@@ -523,14 +521,13 @@ class ShardedSummary(SummaryShims):
         """Route a prepared :class:`HashedBatch` to its owning shard workers.
 
         A batch built under a different hash family (or without routing
-        hashes) is re-hashed once here; a matching batch — e.g. one built by
-        ``StreamSession`` against :meth:`hash_spec` — flows through with no
+        hashes) is re-hashed once here, since batches may arrive off the
+        network; a matching batch — :meth:`update_many`'s own, or a serve
+        client's built against :meth:`hash_spec` — flows through with no
         additional hash work.
         """
         with self._lock:
             self._ensure_open()
-            if self._client_spec is None:
-                return self._update_many_plain(batch.items())
             if (
                 not batch.hashed
                 or batch.spec is None
@@ -558,43 +555,15 @@ class ShardedSummary(SummaryShims):
             self._update_count += count
             return count
 
-    def _update_many_plain(self, items: Iterable[Tuple[Hashable, Hashable, float]]) -> int:
-        """Scalar-routing fallback for workers without a hashed ingest path."""
-        groups: Dict[int, List[Tuple[Hashable, Hashable, float]]] = {}
-        count = 0
-        for source, destination, weight in items:
-            count += 1
-            # repro: allow(hash-once): scalar-routing fallback for workers
-            # without a hashed ingest path; the hashed path routes whole
-            # batches through HashedBatch.split_by_route.
-            groups.setdefault(self.shard_of(source), []).append(
-                (source, destination, weight)
-            )
-        for shard, triples in groups.items():
-            outbox = self._outbox[shard]
-            if outbox:
-                outbox.extend(triples)
-                self._handles[shard].send_batch(outbox)
-                self._outbox[shard] = []
-            else:
-                self._handles[shard].send_batch(triples)
-        self._update_count += count
-        return count
-
     def _dispatch(self, shard: int, triples: List[Tuple[Hashable, Hashable, float]]) -> None:
         """Ship already-routed triples to one shard through the data plane.
 
         Built under the workers' own spec (no routing seed): the triples are
         already grouped by shard, so only node hashes are needed.
         """
-        if self._shard_spec is not None:
-            self._handles[shard].send_hashed(
-                HashedBatch.from_items(
-                    triples, self._shard_spec, node_memo=self._node_memo
-                )
-            )
-        else:
-            self._handles[shard].send_batch(triples)
+        self._handles[shard].send_hashed(
+            HashedBatch.from_items(triples, self._shard_spec, node_memo=self._node_memo)
+        )
 
     def ingest(self, edges) -> "ShardedSummary":
         """Feed an iterable of :class:`~repro.streaming.edge.StreamEdge`."""

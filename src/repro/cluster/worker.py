@@ -7,7 +7,6 @@ serves a tiny message protocol over a :class:`multiprocessing.Pipe`:
 ============== ============================== ==================================
 request        payload                        reply payload
 ============== ============================== ==================================
-``batch``      list of update triples         number of items applied
 ``hbatch``     a hashed-batch blob, or a      number of items applied
                pickled ``HashedBatch``
                without NumPy
@@ -26,8 +25,8 @@ At startup the worker either builds a fresh summary from ``spec`` or — on the
 checkpoint-restore path — restores one directly from a snapshot document,
 and answers the handshake with ``("ready", info)`` where ``info`` reports
 the summary's :meth:`hash_spec` (or ``None`` when the summary has no hashed
-ingest path) — that is how the client discovers whether it may ship
-precomputed hash columns.  Every request gets exactly one reply, ``("ok", payload)`` or
+ingest path, which the client refuses) — the hash family the client builds
+the batches it ships under.  Every request gets exactly one reply, ``("ok", payload)`` or
 ``("err", traceback text)``, in request order — the pipe is FIFO, which is
 what lets the parent pipeline batch requests without waiting and still know
 that a ``call`` sent afterwards observes every prior batch.
@@ -59,7 +58,8 @@ class Shard:
     ``build``, or restored from ``snapshot`` with its ``from_dict``
     (``backend`` optionally re-targets the restored matrix backend).
     :attr:`hash_spec` is the summary's hash spec when it has a hashed ingest
-    path, else ``None``.
+    path, else ``None`` — a :class:`~repro.cluster.ShardedSummary` refuses
+    such a shard, so every shard it keeps ingests ``hbatch`` requests.
     """
 
     def __init__(
@@ -76,19 +76,15 @@ class Shard:
             self.summary = from_dict(snapshot, backend=backend)
         else:
             self.summary = build(spec)
-        self.hash_spec = None
-        self._hashed_ingest = getattr(self.summary, "update_many_hashed", None)
         spec_of = getattr(self.summary, "hash_spec", None)
-        if callable(self._hashed_ingest) and callable(spec_of):
-            self.hash_spec = spec_of()
-        else:
-            self._hashed_ingest = None
+        hashed = callable(getattr(self.summary, "update_many_hashed", None))
+        self.hash_spec = spec_of() if hashed and callable(spec_of) else None
         #: Items-applied counter, set when the worker's telemetry is on.
         self.obs_items = None
 
     def apply(self, request) -> Any:
-        """Apply one ``batch``/``hbatch``/``call``/``snapshot`` request and
-        return its reply payload."""
+        """Apply one ``hbatch``/``call``/``snapshot`` request and return its
+        reply payload."""
         operation = request[0]
         if operation == "call":
             method, args = request[1], request[2]
@@ -99,19 +95,13 @@ class Shard:
         if operation == "snapshot":
             with obs_trace.span("worker.snapshot", shard=self.worker_id):
                 return self.summary.to_dict()
-        if operation not in ("batch", "hbatch"):
+        if operation != "hbatch":
             raise ValueError(f"unknown request {operation!r}")
         batch = request[1]
         with obs_trace.span("worker.ingest", shard=self.worker_id):
-            if operation == "batch":
-                applied = self.summary.update_many(batch)
-            else:
-                if isinstance(batch, bytes):
-                    batch = decode_hashed_batch(batch, 0, len(batch), self.hash_spec)
-                if self._hashed_ingest is not None:
-                    applied = self._hashed_ingest(batch)
-                else:
-                    applied = self.summary.update_many(batch.items())
+            if isinstance(batch, bytes):
+                batch = decode_hashed_batch(batch, 0, len(batch), self.hash_spec)
+            applied = self.summary.update_many_hashed(batch)
         if self.obs_items is not None:
             self.obs_items.inc(applied)
         return applied

@@ -277,27 +277,37 @@ class PythonMatrixBackend:
         sketch._buffer.add(source_hash, destination_hash, weight)
 
     def update_many(self, items: Iterable[Tuple[Hashable, Hashable, float]]) -> int:
-        """Batched ingestion: hash once per distinct node, insert once per edge."""
+        """Batched ingestion: hash once per distinct node, insert once per edge.
+
+        Nodes the reverse index already holds resolve through it, so only
+        first-seen nodes are hashed and recorded — across batches too.
+        """
         sketch = self._sketch
         hasher = sketch._hasher
         node_index = sketch._node_index
         profile = active_profile()
         started = perf_counter() if profile is not None else 0.0
         hashes: Dict[Hashable, int] = {}
+
+        def resolve(node: Hashable) -> int:
+            node_hash = node_index.get(node) if node_index is not None else None
+            if node_hash is None:
+                node_hash = hasher(node)
+                if node_index is not None:
+                    node_index.record(node, node_hash)
+            hashes[node] = node_hash
+            return node_hash
+
         aggregated: Dict[Tuple[int, int], float] = {}
         count = 0
         for source, destination, weight in items:
             count += 1
             source_hash = hashes.get(source)
             if source_hash is None:
-                source_hash = hashes[source] = hasher(source)
-                if node_index is not None:
-                    node_index.record(source, source_hash)
+                source_hash = resolve(source)
             destination_hash = hashes.get(destination)
             if destination_hash is None:
-                destination_hash = hashes[destination] = hasher(destination)
-                if node_index is not None:
-                    node_index.record(destination, destination_hash)
+                destination_hash = resolve(destination)
             key = (source_hash, destination_hash)
             aggregated[key] = aggregated.get(key, 0.0) + weight
         if profile is not None:
@@ -552,6 +562,8 @@ class NativeMatrixBackend:
         self._src_fp = self._dst_fp = self._src_idx = self._dst_idx = None
         self._weights = None
         self._bucket_fill = np.zeros(self._width * self._width, dtype=np.uint8)
+        # Node -> hash memo of the non-string path (_update_many_by_pairs);
+        # string nodes live in the kernel's node table instead.
         self._node_hash_cache: Dict[Hashable, int] = {}
         # (source, destination) original-ID pair -> packed edge key, so
         # non-string batches resolve repeat edges with one dict probe per
@@ -785,13 +797,14 @@ class NativeMatrixBackend:
         memoizes it in a persistent C node table, packs the edge keys and
         runs the aggregate/classify/place pipeline — hashing included, the
         batch crosses the Python/kernel boundary exactly once.  Genuinely
-        new nodes come back as blob slices and are mirrored into the reverse
-        node index (first-seen interleaved order, like the scalar paths) and
-        the Python-side node memo; the hash-once counter is credited with
-        exactly the keys the kernel mixed.  Batches containing non-string
-        IDs — or strings with embedded NULs, which would make the join
-        ambiguous — take :meth:`_update_many_by_pairs`, which hashes in
-        Python and places through the same kernel.
+        new nodes come back as blob offsets, and the batch's own node
+        objects at those positions are recorded in the reverse node index
+        (first-seen interleaved order, like the scalar paths); the kernel's
+        node table is their only node -> hash memo.  The hash-once counter
+        is credited with exactly the keys the kernel mixed.  Batches
+        containing non-string IDs — or strings with embedded NULs, which
+        would make the join ambiguous — take :meth:`_update_many_by_pairs`,
+        which hashes in Python and places through the same kernel.
         """
         triples = items if isinstance(items, list) else list(items)
         if not triples:
@@ -855,20 +868,19 @@ class NativeMatrixBackend:
             started = perf_counter()
         fresh = new_count.value
         if fresh:
-            pairs = [
-                (blob[offset : offset + length].decode("utf-8"), node_hash)
-                for offset, length, node_hash in zip(
-                    self._sc_new_offs[:fresh].tolist(),
-                    self._sc_new_lens[:fresh].tolist(),
-                    self._sc_new_hashes[:fresh].tolist(),
-                )
-            ]
             node_index = self._sketch._node_index
             if node_index is not None:
-                node_index.record_new_many(pairs)
-            cache = self._node_hash_cache
-            if len(cache) < self._NODE_CACHE_LIMIT:
-                cache.update(pairs)
+                # A token's position in the interleaved stream is the number
+                # of separators before its offset; recording the caller's
+                # own node object there keeps no second, decoded copy.
+                separators = np.flatnonzero(np.frombuffer(blob, dtype=np.uint8) == 0)
+                tokens = np.searchsorted(separators, self._sc_new_offs[:fresh]).tolist()
+                node_index.record_new_many(
+                    zip(
+                        [(destinations if t & 1 else sources)[t >> 1] for t in tokens],
+                        self._sc_new_hashes[:fresh].tolist(),
+                    )
+                )
             _count_hashes(fresh)
         if profile is not None:
             profile.add("hashing", perf_counter() - started)

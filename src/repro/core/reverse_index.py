@@ -9,7 +9,7 @@ studies), so each hash maps to the *set* of originals.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, List, Set
+from typing import Dict, Hashable, Iterable, List, Optional, Set
 
 
 class NodeIndex:
@@ -71,6 +71,10 @@ class NodeIndex:
                 originals_of[node_hash] = {node}
             else:
                 bucket.add(node)
+
+    def get(self, node: Hashable) -> Optional[int]:
+        """Return the recorded hash of ``node``, or ``None`` if unseen."""
+        return self._hash_of.get(node)
 
     def hash_of(self, node: Hashable) -> int:
         """Return the recorded hash of ``node``; raises ``KeyError`` if unseen."""

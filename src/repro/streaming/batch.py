@@ -1,11 +1,14 @@
-"""Columnar hashed edge batches — the single ingest currency of the pipeline.
+"""Columnar hashed edge batches — the ingest currency of sharded summaries.
 
 The hot path of every summary is dominated by node hashing, yet the layered
 deployment used to hash each edge up to three times: once for shard routing
 (:class:`~repro.cluster.ShardedSummary`, in-process or worker processes),
-again inside each shard's ``update_many``, and again for memo upkeep.  :class:`HashedBatch` fixes that
-by hashing **once at the edge of the system** and carrying the results as
-columns the rest of the pipeline consumes directly:
+again inside each shard's ``update_many``, and again for memo upkeep.  The
+summary that ingests a batch hashes it, once: a plain GSS through its own
+backend, a sharded deployment through :class:`HashedBatch`, which carries
+the hashes across the boundaries a batch crosses — shard routing, worker
+pipes, the serve protocol's ``FRAME_HBATCH`` — as columns the shards
+consume directly:
 
 * ``sources`` / ``destinations`` — the original node keys (kept because the
   leftover buffer and the reverse :class:`~repro.core.reverse_index.NodeIndex`
@@ -22,8 +25,8 @@ vectorized hashing pipeline and routing becomes one gather plus a stable
 ``argsort`` group-split; without it the same batch API is backed by plain
 Python lists and the scalar hash loop — consumers never need to know which.
 A batch built with ``spec=None`` performs *no* hashing and simply normalizes
-the items (the fallback container for summaries that predate the hashed
-ingest protocol, e.g. windowed sketches routing by timestamp).
+the items: :class:`~repro.api.StreamSession` normalizes every chunk this way
+and leaves the hashing to the summary it feeds.
 
 Distinct keys are hashed exactly once per batch (``dict.fromkeys``
 deduplication) and callers may thread a long-lived ``memo`` dict through

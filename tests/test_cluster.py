@@ -10,6 +10,7 @@ throughput, never answers.
 
 from __future__ import annotations
 
+import multiprocessing
 import time
 
 import pytest
@@ -58,6 +59,17 @@ class TestConstruction:
     def test_unsized_inner_spec_fails_the_build_handshake(self):
         with pytest.raises(ClusterError, match="SpecSizingError"):
             ShardedSummary(SketchSpec("gss"), workers=1)
+
+    @pytest.mark.parametrize("in_process", [True, False])
+    def test_rejects_a_shard_summary_without_hashed_ingest(self, in_process):
+        # One data plane: shards ingest hashed batches only, so a sketch
+        # without that path is refused — after its shards are stopped.
+        running = set(multiprocessing.active_children())
+        with pytest.raises(ValueError, match="tcm"):
+            ShardedSummary(
+                SketchSpec("tcm", expected_edges=100), workers=1, in_process=in_process
+            )
+        assert set(multiprocessing.active_children()) <= running
 
     def test_registry_build_and_capabilities(self):
         with build("sharded-gss", memory_bytes=32 * 1024, params={"workers": 2}) as summary:
@@ -326,11 +338,12 @@ class TestTransports:
             assert summary.edge_query("a", "b") == 2.0
 
     def test_session_feed_equivalent_across_transports(self, small_stream):
-        # StreamSession builds the hashed batches in this configuration (the
-        # deployment publishes its hash spec), so this exercises the session
-        # → routing → handle → backend pipeline end to end, timestamps and
-        # all (small_stream items carry timestamps; unwindowed summaries
-        # drop them uniformly).
+        # The summary hashes its own batches: StreamSession hands the
+        # deployment normalized items and its update_many hashes them once
+        # at the routing boundary, so this exercises the session → routing →
+        # handle → backend pipeline end to end, timestamps and all
+        # (small_stream items carry timestamps; unwindowed summaries drop
+        # them uniformly).
         oracle = ShardOracle(shard_config(), shards=2)
         for edge in small_stream:
             oracle.update(edge.source, edge.destination, edge.weight)

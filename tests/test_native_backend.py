@@ -14,7 +14,8 @@ to the compiled backend:
 * the persistent C edge->slot map, including the ``2^64 - 1`` side slot;
 * the whole-batch text ingestion path and its fallbacks (non-string node
   IDs, embedded NUL bytes), which must be invisible to every observer:
-  queries, node index, serialization, and the hash-once counter;
+  queries, node index, serialization, and the hash-once counter — which
+  the python backend meets across batches too;
 * snapshots recording the *resolved* backend name, and legacy snapshots
   (recording ``"numpy"``, with or without the removed
   ``scalar_tail_threshold`` key) restoring with identical answers;
@@ -236,6 +237,27 @@ class TestTextPathEquivalence:
         for node in reference.node_index.known_nodes():
             assert native.node_index.hash_of(node) == reference.node_index.hash_of(node)
 
+    def test_multibyte_and_empty_ids_are_recorded_in_stream_order(self):
+        # New nodes come back as byte offsets into the UTF-8 blob; multi-byte
+        # and zero-length IDs must still map to the right batch items.
+        items = [
+            ("héllo", "", 1.0),
+            ("日本語", "héllo", 2.0),
+            ("", "wörld", 1.5),
+            ("plain", "日本語", 1.0),
+            ("wörld", "🙂", 3.0),
+        ]
+        native = make("native")
+        reference = make("python")
+        native.update_many(items[:2])
+        reference.update_many(items[:2])
+        native.update_many(items[2:])
+        reference.update_many(items[2:])
+        assert native.node_index.known_nodes() == reference.node_index.known_nodes()
+        for node in reference.node_index.known_nodes():
+            assert native.node_index.hash_of(node) == reference.node_index.hash_of(node)
+        assert_same_answers(native, reference, items)
+
     def test_hash_once_counts_each_distinct_node_once(self):
         items = stream()
         distinct = {item[0] for item in items} | {item[1] for item in items}
@@ -282,6 +304,23 @@ class TestTextPathEquivalence:
         native.update_many(items[70:])
         reference.update_many(items[70:])
         assert_same_answers(native, reference, items)
+
+
+@pytest.mark.parametrize(
+    "backend", ["python", pytest.param("native", marks=requires_native)]
+)
+def test_known_nodes_are_not_rehashed_across_batches(backend):
+    # Each backend resolves a node it has already recorded without hashing
+    # it again — the python backend through the node index, the kernel
+    # through its node table — so batches need no caller-side memo.
+    items = stream(1000, nodes=45)
+    distinct = {item[0] for item in items} | {item[1] for item in items}
+    sketch = make(backend)
+    with count_key_hashes() as counter:
+        sketch.update_many(items)
+        assert counter.count == len(distinct)
+        sketch.update_many(items)
+        assert counter.count == len(distinct)
 
 
 @requires_native

@@ -179,3 +179,66 @@ class TestFailFastSpecs:
         session = StreamSession(SketchSpec("gss", params={"matrix_width": 16}))
         session.feed([("a", "b", 1.0)])
         assert session.summary.edge_query("a", "b") == 1.0
+
+
+def _native_ready() -> bool:
+    from repro.core._native import native_available
+
+    return native_available()
+
+
+#: GSS matrix backends a session must feed identically.
+GSS_BACKENDS = [
+    "python",
+    pytest.param(
+        "native",
+        marks=pytest.mark.skipif(
+            not _native_ready(), reason="native kernel unavailable or disabled"
+        ),
+    ),
+]
+
+
+def string_stream(count: int = 2000, nodes: int = 300):
+    """StreamEdge items (timestamps set) over string node IDs, with repeats."""
+    return [
+        StreamEdge(
+            source=f"n{(i * 7) % nodes}",
+            destination=f"n{(i * 13 + 5) % nodes}",
+            weight=float(1 + i % 3),
+            timestamp=float(i),
+        )
+        for i in range(count)
+    ]
+
+
+class TestSummariesHashTheirOwnBatches:
+    @pytest.mark.parametrize("backend", GSS_BACKENDS)
+    def test_session_feed_equals_chunked_update_many(self, backend):
+        items = string_stream()
+        fed = build("gss", memory_bytes=8192, backend=backend)
+        StreamSession(fed, batch_size=256).feed(items)
+        direct = build("gss", memory_bytes=8192, backend=backend)
+        triples = [(edge.source, edge.destination, edge.weight) for edge in items]
+        for offset in range(0, len(triples), 256):
+            direct.update_many(triples[offset : offset + 256])
+        # Equal documents, node-index order included: the session hands the
+        # sketch its items and records nothing itself.
+        assert fed.to_dict() == direct.to_dict()
+
+    @pytest.mark.parametrize("backend", GSS_BACKENDS)
+    def test_bare_four_tuples_feed_a_gss(self, backend):
+        session = StreamSession(build("gss", memory_bytes=8192, backend=backend))
+        session.feed([("a", "b", 1.0, 5), ("a", "b", 2.0, 6), ("b", "c", 1.5, 7)])
+        assert session.summary.edge_query("a", "b") == 3.0
+        assert session.summary.edge_query("b", "c") == 1.5
+
+    def test_bare_four_tuples_feed_a_partitioned_gss(self):
+        summary = build(
+            "partitioned-gss", memory_bytes=16384, params={"partitions": 2}
+        )
+        session = StreamSession(summary)
+        session.feed([("a", "b", 1.0, 5), ("a", "b", 2.0, 6), ("b", "c", 1.5, 7)])
+        assert summary.edge_query("a", "b") == 3.0
+        assert summary.edge_query("b", "c") == 1.5
+        assert sum(session.stats.shard_items) == 3
