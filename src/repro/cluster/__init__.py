@@ -1,8 +1,10 @@
 """``repro.cluster`` — sharded deployment of the summaries.
 
 * :class:`ShardedSummary` — hash-partitions edges by source node over N
-  shards, in-process or worker processes, hashes each batch once and
-  pipelines it into each shard's ``update_many_hashed`` path, and serves
+  shards, in-process or worker processes, hashes each batch once (one
+  kernel call per all-string batch, see :mod:`repro.cluster.front_end`)
+  and pipelines each shard's hash columns into its ``ingest_columns``
+  path, and serves
   capability-gated fan-out queries (edge / successor / node-out-weight route
   to one shard; precursor and node-in-weight scatter-gather);
 * :mod:`repro.cluster.checkpoint` — whole-cluster checkpoint/recovery built

@@ -12,13 +12,28 @@ models that deployment once, for two kinds of shard handle:
   registry's ``partitioned-gss``, in the caller's process — both kinds apply
   requests through the same :class:`~repro.cluster.worker.Shard`, so the two
   deployments answer every query identically;
-* the shard summary must expose a hashed ingest path: the client hashes
-  every batch exactly once (node + routing hashes, see
-  :class:`~repro.streaming.batch.HashedBatch`); a worker receives the
-  precomputed columns down its pipe as one hashed-batch blob (see
-  :func:`~repro.streaming.batch.encode_hashed_batch`), or as the pickled
-  batch object when NumPy is unavailable, and an in-process shard receives
-  the batch object itself;
+* the shard summary must expose a column ingest path (``hash_spec`` +
+  ``ingest_columns``, as GSS has): the parent hashes every batch exactly
+  once — ``H(v)`` once per distinct node and the routing hash once per
+  distinct source, memoized across batches — and sends each shard one
+  ``columns`` message (:mod:`repro.cluster.front_end`): its ``(H(s), H(d),
+  weight)`` columns in stream order plus the ``(node, H(v))`` pairs to
+  record, with no per-item keys;
+* an all-string batch takes the kernel front end: one
+  ``gss_route_text_batch`` call hashes, routes and scatters it — or, for a
+  batch that arrives hashed off the network, ``gss_split_hashed_batch``
+  routes and scatters it — and each shard is sent only the nodes it has
+  never been sent.  Everything else (no kernel, non-string or
+  NUL-containing IDs, more than 64 shards) takes the Python front end,
+  which sends a shard its sub-batch's distinct node pairs — same message,
+  same answers;
+* a worker receives the message down its pipe as one columns blob, or as
+  the pickled :class:`~repro.cluster.front_end.ShardColumns` when NumPy is
+  unavailable, and an in-process shard receives the columns themselves;
+* scalar :meth:`ShardedSummary.update` calls are coalesced into one outbox
+  that is routed like an ``update_many`` batch when it fills, before the
+  next batch, and at every query or flush — so per-shard order is stream
+  order;
 * worker ingestion is pipelined: batches are queued without waiting, a
   bounded number of batches may be in flight per worker (back-pressure), and
   every query acts as a per-shard barrier because the pipes are FIFO;
@@ -41,6 +56,12 @@ import threading
 from time import perf_counter
 from typing import Dict, Hashable, Iterable, List, Optional, Set, Tuple, Union
 
+from repro.cluster.front_end import (
+    KernelFrontEnd,
+    ShardColumns,
+    encode_columns,
+    split_columns,
+)
 from repro.cluster.worker import Shard, worker_main
 from repro.hashing.hash_functions import hash_key
 from repro.hashing.vectorized import NUMPY_AVAILABLE
@@ -52,7 +73,7 @@ from repro.queries.primitives import (
     SummaryShims,
     UnsupportedQueryError,
 )
-from repro.streaming.batch import HashedBatch, HashSpec, encode_hashed_batch
+from repro.streaming.batch import HashedBatch, HashSpec
 
 __all__ = ["ClusterError", "ShardedSummary", "DEFAULT_ROUTING_SEED"]
 
@@ -196,16 +217,16 @@ class _WorkerHandle:
             if waited is not None:
                 self.obs_queue_wait.observe(perf_counter() - waited)
 
-    def send_hashed(self, batch: HashedBatch) -> None:
-        """Queue one routed :class:`HashedBatch` (an ``hbatch`` message).
+    def send_columns(self, columns: ShardColumns) -> None:
+        """Queue one shard's share of a batch (a ``columns`` message).
 
-        With NumPy the batch travels as its hashed-batch blob — raw column
-        bytes plus pickled keys, measurably cheaper to send than the pickled
-        batch object.  Without NumPy the batch object itself is pickled.
-        The worker applies both forms identically.
+        With NumPy the columns travel as one blob — raw column bytes plus
+        the pickled new-node list.  Without NumPy the
+        :class:`ShardColumns` of lists is pickled.  The worker applies both
+        forms identically.
         """
-        payload = encode_hashed_batch(batch) if NUMPY_AVAILABLE else batch
-        self._post(("hbatch", payload), len(batch))
+        payload = encode_columns(columns) if NUMPY_AVAILABLE else columns
+        self._post(("columns", payload), len(columns.weights))
 
     def send_request(self, message: Tuple) -> None:
         """Send a request whose reply will be collected later (fan-out)."""
@@ -299,8 +320,8 @@ class _InlineHandle:
         if self.obs_items is not None:
             self.obs_items.inc(item_count)
 
-    def send_hashed(self, batch: HashedBatch) -> None:
-        self._post(("hbatch", batch), len(batch))
+    def send_columns(self, columns: ShardColumns) -> None:
+        self._post(("columns", columns), len(columns.weights))
 
     def send_request(self, message: Tuple) -> None:
         self._reply = self.request(message)
@@ -328,8 +349,8 @@ class ShardedSummary(SummaryShims):
         The spec must carry sizing (a budget, expected edges, or an explicit
         size parameter); the registry's ``sharded-gss`` and
         ``partitioned-gss`` builders do the budget-splitting arithmetic.
-        The sketch must have a hashed ingest path (``hash_spec`` +
-        ``update_many_hashed``, as GSS has); any other raises
+        The sketch must have a column ingest path (``hash_spec`` +
+        ``ingest_columns``, as GSS has); any other raises
         :class:`ValueError`, after the shards it started are stopped.
     workers:
         Number of shards.
@@ -338,7 +359,7 @@ class ShardedSummary(SummaryShims):
         :data:`DEFAULT_ROUTING_SEED`).
     batch_size:
         Scalar ``update`` calls are coalesced client-side into batches of
-        this size before being queued to a shard.
+        this size before being routed.
     max_pending_batches:
         Bound on in-flight batches per worker (ingestion back-pressure).
     start_method:
@@ -445,18 +466,18 @@ class ShardedSummary(SummaryShims):
             raise ValueError(
                 f"cannot shard {getattr(inner_spec, 'sketch', inner_spec)!r}: "
                 "its summary has no hashed ingest path (hash_spec + "
-                "update_many_hashed)"
+                "ingest_columns)"
             )
         if self._obs is not None:
             self._attach_obs_instruments()
-        self._shard_spec = shard_spec
         self._client_spec = shard_spec.with_routing(routing_seed)
+        # The front ends (repro.cluster.front_end): the kernel's, when it
+        # can run here, and the Python one's cross-batch hash memos.
+        self._kernel = KernelFrontEnd.create(self._client_spec, workers)
         self._node_memo: Dict[Hashable, int] = {}
         self._route_memo: Dict[Hashable, int] = {}
-        # Client-side coalescing buffers for scalar updates.
-        self._outbox: List[List[Tuple[Hashable, Hashable, float]]] = [
-            [] for _ in range(workers)
-        ]
+        # Client-side coalescing buffer for scalar updates.
+        self._outbox: List[Tuple[Hashable, Hashable, float]] = []
 
     # -- routing -------------------------------------------------------------
 
@@ -483,48 +504,41 @@ class ShardedSummary(SummaryShims):
     # -- updates -------------------------------------------------------------
 
     def update(self, source: Hashable, destination: Hashable, weight: float = 1.0) -> None:
-        """Route one stream item to its shard (coalesced client-side)."""
+        """Queue one stream item (coalesced client-side, routed in batches)."""
         with self._lock:
             self._ensure_open()
-            shard = self.shard_of(source)
-            outbox = self._outbox[shard]
-            outbox.append((source, destination, weight))
+            self._outbox.append((source, destination, weight))
             self._update_count += 1
-            if len(outbox) >= self.batch_size:
-                self._dispatch(shard, outbox)
-                self._outbox[shard] = []
+            if len(self._outbox) >= self.batch_size:
+                self._send_outbox()
 
     def update_many(self, items: Iterable[Tuple[Hashable, Hashable, float]]) -> int:
-        """Hash a batch once, split it by shard, and queue each group.
+        """Hash a batch once, split it by shard, and queue each shard's part.
 
         Returns the number of items routed.  The call does *not* wait for the
         workers to apply the batches — :meth:`flush` (or any query) is the
         barrier — which is what lets routing and shard ingestion overlap
-        across processes.  The items become one
-        :class:`~repro.streaming.batch.HashedBatch` (node and routing hashes
-        computed once, vectorized when NumPy is available) whose shard
-        sub-batches carry their hash columns all the way into the workers'
-        matrix backends.
+        across processes.  Queued scalar updates go first, in the same
+        front-end pass (see :mod:`repro.cluster.front_end`).
         """
         with self._lock:
             self._ensure_open()
-            return self.update_many_hashed(
-                HashedBatch.from_items(
-                    items,
-                    self._client_spec,
-                    node_memo=self._node_memo,
-                    route_memo=self._route_memo,
-                )
-            )
+            batch = items if isinstance(items, list) else list(items)
+            count = len(batch)
+            if self._outbox:
+                batch = self._outbox + batch
+                self._outbox = []
+            self._route(batch)
+            self._update_count += count
+            return count
 
     def update_many_hashed(self, batch: HashedBatch) -> int:
-        """Route a prepared :class:`HashedBatch` to its owning shard workers.
+        """Route a prepared :class:`HashedBatch` to its owning shards.
 
-        A batch built under a different hash family (or without routing
-        hashes) is re-hashed once here, since batches may arrive off the
-        network; a matching batch — :meth:`update_many`'s own, or a serve
-        client's built against :meth:`hash_spec` — flows through with no
-        additional hash work.
+        A batch built under this cluster's :meth:`hash_spec` — a serve
+        client's ``FRAME_HBATCH`` — is split by its route column with no
+        hash work; any other batch is re-hashed once through
+        :meth:`update_many`, since batches may arrive off the network.
         """
         with self._lock:
             self._ensure_open()
@@ -535,35 +549,51 @@ class ShardedSummary(SummaryShims):
                 or batch.spec.routing_seed != self._routing_seed
                 or batch.route_hashes is None
             ):
-                batch = HashedBatch.from_items(
-                    batch.items(),
-                    self._client_spec,
-                    node_memo=self._node_memo,
-                    route_memo=self._route_memo,
-                )
-            count = 0
+                return self.update_many(batch.items())
+            self._send_outbox()
             with obs_trace.span("cluster.route", registry=self._obs):
-                for shard, sub_batch in batch.split_by_route(self.workers):
-                    if self._outbox[shard]:
-                        # Preserve stream order within the shard: coalesced
-                        # scalar updates queued before this batch must be
-                        # applied first.
-                        self._dispatch(shard, self._outbox[shard])
-                        self._outbox[shard] = []
-                    self._handles[shard].send_hashed(sub_batch)
-                    count += len(sub_batch)
+                parts = None
+                if self._kernel is not None:
+                    parts = self._kernel.split_hashed(batch)
+                count = self._send(
+                    split_columns(batch, self.workers) if parts is None else parts
+                )
             self._update_count += count
             return count
 
-    def _dispatch(self, shard: int, triples: List[Tuple[Hashable, Hashable, float]]) -> None:
-        """Ship already-routed triples to one shard through the data plane.
+    def _route(self, items: List) -> None:
+        """Hash and route ``items`` through the kernel front end, or the
+        Python one where the kernel cannot take them (lock held)."""
+        if not items:
+            return
+        parts = self._kernel.route(items) if self._kernel is not None else None
+        if parts is None:
+            parts = split_columns(
+                HashedBatch.from_items(
+                    items,
+                    self._client_spec,
+                    node_memo=self._node_memo,
+                    route_memo=self._route_memo,
+                ),
+                self.workers,
+            )
+        with obs_trace.span("cluster.route", registry=self._obs):
+            self._send(parts)
 
-        Built under the workers' own spec (no routing seed): the triples are
-        already grouped by shard, so only node hashes are needed.
-        """
-        self._handles[shard].send_hashed(
-            HashedBatch.from_items(triples, self._shard_spec, node_memo=self._node_memo)
-        )
+    def _send(self, parts: Iterable[Tuple[int, ShardColumns]]) -> int:
+        """Queue each shard's columns (the Python split runs lazily, inside
+        the caller's ``cluster.route`` span); return the items sent."""
+        count = 0
+        for shard, columns in parts:
+            self._handles[shard].send_columns(columns)
+            count += len(columns.weights)
+        return count
+
+    def _send_outbox(self) -> None:
+        """Route the queued scalar updates (lock held)."""
+        if self._outbox:
+            items, self._outbox = self._outbox, []
+            self._route(items)
 
     def ingest(self, edges) -> "ShardedSummary":
         """Feed an iterable of :class:`~repro.streaming.edge.StreamEdge`."""
@@ -579,7 +609,7 @@ class ShardedSummary(SummaryShims):
         """
         with self._lock:
             self._ensure_open()
-            self._send_outboxes()
+            self._send_outbox()
             for handle in self._handles:
                 handle.drain()
             if self._obs is not None:
@@ -587,27 +617,20 @@ class ShardedSummary(SummaryShims):
                 # worker is idle, so its snapshot covers all routed items.
                 self._collect_worker_obs()
 
-    def _send_outboxes(self, only: Optional[int] = None) -> None:
-        shards = range(self.workers) if only is None else (only,)
-        for shard in shards:
-            if self._outbox[shard]:
-                self._dispatch(shard, self._outbox[shard])
-                self._outbox[shard] = []
-
     # -- query primitives ----------------------------------------------------
 
     def _ask_one(self, shard: int, method: str, *args):
         """Route one query to one shard (pending batches apply first: FIFO)."""
         with self._lock:
             self._ensure_open()
-            self._send_outboxes(only=shard)
+            self._send_outbox()
             return self._handles[shard].request(("call", method, args))
 
     def _ask_all(self, method: str, *args) -> List:
         """Scatter one query to every shard, then gather in shard order."""
         with self._lock:
             self._ensure_open()
-            self._send_outboxes()
+            self._send_outbox()
             for handle in self._handles:
                 handle.send_request(("call", method, args))
             return [handle.collect() for handle in self._handles]
@@ -646,15 +669,15 @@ class ShardedSummary(SummaryShims):
         """Cumulative per-shard routing stats (see :class:`ShardIngestStats`).
 
         ``items_routed`` counts every item handed to each shard (including
-        items still sitting in client buffers or worker queues);
-        ``queue_depth_high_water`` is the largest number of batches that were
-        in flight to any single worker at once — the observable measure of
-        routing imbalance and worker lag.
+        items still in worker queues: queued scalar updates are routed
+        first); ``queue_depth_high_water`` is the largest number of batches
+        that were in flight to any single worker at once — the observable
+        measure of routing imbalance and worker lag.
         """
-        routed = [
-            handle.items_routed + len(self._outbox[shard])
-            for shard, handle in enumerate(self._handles)
-        ]
+        with self._lock:
+            if not self._closed:
+                self._send_outbox()
+        routed = [handle.items_routed for handle in self._handles]
         high_water = max((handle.high_water for handle in self._handles), default=0)
         return ShardIngestStats(items_routed=routed, queue_depth_high_water=high_water)
 

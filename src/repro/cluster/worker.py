@@ -7,9 +7,11 @@ serves a tiny message protocol over a :class:`multiprocessing.Pipe`:
 ============== ============================== ==================================
 request        payload                        reply payload
 ============== ============================== ==================================
-``hbatch``     a hashed-batch blob, or a      number of items applied
-               pickled ``HashedBatch``
-               without NumPy
+``columns``    one shard's hash columns and   number of items applied
+               new node pairs: a columns
+               blob, or a pickled
+               ``ShardColumns`` without
+               NumPy
 ``call``       (method name, args tuple)      the method's return value (an
                                               attribute's value when it is
                                               not callable)
@@ -33,7 +35,13 @@ that a ``call`` sent afterwards observes every prior batch.
 
 The data and query requests are applied by :class:`Shard`, which an
 in-process cluster also holds directly (one per shard, no pipe), so both
-deployments answer through the same code.
+deployments answer through the same code.  A ``columns`` request (see
+:mod:`repro.cluster.front_end`) carries the shard's ``(H(s), H(d),
+weight)`` columns in stream order and the ``(node, H(v))`` pairs to record;
+the shard records the pairs with one ``NodeIndex.record_new_many`` and
+places the columns with one batch ingest call — no per-item keys and no
+per-item loop.  A malformed message raises :class:`ValueError` before the
+summary is touched.
 
 The module is import-light on purpose: :mod:`repro.api` is imported inside
 :class:`Shard` (i.e. when a shard is built) so that ``repro.cluster`` can be
@@ -45,8 +53,8 @@ from __future__ import annotations
 import traceback
 from typing import Any, Dict, Optional
 
+from repro.cluster.front_end import checked_columns, decode_columns
 from repro.obs import trace as obs_trace
-from repro.streaming.batch import decode_hashed_batch
 
 
 class Shard:
@@ -57,9 +65,10 @@ class Shard:
     handle.  The summary is built from ``spec`` with the registry's
     ``build``, or restored from ``snapshot`` with its ``from_dict``
     (``backend`` optionally re-targets the restored matrix backend).
-    :attr:`hash_spec` is the summary's hash spec when it has a hashed ingest
-    path, else ``None`` — a :class:`~repro.cluster.ShardedSummary` refuses
-    such a shard, so every shard it keeps ingests ``hbatch`` requests.
+    :attr:`hash_spec` is the summary's hash spec when it has a column
+    ingest path (``hash_spec`` + ``ingest_columns``), else ``None`` — a
+    :class:`~repro.cluster.ShardedSummary` refuses such a shard, so every
+    shard it keeps ingests ``columns`` requests.
     """
 
     def __init__(
@@ -77,13 +86,13 @@ class Shard:
         else:
             self.summary = build(spec)
         spec_of = getattr(self.summary, "hash_spec", None)
-        hashed = callable(getattr(self.summary, "update_many_hashed", None))
+        hashed = callable(getattr(self.summary, "ingest_columns", None))
         self.hash_spec = spec_of() if hashed and callable(spec_of) else None
         #: Items-applied counter, set when the worker's telemetry is on.
         self.obs_items = None
 
     def apply(self, request) -> Any:
-        """Apply one ``hbatch``/``call``/``snapshot`` request and return its
+        """Apply one ``columns``/``call``/``snapshot`` request and return its
         reply payload."""
         operation = request[0]
         if operation == "call":
@@ -95,13 +104,15 @@ class Shard:
         if operation == "snapshot":
             with obs_trace.span("worker.snapshot", shard=self.worker_id):
                 return self.summary.to_dict()
-        if operation != "hbatch":
+        if operation != "columns":
             raise ValueError(f"unknown request {operation!r}")
-        batch = request[1]
+        payload = request[1]
         with obs_trace.span("worker.ingest", shard=self.worker_id):
-            if isinstance(batch, bytes):
-                batch = decode_hashed_batch(batch, 0, len(batch), self.hash_spec)
-            applied = self.summary.update_many_hashed(batch)
+            if isinstance(payload, bytes):
+                columns = decode_columns(payload)
+            else:
+                columns = checked_columns(payload)
+            applied = self.summary.ingest_columns(*columns)
         if self.obs_items is not None:
             self.obs_items.inc(applied)
         return applied

@@ -179,8 +179,7 @@ def _bind(path: Path) -> ctypes.CDLL:
         c.c_void_p,  # fill
         c.c_void_p, c.c_void_p, c.c_void_p,  # spill keys/sums/count
         c.c_void_p, c.c_void_p, c.c_void_p,  # rebuf keys/sums/count
-        c.c_void_p, c.c_void_p, c.c_void_p,  # new-node offs/lens/hashes
-        c.c_void_p,  # new-node count
+        c.c_void_p, c.c_void_p, c.c_void_p,  # new-node tokens/hashes/count
     ]
     lib.gss_neighbor_scan.restype = c.c_int64
     lib.gss_neighbor_scan.argtypes = [
@@ -192,6 +191,32 @@ def _bind(path: Path) -> ctypes.CDLL:
         c.c_void_p, c.c_void_p,  # src_idx, dst_idx
         c.c_void_p,  # fill
         c.c_void_p,  # out
+    ]
+    lib.gss_router_new.restype = c.c_void_p
+    lib.gss_router_new.argtypes = [c.c_int64]
+    lib.gss_router_free.restype = None
+    lib.gss_router_free.argtypes = [c.c_void_p]
+    lib.gss_route_text_batch.restype = c.c_int64
+    lib.gss_route_text_batch.argtypes = [
+        c.c_void_p,  # router
+        c.c_char_p, c.c_int64,  # blob, blob_len
+        c.c_void_p, c.c_int64,  # weights, n
+        c.c_uint64, c.c_uint64, c.c_uint64,  # node / route FNV states, hash_range
+        c.c_void_p, c.c_void_p, c.c_void_p,  # out src / dst hashes, weights
+        c.c_void_p,  # per-shard item counts
+        c.c_void_p, c.c_void_p, c.c_void_p,  # new-node tokens/hashes/per-shard counts
+    ]
+    lib.gss_split_hashed_batch.restype = c.c_int64
+    lib.gss_split_hashed_batch.argtypes = [
+        c.c_void_p,  # router
+        c.c_char_p, c.c_int64,  # source blob, length
+        c.c_char_p, c.c_int64,  # destination blob, length
+        c.c_void_p, c.c_void_p,  # source / destination hashes
+        c.c_void_p, c.c_void_p,  # routing hashes, weights
+        c.c_int64,  # n
+        c.c_void_p, c.c_void_p, c.c_void_p,  # out src / dst hashes, weights
+        c.c_void_p,  # per-shard item counts
+        c.c_void_p, c.c_void_p, c.c_void_p,  # new-node tokens/hashes/per-shard counts
     ]
     return lib
 

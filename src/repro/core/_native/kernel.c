@@ -27,9 +27,21 @@
  * probe, not a rehash of Python machinery), packs the edge keys and then
  * runs the exact pipeline above — so for string node IDs an entire
  * update_many() batch crosses the Python/kernel boundary once.  Genuinely
- * new nodes come back as (blob offset, length, hash) triples so Python can
- * register them in the reverse node index in the same first-seen
- * interleaved order the scalar backends use.
+ * new nodes come back as (token index, hash) pairs so Python can register
+ * them in the reverse node index in the same first-seen interleaved order
+ * the scalar backends use.
+ *
+ * gss_route_text_batch() is the sharded deployment's front end, run in the
+ * parent over the same blob: against its own persistent node table
+ * (gss_router) it hashes each token — H(v) once per distinct node, the
+ * routing hash once per distinct source — routes each item to shard
+ * route % shards, writes every shard's (H(s), H(d), weight) columns in
+ * stream order, and reports per shard the nodes that shard has never been
+ * sent (a per-node shard bitmask, so at most 64 shards).  The workers then
+ * place their columns with gss_ingest_batch().  gss_split_hashed_batch() is
+ * its twin for batches that arrive hashed (the serve protocol): it routes
+ * by the given routing hashes and keeps the same node table and masks,
+ * hashing nothing.
  *
  * gss_neighbor_scan() answers the matrix half of a successor (precursor)
  * query the way Section V of the paper does: it walks the node's r rows
@@ -38,12 +50,13 @@
  * the column (row), its fingerprint and its index (Theorem 1).  The cost is
  * O(r * m * l) slots, whatever the number of stored edges.
  *
- * The edge->slot map and the node table are the kernel's only persistent
- * state (gss_ctx).  Room arrays, the per-bucket fill table and the
- * left-over buffer stay owned by Python: rooms and fill are written through
- * pointers, buffer spills are returned as (key, aggregated-weight) arrays
- * because the buffer is an exact adjacency structure with Python dict
- * semantics.
+ * The edge->slot map and the node table are a sketch's only persistent
+ * kernel state (gss_ctx); a router (gss_router) holds its node table and
+ * the per-node routed shard and sent-shards mask.  Room arrays, the
+ * per-bucket fill table and the left-over buffer stay owned by Python:
+ * rooms and fill are written through pointers, buffer spills are returned
+ * as (key, aggregated-weight) arrays because the buffer is an exact
+ * adjacency structure with Python dict semantics.
  *
  * Equivalence with the python backend is load-bearing and exact:
  * the FNV/splitmix node hashes, the LCG walks, the probe order, the
@@ -66,21 +79,37 @@
 #define EMPTY_KEY UINT64_MAX
 
 /* FNV-1a multiplier; the seeded initial state arrives precomputed from
- * Python (FNV offset basis XOR splitmix64(seed)), see hash_functions.py. */
+ * Python (FNV offset basis XOR splitmix64(seed)), see hash_functions.py.
+ * The node tables' slot hash starts from the bare offset basis. */
 #define FNV_PRIME 0x100000001B3ULL
+#define FNV_OFFSET 0xCBF29CE484222325ULL
 
-/* Node-table entry: one distinct node identifier ever seen by the text
- * path.  The identifier's bytes live in the context's arena; h64 is the
- * full 64-bit mix (also the table position hash) and hmod the sketch hash
- * H(v) = h64 % hash_range.  used distinguishes live entries because the
- * empty string is a valid zero-length node ID. */
+/* Node-table entry: one distinct node identifier ever seen by a text path,
+ * stored densely in first-seen order — entry id - 1 for the node's 1-based
+ * ordinal id, which also indexes the owner's per-node side arrays.  The
+ * identifier's bytes are arena[off, off + len) and hmod is its sketch hash
+ * H(v). */
 typedef struct {
-    uint64_t off;
-    uint64_t h64;
     uint64_t hmod;
+    uint32_t off;
     uint32_t len;
-    uint32_t used;
 } node_entry;
+
+/* Persistent bytes->hash table: open-addressing slots (linear probing,
+ * pow2) holding entry ids, 0 for empty, placed by the FNV-1a / splitmix64
+ * mix of the bytes from the unseeded offset basis — so a token that arrives
+ * already hashed finds its entry without its sketch hash being computed.
+ * The arena is capped at 4 GiB (32-bit offsets). */
+typedef struct {
+    uint32_t *slots;
+    int64_t cap;
+    node_entry *entries;
+    int64_t entry_cap;
+    int64_t count;
+    unsigned char *arena;
+    int64_t arena_len;
+    int64_t arena_cap;
+} node_table;
 
 typedef struct {
     /* persistent edge->slot open-addressing table (linear probing, pow2) */
@@ -90,13 +119,8 @@ typedef struct {
     int64_t count;
     int has_max_key;
     int64_t max_key_val;
-    /* persistent node bytes->hash table + byte arena (text path memo) */
-    node_entry *nodes;
-    int64_t node_cap;
-    int64_t node_count;
-    unsigned char *arena;
-    int64_t arena_len;
-    int64_t arena_cap;
+    /* persistent node table (text path memo) */
+    node_table nodes;
     /* per-batch scratch, grown on demand and reused across batches */
     uint64_t *bkeys;   /* batch aggregation table: key -> unique index */
     int64_t *bvals;
@@ -109,6 +133,25 @@ typedef struct {
     uint64_t *tkeys;   /* text path: packed keys per batch item */
     int64_t tcap;
 } gss_ctx;
+
+/* The sharded deployment's front end (gss_route_text_batch): one node
+ * table, the shard each node routes to as a source, and which shards have
+ * been sent each node.  Per-node arrays are indexed by the entry's id - 1. */
+#define ROUTER_MAX_SHARDS 64
+
+typedef struct {
+    node_table nodes;
+    int64_t shards;
+    int8_t *home;      /* routed shard, -1 until the node is seen as a source */
+    uint8_t *sent;     /* sent_bytes per node; bit k: shard k has the node */
+    int64_t sent_bytes;
+    int64_t node_cap;  /* capacity of home / sent, in nodes */
+    /* per-batch scratch, grown on demand and reused across batches */
+    uint64_t *tok_hash;  /* H(v) per token */
+    uint8_t *tok_new;    /* 1 when the token is its node's first to its shard */
+    int8_t *item_shard;
+    int64_t tok_cap;
+} gss_router;
 
 /* Exported ABI.  Every non-static function below must appear here (the
  * build runs with -Wmissing-prototypes under -Werror) and must stay in
@@ -149,8 +192,7 @@ int64_t gss_ingest_text_batch(
     uint8_t *fill,
     uint64_t *spill_keys, double *spill_sums, int64_t *spill_count,
     uint64_t *rebuf_keys, double *rebuf_sums, int64_t *rebuf_count,
-    int64_t *new_offs, int64_t *new_lens, uint64_t *new_hashes,
-    int64_t *new_count);
+    int64_t *new_tokens, uint64_t *new_hashes, int64_t *new_count);
 int64_t gss_neighbor_scan(
     uint64_t node_hash, int32_t forward,
     uint64_t fp_range, int64_t width, int64_t rooms,
@@ -160,6 +202,25 @@ int64_t gss_neighbor_scan(
     const int64_t *src_idx_arr, const int64_t *dst_idx_arr,
     const uint8_t *fill,
     uint64_t *out);
+gss_router *gss_router_new(int64_t shards);
+void gss_router_free(gss_router *router);
+int64_t gss_route_text_batch(
+    gss_router *router,
+    const unsigned char *blob, int64_t blob_len,
+    const double *weights, int64_t n,
+    uint64_t node_state0, uint64_t route_state0, uint64_t hash_range,
+    uint64_t *out_src, uint64_t *out_dst, double *out_weights,
+    int64_t *item_counts,
+    int64_t *new_tokens, uint64_t *new_hashes, int64_t *new_counts);
+int64_t gss_split_hashed_batch(
+    gss_router *router,
+    const unsigned char *src_blob, int64_t src_len,
+    const unsigned char *dst_blob, int64_t dst_len,
+    const uint64_t *src_hashes, const uint64_t *dst_hashes,
+    const uint64_t *route_hashes, const double *weights, int64_t n,
+    uint64_t *out_src, uint64_t *out_dst, double *out_weights,
+    int64_t *item_counts,
+    int64_t *new_tokens, uint64_t *new_hashes, int64_t *new_counts);
 
 static uint64_t mix_key(uint64_t value) {
     /* splitmix64 finalizer — identical to hash_functions._splitmix64 */
@@ -180,18 +241,119 @@ static inline uint64_t mod_m31(uint64_t value) {
     return value;
 }
 
+/* Seeded FNV-1a over the token, then the splitmix64 finalizer —
+ * hash_functions.hash_string byte for byte. */
+static uint64_t hash_token(const unsigned char *token, uint32_t len, uint64_t state) {
+    for (uint32_t b = 0; b < len; b++) {
+        state ^= token[b];
+        state *= FNV_PRIME;
+    }
+    return mix_key(state);
+}
+
+static int node_table_init(node_table *table) {
+    memset(table, 0, sizeof(*table));
+    table->cap = 1024;
+    table->slots = (uint32_t *)calloc((size_t)table->cap, sizeof(uint32_t));
+    return table->slots ? 0 : -1;
+}
+
+static void node_table_free(node_table *table) {
+    free(table->slots);
+    free(table->entries);
+    free(table->arena);
+}
+
+/* Grow the table so `tokens` more nodes fit under 70% load and the arena so
+ * `bytes` more identifier bytes fit.  A batch reserves its worst case up
+ * front, so node_lookup never allocates and a failed batch leaves the table
+ * untouched. */
+static int node_reserve(node_table *table, int64_t tokens, int64_t bytes) {
+    if (table->arena_len + bytes > (int64_t)UINT32_MAX) return -1;
+    int64_t cap = table->cap;
+    while ((table->count + tokens) * 10 >= cap * 7) cap *= 2;
+    if (cap != table->cap) {
+        uint32_t *slots = (uint32_t *)calloc((size_t)cap, sizeof(uint32_t));
+        if (!slots) return -1;
+        uint64_t mask = (uint64_t)cap - 1;
+        for (int64_t i = 0; i < table->count; i++) {
+            const node_entry *entry = &table->entries[i];
+            uint64_t pos = hash_token(table->arena + entry->off, entry->len, FNV_OFFSET) & mask;
+            while (slots[pos]) pos = (pos + 1) & mask;
+            slots[pos] = (uint32_t)(i + 1);
+        }
+        free(table->slots);
+        table->slots = slots;
+        table->cap = cap;
+    }
+    if (table->count + tokens > table->entry_cap) {
+        int64_t entry_cap = table->entry_cap ? table->entry_cap : 1024;
+        while (entry_cap < table->count + tokens) entry_cap *= 2;
+        node_entry *entries =
+            (node_entry *)realloc(table->entries, (size_t)entry_cap * sizeof(node_entry));
+        if (!entries) return -1;
+        table->entries = entries;
+        table->entry_cap = entry_cap;
+    }
+    if (table->arena_len + bytes > table->arena_cap) {
+        int64_t arena_cap = table->arena_cap ? table->arena_cap : 65536;
+        while (arena_cap < table->arena_len + bytes) arena_cap *= 2;
+        unsigned char *arena = (unsigned char *)realloc(table->arena, (size_t)arena_cap);
+        if (!arena) return -1;
+        table->arena = arena;
+        table->arena_cap = arena_cap;
+    }
+    return 0;
+}
+
+/* The token's entry, added (bytes copied into the arena, *added set) when
+ * the node is new; the caller then sets the new entry's hmod.  Needs a
+ * prior node_reserve covering the addition. */
+static node_entry *node_lookup(node_table *table, const unsigned char *token,
+                               uint32_t len, int *added) {
+    uint64_t mask = (uint64_t)table->cap - 1;
+    for (uint64_t pos = hash_token(token, len, FNV_OFFSET) & mask;; pos = (pos + 1) & mask) {
+        uint32_t id = table->slots[pos];
+        if (!id) {
+            node_entry *entry = &table->entries[table->count];
+            memcpy(table->arena + table->arena_len, token, len);
+            entry->off = (uint32_t)table->arena_len;
+            entry->len = len;
+            entry->hmod = 0;
+            table->slots[pos] = (uint32_t)(++table->count);
+            table->arena_len += len;
+            *added = 1;
+            return entry;
+        }
+        node_entry *entry = &table->entries[id - 1];
+        if (entry->len == len && memcmp(table->arena + entry->off, token, len) == 0) {
+            *added = 0;
+            return entry;
+        }
+    }
+}
+
+/* Number of NUL separators in the blob: a batch of k tokens has k - 1. */
+static int64_t count_separators(const unsigned char *blob, int64_t blob_len) {
+    int64_t seps = 0;
+    const unsigned char *p = blob;
+    const unsigned char *end = blob + blob_len;
+    while (p < end && (p = memchr(p, 0, (size_t)(end - p))) != NULL) {
+        seps++;
+        p++;
+    }
+    return seps;
+}
+
 gss_ctx *gss_new(void) {
     gss_ctx *ctx = (gss_ctx *)calloc(1, sizeof(gss_ctx));
     if (!ctx) return NULL;
     ctx->capacity = 1024;
     ctx->keys = (uint64_t *)malloc((size_t)ctx->capacity * sizeof(uint64_t));
     ctx->vals = (int64_t *)malloc((size_t)ctx->capacity * sizeof(int64_t));
-    ctx->node_cap = 1024;
-    ctx->nodes = (node_entry *)calloc((size_t)ctx->node_cap, sizeof(node_entry));
-    if (!ctx->keys || !ctx->vals || !ctx->nodes) {
+    if (!ctx->keys || !ctx->vals || node_table_init(&ctx->nodes) != 0) {
         free(ctx->keys);
         free(ctx->vals);
-        free(ctx->nodes);
         free(ctx);
         return NULL;
     }
@@ -204,8 +366,7 @@ void gss_free(gss_ctx *ctx) {
     if (!ctx) return;
     free(ctx->keys);
     free(ctx->vals);
-    free(ctx->nodes);
-    free(ctx->arena);
+    node_table_free(&ctx->nodes);
     free(ctx->bkeys);
     free(ctx->bvals);
     free(ctx->ukeys);
@@ -285,41 +446,6 @@ int gss_map_put(gss_ctx *ctx, uint64_t key, int64_t val) {
 }
 
 int64_t gss_map_len(gss_ctx *ctx) { return ctx->count; }
-
-static int node_grow(gss_ctx *ctx) {
-    int64_t old_cap = ctx->node_cap;
-    node_entry *old = ctx->nodes;
-    int64_t cap = old_cap * 2;
-    node_entry *nodes = (node_entry *)calloc((size_t)cap, sizeof(node_entry));
-    if (!nodes) return -1;
-    uint64_t mask = (uint64_t)cap - 1;
-    for (int64_t i = 0; i < old_cap; i++) {
-        if (!old[i].used) continue;
-        uint64_t pos = old[i].h64 & mask;
-        while (nodes[pos].used) pos = (pos + 1) & mask;
-        nodes[pos] = old[i];
-    }
-    free(old);
-    ctx->nodes = nodes;
-    ctx->node_cap = cap;
-    return 0;
-}
-
-static int arena_append(gss_ctx *ctx, const unsigned char *data, uint32_t len,
-                        uint64_t *off_out) {
-    if (ctx->arena_len + (int64_t)len > ctx->arena_cap) {
-        int64_t cap = ctx->arena_cap ? ctx->arena_cap * 2 : 65536;
-        while (cap < ctx->arena_len + (int64_t)len) cap *= 2;
-        unsigned char *arena = (unsigned char *)realloc(ctx->arena, (size_t)cap);
-        if (!arena) return -1;
-        ctx->arena = arena;
-        ctx->arena_cap = cap;
-    }
-    memcpy(ctx->arena + ctx->arena_len, data, len);
-    *off_out = (uint64_t)ctx->arena_len;
-    ctx->arena_len += len;
-    return 0;
-}
 
 static int ensure_scratch(gss_ctx *ctx, int64_t n, int64_t seq_length) {
     /* batch table capacity: pow2 >= 2n (max 50% load) */
@@ -557,77 +683,38 @@ int64_t gss_ingest_text_batch(
     uint8_t *fill,
     uint64_t *spill_keys, double *spill_sums, int64_t *spill_count,
     uint64_t *rebuf_keys, double *rebuf_sums, int64_t *rebuf_count,
-    int64_t *new_offs, int64_t *new_lens, uint64_t *new_hashes,
-    int64_t *new_count)
+    int64_t *new_tokens, uint64_t *new_hashes, int64_t *new_count)
 {
     if (n <= 0) return 0;
     /* Defensive token-count check (Python already screens for embedded
-     * NULs); runs before any mutation so -2 is a clean fallback. */
-    int64_t seps = 0;
-    {
-        const unsigned char *p = blob;
-        const unsigned char *end = blob + blob_len;
-        while (p < end && (p = memchr(p, 0, (size_t)(end - p))) != NULL) {
-            seps++;
-            p++;
-        }
-    }
-    if (seps != 2 * n - 1) return -2;
+     * NULs); it and every allocation run before any mutation, so -2 is a
+     * clean fallback and -1 leaves the node table untouched. */
+    if (count_separators(blob, blob_len) != 2 * n - 1) return -2;
     if (n > ctx->tcap) {
         free(ctx->tkeys);
         ctx->tkeys = (uint64_t *)malloc((size_t)n * sizeof(uint64_t));
         if (!ctx->tkeys) return -1;
         ctx->tcap = n;
     }
+    if (node_reserve(&ctx->nodes, 2 * n, blob_len) != 0) return -1;
     *new_count = 0;
     uint64_t prev_hmod = 0;
     int64_t tok_start = 0;
     int64_t t = 0;
     for (int64_t i = 0; i <= blob_len; i++) {
         if (i < blob_len && blob[i] != 0) continue;
-        /* token = blob[tok_start:i): FNV-1a from the seeded state, then the
-         * splitmix64 finalizer — hash_functions.hash_string byte for byte */
+        /* token t = blob[tok_start:i), memoized in the node table; first
+         * sightings are reported */
         uint32_t len = (uint32_t)(i - tok_start);
-        uint64_t state = fnv_state0;
-        for (int64_t b = tok_start; b < i; b++) {
-            state ^= blob[b];
-            state *= FNV_PRIME;
+        int added;
+        node_entry *entry = node_lookup(&ctx->nodes, blob + tok_start, len, &added);
+        if (added) {
+            entry->hmod = hash_token(blob + tok_start, len, fnv_state0) % hash_range;
+            new_tokens[*new_count] = t;
+            new_hashes[*new_count] = entry->hmod;
+            (*new_count)++;
         }
-        uint64_t h64 = mix_key(state);
-        uint64_t hmod = h64 % hash_range;
-        /* memoize in the persistent node table; report first sightings */
-        uint64_t mask = (uint64_t)ctx->node_cap - 1;
-        uint64_t pos = h64 & mask;
-        for (;;) {
-            node_entry *entry = &ctx->nodes[pos];
-            if (!entry->used) {
-                if ((ctx->node_count + 1) * 10 >= ctx->node_cap * 7) {
-                    if (node_grow(ctx) != 0) return -1;
-                    mask = (uint64_t)ctx->node_cap - 1;
-                    pos = h64 & mask;
-                    while (ctx->nodes[pos].used) pos = (pos + 1) & mask;
-                    entry = &ctx->nodes[pos];
-                }
-                uint64_t off;
-                if (arena_append(ctx, blob + tok_start, len, &off) != 0)
-                    return -1;
-                entry->used = 1;
-                entry->off = off;
-                entry->len = len;
-                entry->h64 = h64;
-                entry->hmod = hmod;
-                ctx->node_count++;
-                new_offs[*new_count] = tok_start;
-                new_lens[*new_count] = (int64_t)len;
-                new_hashes[*new_count] = hmod;
-                (*new_count)++;
-                break;
-            }
-            if (entry->h64 == h64 && entry->len == len &&
-                memcmp(ctx->arena + entry->off, blob + tok_start, len) == 0)
-                break;
-            pos = (pos + 1) & mask;
-        }
+        uint64_t hmod = entry->hmod;
         if (t & 1)
             ctx->tkeys[t >> 1] = prev_hmod * hash_range + hmod;
         else
@@ -643,6 +730,250 @@ int64_t gss_ingest_text_batch(
         room_weights, fill,
         spill_keys, spill_sums, spill_count,
         rebuf_keys, rebuf_sums, rebuf_count);
+}
+
+/* Write each item's (H(s), H(d), weight) row into its shard's region of the
+ * out_* columns (shard 0 first, stream order within a shard) and each new
+ * token's (index, hash) into its shard's region of new_*, given the item's
+ * shard, the interleaved token hashes and new-token flags, and the per-shard
+ * counts. */
+static void scatter_shards(
+    int64_t n, int64_t shards,
+    const int8_t *item_shard, const uint64_t *tok_hash, const uint8_t *tok_new,
+    const double *weights,
+    const int64_t *item_counts, const int64_t *new_counts,
+    uint64_t *out_src, uint64_t *out_dst, double *out_weights,
+    int64_t *new_tokens, uint64_t *new_hashes)
+{
+    int64_t item_at[ROUTER_MAX_SHARDS];
+    int64_t new_at[ROUTER_MAX_SHARDS];
+    int64_t item_total = 0;
+    int64_t new_total = 0;
+    for (int64_t k = 0; k < shards; k++) {
+        item_at[k] = item_total;
+        new_at[k] = new_total;
+        item_total += item_counts[k];
+        new_total += new_counts[k];
+    }
+    for (int64_t i = 0; i < n; i++) {
+        int8_t k = item_shard[i];
+        int64_t row = item_at[k]++;
+        out_src[row] = tok_hash[2 * i];
+        out_dst[row] = tok_hash[2 * i + 1];
+        out_weights[row] = weights[i];
+        for (int64_t token_index = 2 * i; token_index <= 2 * i + 1; token_index++) {
+            if (!tok_new[token_index]) continue;
+            int64_t slot = new_at[k]++;
+            new_tokens[slot] = token_index;
+            new_hashes[slot] = tok_hash[token_index];
+        }
+    }
+}
+
+gss_router *gss_router_new(int64_t shards) {
+    if (shards < 1 || shards > ROUTER_MAX_SHARDS) return NULL;
+    gss_router *router = (gss_router *)calloc(1, sizeof(gss_router));
+    if (!router) return NULL;
+    if (node_table_init(&router->nodes) != 0) {
+        free(router);
+        return NULL;
+    }
+    router->shards = shards;
+    router->sent_bytes = (shards + 7) / 8;
+    return router;
+}
+
+void gss_router_free(gss_router *router) {
+    if (!router) return;
+    node_table_free(&router->nodes);
+    free(router->home);
+    free(router->sent);
+    free(router->tok_hash);
+    free(router->tok_new);
+    free(router->item_shard);
+    free(router);
+}
+
+/* Grow the per-node arrays and the per-batch scratch for a batch of n items
+ * (at most 2n new nodes).  Fresh per-node slots start unrouted and unsent. */
+static int router_reserve(gss_router *router, int64_t n, int64_t blob_len) {
+    if (node_reserve(&router->nodes, 2 * n, blob_len) != 0) return -1;
+    int64_t want = router->nodes.count + 2 * n;
+    if (want > router->node_cap) {
+        int64_t cap = router->node_cap ? router->node_cap : 1024;
+        while (cap < want) cap *= 2;
+        int8_t *home = (int8_t *)realloc(router->home, (size_t)cap);
+        if (!home) return -1;
+        router->home = home;
+        uint8_t *sent = (uint8_t *)realloc(router->sent, (size_t)(cap * router->sent_bytes));
+        if (!sent) return -1;
+        router->sent = sent;
+        memset(home + router->node_cap, -1, (size_t)(cap - router->node_cap));
+        memset(sent + router->node_cap * router->sent_bytes, 0,
+               (size_t)((cap - router->node_cap) * router->sent_bytes));
+        router->node_cap = cap;
+    }
+    if (2 * n > router->tok_cap) {
+        free(router->tok_hash);
+        free(router->tok_new);
+        free(router->item_shard);
+        router->tok_hash = (uint64_t *)malloc((size_t)(2 * n) * sizeof(uint64_t));
+        router->tok_new = (uint8_t *)malloc((size_t)(2 * n));
+        router->item_shard = (int8_t *)malloc((size_t)n);
+        if (!router->tok_hash || !router->tok_new || !router->item_shard) {
+            router->tok_cap = 0;
+            return -1;
+        }
+        router->tok_cap = 2 * n;
+    }
+    return 0;
+}
+
+/* The sharded deployment's whole front end for an all-string batch: blob
+ * holds 2n NUL-separated UTF-8 node IDs in interleaved (source, destination)
+ * stream order, as for gss_ingest_text_batch.  In one pass it
+ *
+ *   1. hashes each token through the router's node table — H(v) once per
+ *      distinct node, and the seed-97 routing hash (route_state0 is its
+ *      seeded FNV state) once per distinct source, the first time the node
+ *      is seen as a source — and routes the item to shard route % shards;
+ *   2. writes the shards' (H(s), H(d), weight) columns back to back, shard
+ *      0 first, each in stream order, with item_counts[k] rows for shard k;
+ *   3. reports, per shard and in first-seen interleaved order, the tokens
+ *      whose node that shard has never been sent (token index into the
+ *      batch, and H(v)), new_counts[k] of them for shard k, and marks them
+ *      sent.
+ *
+ * out_* need n entries, new_* 2n, the counts one per shard.  Returns the
+ * number of key hashes computed (node plus routing hashes), -1 on
+ * allocation failure or -2 when the token count does not match 2n; both
+ * are detected before any state changes. */
+int64_t gss_route_text_batch(
+    gss_router *router,
+    const unsigned char *blob, int64_t blob_len,
+    const double *weights, int64_t n,
+    uint64_t node_state0, uint64_t route_state0, uint64_t hash_range,
+    uint64_t *out_src, uint64_t *out_dst, double *out_weights,
+    int64_t *item_counts,
+    int64_t *new_tokens, uint64_t *new_hashes, int64_t *new_counts)
+{
+    int64_t shards = router->shards;
+    for (int64_t k = 0; k < shards; k++) {
+        item_counts[k] = 0;
+        new_counts[k] = 0;
+    }
+    if (n <= 0) return 0;
+    if (count_separators(blob, blob_len) != 2 * n - 1) return -2;
+    if (router_reserve(router, n, blob_len) != 0) return -1;
+
+    /* Pass 1 — hash, route, and flag first sightings per shard. */
+    int64_t hashed = 0;
+    int8_t shard = 0;
+    int64_t tok_start = 0;
+    int64_t t = 0;
+    for (int64_t i = 0; i <= blob_len; i++) {
+        if (i < blob_len && blob[i] != 0) continue;
+        const unsigned char *token = blob + tok_start;
+        uint32_t len = (uint32_t)(i - tok_start);
+        int added;
+        node_entry *entry = node_lookup(&router->nodes, token, len, &added);
+        if (added) {
+            entry->hmod = hash_token(token, len, node_state0) % hash_range;
+            hashed++;
+        }
+        int64_t id = entry - router->nodes.entries;
+        if (!(t & 1)) {
+            if (router->home[id] < 0) {
+                router->home[id] =
+                    (int8_t)(hash_token(token, len, route_state0) % (uint64_t)shards);
+                hashed++;
+            }
+            shard = router->home[id];
+            router->item_shard[t >> 1] = shard;
+            item_counts[shard]++;
+        }
+        uint8_t *sent = &router->sent[id * router->sent_bytes + (shard >> 3)];
+        uint8_t bit = (uint8_t)(1u << (shard & 7));
+        router->tok_hash[t] = entry->hmod;
+        router->tok_new[t] = (*sent & bit) == 0;
+        if (router->tok_new[t]) {
+            *sent |= bit;
+            new_counts[shard]++;
+        }
+        t++;
+        tok_start = i + 1;
+    }
+
+    scatter_shards(n, shards, router->item_shard, router->tok_hash, router->tok_new,
+                   weights, item_counts, new_counts,
+                   out_src, out_dst, out_weights, new_tokens, new_hashes);
+    return hashed;
+}
+
+/* gss_route_text_batch() for a batch that arrives hashed (the serve
+ * protocol's FRAME_HBATCH), all-string: src_blob and dst_blob hold the n
+ * source and n destination IDs NUL-separated, and the hash, routing-hash
+ * and weight columns arrive computed.  Item i goes to shard
+ * route_hashes[i] % shards and the outputs are gss_route_text_batch's,
+ * through the same node table and sent-shards masks, so each shard is
+ * sent only the nodes it has never been sent.  Nothing is hashed: a new
+ * node takes the hash it arrives with, and a token whose hash disagrees
+ * with its node's entry is always reported, so the shard's node index
+ * refuses it.  Returns 0, -1 on allocation failure or -2 when a blob's
+ * token count does not match n; both leave the router untouched. */
+int64_t gss_split_hashed_batch(
+    gss_router *router,
+    const unsigned char *src_blob, int64_t src_len,
+    const unsigned char *dst_blob, int64_t dst_len,
+    const uint64_t *src_hashes, const uint64_t *dst_hashes,
+    const uint64_t *route_hashes, const double *weights, int64_t n,
+    uint64_t *out_src, uint64_t *out_dst, double *out_weights,
+    int64_t *item_counts,
+    int64_t *new_tokens, uint64_t *new_hashes, int64_t *new_counts)
+{
+    int64_t shards = router->shards;
+    for (int64_t k = 0; k < shards; k++) {
+        item_counts[k] = 0;
+        new_counts[k] = 0;
+    }
+    if (n <= 0) return 0;
+    if (count_separators(src_blob, src_len) != n - 1 ||
+        count_separators(dst_blob, dst_len) != n - 1)
+        return -2;
+    if (router_reserve(router, n, src_len + dst_len) != 0) return -1;
+    const unsigned char *cursor[2] = {src_blob, dst_blob};
+    const unsigned char *end[2] = {src_blob + src_len, dst_blob + dst_len};
+    for (int64_t t = 0; t < 2 * n; t++) {
+        int side = (int)(t & 1);
+        int64_t i = t >> 1;
+        const unsigned char *token = cursor[side];
+        const unsigned char *stop = memchr(token, 0, (size_t)(end[side] - token));
+        if (!stop) stop = end[side];
+        cursor[side] = stop < end[side] ? stop + 1 : stop;
+        uint64_t hash = side ? dst_hashes[i] : src_hashes[i];
+        int added;
+        node_entry *entry = node_lookup(&router->nodes, token, (uint32_t)(stop - token),
+                                        &added);
+        if (added) entry->hmod = hash;
+        if (!side) {
+            router->item_shard[i] = (int8_t)(route_hashes[i] % (uint64_t)shards);
+            item_counts[router->item_shard[i]]++;
+        }
+        int8_t shard = router->item_shard[i];
+        int64_t id = entry - router->nodes.entries;
+        uint8_t *sent = &router->sent[id * router->sent_bytes + (shard >> 3)];
+        uint8_t bit = (uint8_t)(1u << (shard & 7));
+        router->tok_hash[t] = hash;
+        router->tok_new[t] = entry->hmod != hash || (*sent & bit) == 0;
+        if (router->tok_new[t]) {
+            if (entry->hmod == hash) *sent |= bit;
+            new_counts[shard]++;
+        }
+    }
+    scatter_shards(n, shards, router->item_shard, router->tok_hash, router->tok_new,
+                   weights, item_counts, new_counts,
+                   out_src, out_dst, out_weights, new_tokens, new_hashes);
+    return 0;
 }
 
 /* One LCG step q' = (a * q + b) % p, with the Mersenne fold for the default

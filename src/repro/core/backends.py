@@ -159,6 +159,11 @@ def make_backend(sketch) -> "PythonMatrixBackend":
     return PythonMatrixBackend(sketch)
 
 
+def _as_list(column) -> list:
+    """A column as a list (NumPy arrays give Python ints/floats)."""
+    return column if isinstance(column, list) else column.tolist()
+
+
 class PythonMatrixBackend:
     """Occupancy-indexed nested-list matrix storage (the zero-dependency default).
 
@@ -334,18 +339,19 @@ class PythonMatrixBackend:
             self.insert_edge(source_hash, destination_hash, weight)
         return count
 
-    def ingest_hashed(self, batch) -> int:
-        """Ingest a :class:`~repro.streaming.batch.HashedBatch`'s hash columns.
+    def ingest_columns(self, source_hashes, destination_hashes, weights) -> int:
+        """Ingest aligned ``H(s)`` / ``H(d)`` / weight columns.
 
-        The hash-once path: no hashing happens here — the batch's
-        precomputed columns run through the same aggregate-then-insert loop
-        as :meth:`update_many_by_hash`, so placement is identical to every
+        The hash-once path: no hashing happens here — the precomputed
+        columns (lists, or arrays of any sequence type with ``tolist``) run
+        through the same aggregate-then-insert loop as
+        :meth:`update_many_by_hash`, so placement is identical to every
         other ingest route.  The node index is the sketch's business.
         """
         aggregated: Dict[Tuple[int, int], float] = {}
         count = 0
         for source_hash, destination_hash, weight in zip(
-            batch.source_hash_list(), batch.destination_hash_list(), batch.weight_list()
+            _as_list(source_hashes), _as_list(destination_hashes), _as_list(weights)
         ):
             count += 1
             key = (source_hash, destination_hash)
@@ -782,8 +788,7 @@ class NativeMatrixBackend:
         self._sc_spill_sums = np.empty(count, dtype=np.float64)
         self._sc_rebuf_keys = np.empty(count, dtype=np.uint64)
         self._sc_rebuf_sums = np.empty(count, dtype=np.float64)
-        self._sc_new_offs = np.empty(2 * count, dtype=np.int64)
-        self._sc_new_lens = np.empty(2 * count, dtype=np.int64)
+        self._sc_new_tokens = np.empty(2 * count, dtype=np.int64)
         self._sc_new_hashes = np.empty(2 * count, dtype=np.uint64)
         self._scratch_len = count
 
@@ -797,7 +802,7 @@ class NativeMatrixBackend:
         memoizes it in a persistent C node table, packs the edge keys and
         runs the aggregate/classify/place pipeline — hashing included, the
         batch crosses the Python/kernel boundary exactly once.  Genuinely
-        new nodes come back as blob offsets, and the batch's own node
+        new nodes come back as token indices, and the batch's own node
         objects at those positions are recorded in the reverse node index
         (first-seen interleaved order, like the scalar paths); the kernel's
         node table is their only node -> hash memo.  The hash-once counter
@@ -846,8 +851,7 @@ class NativeMatrixBackend:
             self._sc_rebuf_keys.ctypes.data,
             self._sc_rebuf_sums.ctypes.data,
             ctypes.addressof(rebuf_count),
-            self._sc_new_offs.ctypes.data,
-            self._sc_new_lens.ctypes.data,
+            self._sc_new_tokens.ctypes.data,
             self._sc_new_hashes.ctypes.data,
             ctypes.addressof(new_count),
         )
@@ -870,11 +874,10 @@ class NativeMatrixBackend:
         if fresh:
             node_index = self._sketch._node_index
             if node_index is not None:
-                # A token's position in the interleaved stream is the number
-                # of separators before its offset; recording the caller's
-                # own node object there keeps no second, decoded copy.
-                separators = np.flatnonzero(np.frombuffer(blob, dtype=np.uint8) == 0)
-                tokens = np.searchsorted(separators, self._sc_new_offs[:fresh]).tolist()
+                # The kernel reports each new node's token index in the
+                # interleaved stream; recording the caller's own node object
+                # there keeps no second, decoded copy.
+                tokens = self._sc_new_tokens[:fresh].tolist()
                 node_index.record_new_many(
                     zip(
                         [(destinations if t & 1 else sources)[t >> 1] for t in tokens],
@@ -986,21 +989,21 @@ class NativeMatrixBackend:
         )
         return count
 
-    def ingest_hashed(self, batch) -> int:
-        """Ingest a :class:`~repro.streaming.batch.HashedBatch`'s hash columns.
+    def ingest_columns(self, source_hashes, destination_hashes, weights) -> int:
+        """Ingest aligned ``H(s)`` / ``H(d)`` / weight columns.
 
-        The columns are consumed as arrays directly (zero-copy when the batch
-        was built on the vectorized path) and placed exactly like
-        :meth:`update_many_by_hash`.
+        The columns are consumed as arrays directly (zero-copy when they
+        already are uint64/float64 arrays) and placed exactly like
+        :meth:`update_many_by_hash`, in one ``gss_ingest_batch`` call.
         """
-        count = len(batch)
+        count = len(source_hashes)
         if count == 0:
             return 0
-        source_hashes = np.asarray(batch.source_hashes, dtype=np.uint64)
-        destination_hashes = np.asarray(batch.destination_hashes, dtype=np.uint64)
+        source_hashes = np.asarray(source_hashes, dtype=np.uint64)
+        destination_hashes = np.asarray(destination_hashes, dtype=np.uint64)
         self._ingest_keys(
             source_hashes * np.uint64(self._hash_range) + destination_hashes,
-            np.asarray(batch.weights, dtype=np.float64),
+            np.asarray(weights, dtype=np.float64),
         )
         return count
 
@@ -1053,30 +1056,17 @@ class NativeMatrixBackend:
 
         Re-buffered edges first (their entries already exist, so add order
         is unobservable), then genuine spills in first-seen order (this
-        order creates buffer entries and is observable).
+        order creates buffer entries and is observable) — one bulk
+        :meth:`~repro.core.buffer.LeftoverBuffer.add_many` call.
         """
-        buffer = self._sketch._buffer
-        hash_range = np.uint64(self._hash_range)
-        if rebufs:
-            source_hashes, destination_hashes = np.divmod(
-                rebuf_keys[:rebufs], hash_range
-            )
-            for source_hash, destination_hash, weight in zip(
-                source_hashes.tolist(),
-                destination_hashes.tolist(),
-                rebuf_sums[:rebufs].tolist(),
-            ):
-                buffer.add(source_hash, destination_hash, weight)
-        if spills:
-            source_hashes, destination_hashes = np.divmod(
-                spill_keys[:spills], hash_range
-            )
-            for source_hash, destination_hash, weight in zip(
-                source_hashes.tolist(),
-                destination_hashes.tolist(),
-                spill_sums[:spills].tolist(),
-            ):
-                buffer.add(source_hash, destination_hash, weight)
+        if not rebufs and not spills:
+            return
+        keys = np.concatenate((rebuf_keys[:rebufs], spill_keys[:spills]))
+        sums = np.concatenate((rebuf_sums[:rebufs], spill_sums[:spills]))
+        source_hashes, destination_hashes = np.divmod(keys, np.uint64(self._hash_range))
+        self._sketch._buffer.add_many(
+            source_hashes.tolist(), destination_hashes.tolist(), sums.tolist()
+        )
 
     # -- queries -----------------------------------------------------------
 

@@ -34,6 +34,34 @@ class LeftoverBuffer:
             out_edges[destination_hash] = 0.0
         out_edges[destination_hash] += weight
 
+    def add_many(self, source_hashes, destination_hashes, weights) -> None:
+        """:meth:`add` for aligned columns (lists), one edge after another.
+
+        The order matters only for new edges, which are created in column
+        order; the weights accumulate exactly as repeated :meth:`add` calls
+        would.
+        """
+        out = self._out
+        incoming = self._in
+        created = 0
+        for source_hash, destination_hash, weight in zip(
+            source_hashes, destination_hashes, weights
+        ):
+            out_edges = out.get(source_hash)
+            if out_edges is None:
+                out_edges = out[source_hash] = {}
+            if destination_hash in out_edges:
+                out_edges[destination_hash] += weight
+                continue
+            created += 1
+            sources = incoming.get(destination_hash)
+            if sources is None:
+                incoming[destination_hash] = {source_hash}
+            else:
+                sources.add(source_hash)
+            out_edges[destination_hash] = 0.0 + weight
+        self._edge_count += created
+
     def contains(self, source_hash: int, destination_hash: int) -> bool:
         """True when the buffered edge exists."""
         return destination_hash in self._out.get(source_hash, {})

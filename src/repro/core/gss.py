@@ -237,11 +237,12 @@ class GSS(SummaryShims):
         """Ingest a :class:`~repro.streaming.batch.HashedBatch` directly.
 
         The batch's precomputed node-hash columns feed the matrix backend
-        with no further hashing; original keys are recorded in the reverse
-        node index (they also serve buffer spill, which stores hashes the
-        batch already carries).  A batch built without hash columns — or
-        under a different :class:`HashSpec` — falls back to :meth:`update_many`
-        over its normalized items, so the method is safe for any batch.
+        with no further hashing; its distinct ``(node, hash)`` pairs are
+        recorded in the reverse node index once each, in first-seen
+        interleaved order (the order item-by-item updates record them).  A
+        batch built without hash columns — or under a different
+        :class:`HashSpec` — falls back to :meth:`update_many` over its
+        normalized items, so the method is safe for any batch.
 
         Returns the number of stream items applied.
         """
@@ -250,10 +251,33 @@ class GSS(SummaryShims):
         ):
             return self.update_many(batch.items())
         if self._node_index is not None:
-            record = self._node_index.record
-            for node, node_hash in batch.node_hash_items():
-                record(node, node_hash)
-        count = self._matrix.ingest_hashed(batch)
+            self._node_index.record_new_many(dict.fromkeys(batch.node_hash_items()))
+        return self.ingest_columns(
+            batch.source_hashes, batch.destination_hashes, batch.weights
+        )
+
+    def ingest_columns(
+        self,
+        source_hashes: Sequence[int],
+        destination_hashes: Sequence[int],
+        weights: Sequence[float],
+        nodes: Sequence[Hashable] = (),
+        node_hashes: Sequence[int] = (),
+    ) -> int:
+        """Ingest aligned ``H(s)`` / ``H(d)`` / weight columns, in stream
+        order and under :meth:`hash_spec`, recording ``nodes`` under
+        ``node_hashes`` in the reverse node index first.
+
+        The sharded deployment's shard ingest: each shard message carries
+        only the nodes the shard may not know yet, and nodes already
+        recorded are skipped.  Columns may be lists or NumPy arrays; no
+        hashing happens here.  Returns the number of stream items applied.
+        """
+        if self._node_index is not None and len(nodes):
+            if hasattr(node_hashes, "tolist"):
+                node_hashes = node_hashes.tolist()  # NumPy: Python ints
+            self._node_index.record_new_many(zip(nodes, node_hashes))
+        count = self._matrix.ingest_columns(source_hashes, destination_hashes, weights)
         self._update_count += count
         return count
 

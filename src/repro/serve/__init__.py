@@ -7,10 +7,10 @@ concurrent ingest feeds and query clients — separate processes, separate
 machines — share one live summary:
 
 * :mod:`repro.serve.protocol` — length-prefixed frames (JSON control frames
-  plus a binary ingest frame that reuses the hashed-batch blob the cluster
-  sends down its worker pipes, extended with the
-  routing-hash column, so node and routing hashes are computed **once on the
-  client** and flow edge-to-worker untouched);
+  plus a binary ingest frame carrying the hashed-batch blob of
+  :func:`~repro.streaming.batch.encode_hashed_batch` and the routing-hash
+  column, so node and routing hashes are computed **once on the client**
+  and flow edge-to-worker untouched);
 * :mod:`repro.serve.server` — :class:`SummaryServer`: one asyncio acceptor,
   per-connection FIFO reply queues, a single summary executor thread (the
   cluster pipes are single-consumer), credit-window admission control with

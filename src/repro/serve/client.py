@@ -13,8 +13,7 @@ routing seed).  :meth:`ingest` builds each chunk into a
 cross-batch memos, so a key seen twice is hashed once — and ships the
 columns in a binary frame.  Server and workers never hash those keys again.
 When either side lacks NumPy the same chunks travel as JSON item lists and
-the server hashes them (the documented degrade, mirroring how the
-cluster's worker pipes carry the pickled batch object without NumPy).
+the server hashes them (the documented degrade).
 
 Backpressure: up to ``credits`` (server-granted) ingest frames may be in
 flight.  On a ``busy`` reply the client stops sending, drains every

@@ -17,10 +17,10 @@ Two frame kinds exist:
 * ``FRAME_HBATCH`` — a binary ingest frame: the routing-hash column followed
   by the hashed-batch blob of
   :func:`~repro.streaming.batch.encode_hashed_batch` (node-hash columns +
-  weights + pickled keys) — the same bytes the cluster sends down each
-  worker pipe.  A batch hashed once on the client is therefore routed and
-  ingested by the workers with **zero further hash work** — the hash-once
-  invariant extended edge-to-worker across the network.  The blob is
+  weights + pickled keys).  A batch hashed once on the client is therefore
+  split by its route column and ingested by the workers with **zero
+  further hash work** — the hash-once invariant extended edge-to-worker
+  across the network.  The blob is
   native-endian and carries pickled keys: the protocol assumes a
   same-architecture, *trusted* network (bind to loopback or a private
   interface).

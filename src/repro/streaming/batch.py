@@ -5,14 +5,13 @@ deployment used to hash each edge up to three times: once for shard routing
 (:class:`~repro.cluster.ShardedSummary`, in-process or worker processes),
 again inside each shard's ``update_many``, and again for memo upkeep.  The
 summary that ingests a batch hashes it, once: a plain GSS through its own
-backend, a sharded deployment through :class:`HashedBatch`, which carries
-the hashes across the boundaries a batch crosses — shard routing, worker
-pipes, the serve protocol's ``FRAME_HBATCH`` — as columns the shards
-consume directly:
+backend, a sharded deployment through its kernel front end or, where that
+cannot run, through :class:`HashedBatch`, which carries the hashes across
+the boundaries a batch crosses — shard routing and the serve protocol's
+``FRAME_HBATCH`` — as columns the shards consume directly:
 
 * ``sources`` / ``destinations`` — the original node keys (kept because the
-  leftover buffer and the reverse :class:`~repro.core.reverse_index.NodeIndex`
-  need them, and because they are what travels to remote shards);
+  reverse :class:`~repro.core.reverse_index.NodeIndex` needs them);
 * ``source_hashes`` / ``destination_hashes`` — the sketch node hashes
   ``H(v) = hash_key(v, seed) % hash_range`` under a :class:`HashSpec`;
 * ``route_hashes`` — the full 64-bit routing hash ``hash_key(source,
@@ -379,13 +378,19 @@ class HashedBatch:
         return self.weights.tolist()
 
     def node_hash_items(self) -> Iterable[Tuple[Hashable, int]]:
-        """Iterate ``(key, node_hash)`` pairs over both key columns.
+        """Iterate ``(key, node_hash)`` pairs in interleaved stream order:
+        source 0, destination 0, source 1, ... — the order item-by-item
+        ingestion meets the nodes in.
 
         Hashes are Python ints — safe as dict keys/values in the reverse
         :class:`~repro.core.reverse_index.NodeIndex` and in JSON snapshots.
         """
-        yield from zip(self.sources, self.source_hash_list())
-        yield from zip(self.destinations, self.destination_hash_list())
+        return chain.from_iterable(
+            zip(
+                zip(self.sources, self.source_hash_list()),
+                zip(self.destinations, self.destination_hash_list()),
+            )
+        )
 
     # -- routing -------------------------------------------------------------
 
@@ -453,8 +458,9 @@ class HashedBatch:
 
 # -- the hashed-batch blob ---------------------------------------------------
 #
-# One byte format carries a batch across a process boundary: the cluster's
-# worker pipes and the serve protocol's ``FRAME_HBATCH`` both use it.  Layout
+# One byte format carries a hashed batch across the network: the serve
+# protocol's ``FRAME_HBATCH``.  (The cluster's worker pipes carry per-shard
+# columns instead, see repro.cluster.front_end.)  Layout
 # (native endianness; both ends share the architecture)::
 #
 #     header:  count (u64), keys_nbytes (u64)
@@ -462,8 +468,8 @@ class HashedBatch:
 #              | count x f64 weights
 #     keys:    pickled (sources, destinations) key lists
 #
-# The original keys travel pickled because the receiving summary answers
-# successor/precursor queries over original IDs.
+# The original keys travel pickled because the summary behind the server
+# answers successor/precursor queries over original IDs.
 
 
 def encode_hashed_batch(batch: HashedBatch) -> bytes:

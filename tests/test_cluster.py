@@ -238,9 +238,9 @@ def nasty_items():
 class TestTransports:
     """The worker pipes change throughput, never answers or stats.
 
-    With NumPy each routed batch crosses the pipe as its hashed-batch blob;
-    without NumPy, as the pickled batch object; in-process shards receive
-    the batch object itself.  The same tests run on both interpreter
+    With NumPy each shard's columns message crosses the pipe as one blob;
+    without NumPy, as the pickled columns; in-process shards receive the
+    columns themselves.  The same tests run on both interpreter
     configurations, so every payload is held to the shard oracle.
     """
 
