@@ -11,21 +11,25 @@ H(v))`` pairs its reverse node index needs.  Two front ends produce it:
   node table (``H(v)`` once per distinct node, the routing hash once per
   distinct source), routes, scatters the columns, and reports per shard
   only the nodes that shard has never been sent (a per-node shard
-  bitmask).  A prehashed all-string batch with array columns — the serve
-  protocol's ``FRAME_HBATCH`` — takes :meth:`KernelFrontEnd.split_hashed`,
-  which routes it by its routing hashes through the same node table and
-  masks, and hashes nothing;
+  bitmask).  A prehashed all-string batch — the serve protocol's
+  ``FRAME_HBATCH`` — takes it too, by its IDs: the router hashes a node
+  the first time it meets it, whatever batch it arrives in, and never
+  takes a hash off the wire;
 * :func:`split_columns` — the Python front end, for everything else
-  (no NumPy or compiler, non-string or NUL-containing IDs, prehashed
-  batches with list columns, more shards than a bitmask holds).  It splits
-  a :class:`~repro.streaming.batch.HashedBatch` by route and sends each
+  (no NumPy or compiler, non-string or NUL-containing IDs, more shards
+  than a bitmask holds).  It splits a
+  :class:`~repro.streaming.batch.HashedBatch` by route and sends each
   shard its sub-batch's distinct ``(node, hash)`` pairs.
 
 Both send pairs in first-seen interleaved order (source, destination, next
 source, ...) and a shard records them with ``NodeIndex.record_new_many``,
 which ignores nodes it already holds, so either front end leaves every
 shard's node index — and so every answer and ``to_dict`` — exactly as
-item-by-item ingestion would.
+item-by-item ingestion would.  A shard that refuses a message for a node
+it holds under another hash still records the message's other nodes, so
+the router's masks stay true; a message that never reaches its shard
+makes the deployment rebuild its router, which then sends every node
+again once.
 
 Across a worker pipe the message travels as one blob (:func:`encode_columns`)
 when NumPy is available, else as the pickled :class:`ShardColumns` of lists.
@@ -169,10 +173,10 @@ class KernelFrontEnd:
     table, routed shard and sent-shards mask per node) and the hash family.
 
     Build with :meth:`create`, which returns ``None`` where the kernel
-    cannot run.  :meth:`route` and :meth:`split_hashed` return ``None`` for
-    a batch they cannot take (non-string or NUL-containing IDs, items that
-    are not triples, list columns), leaving the router untouched; the
-    caller then takes :func:`split_columns`.
+    cannot run.  :meth:`route` returns ``None`` for a batch it cannot take
+    (non-string or NUL-containing IDs, items that are not triples, a full
+    node arena), leaving the router untouched; the caller then takes
+    :func:`split_columns`.
     """
 
     def __init__(self, lib, spec: HashSpec, workers: int) -> None:
@@ -212,14 +216,30 @@ class KernelFrontEnd:
             # One flat list, then the weights cut out of it: the node IDs
             # are left in interleaved stream order.
             tokens = list(chain.from_iterable(items))
-            weights = tokens[2::3]
-            del tokens[2::3]
+        except TypeError:
+            return None
+        weights = tokens[2::3]
+        del tokens[2::3]
+        return self._route_tokens(tokens, weights)
+
+    def route_batch(self, batch: HashedBatch) -> Optional[List[Tuple[int, ShardColumns]]]:
+        """:meth:`route` for a prehashed ``batch``, by its IDs: the router
+        takes no hash off the batch."""
+        tokens = [None] * (2 * len(batch))
+        tokens[0::2] = batch.sources
+        tokens[1::2] = batch.destinations
+        return self._route_tokens(tokens, batch.weights)
+
+    def _route_tokens(self, tokens: List, weights) -> Optional[List[Tuple[int, ShardColumns]]]:
+        """Route a batch given as its node IDs in interleaved stream order
+        and its weights."""
+        try:
             blob = "\x00".join(tokens).encode("utf-8")
         except (TypeError, ValueError):
-            # Not triples, or not all strings (UnicodeEncodeError is a
-            # ValueError): the Python front end hashes these.
+            # Not all strings (UnicodeEncodeError is a ValueError): the
+            # Python front end hashes these.
             return None
-        count = len(items)
+        count = len(weights)
         if blob.count(0) != 2 * count - 1:
             return None
         np = self._np
@@ -235,65 +255,12 @@ class KernelFrontEnd:
                 *self._states,
                 *(column.ctypes.data for column in out),
             )
-        if hashed == -2:  # pragma: no cover - screened by the NUL check
+        if hashed == -2:  # pragma: no cover - NUL-screened, or the arena is full
             return None
         if hashed < 0:  # pragma: no cover - allocation failure
             raise MemoryError("native router batch allocation failed")
         _count_hashes(hashed)
         return self._parts(out, tokens)
-
-    def split_hashed(self, batch: HashedBatch) -> Optional[List[Tuple[int, ShardColumns]]]:
-        """:meth:`route` for a prehashed ``batch`` of string IDs with array
-        columns, in one ``gss_split_hashed_batch`` call: routed by its
-        routing hashes, through the same node table and masks, hashing
-        nothing.  A node carried under a hash other than the one it was
-        first seen with is always sent, so the shard refuses it."""
-        if isinstance(batch.route_hashes, list):
-            return None
-        sources, destinations = batch.sources, batch.destinations
-        try:
-            source_blob = "\x00".join(sources).encode("utf-8")
-            destination_blob = "\x00".join(destinations).encode("utf-8")
-        except (TypeError, ValueError):
-            return None
-        count = len(batch)
-        if source_blob.count(0) != count - 1 or destination_blob.count(0) != count - 1:
-            return None
-        np = self._np
-        columns = [
-            np.ascontiguousarray(column, dtype=dtype)
-            for column, dtype in (
-                (batch.source_hashes, np.uint64),
-                (batch.destination_hashes, np.uint64),
-                (batch.route_hashes, np.uint64),
-                (batch.weights, np.float64),
-            )
-        ]
-        if any(len(column) != count for column in columns):
-            raise ValueError(
-                f"a batch of {count} items with columns of lengths "
-                f"{[len(column) for column in columns]}"
-            )
-        out = self._outputs(count)
-        status = self._lib.gss_split_hashed_batch(
-            self._router,
-            source_blob,
-            len(source_blob),
-            destination_blob,
-            len(destination_blob),
-            *(column.ctypes.data for column in columns),
-            count,
-            *(column.ctypes.data for column in out),
-        )
-        if status == -2:  # pragma: no cover - screened by the NUL check
-            return None
-        if status < 0:  # pragma: no cover - allocation failure
-            raise MemoryError("native split allocation failed")
-        # Token t is sources[t // 2] or destinations[t // 2]: renumber it
-        # into the two lists joined.
-        new_tokens = out[4][: int(self._new_counts.sum())]
-        new_tokens[:] = (new_tokens & 1) * count + (new_tokens >> 1)
-        return self._parts(out, sources + destinations)
 
     def _outputs(self, count: int) -> tuple:
         """Fresh output columns for a batch of ``count`` items, in the

@@ -19,14 +19,15 @@ models that deployment once, for two kinds of shard handle:
   ``columns`` message (:mod:`repro.cluster.front_end`): its ``(H(s), H(d),
   weight)`` columns in stream order plus the ``(node, H(v))`` pairs to
   record, with no per-item keys;
-* an all-string batch takes the kernel front end: one
-  ``gss_route_text_batch`` call hashes, routes and scatters it — or, for a
-  batch that arrives hashed off the network, ``gss_split_hashed_batch``
-  routes and scatters it — and each shard is sent only the nodes it has
-  never been sent.  Everything else (no kernel, non-string or
-  NUL-containing IDs, more than 64 shards) takes the Python front end,
-  which sends a shard its sub-batch's distinct node pairs — same message,
-  same answers;
+* an all-string batch — also one that arrives hashed off the network,
+  whose hash columns are then left unused — takes the kernel front end:
+  one ``gss_route_text_batch`` call hashes, routes and scatters it, and
+  each shard is sent only the nodes it has never been sent.  Everything
+  else (no kernel, non-string or NUL-containing IDs, more than 64 shards)
+  takes the Python front end, which sends a shard its sub-batch's
+  distinct node pairs — same message, same answers.  A message that
+  fails to reach its shard replaces the router, so every node is sent
+  again once;
 * a worker receives the message down its pipe as one columns blob, or as
   the pickled :class:`~repro.cluster.front_end.ShardColumns` when NumPy is
   unavailable, and an in-process shard receives the columns themselves;
@@ -496,8 +497,8 @@ class ShardedSummary(SummaryShims):
 
         The spec :meth:`update_many` hashes each batch under.  A caller that
         ships prehashed batches — the serve client's ``FRAME_HBATCH`` —
-        builds them under it so :meth:`update_many_hashed` routes them
-        without re-hashing.
+        builds them under it so :meth:`update_many_hashed` takes them
+        without re-hashing them as a batch.
         """
         return self._client_spec
 
@@ -518,27 +519,28 @@ class ShardedSummary(SummaryShims):
         Returns the number of items routed.  The call does *not* wait for the
         workers to apply the batches — :meth:`flush` (or any query) is the
         barrier — which is what lets routing and shard ingestion overlap
-        across processes.  Queued scalar updates go first, in the same
-        front-end pass (see :mod:`repro.cluster.front_end`).
+        across processes.  Queued scalar updates are routed first, as a
+        batch of their own, so a batch that cannot be routed costs them
+        nothing.
         """
         with self._lock:
             self._ensure_open()
             batch = items if isinstance(items, list) else list(items)
-            count = len(batch)
-            if self._outbox:
-                batch = self._outbox + batch
-                self._outbox = []
+            self._send_outbox()
             self._route(batch)
-            self._update_count += count
-            return count
+            self._update_count += len(batch)
+            return len(batch)
 
     def update_many_hashed(self, batch: HashedBatch) -> int:
         """Route a prepared :class:`HashedBatch` to its owning shards.
 
         A batch built under this cluster's :meth:`hash_spec` — a serve
-        client's ``FRAME_HBATCH`` — is split by its route column with no
-        hash work; any other batch is re-hashed once through
-        :meth:`update_many`, since batches may arrive off the network.
+        client's ``FRAME_HBATCH`` — takes the kernel front end by its IDs
+        when they are all strings, like :meth:`update_many`'s batches (the
+        router hashes only nodes it has never met, and takes no hash off the
+        wire), and is otherwise split by its route column with no hash work.
+        Any other batch is re-hashed once through :meth:`update_many`, since
+        batches may arrive off the network.
         """
         with self._lock:
             self._ensure_open()
@@ -554,7 +556,7 @@ class ShardedSummary(SummaryShims):
             with obs_trace.span("cluster.route", registry=self._obs):
                 parts = None
                 if self._kernel is not None:
-                    parts = self._kernel.split_hashed(batch)
+                    parts = self._kernel.route_batch(batch)
                 count = self._send(
                     split_columns(batch, self.workers) if parts is None else parts
                 )
@@ -582,15 +584,27 @@ class ShardedSummary(SummaryShims):
 
     def _send(self, parts: Iterable[Tuple[int, ShardColumns]]) -> int:
         """Queue each shard's columns (the Python split runs lazily, inside
-        the caller's ``cluster.route`` span); return the items sent."""
+        the caller's ``cluster.route`` span); return the items sent.
+
+        A message that fails to reach its shard leaves the router believing
+        it sent that message's nodes, so any failure here replaces the
+        router: the next batches send every node again once.
+        """
         count = 0
-        for shard, columns in parts:
-            self._handles[shard].send_columns(columns)
-            count += len(columns.weights)
+        try:
+            for shard, columns in parts:
+                self._handles[shard].send_columns(columns)
+                count += len(columns.weights)
+        except BaseException:
+            if self._kernel is not None:
+                self._kernel = KernelFrontEnd.create(self._client_spec, self.workers)
+            raise
         return count
 
     def _send_outbox(self) -> None:
-        """Route the queued scalar updates (lock held)."""
+        """Route the queued scalar updates (lock held).  The outbox empties
+        first: a queued update that cannot be routed is dropped with its
+        error rather than kept to fail every later call."""
         if self._outbox:
             items, self._outbox = self._outbox, []
             self._route(items)
@@ -669,15 +683,23 @@ class ShardedSummary(SummaryShims):
         """Cumulative per-shard routing stats (see :class:`ShardIngestStats`).
 
         ``items_routed`` counts every item handed to each shard (including
-        items still in worker queues: queued scalar updates are routed
-        first); ``queue_depth_high_water`` is the largest number of batches
-        that were in flight to any single worker at once — the observable
-        measure of routing imbalance and worker lag.
+        items still in worker queues, and scalar updates still queued in the
+        client, by the shard they will go to); ``queue_depth_high_water`` is
+        the largest number of batches that were in flight to any single
+        worker at once — the observable measure of routing imbalance and
+        worker lag.  Reading them sends nothing.
         """
         with self._lock:
-            if not self._closed:
-                self._send_outbox()
-        routed = [handle.items_routed for handle in self._handles]
+            routed = [handle.items_routed for handle in self._handles]
+            if self._outbox:
+                queued = HashedBatch.from_items(
+                    self._outbox,
+                    self._client_spec,
+                    node_memo=self._node_memo,
+                    route_memo=self._route_memo,
+                )
+                for shard, sub_batch in queued.split_by_route(self.workers):
+                    routed[shard] += len(sub_batch)
         high_water = max((handle.high_water for handle in self._handles), default=0)
         return ShardIngestStats(items_routed=routed, queue_depth_high_water=high_water)
 

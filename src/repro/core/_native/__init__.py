@@ -206,18 +206,6 @@ def _bind(path: Path) -> ctypes.CDLL:
         c.c_void_p,  # per-shard item counts
         c.c_void_p, c.c_void_p, c.c_void_p,  # new-node tokens/hashes/per-shard counts
     ]
-    lib.gss_split_hashed_batch.restype = c.c_int64
-    lib.gss_split_hashed_batch.argtypes = [
-        c.c_void_p,  # router
-        c.c_char_p, c.c_int64,  # source blob, length
-        c.c_char_p, c.c_int64,  # destination blob, length
-        c.c_void_p, c.c_void_p,  # source / destination hashes
-        c.c_void_p, c.c_void_p,  # routing hashes, weights
-        c.c_int64,  # n
-        c.c_void_p, c.c_void_p, c.c_void_p,  # out src / dst hashes, weights
-        c.c_void_p,  # per-shard item counts
-        c.c_void_p, c.c_void_p, c.c_void_p,  # new-node tokens/hashes/per-shard counts
-    ]
     return lib
 
 

@@ -38,10 +38,7 @@
  * route % shards, writes every shard's (H(s), H(d), weight) columns in
  * stream order, and reports per shard the nodes that shard has never been
  * sent (a per-node shard bitmask, so at most 64 shards).  The workers then
- * place their columns with gss_ingest_batch().  gss_split_hashed_batch() is
- * its twin for batches that arrive hashed (the serve protocol): it routes
- * by the given routing hashes and keeps the same node table and masks,
- * hashing nothing.
+ * place their columns with gss_ingest_batch().
  *
  * gss_neighbor_scan() answers the matrix half of a successor (precursor)
  * query the way Section V of the paper does: it walks the node's r rows
@@ -99,7 +96,9 @@ typedef struct {
  * pow2) holding entry ids, 0 for empty, placed by the FNV-1a / splitmix64
  * mix of the bytes from the unseeded offset basis — so a token that arrives
  * already hashed finds its entry without its sketch hash being computed.
- * The arena is capped at 4 GiB (32-bit offsets). */
+ * The arena is capped at 4 GiB (32-bit offsets): a batch that would take
+ * it past the cap is refused (-2), and the caller ingests it without the
+ * kernel's node table. */
 typedef struct {
     uint32_t *slots;
     int64_t cap;
@@ -212,15 +211,6 @@ int64_t gss_route_text_batch(
     uint64_t *out_src, uint64_t *out_dst, double *out_weights,
     int64_t *item_counts,
     int64_t *new_tokens, uint64_t *new_hashes, int64_t *new_counts);
-int64_t gss_split_hashed_batch(
-    gss_router *router,
-    const unsigned char *src_blob, int64_t src_len,
-    const unsigned char *dst_blob, int64_t dst_len,
-    const uint64_t *src_hashes, const uint64_t *dst_hashes,
-    const uint64_t *route_hashes, const double *weights, int64_t n,
-    uint64_t *out_src, uint64_t *out_dst, double *out_weights,
-    int64_t *item_counts,
-    int64_t *new_tokens, uint64_t *new_hashes, int64_t *new_counts);
 
 static uint64_t mix_key(uint64_t value) {
     /* splitmix64 finalizer — identical to hash_functions._splitmix64 */
@@ -267,9 +257,10 @@ static void node_table_free(node_table *table) {
 /* Grow the table so `tokens` more nodes fit under 70% load and the arena so
  * `bytes` more identifier bytes fit.  A batch reserves its worst case up
  * front, so node_lookup never allocates and a failed batch leaves the table
- * untouched. */
+ * untouched.  Returns 0, -1 on allocation failure, or -2 when the arena
+ * would pass its 4 GiB cap. */
 static int node_reserve(node_table *table, int64_t tokens, int64_t bytes) {
-    if (table->arena_len + bytes > (int64_t)UINT32_MAX) return -1;
+    if (table->arena_len + bytes > (int64_t)UINT32_MAX) return -2;
     int64_t cap = table->cap;
     while ((table->count + tokens) * 10 >= cap * 7) cap *= 2;
     if (cap != table->cap) {
@@ -664,9 +655,10 @@ int64_t gss_ingest_batch(
 
 /* Whole-batch text ingestion: blob holds 2n NUL-separated UTF-8 node IDs in
  * interleaved (source, destination) stream order.  Returns the number of
- * rooms placed, -1 on allocation failure, or -2 when the token count does not
- * match 2n (checked before any state mutation, so the caller can fall back
- * to the per-key path with the kernel untouched). */
+ * rooms placed, -1 on allocation failure, or -2 when the kernel cannot take
+ * the batch — the token count does not match 2n, or the node arena is full
+ * (checked before any state mutation, so the caller can fall back to the
+ * per-key path with the kernel untouched). */
 int64_t gss_ingest_text_batch(
     gss_ctx *ctx,
     const unsigned char *blob, int64_t blob_len,
@@ -696,7 +688,8 @@ int64_t gss_ingest_text_batch(
         if (!ctx->tkeys) return -1;
         ctx->tcap = n;
     }
-    if (node_reserve(&ctx->nodes, 2 * n, blob_len) != 0) return -1;
+    int reserved = node_reserve(&ctx->nodes, 2 * n, blob_len);
+    if (reserved != 0) return reserved;
     *new_count = 0;
     uint64_t prev_hmod = 0;
     int64_t tok_start = 0;
@@ -795,9 +788,11 @@ void gss_router_free(gss_router *router) {
 }
 
 /* Grow the per-node arrays and the per-batch scratch for a batch of n items
- * (at most 2n new nodes).  Fresh per-node slots start unrouted and unsent. */
+ * (at most 2n new nodes).  Fresh per-node slots start unrouted and unsent.
+ * Returns node_reserve's status. */
 static int router_reserve(gss_router *router, int64_t n, int64_t blob_len) {
-    if (node_reserve(&router->nodes, 2 * n, blob_len) != 0) return -1;
+    int reserved = node_reserve(&router->nodes, 2 * n, blob_len);
+    if (reserved != 0) return reserved;
     int64_t want = router->nodes.count + 2 * n;
     if (want > router->node_cap) {
         int64_t cap = router->node_cap ? router->node_cap : 1024;
@@ -846,8 +841,9 @@ static int router_reserve(gss_router *router, int64_t n, int64_t blob_len) {
  *
  * out_* need n entries, new_* 2n, the counts one per shard.  Returns the
  * number of key hashes computed (node plus routing hashes), -1 on
- * allocation failure or -2 when the token count does not match 2n; both
- * are detected before any state changes. */
+ * allocation failure, or -2 when the kernel cannot take the batch (the
+ * token count does not match 2n, or the node arena is full); both are
+ * detected before any state changes. */
 int64_t gss_route_text_batch(
     gss_router *router,
     const unsigned char *blob, int64_t blob_len,
@@ -864,7 +860,8 @@ int64_t gss_route_text_batch(
     }
     if (n <= 0) return 0;
     if (count_separators(blob, blob_len) != 2 * n - 1) return -2;
-    if (router_reserve(router, n, blob_len) != 0) return -1;
+    int reserved = router_reserve(router, n, blob_len);
+    if (reserved != 0) return reserved;
 
     /* Pass 1 — hash, route, and flag first sightings per shard. */
     int64_t hashed = 0;
@@ -908,72 +905,6 @@ int64_t gss_route_text_batch(
                    weights, item_counts, new_counts,
                    out_src, out_dst, out_weights, new_tokens, new_hashes);
     return hashed;
-}
-
-/* gss_route_text_batch() for a batch that arrives hashed (the serve
- * protocol's FRAME_HBATCH), all-string: src_blob and dst_blob hold the n
- * source and n destination IDs NUL-separated, and the hash, routing-hash
- * and weight columns arrive computed.  Item i goes to shard
- * route_hashes[i] % shards and the outputs are gss_route_text_batch's,
- * through the same node table and sent-shards masks, so each shard is
- * sent only the nodes it has never been sent.  Nothing is hashed: a new
- * node takes the hash it arrives with, and a token whose hash disagrees
- * with its node's entry is always reported, so the shard's node index
- * refuses it.  Returns 0, -1 on allocation failure or -2 when a blob's
- * token count does not match n; both leave the router untouched. */
-int64_t gss_split_hashed_batch(
-    gss_router *router,
-    const unsigned char *src_blob, int64_t src_len,
-    const unsigned char *dst_blob, int64_t dst_len,
-    const uint64_t *src_hashes, const uint64_t *dst_hashes,
-    const uint64_t *route_hashes, const double *weights, int64_t n,
-    uint64_t *out_src, uint64_t *out_dst, double *out_weights,
-    int64_t *item_counts,
-    int64_t *new_tokens, uint64_t *new_hashes, int64_t *new_counts)
-{
-    int64_t shards = router->shards;
-    for (int64_t k = 0; k < shards; k++) {
-        item_counts[k] = 0;
-        new_counts[k] = 0;
-    }
-    if (n <= 0) return 0;
-    if (count_separators(src_blob, src_len) != n - 1 ||
-        count_separators(dst_blob, dst_len) != n - 1)
-        return -2;
-    if (router_reserve(router, n, src_len + dst_len) != 0) return -1;
-    const unsigned char *cursor[2] = {src_blob, dst_blob};
-    const unsigned char *end[2] = {src_blob + src_len, dst_blob + dst_len};
-    for (int64_t t = 0; t < 2 * n; t++) {
-        int side = (int)(t & 1);
-        int64_t i = t >> 1;
-        const unsigned char *token = cursor[side];
-        const unsigned char *stop = memchr(token, 0, (size_t)(end[side] - token));
-        if (!stop) stop = end[side];
-        cursor[side] = stop < end[side] ? stop + 1 : stop;
-        uint64_t hash = side ? dst_hashes[i] : src_hashes[i];
-        int added;
-        node_entry *entry = node_lookup(&router->nodes, token, (uint32_t)(stop - token),
-                                        &added);
-        if (added) entry->hmod = hash;
-        if (!side) {
-            router->item_shard[i] = (int8_t)(route_hashes[i] % (uint64_t)shards);
-            item_counts[router->item_shard[i]]++;
-        }
-        int8_t shard = router->item_shard[i];
-        int64_t id = entry - router->nodes.entries;
-        uint8_t *sent = &router->sent[id * router->sent_bytes + (shard >> 3)];
-        uint8_t bit = (uint8_t)(1u << (shard & 7));
-        router->tok_hash[t] = hash;
-        router->tok_new[t] = entry->hmod != hash || (*sent & bit) == 0;
-        if (router->tok_new[t]) {
-            if (entry->hmod == hash) *sent |= bit;
-            new_counts[shard]++;
-        }
-    }
-    scatter_shards(n, shards, router->item_shard, router->tok_hash, router->tok_new,
-                   weights, item_counts, new_counts,
-                   out_src, out_dst, out_weights, new_tokens, new_hashes);
-    return 0;
 }
 
 /* One LCG step q' = (a * q + b) % p, with the Mersenne fold for the default

@@ -855,7 +855,7 @@ class NativeMatrixBackend:
             self._sc_new_hashes.ctypes.data,
             ctypes.addressof(new_count),
         )
-        if placed == -2:  # pragma: no cover - screened by the NUL check
+        if placed == -2:  # pragma: no cover - NUL-screened, or the arena is full
             return self._update_many_by_pairs(sources, destinations, weights)
         if placed < 0:  # pragma: no cover - allocation failure
             raise MemoryError("native kernel batch allocation failed")

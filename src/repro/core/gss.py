@@ -270,8 +270,11 @@ class GSS(SummaryShims):
 
         The sharded deployment's shard ingest: each shard message carries
         only the nodes the shard may not know yet, and nodes already
-        recorded are skipped.  Columns may be lists or NumPy arrays; no
-        hashing happens here.  Returns the number of stream items applied.
+        recorded are skipped.  A node recorded under another hash raises
+        ``ValueError`` once the message's other nodes are recorded, and the
+        columns are then not placed.  Columns may be lists or NumPy arrays;
+        no hashing happens here.  Returns the number of stream items
+        applied.
         """
         if self._node_index is not None and len(nodes):
             if hasattr(node_hashes, "tolist"):

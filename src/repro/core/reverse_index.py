@@ -50,27 +50,36 @@ class NodeIndex:
         """Record many ``(node, node_hash)`` pairs in one call.
 
         Bulk variant of :meth:`record` for batch-ingestion backends that
-        discover a batch's first-seen nodes all at once.  Semantics are
-        identical pair for pair — re-recording under the same hash is a
-        no-op, a conflicting hash raises ``ValueError`` — only the per-node
-        method-call overhead is gone.
+        discover a batch's first-seen nodes all at once.  Pair for pair it
+        does what :meth:`record` does — re-recording under the same hash is
+        a no-op, a conflicting hash is refused — except that the first
+        conflict raises ``ValueError`` only after every other pair has been
+        recorded: a refused batch still leaves each of its nodes registered
+        (under its first hash), which is what a sender that sends each node
+        once relies on.
         """
         hash_of = self._hash_of
         originals_of = self._originals_of
+        conflict = None
         for node, node_hash in pairs:
             existing = hash_of.setdefault(node, node_hash)
             if existing != node_hash:
-                raise ValueError(
-                    f"node {node!r} is already registered under hash {existing} "
-                    f"and cannot be re-registered under {node_hash}; this "
-                    "usually means sketches built with different hash seeds "
-                    "are being combined"
-                )
+                if conflict is None:
+                    conflict = (node, existing, node_hash)
+                continue
             bucket = originals_of.get(node_hash)
             if bucket is None:
                 originals_of[node_hash] = {node}
             else:
                 bucket.add(node)
+        if conflict is not None:
+            node, existing, node_hash = conflict
+            raise ValueError(
+                f"node {node!r} is already registered under hash {existing} "
+                f"and cannot be re-registered under {node_hash}; this "
+                "usually means sketches built with different hash seeds "
+                "are being combined"
+            )
 
     def get(self, node: Hashable) -> Optional[int]:
         """Return the recorded hash of ``node``, or ``None`` if unseen."""

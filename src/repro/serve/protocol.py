@@ -20,7 +20,9 @@ Two frame kinds exist:
   weights + pickled keys).  A batch hashed once on the client is therefore
   split by its route column and ingested by the workers with **zero
   further hash work** — the hash-once invariant extended edge-to-worker
-  across the network.  The blob is
+  across the network.  (A cluster with the compiled kernel routes an
+  all-string frame by its IDs instead, hashing only nodes its router has
+  never met.)  The blob is
   native-endian and carries pickled keys: the protocol assumes a
   same-architecture, *trusted* network (bind to loopback or a private
   interface).
