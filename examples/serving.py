@@ -8,9 +8,9 @@ summary.  This example runs the whole story in one process:
 1. build a 2-worker ``sharded-gss`` cluster and put a
    :class:`~repro.serve.SummaryServer` in front of it (background thread
    here; ``python -m repro serve`` in production);
-2. connect a :class:`~repro.serve.ServeClient`, negotiate hash-once binary
-   ingest (the client hashes every key exactly once, workers never re-hash),
-   and feed an edge stream with credit-window backpressure;
+2. connect a :class:`~repro.serve.ServeClient` and feed an edge stream in
+   JSON ingest frames with credit-window backpressure (the frames carry
+   node IDs; the cluster hashes every node once, as it does in process);
 3. query the served summary — answers are bit-identical to calling the
    cluster directly — and read ``GET /metrics`` from the same port;
 4. checkpoint through the protocol, stop the server gracefully, and restore
@@ -46,11 +46,11 @@ def main() -> None:
         )
         print(f"serving on {handle.host}:{handle.port}")
 
-        # --- 2. a collector: hash-once ingest with backpressure -------------
+        # --- 2. a collector: ingest with backpressure -----------------------
         with ServeClient(handle.host, handle.port, batch_size=512) as client:
             print(
-                f"negotiated: binary_ingest={client.binary_ingest} "
-                f"credits={client.credits} workers={client.workers}"
+                f"negotiated: credits={client.credits} workers={client.workers} "
+                f"routing_seed={client.routing_seed}"
             )
             client.ingest(edges)
             client.flush()

@@ -138,7 +138,6 @@ def measure_serve(args: argparse.Namespace) -> dict:
     section = {
         "items": len(stream),
         "workers": workers,
-        "binary_ingest": report["server"]["binary_ingest"],
         "ingest_clients": report["clients"]["ingest"],
         "query_clients": report["clients"]["query"],
         "served_throughput_edges_per_s": served_eps,

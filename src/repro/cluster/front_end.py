@@ -11,10 +11,9 @@ H(v))`` pairs its reverse node index needs.  Two front ends produce it:
   node table (``H(v)`` once per distinct node, the routing hash once per
   distinct source), routes, scatters the columns, and reports per shard
   only the nodes that shard has never been sent (a per-node shard
-  bitmask).  A prehashed all-string batch — the serve protocol's
-  ``FRAME_HBATCH`` — takes it too, by its IDs: the router hashes a node
-  the first time it meets it, whatever batch it arrives in, and never
-  takes a hash off the wire;
+  bitmask).  Served batches take it too: serve ingest frames carry node
+  IDs, so the router hashes a node the first time it meets it, whatever
+  batch it arrives in;
 * :func:`split_columns` — the Python front end, for everything else
   (no NumPy or compiler, non-string or NUL-containing IDs, more shards
   than a bitmask holds).  It splits a
@@ -220,19 +219,6 @@ class KernelFrontEnd:
             return None
         weights = tokens[2::3]
         del tokens[2::3]
-        return self._route_tokens(tokens, weights)
-
-    def route_batch(self, batch: HashedBatch) -> Optional[List[Tuple[int, ShardColumns]]]:
-        """:meth:`route` for a prehashed ``batch``, by its IDs: the router
-        takes no hash off the batch."""
-        tokens = [None] * (2 * len(batch))
-        tokens[0::2] = batch.sources
-        tokens[1::2] = batch.destinations
-        return self._route_tokens(tokens, batch.weights)
-
-    def _route_tokens(self, tokens: List, weights) -> Optional[List[Tuple[int, ShardColumns]]]:
-        """Route a batch given as its node IDs in interleaved stream order
-        and its weights."""
         try:
             blob = "\x00".join(tokens).encode("utf-8")
         except (TypeError, ValueError):

@@ -19,8 +19,8 @@ models that deployment once, for two kinds of shard handle:
   ``columns`` message (:mod:`repro.cluster.front_end`): its ``(H(s), H(d),
   weight)`` columns in stream order plus the ``(node, H(v))`` pairs to
   record, with no per-item keys;
-* an all-string batch — also one that arrives hashed off the network,
-  whose hash columns are then left unused — takes the kernel front end:
+* an all-string batch — a served one too, since serve ingest frames carry
+  node IDs — takes the kernel front end:
   one ``gss_route_text_batch`` call hashes, routes and scatters it, and
   each shard is sent only the nodes it has never been sent.  Everything
   else (no kernel, non-string or NUL-containing IDs, more than 64 shards)
@@ -458,7 +458,7 @@ class ShardedSummary(SummaryShims):
             self.close()
             raise
         # The shards report their summary's hash spec in the build
-        # handshake; the client hashes every batch exactly once under it
+        # handshake; the parent hashes every batch exactly once under it
         # (node + routing hashes, vectorized when NumPy is available) and
         # ships the columns — the hash-once ingest pipeline.
         shard_spec: Optional[HashSpec] = self._handles[0].info.get("hash_spec")
@@ -492,15 +492,10 @@ class ShardedSummary(SummaryShims):
         ``"inline"`` for in-process shards."""
         return "inline" if self.in_process else "pipe"
 
-    def hash_spec(self) -> HashSpec:
-        """Shard node-hash family plus this cluster's routing seed.
-
-        The spec :meth:`update_many` hashes each batch under.  A caller that
-        ships prehashed batches — the serve client's ``FRAME_HBATCH`` —
-        builds them under it so :meth:`update_many_hashed` takes them
-        without re-hashing them as a batch.
-        """
-        return self._client_spec
+    @property
+    def routing_seed(self) -> int:
+        """Seed of the source routing hash (see :meth:`shard_of`)."""
+        return self._routing_seed
 
     # -- updates -------------------------------------------------------------
 
@@ -530,38 +525,6 @@ class ShardedSummary(SummaryShims):
             self._route(batch)
             self._update_count += len(batch)
             return len(batch)
-
-    def update_many_hashed(self, batch: HashedBatch) -> int:
-        """Route a prepared :class:`HashedBatch` to its owning shards.
-
-        A batch built under this cluster's :meth:`hash_spec` — a serve
-        client's ``FRAME_HBATCH`` — takes the kernel front end by its IDs
-        when they are all strings, like :meth:`update_many`'s batches (the
-        router hashes only nodes it has never met, and takes no hash off the
-        wire), and is otherwise split by its route column with no hash work.
-        Any other batch is re-hashed once through :meth:`update_many`, since
-        batches may arrive off the network.
-        """
-        with self._lock:
-            self._ensure_open()
-            if (
-                not batch.hashed
-                or batch.spec is None
-                or not batch.spec.matches(self._client_spec)
-                or batch.spec.routing_seed != self._routing_seed
-                or batch.route_hashes is None
-            ):
-                return self.update_many(batch.items())
-            self._send_outbox()
-            with obs_trace.span("cluster.route", registry=self._obs):
-                parts = None
-                if self._kernel is not None:
-                    parts = self._kernel.route_batch(batch)
-                count = self._send(
-                    split_columns(batch, self.workers) if parts is None else parts
-                )
-            self._update_count += count
-            return count
 
     def _route(self, items: List) -> None:
         """Hash and route ``items`` through the kernel front end, or the

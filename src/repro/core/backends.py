@@ -285,7 +285,9 @@ class PythonMatrixBackend:
         """Batched ingestion: hash once per distinct node, insert once per edge.
 
         Nodes the reverse index already holds resolve through it, so only
-        first-seen nodes are hashed and recorded — across batches too.
+        first-seen nodes are hashed and recorded — across batches too.  They
+        are recorded once the whole batch has been read, so a bad item
+        (a weight that is not a number, an unhashable ID) leaves no state.
         """
         sketch = self._sketch
         hasher = sketch._hasher
@@ -293,13 +295,13 @@ class PythonMatrixBackend:
         profile = active_profile()
         started = perf_counter() if profile is not None else 0.0
         hashes: Dict[Hashable, int] = {}
+        fresh: List[Tuple[Hashable, int]] = []
 
         def resolve(node: Hashable) -> int:
             node_hash = node_index.get(node) if node_index is not None else None
             if node_hash is None:
                 node_hash = hasher(node)
-                if node_index is not None:
-                    node_index.record(node, node_hash)
+                fresh.append((node, node_hash))
             hashes[node] = node_hash
             return node_hash
 
@@ -315,6 +317,8 @@ class PythonMatrixBackend:
                 destination_hash = resolve(destination)
             key = (source_hash, destination_hash)
             aggregated[key] = aggregated.get(key, 0.0) + weight
+        if fresh and node_index is not None:
+            node_index.record_new_many(fresh)
         if profile is not None:
             hashed_at = perf_counter()
             profile.add("hashing", hashed_at - started)
@@ -897,6 +901,8 @@ class NativeMatrixBackend:
         each; unseen pairs are hashed through :meth:`_node_hashes_for`.
         """
         count = len(sources)
+        # Before any node is hashed or recorded: a bad weight leaves no state.
+        weights = np.asarray(weights, dtype=np.float64)
         profile = active_profile()
         if profile is not None:
             started = perf_counter()
@@ -928,7 +934,7 @@ class NativeMatrixBackend:
             memo_spent = profile.stage_seconds("memo") - memo_before
             profile.add("hashing", perf_counter() - started - memo_spent)
             profile.count_batch()
-        self._ingest_keys(keys, np.asarray(weights, dtype=np.float64))
+        self._ingest_keys(keys, weights)
         return count
 
     def _node_hashes_for(self, sources, destinations):

@@ -225,9 +225,9 @@ class GSS(SummaryShims):
 
         Batches built under a matching spec (see
         :meth:`~repro.streaming.batch.HashSpec.matches`) can be ingested via
-        :meth:`update_many_hashed` without any re-hashing — the contract that
-        lets routing layers and remote transports hash once at the system
-        edge.
+        :meth:`update_many_hashed` without any re-hashing, and the shard
+        messages of a sharded deployment are hashed under it (see
+        :meth:`ingest_columns`).
         """
         from repro.streaming.batch import HashSpec
 
@@ -270,12 +270,20 @@ class GSS(SummaryShims):
 
         The sharded deployment's shard ingest: each shard message carries
         only the nodes the shard may not know yet, and nodes already
-        recorded are skipped.  A node recorded under another hash raises
-        ``ValueError`` once the message's other nodes are recorded, and the
-        columns are then not placed.  Columns may be lists or NumPy arrays;
-        no hashing happens here.  Returns the number of stream items
-        applied.
+        recorded are skipped.  A weight that is not a number raises
+        ``ValueError`` before any node is recorded.  A node recorded under
+        another hash raises ``ValueError`` once the message's other nodes
+        are recorded, and the columns are then not placed.  Columns may be
+        lists or NumPy arrays; no hashing happens here.  Returns the number
+        of stream items applied.
         """
+        if isinstance(weights, list):  # arrays are float64 already
+            try:
+                weights = [float(weight) for weight in weights]
+            except (TypeError, ValueError) as error:
+                raise ValueError(
+                    f"shard columns carry a weight that is not a number: {error}"
+                ) from None
         if self._node_index is not None and len(nodes):
             if hasattr(node_hashes, "tolist"):
                 node_hashes = node_hashes.tolist()  # NumPy: Python ints

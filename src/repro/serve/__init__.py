@@ -6,11 +6,9 @@ server in front of one :class:`~repro.cluster.ShardedSummary` so many
 concurrent ingest feeds and query clients — separate processes, separate
 machines — share one live summary:
 
-* :mod:`repro.serve.protocol` — length-prefixed frames (JSON control frames
-  plus a binary ingest frame carrying the hashed-batch blob of
-  :func:`~repro.streaming.batch.encode_hashed_batch` and the routing-hash
-  column, so node and routing hashes are computed **once on the client**
-  and flow edge-to-worker untouched);
+* :mod:`repro.serve.protocol` — length-prefixed JSON frames.  Ingest frames
+  carry node IDs and weights, checked whole before anything is ingested;
+  the served summary hashes each batch once, as it does in process;
 * :mod:`repro.serve.server` — :class:`SummaryServer`: one asyncio acceptor,
   per-connection FIFO reply queues, a single summary executor thread (the
   cluster pipes are single-consumer), credit-window admission control with
@@ -19,8 +17,7 @@ machines — share one live summary:
   HTTP ``GET /metrics`` answered on the same port;
 * :mod:`repro.serve.client` — :class:`ServeClient`: the bundled synchronous
   client speaking the same protocol module (pipelined ingest window,
-  busy-retry, hash-once batch building against the server's advertised
-  :class:`~repro.streaming.batch.HashSpec`);
+  busy-retry);
 * :mod:`repro.serve.metrics` — the counters behind ``/metrics`` (per-shard
   items, queue-depth high water, routing imbalance, in-flight credits,
   connection and busy counts);
@@ -28,10 +25,10 @@ machines — share one live summary:
   ``scripts/load_gen.py`` and ``scripts/record_bench.py --serve``.
 
 Start a server with ``python -m repro serve --workers 2 --port 8750`` and
-point :class:`ServeClient` (or ``scripts/load_gen.py``) at it.  The protocol
-trusts its network: binary ingest frames carry pickled node keys (exactly
-like the cluster's own shared-memory data plane), so bind the server to
-loopback or a private network only.
+point :class:`ServeClient` (or ``scripts/load_gen.py``) at it.  The wire
+carries only JSON, but the protocol has no authentication: any peer may
+ingest, query and checkpoint, so bind the server to loopback or a private
+network only.
 """
 
 from repro.serve.client import (

@@ -6,14 +6,11 @@ feeds and load generators run it from ordinary threads, and the pipelining
 the protocol needs — a window of unacknowledged ingest frames — is explicit
 state here rather than an event loop.
 
-Hash-once over the network: the server's hello frame advertises the
-cluster's :class:`~repro.streaming.batch.HashSpec` (node hash family plus
-routing seed).  :meth:`ingest` builds each chunk into a
-:class:`~repro.streaming.batch.HashedBatch` against that spec — with
-cross-batch memos, so a key seen twice is hashed once — and ships the
-columns in a binary frame.  Server and workers never hash those keys again.
-When either side lacks NumPy the same chunks travel as JSON item lists and
-the server hashes them (the documented degrade).
+Ingest frames carry node IDs: :meth:`ingest` chunks the items into JSON
+ingest frames (weights as floats) and the server's summary hashes each
+batch once, as it hashes its in-process batches.  The client hashes
+nothing; the hello frame's ``routing_seed`` (``None`` for an unsharded
+summary) only lets a caller predict which shard owns a source.
 
 Backpressure: up to ``credits`` (server-granted) ingest frames may be in
 flight.  On a ``busy`` reply the client stops sending, drains every
@@ -34,7 +31,6 @@ from collections import deque
 from typing import Hashable, Iterable, List, Optional, Set, Tuple
 
 from repro.serve import protocol
-from repro.streaming.batch import HashedBatch, HashSpec
 
 __all__ = [
     "ServeClient",
@@ -97,8 +93,6 @@ class ServeClient:
         self._closed = False
         #: Frames sent but not yet acknowledged: (frame bytes, item count).
         self._outstanding: deque = deque()
-        self._node_memo: dict = {}
-        self._route_memo: dict = {}
         # Counters the load generator reports.
         self.items_sent = 0
         self.frames_sent = 0
@@ -111,14 +105,7 @@ class ServeClient:
         self.credits = max(1, int(hello.get("credits", 1)))
         self.retry_after = float(hello.get("retry_after", 0.05))
         self.workers: Optional[int] = hello.get("workers")
-        self.hash_spec: Optional[HashSpec] = protocol.spec_from_wire(
-            hello.get("hash_spec")
-        )
-        self.binary_ingest = bool(
-            hello.get("binary_ingest")
-            and protocol.binary_ingest_supported()
-            and self.hash_spec is not None
-        )
+        self.routing_seed: Optional[int] = hello.get("routing_seed")
 
     # -- low-level frame IO --------------------------------------------------
 
@@ -153,21 +140,6 @@ class ServeClient:
         return reply
 
     # -- ingest pipeline -----------------------------------------------------
-
-    def _encode_batch(self, items: List[Tuple[Hashable, Hashable, float]]) -> Tuple[bytes, int]:
-        """Build one ingest frame: hashed+binary when negotiated, JSON else."""
-        if self.binary_ingest:
-            batch = HashedBatch.from_items(
-                items,
-                self.hash_spec,
-                node_memo=self._node_memo,
-                route_memo=self._route_memo,
-            )
-            return protocol.encode_ingest_frame(batch), len(batch)
-        return (
-            protocol.pack_json({"op": "ingest", "items": [list(item) for item in items]}),
-            len(items),
-        )
 
     def _consume_ack(self) -> None:
         """Read one ingest acknowledgement; run the busy-recovery dance."""
@@ -227,13 +199,21 @@ class ServeClient:
         if not items:
             return
         self._ensure_open()
-        frame, count = self._encode_batch(items)
+        frame = protocol.pack_json(
+            {
+                "op": "ingest",
+                "items": [
+                    [source, destination, float(weight)]
+                    for source, destination, weight in items
+                ],
+            }
+        )
         while len(self._outstanding) >= self.credits:
             self._consume_ack()
-        self._outstanding.append((frame, count))
+        self._outstanding.append((frame, len(items)))
         self._send_frame(frame)
         self.frames_sent += 1
-        self.items_sent += count
+        self.items_sent += len(items)
 
     def ingest(self, items: Iterable) -> int:
         """Feed any iterable of items/edges, chunked by ``batch_size``."""

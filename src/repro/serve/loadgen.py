@@ -13,9 +13,9 @@ Two measurement modes:
   per-client slices; with ``duration`` set, each ingest client cycles its
   slice until the deadline.  Measures speed only.
 * **verify** (``verify=True``) — the stream is pre-partitioned *by shard*
-  (the routing hash from the server's advertised
-  :class:`~repro.streaming.batch.HashSpec`, reduced modulo the worker
-  count), with exactly one ingest client per shard.  Each worker then sees
+  (the routing hash under the server's advertised ``routing_seed``,
+  reduced modulo the worker count), with exactly one ingest client per
+  shard.  Each worker then sees
   its items in the same relative order as a single-writer reference fed the
   whole stream, so after a final flush every served answer must be
   **bit-identical** to an in-process :class:`~repro.cluster.ShardedSummary`
@@ -286,16 +286,15 @@ def run_load_test(
     if config.verify and reference is None:
         raise ValueError("verify mode needs a reference summary")
 
-    # Probe the server once for its hash spec and worker count — and scrape
+    # Probe the server once for its routing seed and worker count — and scrape
     # its instrument snapshot so the post-run scrape can be diffed down to
     # this run's contribution.
     with ServeClient(config.host, config.port, timeout=config.client_timeout) as probe:
         workers = probe.workers
-        spec = probe.hash_spec
+        routing_seed = probe.routing_seed
         server_info = dict(probe.server_info)
         before_obs = probe.metrics().get("obs")
 
-    routing_seed = spec.routing_seed if spec is not None else None
     if config.verify:
         if not workers or routing_seed is None:
             raise ValueError(
@@ -388,7 +387,6 @@ def run_load_test(
         },
         "rss": {"before_bytes": rss_before, "after_bytes": rss_after},
         "server": {
-            "binary_ingest": bool(server_info.get("binary_ingest")),
             "transport": server_info.get("transport"),
             "workers": workers,
             "busy_replies": server_metrics.get("busy_replies"),

@@ -72,10 +72,6 @@ class ServerMetrics:
         self.ingest_items = r.counter(
             "repro_serve_ingest_items_total", "Stream items applied for clients."
         )
-        self.binary_ingest_frames = r.counter(
-            "repro_serve_binary_ingest_frames_total",
-            "Ingest frames that arrived on the binary hashed-batch path.",
-        )
         self.busy_replies = r.counter(
             "repro_serve_busy_replies_total",
             "Ingest frames rejected by admission control (credit/inflight).",
@@ -165,7 +161,6 @@ def render_metrics(
         "frames_received": int(metrics.frames_received.value),
         "ingest_frames": int(metrics.ingest_frames.value),
         "ingest_items": int(metrics.ingest_items.value),
-        "binary_ingest_frames": int(metrics.binary_ingest_frames.value),
         "busy_replies": int(metrics.busy_replies.value),
         "queries": int(metrics.queries.value),
         "flushes": int(metrics.flushes.value),

@@ -3,29 +3,23 @@
 Every message is one length-prefixed frame::
 
     header:  kind (u8) | payload length (u32, big-endian)
-    payload: kind-dependent
+    payload: a UTF-8 JSON object
 
-Two frame kinds exist:
+One frame kind exists, ``FRAME_JSON``.  Every message — hello, ingest,
+queries, flush, metrics, acks, busy, errors — is a JSON object with an
+``"op"`` field.  Every request receives exactly one reply frame, in
+request order — the same strict-FIFO discipline as the cluster's worker
+pipes, and for the same reason: a query sent after a run of ingest frames
+is guaranteed to observe them.
 
-* ``FRAME_JSON`` — a UTF-8 JSON object.  Every control message (hello,
-  queries, flush, metrics, acks, busy, errors) travels this way, and so does
-  the ingest fallback when either side lacks NumPy.  Requests carry an
-  ``"op"`` field; every request receives exactly one reply frame, in request
-  order — the same strict-FIFO discipline as the cluster's worker pipes,
-  and for the same reason: a query sent after a run of ingest frames is
-  guaranteed to observe them.
-* ``FRAME_HBATCH`` — a binary ingest frame: the routing-hash column followed
-  by the hashed-batch blob of
-  :func:`~repro.streaming.batch.encode_hashed_batch` (node-hash columns +
-  weights + pickled keys).  A batch hashed once on the client is therefore
-  split by its route column and ingested by the workers with **zero
-  further hash work** — the hash-once invariant extended edge-to-worker
-  across the network.  (A cluster with the compiled kernel routes an
-  all-string frame by its IDs instead, hashing only nodes its router has
-  never met.)  The blob is
-  native-endian and carries pickled keys: the protocol assumes a
-  same-architecture, *trusted* network (bind to loopback or a private
-  interface).
+An ingest frame is ``{"op": "ingest", "items": [[source, destination,
+weight], ...]}``: node IDs, never hashes.  The served summary hashes each
+batch once, as it hashes its in-process batches (GSS §V: the sketch
+computes ``H(v)`` and keeps the ``<H(v), v>`` node table).
+:func:`ingest_items` checks a frame before the summary sees it: node IDs
+must be JSON strings or numbers — the values a query can send back — and
+weights JSON numbers.  Anything else is refused whole, so a rejected frame
+leaves no state.
 
 Query answers are JSON values with one extension: sets — the
 successor/precursor result type — are tagged ``{"__set__": [...]}`` so they
@@ -38,45 +32,36 @@ from __future__ import annotations
 
 import json
 import struct
-from typing import Any, Optional, Tuple
-
-from repro.hashing.vectorized import NUMPY_AVAILABLE, load_numpy
-from repro.streaming.batch import (
-    HashedBatch,
-    HashSpec,
-    decode_hashed_batch,
-    encode_hashed_batch,
-)
+from typing import Any, List, Tuple
 
 __all__ = [
-    "FRAME_HBATCH",
     "FRAME_JSON",
     "MAX_FRAME_BYTES",
     "PROTOCOL_VERSION",
     "ProtocolError",
-    "decode_ingest_payload",
     "decode_json_payload",
     "decode_value",
-    "encode_ingest_frame",
     "encode_value",
+    "ingest_items",
     "pack_frame",
     "pack_json",
     "read_frame",
-    "spec_from_wire",
-    "spec_to_wire",
 ]
 
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 
 FRAME_JSON = 1
-FRAME_HBATCH = 2
 
 #: Refuse frames beyond this size instead of allocating unboundedly for a
 #: corrupt (or hostile) length prefix.  64 MiB fits any sane ingest batch.
 MAX_FRAME_BYTES = 64 << 20
 
 _HEADER = struct.Struct("!BI")
-_ROUTE_HEADER = struct.Struct("=Q")
+
+#: The JSON types a node ID may arrive as: the scalars a query argument can
+#: carry back.  (A tuple ID arrives as a list, which no query could name.)
+_ID_TYPES = frozenset({str, int, float})
+_WEIGHT_TYPES = frozenset({int, float})
 
 
 class ProtocolError(RuntimeError):
@@ -131,91 +116,47 @@ HEADER_SIZE = _HEADER.size
 unpack_header = _HEADER.unpack
 
 
-# -- binary ingest frames ----------------------------------------------------
+# -- ingest and query values ------------------------------------------------
 
 
-def encode_ingest_frame(batch: HashedBatch) -> bytes:
-    """Encode a routed :class:`HashedBatch` as one binary ingest frame.
+def ingest_items(document: dict) -> List[list]:
+    """The items of an ingest frame, as ``[source, destination, weight]``
+    lists with float weights.
 
-    Layout: ``=Q`` route count, the u64 route-hash column, then the
-    hashed-batch blob.  Requires NumPy on the encoding side (the
-    columns are arrays); callers fall back to a JSON ingest frame otherwise.
-    A batch without route hashes encodes a zero-length route column — the
-    server then routes it itself (one routing-hash pass, node hashes still
-    reused).
+    Raises :class:`ProtocolError`, before anything is ingested, unless
+    ``items`` is a list of three-element lists whose node IDs are JSON
+    strings or numbers and whose weights are numbers.
     """
-    np = load_numpy()
-    blob = encode_hashed_batch(batch)
-    if batch.route_hashes is None:
-        return pack_frame(FRAME_HBATCH, _ROUTE_HEADER.pack(0) + blob)
-    routes = np.ascontiguousarray(np.asarray(batch.route_hashes, dtype=np.uint64))
-    return pack_frame(
-        FRAME_HBATCH,
-        b"".join((_ROUTE_HEADER.pack(len(routes)), routes.tobytes(), blob)),
-    )
-
-
-def decode_ingest_payload(payload: bytes, spec: Optional[HashSpec]) -> HashedBatch:
-    """Decode a binary ingest payload back into a :class:`HashedBatch`.
-
-    ``spec`` is the *server's* hash spec (node family + routing seed): the
-    client built the batch against the spec advertised in the hello frame,
-    so stamping it here lets ``ShardedSummary.update_many_hashed`` accept
-    the columns without re-hashing.  Requires NumPy (servers without it
-    never advertise binary ingest).  Raises :class:`ProtocolError` when the
-    payload's counts disagree with each other or with its length.
-    """
-    np = load_numpy()
-    try:
-        (route_count,) = _ROUTE_HEADER.unpack_from(payload, 0)
-        cursor = _ROUTE_HEADER.size
-        routes = None
-        if route_count:
-            routes = np.frombuffer(
-                payload, dtype=np.uint64, count=route_count, offset=cursor
-            )
-            cursor += 8 * route_count
-        batch = decode_hashed_batch(payload, cursor, len(payload) - cursor, spec)
-    except (struct.error, ValueError) as error:
-        raise ProtocolError(f"malformed binary ingest frame: {error}") from None
-    if routes is not None:
-        if len(batch) != route_count:
+    items = document.get("items")
+    if not isinstance(items, list):
+        raise ProtocolError("an ingest frame carries an 'items' list")
+    if not items:
+        return items
+    # A well-formed frame passes whole-frame type checks whose loops run in
+    # C; any other is walked item by item to name what is wrong with it.
+    if set(map(type, items)) == {list} and set(map(len, items)) == {3}:
+        sources, destinations, weights = zip(*items)
+        weight_types = set(map(type, weights))
+        if (set(map(type, sources)) | set(map(type, destinations))) <= _ID_TYPES:
+            if weight_types == {float}:
+                return items
+            if weight_types <= _WEIGHT_TYPES:
+                return [
+                    [source, destination, float(weight)]
+                    for source, destination, weight in items
+                ]
+    for item in items:
+        if type(item) is not list or len(item) != 3:
             raise ProtocolError(
-                f"route column of {route_count} entries for a batch of "
-                f"{len(batch)} items"
+                f"ingest item {item!r} is not a [source, destination, weight] list"
             )
-        batch.route_hashes = routes
-    return batch
-
-
-def binary_ingest_supported() -> bool:
-    """Whether this side can encode/decode ``FRAME_HBATCH`` payloads."""
-    return NUMPY_AVAILABLE
-
-
-# -- hash specs and query values over JSON -----------------------------------
-
-
-def spec_to_wire(spec: Optional[HashSpec]) -> Optional[dict]:
-    """A :class:`HashSpec` as a JSON-safe object (``None`` passes through)."""
-    if spec is None:
-        return None
-    return {
-        "seed": spec.seed,
-        "hash_range": spec.hash_range,
-        "routing_seed": spec.routing_seed,
-    }
-
-
-def spec_from_wire(document: Optional[dict]) -> Optional[HashSpec]:
-    """Rebuild a :class:`HashSpec` from its wire form."""
-    if document is None:
-        return None
-    return HashSpec(
-        seed=document["seed"],
-        hash_range=document["hash_range"],
-        routing_seed=document.get("routing_seed"),
-    )
+        if type(item[0]) not in _ID_TYPES or type(item[1]) not in _ID_TYPES:
+            raise ProtocolError(
+                f"ingest item {item!r}: node IDs must be strings or numbers"
+            )
+        if type(item[2]) not in _WEIGHT_TYPES:
+            raise ProtocolError(f"ingest item {item!r}: the weight must be a number")
+    raise ProtocolError("malformed ingest items")  # pragma: no cover - unreachable
 
 
 def encode_value(value: Any) -> Any:

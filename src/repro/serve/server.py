@@ -130,10 +130,10 @@ class SummaryServer:
     Parameters
     ----------
     summary:
-        Any :class:`~repro.api.GraphSummary`.  A summary speaking the hashed
-        ingest protocol (``update_many_hashed`` + ``hash_spec``) gets its
-        hash spec advertised to clients, which then ship pre-hashed columns;
-        anything else is fed through plain ``update_many``.
+        Any :class:`~repro.api.GraphSummary`.  Ingest frames carry node IDs
+        and are fed to its ``update_many``, so it hashes each batch once
+        itself.  A sharded summary's ``routing_seed`` is advertised in the
+        hello frame.
     config:
         A :class:`ServeConfig` (defaults are loopback + ephemeral port).
     """
@@ -152,14 +152,6 @@ class SummaryServer:
             enable_obs = getattr(summary, "enable_obs", None)
             if callable(enable_obs):
                 enable_obs()
-        spec_of = getattr(summary, "hash_spec", None)
-        hashed_ingest = getattr(summary, "update_many_hashed", None)
-        self._hash_spec = (
-            spec_of() if callable(spec_of) and callable(hashed_ingest) else None
-        )
-        self._binary_ingest = (
-            protocol.binary_ingest_supported() and self._hash_spec is not None
-        )
         # One thread: the cluster pipes are single-consumer and the global
         # total order over summary operations is the consistency argument.
         self._executor = ThreadPoolExecutor(
@@ -338,21 +330,17 @@ class SummaryServer:
         # reply-ready minus this, the server-side per-op latency the load
         # generator diffs against its client-side percentiles.
         started = time.perf_counter()
-        if kind == protocol.FRAME_HBATCH:
-            self.metrics.binary_ingest_frames.inc()
-            self._ingest(connection, payload, binary=True, started=started)
-        elif kind == protocol.FRAME_JSON:
-            document = protocol.decode_json_payload(payload)
-            self._dispatch_op(connection, document, started)
-        else:
+        if kind != protocol.FRAME_JSON:
             raise protocol.ProtocolError(f"unknown frame kind {kind}")
+        document = protocol.decode_json_payload(payload)
+        self._dispatch_op(connection, document, started)
 
     def _dispatch_op(
         self, connection: _Connection, document: dict, started: float
     ) -> None:
         operation = document.get("op")
         if operation == "ingest":
-            self._ingest(connection, document, binary=False, started=started)
+            self._ingest(connection, document, started)
         elif operation == "call":
             self._call(connection, document, started)
         elif operation == "hello":
@@ -397,8 +385,7 @@ class SummaryServer:
             "op": "hello",
             "protocol": protocol.PROTOCOL_VERSION,
             "server": "repro-serve",
-            "hash_spec": protocol.spec_to_wire(self._hash_spec),
-            "binary_ingest": self._binary_ingest,
+            "routing_seed": getattr(self.summary, "routing_seed", None),
             "credits": self.config.credits,
             "retry_after": self.config.retry_after,
             "workers": getattr(self.summary, "workers", None),
@@ -431,7 +418,7 @@ class SummaryServer:
     # -- ingest path ---------------------------------------------------------
 
     def _ingest(
-        self, connection: _Connection, payload, *, binary: bool, started: float
+        self, connection: _Connection, document: dict, started: float
     ) -> None:
         self.metrics.ingest_frames.inc()
         if (
@@ -452,9 +439,7 @@ class SummaryServer:
             return
         self.metrics.admit()
         connection.admitted += 1
-        future = self._run(
-            self._apply_binary if binary else self._apply_items, payload
-        )
+        future = self._run(self._apply_items, document)
 
         async def settle() -> bytes:
             try:
@@ -478,15 +463,10 @@ class SummaryServer:
 
         connection.queue.put_nowait(asyncio.ensure_future(settle()))
 
-    def _apply_binary(self, payload: bytes) -> int:
-        """Executor-side: decode a binary frame and feed the hashed path."""
-        batch = protocol.decode_ingest_payload(payload, self._hash_spec)
-        return self.summary.update_many_hashed(batch)
-
     def _apply_items(self, document: dict) -> int:
-        """Executor-side: feed a JSON ingest frame through ``update_many``."""
-        items = [tuple(item) for item in document["items"]]
-        return self.summary.update_many(items)
+        """Executor-side: check an ingest frame whole, then feed it to
+        ``update_many`` (a refused frame touches nothing)."""
+        return self.summary.update_many(protocol.ingest_items(document))
 
     # -- query path ----------------------------------------------------------
 

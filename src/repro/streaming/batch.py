@@ -7,8 +7,9 @@ again inside each shard's ``update_many``, and again for memo upkeep.  The
 summary that ingests a batch hashes it, once: a plain GSS through its own
 backend, a sharded deployment through its kernel front end or, where that
 cannot run, through :class:`HashedBatch`, which carries the hashes across
-the boundaries a batch crosses — shard routing and the serve protocol's
-``FRAME_HBATCH`` — as columns the shards consume directly:
+shard routing as columns the shards consume directly.  (A served summary
+hashes its own batches too: serve ingest frames carry node IDs.)  The
+columns:
 
 * ``sources`` / ``destinations`` — the original node keys (kept because the
   reverse :class:`~repro.core.reverse_index.NodeIndex` needs them);
@@ -36,8 +37,6 @@ invariant end-to-end.
 
 from __future__ import annotations
 
-import pickle
-import struct
 from dataclasses import dataclass
 from itertools import chain
 from typing import Hashable, Iterable, List, Optional, Sequence, Tuple, Union
@@ -50,8 +49,6 @@ __all__ = [
     "HashSpec",
     "HashedBatch",
     "MEMO_LIMIT",
-    "decode_hashed_batch",
-    "encode_hashed_batch",
 ]
 
 #: Obs counters proving the hash-once invariant live: every distinct key in
@@ -71,9 +68,6 @@ MEMO_LIMIT = 1 << 20
 #: dominate tiny inputs.  Both paths are bit-identical, so this is purely a
 #: constant-factor knob.
 _VECTOR_MIN = 16
-
-#: Header of the hashed-batch blob: row count, pickled-keys length.
-_BLOB_HEADER = struct.Struct("=QQ")
 
 
 @dataclass(frozen=True)
@@ -153,11 +147,10 @@ def _hash_lookup(
 class HashedBatch:
     """One chunk of stream items with node hashes computed exactly once.
 
-    Build through :meth:`from_items` (normalization + hashing) or
-    :meth:`from_columns` (blob decode).  Column types are an internal
-    detail — NumPy arrays on the vectorized path, plain lists otherwise; use
-    the ``*_list`` accessors when Python ints/floats are required (dict keys,
-    JSON serialization).
+    Build through :meth:`from_items` (normalization + hashing).  Column
+    types are an internal detail — NumPy arrays on the vectorized path,
+    plain lists otherwise; use the ``*_list`` accessors when Python
+    ints/floats are required (dict keys, JSON serialization).
     """
 
     __slots__ = (
@@ -260,6 +253,14 @@ class HashedBatch:
                     timestamps.append(item[3] if len(item) > 3 else None)
 
         count = len(sources)
+        vectorized = NUMPY_AVAILABLE and count >= _VECTOR_MIN
+        # Weights convert before any key is hashed: a bad one refuses the
+        # whole batch, whichever column type it gets.
+        if vectorized:
+            np = load_numpy()
+            weight_column = np.asarray(weights, dtype=np.float64)
+        else:
+            weight_column = [float(weight) for weight in weights]
         routes = spec.routing_seed is not None
         with _obs_span("ingest.hash_batch"):
             lookup = _hash_lookup(
@@ -270,15 +271,13 @@ class HashedBatch:
                 if routes
                 else None
             )
-        if NUMPY_AVAILABLE and count >= _VECTOR_MIN:
-            np = load_numpy()
+        if vectorized:
             source_hashes = np.fromiter(
                 map(lookup.__getitem__, sources), dtype=np.uint64, count=count
             )
             destination_hashes = np.fromiter(
                 map(lookup.__getitem__, destinations), dtype=np.uint64, count=count
             )
-            weight_column = np.asarray(weights, dtype=np.float64)
             route_hashes = (
                 np.fromiter(
                     map(route_lookup.__getitem__, sources),
@@ -291,7 +290,6 @@ class HashedBatch:
         else:
             source_hashes = [lookup[key] for key in sources]
             destination_hashes = [lookup[key] for key in destinations]
-            weight_column = weights
             route_hashes = (
                 [route_lookup[key] for key in sources] if routes else None
             )
@@ -301,28 +299,6 @@ class HashedBatch:
             destinations=destinations,
             weights=weight_column,
             timestamps=timestamps,
-            source_hashes=source_hashes,
-            destination_hashes=destination_hashes,
-            route_hashes=route_hashes,
-        )
-
-    @classmethod
-    def from_columns(
-        cls,
-        spec: Optional[HashSpec],
-        sources: Sequence,
-        destinations: Sequence,
-        weights,
-        source_hashes,
-        destination_hashes,
-        route_hashes=None,
-    ) -> "HashedBatch":
-        """Rebuild a hashed batch from already-computed columns (blob decode)."""
-        return cls(
-            spec,
-            sources=sources,
-            destinations=destinations,
-            weights=weights,
             source_hashes=source_hashes,
             destination_hashes=destination_hashes,
             route_hashes=route_hashes,
@@ -454,86 +430,3 @@ class HashedBatch:
             source_hashes=source_hashes,
             destination_hashes=destination_hashes,
         )
-
-
-# -- the hashed-batch blob ---------------------------------------------------
-#
-# One byte format carries a hashed batch across the network: the serve
-# protocol's ``FRAME_HBATCH``.  (The cluster's worker pipes carry per-shard
-# columns instead, see repro.cluster.front_end.)  Layout
-# (native endianness; both ends share the architecture)::
-#
-#     header:  count (u64), keys_nbytes (u64)
-#     columns: count x u64 source hashes | count x u64 destination hashes
-#              | count x f64 weights
-#     keys:    pickled (sources, destinations) key lists
-#
-# The original keys travel pickled because the summary behind the server
-# answers successor/precursor queries over original IDs.
-
-
-def encode_hashed_batch(batch: HashedBatch) -> bytes:
-    """Serialize a hashed batch into one contiguous blob (needs NumPy)."""
-    np = load_numpy()
-    count = len(batch)
-    source_hashes = np.ascontiguousarray(
-        np.asarray(batch.source_hashes, dtype=np.uint64)
-    )
-    destination_hashes = np.ascontiguousarray(
-        np.asarray(batch.destination_hashes, dtype=np.uint64)
-    )
-    weights = np.ascontiguousarray(np.asarray(batch.weights, dtype=np.float64))
-    keys_blob = pickle.dumps(
-        (batch.sources, batch.destinations), protocol=pickle.HIGHEST_PROTOCOL
-    )
-    return b"".join(
-        (
-            _BLOB_HEADER.pack(count, len(keys_blob)),
-            source_hashes.tobytes(),
-            destination_hashes.tobytes(),
-            weights.tobytes(),
-            keys_blob,
-        )
-    )
-
-
-def decode_hashed_batch(
-    buffer, offset: int, nbytes: int, spec: Optional[HashSpec]
-) -> HashedBatch:
-    """Rebuild a hashed batch from the blob at ``buffer[offset:offset+nbytes]``.
-
-    The numeric columns are read-only ``np.frombuffer`` views into
-    ``buffer``; the keys are unpickled.  Raises :class:`ValueError` when the
-    blob's header disagrees with its length or with its key lists — the
-    blob may arrive off the network, and a short key list with a longer
-    hash column would otherwise ingest rows no key describes.
-    """
-    np = load_numpy()
-    if nbytes < _BLOB_HEADER.size:
-        raise ValueError(
-            f"hashed-batch blob of {nbytes} bytes is shorter than its header"
-        )
-    count, keys_nbytes = _BLOB_HEADER.unpack_from(buffer, offset)
-    cursor = offset + _BLOB_HEADER.size
-    if _BLOB_HEADER.size + 24 * count + keys_nbytes != nbytes:
-        raise ValueError(
-            f"hashed-batch blob of {nbytes} bytes does not hold the {count} "
-            f"rows and {keys_nbytes} key bytes its header declares"
-        )
-    source_hashes = np.frombuffer(buffer, dtype=np.uint64, count=count, offset=cursor)
-    cursor += 8 * count
-    destination_hashes = np.frombuffer(
-        buffer, dtype=np.uint64, count=count, offset=cursor
-    )
-    cursor += 8 * count
-    weights = np.frombuffer(buffer, dtype=np.float64, count=count, offset=cursor)
-    cursor += 8 * count
-    sources, destinations = pickle.loads(buffer[cursor : cursor + keys_nbytes])
-    if len(sources) != count or len(destinations) != count:
-        raise ValueError(
-            f"hashed-batch blob declares {count} rows but carries "
-            f"{len(sources)} sources and {len(destinations)} destinations"
-        )
-    return HashedBatch.from_columns(
-        spec, sources, destinations, weights, source_hashes, destination_hashes
-    )

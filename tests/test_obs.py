@@ -393,7 +393,6 @@ class TestServeObs:
             "frames_received",
             "ingest_frames",
             "ingest_items",
-            "binary_ingest_frames",
             "busy_replies",
             "queries",
             "flushes",

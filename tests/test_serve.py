@@ -7,6 +7,8 @@ The load-bearing laws:
 * **served equivalence** — a single ingest feed through the server produces
   a summary answering every query identically to an in-process
   ``ShardedSummary`` fed the same stream directly;
+* **whole-frame ingest** — a malformed ingest frame gets one ``error``
+  reply, leaves no state, and the connection keeps serving;
 * **lossless backpressure** — busy replies slow a client down but never
   lose, reorder, or double-apply a frame;
 * **snapshot consistency** — a checkpoint racing concurrent ingest captures
@@ -20,9 +22,9 @@ import struct
 import threading
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.api import SketchSpec, build, from_dict
-from repro.hashing.vectorized import NUMPY_AVAILABLE
 from repro.serve import (
     ServeClient,
     ServeClientError,
@@ -37,7 +39,6 @@ from repro.serve.loadgen import (
     run_load_test,
     synthetic_stream,
 )
-from repro.streaming.batch import HashedBatch, HashSpec
 
 #: Small inner shards so cluster spin-up stays cheap.
 SHARD_PARAMS = dict(matrix_width=24, sequence_length=4, candidate_buckets=4)
@@ -125,95 +126,6 @@ class TestProtocolFraming:
             "x": 2,
         }
 
-    def test_hash_spec_wire_round_trip(self):
-        spec = HashSpec(seed=3, hash_range=1 << 12, routing_seed=97)
-        assert protocol.spec_from_wire(protocol.spec_to_wire(spec)) == spec
-        assert protocol.spec_to_wire(None) is None
-        assert protocol.spec_from_wire(None) is None
-
-
-@pytest.mark.skipif(not NUMPY_AVAILABLE, reason="binary frames need NumPy")
-class TestBinaryIngestFrames:
-    SPEC = HashSpec(seed=1, hash_range=1 << 12, routing_seed=97)
-
-    def batch(self, count: int = 5) -> HashedBatch:
-        items = [(f"s{i}", f"d{i}", float(i + 1)) for i in range(count)]
-        return HashedBatch.from_items(items, self.SPEC)
-
-    def test_round_trip_preserves_hashes_and_routes(self):
-        batch = self.batch()
-        frame = protocol.encode_ingest_frame(batch)
-        state = {"cursor": 0}
-
-        def read_exact(count):
-            start = state["cursor"]
-            state["cursor"] += count
-            return frame[start : start + count]
-
-        kind, payload = protocol.read_frame(read_exact)
-        assert kind == protocol.FRAME_HBATCH
-        decoded = protocol.decode_ingest_payload(payload, self.SPEC)
-        assert len(decoded) == len(batch)
-        assert decoded.source_hash_list() == batch.source_hash_list()
-        assert decoded.destination_hash_list() == batch.destination_hash_list()
-        assert decoded.weight_list() == batch.weight_list()
-        assert decoded.route_hashes is not None
-        assert list(decoded.route_hashes) == list(batch.route_hashes)
-
-    #: Malformed payload defect -> the ProtocolError message it must raise.
-    MALFORMED = {
-        "routes-exceed-rows": "route column",
-        "keys-short-of-header": "declares 3 rows",
-        "columns-past-payload": "does not hold",
-        "truncated-header": "shorter than its header",
-    }
-
-    @pytest.mark.parametrize("defect", list(MALFORMED))
-    def test_route_count_mismatch_rejected(self, defect):
-        import pickle
-
-        import numpy as np
-
-        from repro.core.config import GSSConfig
-        from repro.core.gss import GSS
-        from repro.streaming.batch import encode_hashed_batch
-
-        sketch = GSS(GSSConfig(matrix_width=16))
-        spec = sketch.hash_spec().with_routing(97)
-        items = [(f"s{i}", f"d{i}", float(i + 1)) for i in range(3)]
-        two = encode_hashed_batch(HashedBatch.from_items(items[:2], spec))
-        three = encode_hashed_batch(HashedBatch.from_items(items, spec))
-        no_routes = struct.pack("=Q", 0)
-        if defect == "routes-exceed-rows":
-            payload = (
-                struct.pack("=Q", 3) + np.zeros(3, dtype=np.uint64).tobytes() + two
-            )
-        elif defect == "keys-short-of-header":
-            # Three rows of hash columns, but only two keys per side.
-            keys = pickle.dumps((["s0", "s1"], ["d0", "d1"]))
-            columns = three[16 : 16 + 24 * 3]
-            payload = no_routes + struct.pack("=QQ", 3, len(keys)) + columns + keys
-        elif defect == "columns-past-payload":
-            # The header promises three rows; the payload ends after two.
-            keys = three[16 + 24 * 3 :]
-            columns = two[16 : 16 + 24 * 2]
-            payload = no_routes + three[:16] + columns + keys
-        else:
-            payload = no_routes + three[:8]
-        with pytest.raises(protocol.ProtocolError, match=self.MALFORMED[defect]):
-            sketch.update_many_hashed(protocol.decode_ingest_payload(payload, spec))
-        assert sketch.update_count == 0
-        assert sketch.matrix_edge_count == 0
-
-    def test_batch_without_routes_travels(self):
-        spec = HashSpec(seed=1, hash_range=1 << 12)  # no routing seed
-        batch = HashedBatch.from_items([("a", "b", 1.0)], spec)
-        frame = protocol.encode_ingest_frame(batch)
-        payload = frame[protocol.HEADER_SIZE :]
-        decoded = protocol.decode_ingest_payload(payload, spec)
-        assert decoded.route_hashes is None
-        assert decoded.items() == [("a", "b", 1.0)]
-
 
 class TestServeBasics:
     def test_hello_negotiation(self, client):
@@ -221,9 +133,8 @@ class TestServeBasics:
         assert client.workers == 2
         assert client.credits >= 1
         assert client.retry_after > 0
-        assert client.hash_spec is not None
-        assert client.hash_spec.routing_seed is not None
-        assert client.binary_ingest == NUMPY_AVAILABLE
+        assert client.routing_seed == 97
+        assert "hash_spec" not in client.server_info
 
     def test_read_your_writes_without_flush(self, client):
         client.ingest([("ryw-a", "ryw-b", 2.5)])
@@ -311,15 +222,13 @@ def assert_equivalent(client: ServeClient, reference, stream) -> None:
 class TestServedEquivalence:
     """One feed through the server == the same stream fed in process."""
 
-    def run_equivalence(self, force_json: bool) -> None:
+    def test_json_ingest_equivalent(self):
         stream = synthetic_stream(2500, nodes=250, seed=13)
         cluster = build(make_spec())
         reference = build(make_spec())
         handle = serve_in_thread(cluster, ServeConfig(close_summary=False))
         try:
             with ServeClient(handle.host, handle.port, batch_size=256) as feed:
-                if force_json:
-                    feed.binary_ingest = False
                 feed.ingest(stream)
                 feed.flush()
                 reference.update_many(stream)
@@ -330,12 +239,108 @@ class TestServedEquivalence:
             cluster.close()
             reference.close()
 
-    @pytest.mark.skipif(not NUMPY_AVAILABLE, reason="binary path needs NumPy")
-    def test_binary_ingest_equivalent(self):
-        self.run_equivalence(force_json=False)
 
-    def test_json_ingest_equivalent(self):
-        self.run_equivalence(force_json=True)
+# -- raw ingest documents ------------------------------------------------------
+
+#: A small pool, so documents reuse nodes across frames and examples.
+_ids = st.sampled_from(["a", "b", "é", "", 3, -2, 0.5])
+_good_item = st.tuples(_ids, _ids, st.sampled_from([1.0, 2.5, -1.0, 3])).map(list)
+_not_scalars = st.sampled_from([["a", 1], [], {"k": "v"}, None, True])
+_bad_item = st.one_of(
+    st.lists(_ids, max_size=2),  # too few fields
+    st.tuples(_ids, _ids, st.just(1.0), _ids).map(list),  # too many
+    st.tuples(_ids, _ids, st.sampled_from(["x", "1.5", None, True, [1.0]])).map(list),
+    st.tuples(_not_scalars, _ids, st.just(1.0)).map(list),
+    st.tuples(_ids, _not_scalars, st.just(1.0)).map(list),
+    st.sampled_from(["a-b-1", 5, None, {"source": "a"}]),  # not a list
+)
+_good_document = st.lists(_good_item, max_size=6).map(
+    lambda items: (True, {"op": "ingest", "items": items})
+)
+_bad_document = st.one_of(
+    st.just({"op": "ingest"}),
+    st.sampled_from([None, "items", 3, {"a": 1}]).map(
+        lambda items: {"op": "ingest", "items": items}
+    ),
+    st.tuples(
+        st.lists(_good_item, max_size=3), _bad_item, st.lists(_good_item, max_size=3)
+    ).map(lambda parts: {"op": "ingest", "items": [*parts[0], parts[1], *parts[2]]}),
+).map(lambda document: (False, document))
+_documents = st.lists(st.one_of(_good_document, _bad_document), min_size=1, max_size=6)
+
+
+class TestIngestFrames:
+    """An ingest frame is taken whole or refused whole."""
+
+    def test_tuple_ids_are_refused_at_ingest(self, client):
+        # JSON turns the tuples into lists, which no query could name: the
+        # frame is refused instead of stored out of the queries' reach.
+        client.ingest([(("tup", 1), ("tup", 2), 1.0)])
+        with pytest.raises(ServeClientError, match="strings or numbers"):
+            client.drain()
+        client.ingest([("tup-a", "tup-b", 1.0)])
+        assert client.successor_query("tup-a") == {"tup-b"}
+        assert client.precursor_query("tup-b") == {"tup-a"}
+
+    @staticmethod
+    def feed_documents(client, reference, documents) -> None:
+        """Send each document raw; the reference gets only the accepted."""
+        for accepted, document in documents:
+            client._send_frame(protocol.pack_json(document))
+            reply = client._read_reply()
+            if accepted:
+                assert reply == {"op": "ok", "applied": len(document["items"])}
+                reference.update_many(
+                    [(s, d, float(w)) for s, d, w in document["items"]]
+                )
+            else:
+                assert reply["op"] == "error", (document, reply)
+        nodes = ["a", "b", "é", "", 3, -2, 0.5]
+        for node in nodes:
+            assert client.successor_query(node) == reference.successor_query(node)
+            assert client.precursor_query(node) == reference.precursor_query(node)
+            for other in nodes:
+                assert client.edge_query(node, other) == reference.edge_query(
+                    node, other
+                )
+
+    def fuzz(self, served, reference, documents_of) -> None:
+        handle = serve_in_thread(served, ServeConfig(close_summary=False))
+        try:
+            with ServeClient(handle.host, handle.port) as client:
+
+                @settings(max_examples=25, deadline=None)
+                @given(documents=_documents)
+                def check(documents):
+                    self.feed_documents(client, reference, documents)
+                    assert documents_of(served) == documents_of(reference)
+
+                check()
+        finally:
+            handle.stop()
+
+    def test_fuzzed_documents_over_a_served_gss(self):
+        params = dict(memory_bytes=4096)
+        self.fuzz(build("gss", **params), build("gss", **params), lambda s: s.to_dict())
+
+    def test_fuzzed_documents_over_a_two_worker_cluster(self):
+        cluster = build(make_spec())
+        reference = build(
+            SketchSpec("partitioned-gss", params={"partitions": 2, **SHARD_PARAMS})
+        )
+        try:
+            self.fuzz(
+                cluster,
+                reference,
+                lambda s: (
+                    [shard.to_dict() for shard in s.shards]
+                    if s.in_process
+                    else s.shard_snapshots()
+                ),
+            )
+        finally:
+            cluster.close()
+            reference.close()
 
 
 class TestBackpressure:

@@ -1,12 +1,12 @@
 """Tests for :mod:`repro.cluster.front_end`: the sharded ingest front ends.
 
 Two front ends turn a batch into one ``columns`` message per shard — the
-kernel's ``gss_route_text_batch`` (all-string batches, text or prehashed)
-and the Python :func:`split_columns` (everything else).  The laws:
+kernel's ``gss_route_text_batch`` (all-string batches) and the Python
+:func:`split_columns` (everything else).  The laws:
 
 * on the batches both can take, they send every shard the same columns,
   and the same node pairs except that the kernel leaves out nodes it has
-  already sent that shard — however the node's batches arrive;
+  already sent that shard — batches and queued scalar updates alike;
 * either way, both deployments of ``ShardedSummary`` leave every shard's
   ``to_dict`` — node index order included — equal to the scalar-routed
   :class:`ShardOracle`;
@@ -33,6 +33,7 @@ from repro.cluster.front_end import (
 )
 from repro.cluster.worker import Shard
 from repro.core.config import GSSConfig
+from repro.hashing.hash_functions import hash_key
 from repro.hashing.vectorized import NUMPY_AVAILABLE
 from repro.streaming.batch import HashedBatch, HashSpec
 from shard_oracle import ShardOracle, gss_params, partitioned_gss
@@ -140,20 +141,20 @@ class TestFrontEndEquivalence:
     @given(
         batches=batch_sequences(odd=False),
         workers=st.sampled_from(WORKER_COUNTS),
-        prehashed=st.lists(st.booleans(), min_size=5, max_size=5),
+        scalar=st.lists(st.booleans(), min_size=5, max_size=5),
     )
-    def test_prehashed_and_text_batches_share_the_router(self, batches, workers, prehashed):
+    def test_scalar_and_batch_updates_share_the_router(self, batches, workers, scalar):
         oracle = ShardOracle(CONFIG, shards=workers)
         with partitioned_gss(CONFIG, partitions=workers) as summary:
             sent = _record_sent_nodes(summary)
-            for items, hashed in zip(batches, prehashed):
+            for items, one_by_one in zip(batches, scalar):
                 oracle.update_many(items)
-                if hashed:
-                    summary.update_many_hashed(
-                        HashedBatch.from_items(items, summary.hash_spec())
-                    )
+                if one_by_one:
+                    for item in items:
+                        summary.update(*item)
                 else:
                     summary.update_many(items)
+            summary.flush()
             # Each shard was sent each of its nodes exactly once.
             for shard, nodes in enumerate(sent):
                 assert sorted(nodes) == sorted(oracle.shards[shard]._node_index._hash_of)
@@ -193,15 +194,15 @@ def _shard_documents(summary):
 def _feed(summary, oracle, batches):
     """Feed each batch to the oracle, and to ``summary`` in turn through
     ``update_many``, scalar ``update`` calls (still queued when the next
-    ``update_many`` comes), ``update_many`` and, prehashed as a serve client
-    ships it, ``update_many_hashed``."""
+    ``update_many`` comes), ``update_many`` and ``update_many`` over an
+    iterator."""
     for number, items in enumerate(batches):
         oracle.update_many(items)
         if number % 4 == 1:
             for item in items:
                 summary.update(*item)
         elif number % 4 == 3:
-            summary.update_many_hashed(HashedBatch.from_items(items, summary.hash_spec()))
+            summary.update_many(iter(items))
         else:
             summary.update_many(items)
 
@@ -229,6 +230,10 @@ def _malformed_messages():
     messages = [
         ("pair lists of unequal length", good._replace(node_hashes=[5, 6])),
         ("columns of unequal length", good._replace(weights=[1.0])),
+        (
+            "a weight that is not a number, with a new node",
+            good._replace(weights=[1.0, "x"], nodes=["z"], node_hashes=[9]),
+        ),
     ]
     if NUMPY_AVAILABLE:
         blob = encode_columns(good)
@@ -265,7 +270,7 @@ class TestMalformedMessages:
             summary.update_many([("a", "b", 2.0), ("b", "c", 1.0)])
             before = _shard_documents(summary)
             error = ValueError if in_process else ClusterError
-            with pytest.raises(error, match="ValueError|length|header|nodes"):
+            with pytest.raises(error, match="ValueError|length|header|nodes|weight"):
                 summary._handles[0].request(("columns", payload))
             assert _shard_documents(summary) == before, reason
             assert summary.edge_query("a", "b") == 2.0
@@ -283,6 +288,13 @@ def _routed_to(summary, shard, make):
 DEPLOYMENTS = pytest.mark.parametrize("in_process", [True, False], ids=["inline", "worker"])
 
 
+def _register_under_a_wrong_hash(summary, shard, node):
+    """Record ``node`` in ``shard``'s index under a hash it does not have,
+    so the shard refuses the next message that sends it."""
+    wrong = (hash_key(node, CONFIG.seed) + 1) % CONFIG.hash_range
+    summary._handles[shard].request(("columns", ShardColumns([], [], [], [node], [wrong])))
+
+
 class TestFailedMessages:
     def test_a_refused_pair_still_records_the_others(self):
         from repro.core.reverse_index import NodeIndex
@@ -296,13 +308,7 @@ class TestFailedMessages:
     @DEPLOYMENTS
     def test_nodes_of_a_refused_message_are_not_lost(self, in_process):
         with ShardedSummary(SPEC, workers=1, in_process=in_process) as summary:
-            # A frame with a non-string ID takes the Python front end, which
-            # ships the frame's own hashes: "a" lands under a wrong one.
-            frame = HashedBatch.from_items([(7, "a", 1.0)], summary.hash_spec())
-            frame.destination_hashes[0] = (
-                frame.destination_hashes[0] + 1
-            ) % summary.hash_spec().hash_range
-            summary.update_many_hashed(frame)
+            _register_under_a_wrong_hash(summary, 0, "a")
             # The shard refuses the next message for "a", after recording "n".
             with pytest.raises((ValueError, ClusterError), match="already registered"):
                 summary.update_many([("a", "n", 1.0)])
@@ -313,14 +319,9 @@ class TestFailedMessages:
     @DEPLOYMENTS
     def test_nodes_of_an_unsent_message_are_sent_again(self, in_process):
         with ShardedSummary(SPEC, workers=2, in_process=in_process) as summary:
-            number = _routed_to(summary, 0, int)
             first = _routed_to(summary, 0, "a{}".format)
             second = _routed_to(summary, 1, "b{}".format)
-            frame = HashedBatch.from_items([(number, "n", 1.0)], summary.hash_spec())
-            frame.destination_hashes[0] = (
-                frame.destination_hashes[0] + 1
-            ) % summary.hash_spec().hash_range
-            summary.update_many_hashed(frame)
+            _register_under_a_wrong_hash(summary, 0, "n")
             # Shard 0 refuses its message; in process, shard 1's is then
             # never sent, though the router had counted "m" as sent.
             with pytest.raises((ValueError, ClusterError), match="already registered"):

@@ -242,3 +242,46 @@ class TestSummariesHashTheirOwnBatches:
         assert summary.edge_query("a", "b") == 3.0
         assert summary.edge_query("b", "c") == 1.5
         assert sum(session.stats.shard_items) == 3
+
+
+#: Batches a summary must refuse whole: a weight that is not a number after
+#: string IDs (kernel text path) and after int IDs (the other paths), and an
+#: unhashable ID after a good item.
+REJECTED_BATCHES = [
+    [("c", "d", 1.0), ("e", "f", "x")],
+    [(3, 4, 1.0), (5, 6, "x")],
+    [("c", "d", 1.0), (["e"], "f", 1.0)],
+]
+
+
+class TestARejectedBatchLeavesNoState:
+    @pytest.mark.parametrize("batch", REJECTED_BATCHES)
+    @pytest.mark.parametrize("backend", GSS_BACKENDS)
+    def test_gss(self, backend, batch):
+        sketch = build("gss", memory_bytes=8192, backend=backend)
+        sketch.update_many([("a", "b", 1.0)])
+        before = sketch.to_dict()
+        with pytest.raises((TypeError, ValueError)):
+            sketch.update_many(batch)
+        assert sketch.to_dict() == before
+        assert sketch.successor_query("c") == set()
+
+    @pytest.mark.parametrize("batch", REJECTED_BATCHES)
+    @pytest.mark.parametrize("name", ["partitioned-gss", "sharded-gss"])
+    def test_sharded_deployments(self, name, batch):
+        count = "partitions" if name == "partitioned-gss" else "workers"
+        with build(name, memory_bytes=16384, params={count: 2}) as summary:
+
+            def documents():
+                if summary.in_process:
+                    return [shard.to_dict() for shard in summary.shards]
+                return summary.shard_snapshots()
+
+            summary.update_many([("a", "b", 1.0)])
+            before = documents()
+            with pytest.raises((TypeError, ValueError)):
+                summary.update_many(batch)
+            assert documents() == before
+            assert summary.update_count == 1
+            summary.update_many([(3, 4, 1.0)])
+            assert summary.successor_query(3) == {4}
