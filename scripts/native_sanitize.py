@@ -34,13 +34,14 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parent.parent
 #: The suites that drive the compiled kernel hard: direct backend tests,
 #: the cross-backend equivalence sweeps, StreamSession feeds (which reach
-#: the kernel through its text ingestion path) and the sharded front-end
-#: sweeps (its routing entry point).
+#: the kernel through its text ingestion path), the sharded front-end
+#: sweeps (its routing entry point) and the text-encoder fallbacks of both.
 DEFAULT_SUITES = (
     "tests/test_native_backend.py",
     "tests/test_numpy_backend.py",
     "tests/test_stream_session.py",
     "tests/test_shard_front_end.py",
+    "tests/test_text_batch.py",
 )
 
 

@@ -12,12 +12,13 @@ dataset analog, size a sketch for it, feed the stream through the batched
   weight)`` triples, or a registered dataset by name;
 * auto-sizes a spec without explicit sizing from the stream's statistics
   (``expected_edges`` = the stream's distinct edge count);
-* chunks every feed into normalized batches (a spec-less
-  :class:`~repro.streaming.batch.HashedBatch`) and hands each one to the
-  summary's ``update_many`` (or a scalar loop): the summary hashes its own
-  batches — a GSS through its backend's batched path, a sharded deployment
-  once at its routing boundary — so the session never hashes a node;
-  timestamps are kept for windowed summaries and dropped for the rest;
+* cuts every feed into chunks and hands each one to the summary's
+  ``update_many`` (or a scalar loop): a chunk of exact ``(source,
+  destination, weight)`` tuples goes through untouched, any other is
+  normalized once, here.  The summary hashes its own batches — a GSS
+  through its backend's batched path, a sharded deployment once at its
+  routing boundary — so the session never hashes a node; timestamps are
+  kept for windowed summaries and dropped for the rest;
 * reports items/batches/seconds/throughput, optionally through a progress
   hook.
 """
@@ -26,18 +27,35 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from operator import itemgetter
+from itertools import islice
 from typing import Callable, Iterable, List, Optional, Union
 
 from repro.api.protocol import GraphSummary
 from repro.api.registry import SketchSpec, SpecSizingError, build
 from repro.obs import trace as _obs
-from repro.streaming.batch import HashedBatch
 
 __all__ = ["IngestReport", "StreamSession"]
 
-#: ``item[:3]`` — the ``(source, destination, weight)`` triple of an item.
-_TRIPLE = itemgetter(slice(3))
+
+def _normalized(chunk: List, windowed: bool) -> List:
+    """``chunk`` with edge-like items (with ``source`` / ``destination`` /
+    ``weight`` attributes) as triples, or for a windowed summary as
+    4-tuples ending in the timestamp (``None`` when absent).  Bare
+    sequences are cut to three elements, or passed untouched to a windowed
+    summary, which reads an optional fourth."""
+    if windowed:
+        return [
+            (item.source, item.destination, item.weight, getattr(item, "timestamp", None))
+            if hasattr(item, "source")
+            else item
+            for item in chunk
+        ]
+    return [
+        (item.source, item.destination, item.weight)
+        if hasattr(item, "source")
+        else item[:3]
+        for item in chunk
+    ]
 
 
 @dataclass
@@ -202,36 +220,33 @@ class StreamSession:
         report = IngestReport()
         started = time.perf_counter()
 
-        def flush(raw_chunk) -> None:
-            # One normalization pass for every ingest tier; the summary
-            # hashes the batch itself.  Scalar summaries get a star-unpacked
-            # loop, so a windowed summary's timestamp — the optional fourth
-            # element — reaches update() instead of being dropped.
+        def flush(chunk: List) -> None:
+            # Exact triples pass untouched (the checks are C loops).  Scalar
+            # summaries get a star-unpacked loop, so a windowed summary's
+            # timestamp — the optional fourth element — reaches update().
             with _obs.span("session.feed.batch"):
-                batch = HashedBatch.from_items(raw_chunk, keep_timestamps=windowed)
-                items = batch.items()
-                if not windowed:
-                    # Bare tuples pass the normalizer untouched; a fourth
-                    # element (a timestamp) is dropped here.
-                    items = list(map(_TRIPLE, items))
+                if (
+                    windowed
+                    or set(map(type, chunk)) != {tuple}
+                    or set(map(len, chunk)) != {3}
+                ):
+                    chunk = _normalized(chunk, windowed)
                 if update_many is not None:
-                    update_many(items)
+                    update_many(chunk)
                 else:
-                    for item in items:
+                    for item in chunk:
                         summary.update(*item)
-            report.items += len(batch)
+            report.items += len(chunk)
             report.batches += 1
             report.seconds = time.perf_counter() - started
             self._notify(report)
 
-        batch = []
-        for item in source:
-            batch.append(item)
-            if len(batch) >= self.batch_size:
-                flush(batch)
-                batch = []
-        if batch:
-            flush(batch)
+        items = iter(source)
+        while True:
+            chunk = list(islice(items, self.batch_size))
+            if not chunk:
+                break
+            flush(chunk)
         # Pipelined summaries (the multi-process cluster) apply batches
         # asynchronously; barrier before stopping the clock so the reported
         # throughput covers the work, not just the routing.

@@ -39,13 +39,12 @@ from __future__ import annotations
 import pickle
 import struct
 import weakref
-from itertools import chain
 from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.hashing.hash_functions import _FNV_OFFSET, _count_hashes, _splitmix64
 from repro.hashing.vectorized import load_numpy
 from repro.obs import trace as obs_trace
-from repro.streaming.batch import HashedBatch, HashSpec
+from repro.streaming.batch import HashedBatch, HashSpec, text_batch
 
 __all__ = [
     "KernelFrontEnd",
@@ -208,28 +207,12 @@ class KernelFrontEnd:
     def route(self, items: List) -> Optional[List[Tuple[int, ShardColumns]]]:
         """Hash, route and scatter ``items`` (``(source, destination,
         weight)`` triples) in one ``gss_route_text_batch`` call; each shard
-        is sent only the nodes it has never been sent."""
-        try:
-            if set(map(len, items)) != {3}:
-                return None
-            # One flat list, then the weights cut out of it: the node IDs
-            # are left in interleaved stream order.
-            tokens = list(chain.from_iterable(items))
-        except TypeError:
-            return None
-        weights = tokens[2::3]
-        del tokens[2::3]
-        try:
-            blob = "\x00".join(tokens).encode("utf-8")
-        except (TypeError, ValueError):
-            # Not all strings (UnicodeEncodeError is a ValueError): the
-            # Python front end hashes these.
+        is sent only the nodes it has never been sent.  The batch is cut by
+        :func:`~repro.streaming.batch.text_batch`, as for a native GSS."""
+        tokens, weights, blob = text_batch(items) or (None, None, None)
+        if blob is None:
             return None
         count = len(weights)
-        if blob.count(0) != 2 * count - 1:
-            return None
-        np = self._np
-        weights = np.ascontiguousarray(weights, dtype=np.float64)
         out = self._outputs(count)
         with obs_trace.span("ingest.hash_batch"):
             hashed = self._lib.gss_route_text_batch(

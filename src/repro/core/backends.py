@@ -59,6 +59,7 @@ from repro.hashing.vectorized import (
     load_numpy,
     node_hashes_array,
 )
+from repro.streaming.batch import check_weights, text_batch, weight_column
 
 #: Lazily bound NumPy module (populated by the first NativeMatrixBackend), so
 #: pure-Python sketches never pay the NumPy import cost.
@@ -287,7 +288,8 @@ class PythonMatrixBackend:
         Nodes the reverse index already holds resolve through it, so only
         first-seen nodes are hashed and recorded — across batches too.  They
         are recorded once the whole batch has been read, so a bad item
-        (a weight that is not a number, an unhashable ID) leaves no state.
+        (a weight that is not a real number, an unhashable ID) leaves no
+        state.
         """
         sketch = self._sketch
         hasher = sketch._hasher
@@ -317,6 +319,7 @@ class PythonMatrixBackend:
                 destination_hash = resolve(destination)
             key = (source_hash, destination_hash)
             aggregated[key] = aggregated.get(key, 0.0) + weight
+        check_weights(aggregated.values())
         if fresh and node_index is not None:
             node_index.record_new_many(fresh)
         if profile is not None:
@@ -339,6 +342,7 @@ class PythonMatrixBackend:
             count += 1
             key = (source_hash, destination_hash)
             aggregated[key] = aggregated.get(key, 0.0) + weight
+        check_weights(aggregated.values())
         for (source_hash, destination_hash), weight in aggregated.items():
             self.insert_edge(source_hash, destination_hash, weight)
         return count
@@ -786,6 +790,11 @@ class NativeMatrixBackend:
         self._sketch._buffer.add(source_hash, destination_hash, weight)
 
     def _ensure_batch_scratch(self, count: int) -> None:
+        """Allocate the rooms on first use and grow the kernel's out-arrays
+        to ``count`` items, then bind the argument tails of both ingest
+        calls, so a batch does not rebuild their pointers."""
+        if self._weights is None:
+            self._allocate_rooms()
         if count <= self._scratch_len:
             return
         self._sc_spill_keys = np.empty(count, dtype=np.uint64)
@@ -795,96 +804,87 @@ class NativeMatrixBackend:
         self._sc_new_tokens = np.empty(2 * count, dtype=np.int64)
         self._sc_new_hashes = np.empty(2 * count, dtype=np.uint64)
         self._scratch_len = count
-
-    def update_many(self, items: Iterable[Tuple[Hashable, Hashable, float]]) -> int:
-        """Whole-batch text ingestion: node IDs to placed rooms in one call.
-
-        For all-string batches the node identifiers cross the boundary as a
-        single NUL-joined UTF-8 blob (interleaved source/destination stream
-        order).  The kernel hashes each token with the same seeded
-        FNV-1a/splitmix64 mix as :func:`repro.hashing.hash_functions.hash_string`,
-        memoizes it in a persistent C node table, packs the edge keys and
-        runs the aggregate/classify/place pipeline — hashing included, the
-        batch crosses the Python/kernel boundary exactly once.  Genuinely
-        new nodes come back as token indices, and the batch's own node
-        objects at those positions are recorded in the reverse node index
-        (first-seen interleaved order, like the scalar paths); the kernel's
-        node table is their only node -> hash memo.  The hash-once counter
-        is credited with exactly the keys the kernel mixed.  Batches
-        containing non-string IDs — or strings with embedded NULs, which
-        would make the join ambiguous — take :meth:`_update_many_by_pairs`,
-        which hashes in Python and places through the same kernel.
-        """
-        triples = items if isinstance(items, list) else list(items)
-        if not triples:
-            return 0
-        count = len(triples)
-        profile = active_profile()
-        if profile is not None:
-            started = perf_counter()
-        sources, destinations, weights = zip(*triples)
-        try:
-            joined = "\x00".join(chain.from_iterable(zip(sources, destinations)))
-        except TypeError:
-            return self._update_many_by_pairs(sources, destinations, weights)
-        blob = joined.encode("utf-8")
-        if blob.count(0) != 2 * count - 1:
-            return self._update_many_by_pairs(sources, destinations, weights)
-        weight_array = np.ascontiguousarray(weights, dtype=np.float64)
-        if self._weights is None:
-            self._allocate_rooms()
-        self._ensure_batch_scratch(count)
-        spill_count = self._spill_ctr
-        rebuf_count = self._rebuf_ctr
-        new_count = self._new_ctr
-        if profile is not None:
-            profile.add("hashing", perf_counter() - started)
-            started = perf_counter()
-        placed = self._lib.gss_ingest_text_batch(
-            self._ctx,
-            blob,
-            len(blob),
-            weight_array.ctypes.data,
-            count,
-            self._fnv_state0,
+        self._batch_args = (
             *self._kernel_config,
             *self._room_pointers,
             self._sc_spill_keys.ctypes.data,
             self._sc_spill_sums.ctypes.data,
-            ctypes.addressof(spill_count),
+            ctypes.addressof(self._spill_ctr),
             self._sc_rebuf_keys.ctypes.data,
             self._sc_rebuf_sums.ctypes.data,
-            ctypes.addressof(rebuf_count),
+            ctypes.addressof(self._rebuf_ctr),
+        )
+        self._text_batch_args = (
+            self._fnv_state0,
+            *self._batch_args,
             self._sc_new_tokens.ctypes.data,
             self._sc_new_hashes.ctypes.data,
-            ctypes.addressof(new_count),
+            ctypes.addressof(self._new_ctr),
+        )
+
+    def update_many(self, items: Iterable[Tuple[Hashable, Hashable, float]]) -> int:
+        """Whole-batch text ingestion: node IDs to placed rooms in one call.
+
+        :func:`~repro.streaming.batch.text_batch` cuts the batch, in C
+        loops, into a flat token list, a checked float64 weight column and
+        one NUL-joined UTF-8 blob of the node IDs (interleaved
+        source/destination stream order).  The kernel hashes each token
+        with the same seeded FNV-1a/splitmix64 mix as
+        :func:`repro.hashing.hash_functions.hash_string`, memoizes it in a
+        persistent C node table, packs the edge keys and runs the
+        aggregate/classify/place pipeline — hashing included, the batch
+        crosses the Python/kernel boundary exactly once.  Genuinely new
+        nodes come back as token indices; the batch's own node objects at
+        those positions of the token list are recorded in the reverse node
+        index (first-seen interleaved order, like the scalar paths), so the
+        kernel's node table is their only node -> hash memo.  The hash-once
+        counter is credited with exactly the keys the kernel mixed.  Batches
+        with non-string or NUL-containing IDs take
+        :meth:`_update_many_by_pairs`, which hashes in Python and places
+        through the same kernel.  Items that are not triples, or a weight
+        that is not a real number, refuse the whole batch (``ValueError``).
+        """
+        triples = items if isinstance(items, list) else list(items)
+        if not triples:
+            return 0
+        profile = active_profile()
+        if profile is not None:
+            started = perf_counter()
+        batch = text_batch(triples)
+        if batch is None:
+            raise ValueError("a batch item is not a (source, destination, weight) triple")
+        tokens, weights, blob = batch
+        if blob is None:
+            return self._update_many_by_pairs(tokens[0::2], tokens[1::2], weights)
+        count = len(weights)
+        self._ensure_batch_scratch(count)
+        if profile is not None:
+            profile.add("hashing", perf_counter() - started)
+            started = perf_counter()
+        placed = self._lib.gss_ingest_text_batch(
+            self._ctx, blob, len(blob), weights.ctypes.data, count, *self._text_batch_args
         )
         if placed == -2:  # pragma: no cover - NUL-screened, or the arena is full
-            return self._update_many_by_pairs(sources, destinations, weights)
+            return self._update_many_by_pairs(tokens[0::2], tokens[1::2], weights)
         if placed < 0:  # pragma: no cover - allocation failure
             raise MemoryError("native kernel batch allocation failed")
         self.matrix_edge_count += placed
         if profile is not None:
             profile.add("placement", perf_counter() - started)
             started = perf_counter()
-        self._apply_buffer_arrays(
-            self._sc_spill_keys, self._sc_spill_sums, spill_count.value,
-            self._sc_rebuf_keys, self._sc_rebuf_sums, rebuf_count.value,
-        )
+        self._apply_buffer_arrays()
         if profile is not None:
             profile.add("buffer_spill", perf_counter() - started)
             started = perf_counter()
-        fresh = new_count.value
+        fresh = self._new_ctr.value
         if fresh:
             node_index = self._sketch._node_index
             if node_index is not None:
-                # The kernel reports each new node's token index in the
-                # interleaved stream; recording the caller's own node object
-                # there keeps no second, decoded copy.
-                tokens = self._sc_new_tokens[:fresh].tolist()
+                # Recording the caller's own node objects keeps no second,
+                # decoded copy.
                 node_index.record_new_many(
                     zip(
-                        [(destinations if t & 1 else sources)[t >> 1] for t in tokens],
+                        map(tokens.__getitem__, self._sc_new_tokens[:fresh].tolist()),
                         self._sc_new_hashes[:fresh].tolist(),
                     )
                 )
@@ -895,14 +895,13 @@ class NativeMatrixBackend:
         return count
 
     def _update_many_by_pairs(self, sources, destinations, weights) -> int:
-        """Batch ingestion over arbitrary hashable node IDs.
+        """Batch ingestion over arbitrary hashable node IDs, with a checked
+        float64 weight column.
 
         Repeat pairs resolve to packed edge keys with one pair-memo probe
         each; unseen pairs are hashed through :meth:`_node_hashes_for`.
         """
         count = len(sources)
-        # Before any node is hashed or recorded: a bad weight leaves no state.
-        weights = np.asarray(weights, dtype=np.float64)
         profile = active_profile()
         if profile is not None:
             started = perf_counter()
@@ -985,15 +984,10 @@ class NativeMatrixBackend:
         triples = edges if isinstance(edges, list) else list(edges)
         if not triples:
             return 0
-        count = len(triples)
         sources, destinations, weights = zip(*triples)
-        source_hashes = np.fromiter(sources, dtype=np.uint64, count=count)
-        destination_hashes = np.fromiter(destinations, dtype=np.uint64, count=count)
-        self._ingest_keys(
-            source_hashes * np.uint64(self._hash_range) + destination_hashes,
-            np.asarray(weights, dtype=np.float64),
+        return self.ingest_columns(
+            sources, destinations, weight_column(weights, vectorized=True)
         )
-        return count
 
     def ingest_columns(self, source_hashes, destination_hashes, weights) -> int:
         """Ingest aligned ``H(s)`` / ``H(d)`` / weight columns.
@@ -1023,24 +1017,9 @@ class NativeMatrixBackend:
             started = perf_counter()
         keys = np.ascontiguousarray(keys, dtype=np.uint64)
         weights = np.ascontiguousarray(weights, dtype=np.float64)
-        if self._weights is None:
-            self._allocate_rooms()
         self._ensure_batch_scratch(count)
-        spill_count = self._spill_ctr
-        rebuf_count = self._rebuf_ctr
         placed = self._lib.gss_ingest_batch(
-            self._ctx,
-            keys.ctypes.data,
-            weights.ctypes.data,
-            count,
-            *self._kernel_config,
-            *self._room_pointers,
-            self._sc_spill_keys.ctypes.data,
-            self._sc_spill_sums.ctypes.data,
-            ctypes.addressof(spill_count),
-            self._sc_rebuf_keys.ctypes.data,
-            self._sc_rebuf_sums.ctypes.data,
-            ctypes.addressof(rebuf_count),
+            self._ctx, keys.ctypes.data, weights.ctypes.data, count, *self._batch_args
         )
         if placed < 0:  # pragma: no cover - allocation failure
             raise MemoryError("native kernel batch allocation failed")
@@ -1048,27 +1027,24 @@ class NativeMatrixBackend:
         if profile is not None:
             profile.add("placement", perf_counter() - started)
             started = perf_counter()
-        self._apply_buffer_arrays(
-            self._sc_spill_keys, self._sc_spill_sums, spill_count.value,
-            self._sc_rebuf_keys, self._sc_rebuf_sums, rebuf_count.value,
-        )
+        self._apply_buffer_arrays()
         if profile is not None:
             profile.add("buffer_spill", perf_counter() - started)
 
-    def _apply_buffer_arrays(
-        self, spill_keys, spill_sums, spills, rebuf_keys, rebuf_sums, rebufs
-    ) -> None:
-        """Apply the kernel's buffer traffic to the left-over buffer.
+    def _apply_buffer_arrays(self) -> None:
+        """Apply the last kernel call's buffer traffic to the left-over buffer.
 
         Re-buffered edges first (their entries already exist, so add order
         is unobservable), then genuine spills in first-seen order (this
         order creates buffer entries and is observable) — one bulk
         :meth:`~repro.core.buffer.LeftoverBuffer.add_many` call.
         """
+        spills = self._spill_ctr.value
+        rebufs = self._rebuf_ctr.value
         if not rebufs and not spills:
             return
-        keys = np.concatenate((rebuf_keys[:rebufs], spill_keys[:spills]))
-        sums = np.concatenate((rebuf_sums[:rebufs], spill_sums[:spills]))
+        keys = np.concatenate((self._sc_rebuf_keys[:rebufs], self._sc_spill_keys[:spills]))
+        sums = np.concatenate((self._sc_rebuf_sums[:rebufs], self._sc_spill_sums[:spills]))
         source_hashes, destination_hashes = np.divmod(keys, np.uint64(self._hash_range))
         self._sketch._buffer.add_many(
             source_hashes.tolist(), destination_hashes.tolist(), sums.tolist()

@@ -40,6 +40,7 @@ from repro.hashing.linear_congruence import (
     unique_candidates,
 )
 from repro.queries.primitives import Capabilities, SummaryShims
+from repro.streaming.batch import HashedBatch, HashSpec, weight_column
 
 #: Cap on the memoized candidate-pair sequences (one entry per distinct
 #: fingerprint pair seen).  Past the cap, sequences are recomputed instead of
@@ -220,7 +221,7 @@ class GSS(SummaryShims):
         self._update_count += count
         return count
 
-    def hash_spec(self) -> "HashSpec":
+    def hash_spec(self) -> HashSpec:
         """The hash function family this sketch places edges under.
 
         Batches built under a matching spec (see
@@ -229,26 +230,22 @@ class GSS(SummaryShims):
         messages of a sharded deployment are hashed under it (see
         :meth:`ingest_columns`).
         """
-        from repro.streaming.batch import HashSpec
-
         return HashSpec(seed=self.config.seed, hash_range=self.config.hash_range)
 
-    def update_many_hashed(self, batch: "HashedBatch") -> int:
+    def update_many_hashed(self, batch: HashedBatch) -> int:
         """Ingest a :class:`~repro.streaming.batch.HashedBatch` directly.
 
         The batch's precomputed node-hash columns feed the matrix backend
         with no further hashing; its distinct ``(node, hash)`` pairs are
         recorded in the reverse node index once each, in first-seen
         interleaved order (the order item-by-item updates record them).  A
-        batch built without hash columns — or under a different
-        :class:`HashSpec` — falls back to :meth:`update_many` over its
-        normalized items, so the method is safe for any batch.
+        batch hashed under a different :class:`HashSpec` falls back to
+        :meth:`update_many` over its items, so the method is safe for any
+        batch.
 
         Returns the number of stream items applied.
         """
-        if not batch.hashed or batch.spec is None or not batch.spec.matches(
-            self.hash_spec()
-        ):
+        if not batch.spec.matches(self.hash_spec()):
             return self.update_many(batch.items())
         if self._node_index is not None:
             self._node_index.record_new_many(dict.fromkeys(batch.node_hash_items()))
@@ -270,7 +267,7 @@ class GSS(SummaryShims):
 
         The sharded deployment's shard ingest: each shard message carries
         only the nodes the shard may not know yet, and nodes already
-        recorded are skipped.  A weight that is not a number raises
+        recorded are skipped.  A weight that is not a real number raises
         ``ValueError`` before any node is recorded.  A node recorded under
         another hash raises ``ValueError`` once the message's other nodes
         are recorded, and the columns are then not placed.  Columns may be
@@ -278,12 +275,7 @@ class GSS(SummaryShims):
         of stream items applied.
         """
         if isinstance(weights, list):  # arrays are float64 already
-            try:
-                weights = [float(weight) for weight in weights]
-            except (TypeError, ValueError) as error:
-                raise ValueError(
-                    f"shard columns carry a weight that is not a number: {error}"
-                ) from None
+            weights = weight_column(weights, vectorized=False)
         if self._node_index is not None and len(nodes):
             if hasattr(node_hashes, "tolist"):
                 node_hashes = node_hashes.tolist()  # NumPy: Python ints

@@ -1,4 +1,5 @@
-"""Columnar hashed edge batches — the ingest currency of sharded summaries.
+"""Ingest batches: the columnar hashed batches of sharded summaries, the
+text encoding both kernel entry points read, and the one weight rule.
 
 The hot path of every summary is dominated by node hashing, yet the layered
 deployment used to hash each edge up to three times: once for shard routing
@@ -18,28 +19,35 @@ columns:
 * ``route_hashes`` — the full 64-bit routing hash ``hash_key(source,
   routing_seed)`` (consumers reduce it modulo their shard count), present
   only when the spec carries a ``routing_seed``;
-* ``weights`` and (optionally) ``timestamps``.
+* ``weights``.
 
 With NumPy available the columns are uint64/float64 arrays produced by the
 vectorized hashing pipeline and routing becomes one gather plus a stable
 ``argsort`` group-split; without it the same batch API is backed by plain
 Python lists and the scalar hash loop — consumers never need to know which.
-A batch built with ``spec=None`` performs *no* hashing and simply normalizes
-the items: :class:`~repro.api.StreamSession` normalizes every chunk this way
-and leaves the hashing to the summary it feeds.
+Every batch is hashed: :class:`~repro.api.StreamSession` normalizes its
+chunks itself and leaves the hashing to the summary it feeds.
 
 Distinct keys are hashed exactly once per batch (``dict.fromkeys``
 deduplication) and callers may thread a long-lived ``memo`` dict through
 successive batches to skip re-hashing keys seen in earlier chunks; the
 instrumentation hook :func:`repro.hashing.count_key_hashes` proves the
 invariant end-to-end.
+
+:func:`text_batch` is the kernel's input format for string node IDs, shared
+by the native GSS backend (``gss_ingest_text_batch``) and the sharded
+deployment's kernel front end (``gss_route_text_batch``): one NUL-joined
+UTF-8 blob of the IDs in interleaved stream order plus a float64 weight
+column.  :func:`check_weights` is the weight rule of every ingest path,
+backend and deployment.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from typing import Hashable, Iterable, List, Optional, Sequence, Tuple, Union
+from numbers import Real
+from typing import Collection, Hashable, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.hashing.hash_functions import hash_key
 from repro.hashing.vectorized import NUMPY_AVAILABLE, load_numpy
@@ -49,6 +57,9 @@ __all__ = [
     "HashSpec",
     "HashedBatch",
     "MEMO_LIMIT",
+    "check_weights",
+    "text_batch",
+    "weight_column",
 ]
 
 #: Obs counters proving the hash-once invariant live: every distinct key in
@@ -68,6 +79,66 @@ MEMO_LIMIT = 1 << 20
 #: dominate tiny inputs.  Both paths are bit-identical, so this is purely a
 #: constant-factor knob.
 _VECTOR_MIN = 16
+
+
+#: Weight types taken without a per-item check: the common case costs one
+#: pass of ``type`` over the batch, run in C.
+_PLAIN_WEIGHTS = frozenset((float, int))
+
+
+def check_weights(weights: Collection) -> None:
+    """Raise :class:`ValueError` unless every weight is a real number.
+
+    The one weight rule of every ingest path, backend and deployment:
+    ``int``, ``float``, ``bool``, ``Fraction`` and NumPy reals are taken;
+    ``str``, ``bytes``, ``Decimal``, ``complex`` and ``None`` are refused,
+    even where ``float()`` or NumPy would convert them.  Callers check a
+    whole batch before they change any state.
+    """
+    if not _PLAIN_WEIGHTS.issuperset(map(type, weights)):
+        for weight in weights:
+            if not isinstance(weight, Real):
+                raise ValueError(f"weight {weight!r} is not a real number")
+
+
+def weight_column(weights: Sequence, vectorized: bool):
+    """``weights``, checked by :func:`check_weights`, as a float64 array
+    (``vectorized``, needs NumPy) or as a list of floats."""
+    check_weights(weights)
+    if vectorized:
+        np = load_numpy()
+        return np.asarray(weights, dtype=np.float64)
+    return [float(weight) for weight in weights]
+
+
+def text_batch(items: List) -> Optional[Tuple[List, object, Optional[bytes]]]:
+    """Cut ``(source, destination, weight)`` triples into the kernel's text
+    encoding (needs NumPy): ``(tokens, weights, blob)``, or ``None`` when an
+    item is not a three-element sequence.
+
+    ``tokens`` holds the node IDs in interleaved stream order (item ``i``'s
+    source at ``2i``, its destination at ``2i + 1``), so a kernel's token
+    index names the caller's own node object.  ``weights`` is a float64
+    array, checked by :func:`check_weights` before anything else happens to
+    the batch.  ``blob`` is the tokens NUL-joined and UTF-8 encoded, or
+    ``None`` when a token is not a ``str``, cannot be encoded, or contains a
+    NUL (the join would be ambiguous).  All of it runs in C loops.
+    """
+    try:
+        if set(map(len, items)) != {3}:
+            return None
+        tokens = list(chain.from_iterable(items))
+    except TypeError:
+        return None
+    weights = weight_column(tokens[2::3], vectorized=True)
+    del tokens[2::3]
+    try:
+        blob = "\x00".join(tokens).encode("utf-8")
+    except (TypeError, ValueError):  # UnicodeEncodeError is a ValueError
+        return tokens, weights, None
+    if blob.count(0) != len(tokens) - 1:
+        blob = None
+    return tokens, weights, blob
 
 
 @dataclass(frozen=True)
@@ -147,7 +218,7 @@ def _hash_lookup(
 class HashedBatch:
     """One chunk of stream items with node hashes computed exactly once.
 
-    Build through :meth:`from_items` (normalization + hashing).  Column
+    Build through :meth:`from_items` (column split + hashing).  Column
     types are an internal detail — NumPy arrays on the vectorized path,
     plain lists otherwise; use the ``*_list`` accessors when Python
     ints/floats are required (dict keys, JSON serialization).
@@ -158,37 +229,31 @@ class HashedBatch:
         "sources",
         "destinations",
         "weights",
-        "timestamps",
         "source_hashes",
         "destination_hashes",
         "route_hashes",
-        "_raw_items",
         "_source_hash_ints",
         "_destination_hash_ints",
     )
 
     def __init__(
         self,
-        spec: Optional[HashSpec],
+        spec: HashSpec,
         *,
-        sources: Optional[Sequence] = None,
-        destinations: Optional[Sequence] = None,
-        weights=None,
-        timestamps: Optional[Sequence] = None,
-        source_hashes=None,
-        destination_hashes=None,
+        sources: Sequence,
+        destinations: Sequence,
+        weights,
+        source_hashes,
+        destination_hashes,
         route_hashes=None,
-        raw_items: Optional[List] = None,
     ) -> None:
         self.spec = spec
         self.sources = sources
         self.destinations = destinations
         self.weights = weights
-        self.timestamps = timestamps
         self.source_hashes = source_hashes
         self.destination_hashes = destination_hashes
         self.route_hashes = route_hashes
-        self._raw_items = raw_items
         self._source_hash_ints = None
         self._destination_hash_ints = None
 
@@ -198,69 +263,37 @@ class HashedBatch:
     def from_items(
         cls,
         items: Iterable,
-        spec: Optional[HashSpec] = None,
+        spec: HashSpec,
         *,
         node_memo: Optional[dict] = None,
         route_memo: Optional[dict] = None,
-        keep_timestamps: bool = False,
     ) -> "HashedBatch":
-        """Normalize (and, with a spec, hash) one chunk of stream items.
+        """Split one chunk of stream items into columns and hash them.
 
         ``items`` may mix :class:`~repro.streaming.edge.StreamEdge`-like
         objects (anything with ``source``/``destination``/``weight``
-        attributes) and bare tuples.  Without a spec the batch only
-        normalizes — edge-like items become triples (or 4-tuples with the
-        timestamp when ``keep_timestamps``), bare tuples pass through
-        untouched — and :meth:`items` returns them for non-hashed consumers.
-        With a spec, every distinct key is hashed exactly once (``node_memo``
-        / ``route_memo`` extend the dedup across batches).
+        attributes) and bare tuples, whose elements past the third are
+        ignored.  Every distinct key is hashed exactly once (``node_memo`` /
+        ``route_memo`` extend the dedup across batches).
         """
-        if spec is None:
-            raw: List = []
-            for item in items:
-                if hasattr(item, "source"):
-                    if keep_timestamps:
-                        raw.append(
-                            (
-                                item.source,
-                                item.destination,
-                                item.weight,
-                                getattr(item, "timestamp", None),
-                            )
-                        )
-                    else:
-                        raw.append((item.source, item.destination, item.weight))
-                else:
-                    raw.append(item)
-            return cls(None, raw_items=raw)
-
         sources: List = []
         destinations: List = []
         weights: List = []
-        timestamps: Optional[List] = [] if keep_timestamps else None
         for item in items:
             if hasattr(item, "source"):
                 sources.append(item.source)
                 destinations.append(item.destination)
                 weights.append(item.weight)
-                if timestamps is not None:
-                    timestamps.append(getattr(item, "timestamp", None))
             else:
                 sources.append(item[0])
                 destinations.append(item[1])
                 weights.append(item[2])
-                if timestamps is not None:
-                    timestamps.append(item[3] if len(item) > 3 else None)
 
         count = len(sources)
         vectorized = NUMPY_AVAILABLE and count >= _VECTOR_MIN
         # Weights convert before any key is hashed: a bad one refuses the
         # whole batch, whichever column type it gets.
-        if vectorized:
-            np = load_numpy()
-            weight_column = np.asarray(weights, dtype=np.float64)
-        else:
-            weight_column = [float(weight) for weight in weights]
+        weights = weight_column(weights, vectorized)
         routes = spec.routing_seed is not None
         with _obs_span("ingest.hash_batch"):
             lookup = _hash_lookup(
@@ -272,6 +305,7 @@ class HashedBatch:
                 else None
             )
         if vectorized:
+            np = load_numpy()
             source_hashes = np.fromiter(
                 map(lookup.__getitem__, sources), dtype=np.uint64, count=count
             )
@@ -297,8 +331,7 @@ class HashedBatch:
             spec,
             sources=sources,
             destinations=destinations,
-            weights=weight_column,
-            timestamps=timestamps,
+            weights=weights,
             source_hashes=source_hashes,
             destination_hashes=destination_hashes,
             route_hashes=route_hashes,
@@ -307,8 +340,6 @@ class HashedBatch:
     # -- shape ---------------------------------------------------------------
 
     def __len__(self) -> int:
-        if self._raw_items is not None:
-            return len(self._raw_items)
         return len(self.sources)
 
     @property
@@ -319,14 +350,8 @@ class HashedBatch:
     # -- accessors -----------------------------------------------------------
 
     def items(self) -> List:
-        """The batch as plain items, for consumers without hashed ingestion.
-
-        Spec-less batches return their normalized items verbatim (bare input
-        tuples untouched); hashed batches reconstitute ``(source,
-        destination, weight)`` triples from the key columns.
-        """
-        if self._raw_items is not None:
-            return self._raw_items
+        """The batch as ``(source, destination, weight)`` triples, for
+        consumers that cannot take its hash columns."""
         return list(zip(self.sources, self.destinations, self.weight_list()))
 
     def source_hash_list(self) -> List[int]:
@@ -422,11 +447,6 @@ class HashedBatch:
             sources=[self.sources[i] for i in positions],
             destinations=[self.destinations[i] for i in positions],
             weights=weights,
-            timestamps=(
-                [self.timestamps[i] for i in positions]
-                if self.timestamps is not None
-                else None
-            ),
             source_hashes=source_hashes,
             destination_hashes=destination_hashes,
         )

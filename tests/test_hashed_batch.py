@@ -54,26 +54,6 @@ class TestHashSpec:
         assert derived.routing_seed == 5
 
 
-class TestNormalizeOnlyMode:
-    def test_bare_tuples_pass_through_untouched(self):
-        raw = [("a", "b", 1.0), ("c", "d", 2.0, 17)]
-        batch = HashedBatch.from_items(raw)
-        assert batch.items() == raw
-        assert not batch.hashed
-        assert len(batch) == 2
-
-    def test_edge_like_items_become_triples(self):
-        batch = HashedBatch.from_items([Edge("a", "b", 3.0, timestamp=5)])
-        assert batch.items() == [("a", "b", 3.0)]
-
-    def test_keep_timestamps_yields_four_tuples(self):
-        batch = HashedBatch.from_items(
-            [Edge("a", "b", 3.0, timestamp=5), Edge("c", "d", 1.0)],
-            keep_timestamps=True,
-        )
-        assert batch.items() == [("a", "b", 3.0, 5), ("c", "d", 1.0, None)]
-
-
 class TestHashedMode:
     def test_columns_match_scalar_hashing(self):
         items = items_fixture()

@@ -2,7 +2,12 @@
 
 from __future__ import annotations
 
+from collections import namedtuple
+from decimal import Decimal
+from types import SimpleNamespace
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.api import SketchSpec, StreamSession, build
 from repro.exact.adjacency_list import AdjacencyListGraph
@@ -251,6 +256,10 @@ REJECTED_BATCHES = [
     [("c", "d", 1.0), ("e", "f", "x")],
     [(3, 4, 1.0), (5, 6, "x")],
     [("c", "d", 1.0), (["e"], "f", 1.0)],
+    [("c", "d", 1.0), ("e", "f", "1.5")],
+    [("c", "d", 1.0), ("e", "f", Decimal("1.5"))],
+    [(3, 4, 1.0), (5, 6, b"1")],
+    [("c", "d", 1.0), ("e", "f", 1j)],
 ]
 
 
@@ -285,3 +294,147 @@ class TestARejectedBatchLeavesNoState:
             assert summary.update_count == 1
             summary.update_many([(3, 4, 1.0)])
             assert summary.successor_query(3) == {4}
+
+
+class Recorder:
+    """A summary that records the chunks ``update_many`` receives."""
+
+    def __init__(self, windowed: bool = False):
+        self.windowed = windowed
+        self.chunks = []
+
+    def capabilities(self):
+        return SimpleNamespace(windowed=self.windowed)
+
+    def update_many(self, items):
+        self.chunks.append(items)
+
+
+class Edge:
+    """An edge-like object, with a timestamp only when given one."""
+
+    def __init__(self, source, destination, weight, timestamp=None):
+        self.source = source
+        self.destination = destination
+        self.weight = weight
+        if timestamp is not None:
+            self.timestamp = timestamp
+
+
+class TestSessionNormalization:
+    def test_bare_tuples_pass_through_untouched(self):
+        recorder = Recorder()
+        chunk = [("a", "b", 1.0), ("c", "d", 2.0)]
+        StreamSession(recorder).feed(chunk)
+        [received] = recorder.chunks
+        assert received == chunk
+        assert all(got is sent for got, sent in zip(received, chunk))
+
+    def test_four_tuples_lose_their_timestamp(self):
+        recorder = Recorder()
+        StreamSession(recorder).feed([("a", "b", 1.0), ("c", "d", 2.0, 17)])
+        assert recorder.chunks == [[("a", "b", 1.0), ("c", "d", 2.0)]]
+
+    def test_edge_like_items_become_triples(self):
+        recorder = Recorder()
+        StreamSession(recorder).feed([Edge("a", "b", 3.0, timestamp=5)])
+        assert recorder.chunks == [[("a", "b", 3.0)]]
+
+    def test_windowed_summaries_get_four_tuples(self):
+        recorder = Recorder(windowed=True)
+        StreamSession(recorder).feed(
+            [Edge("a", "b", 3.0, timestamp=5), Edge("c", "d", 1.0), ("e", "f", 2.0, 9)]
+        )
+        assert recorder.chunks == [
+            [("a", "b", 3.0, 5), ("c", "d", 1.0, None), ("e", "f", 2.0, 9)]
+        ]
+
+
+#: An edge-like tuple subclass whose positional order is not the triple's.
+Reordered = namedtuple("Reordered", "weight destination source")
+
+_node_ids = st.sampled_from(["a", "b", "é", "日", "", "n1", "n2", 7, -3])
+_weights = st.sampled_from([1.0, 2.0, 0.5, -1.0, 3])
+
+
+@st.composite
+def mixed_items(draw):
+    """Items of every shape the session takes, over a small node pool."""
+    source, destination, weight = draw(_node_ids), draw(_node_ids), draw(_weights)
+    timestamp = float(draw(st.integers(0, 50)))
+    kind = draw(st.sampled_from(["triple", "four", "edge", "reordered"]))
+    if kind == "triple":
+        return (source, destination, weight)
+    if kind == "four":
+        return (source, destination, weight, timestamp)
+    if kind == "edge":
+        return StreamEdge(source, destination, weight, timestamp)
+    return Reordered(weight, destination, source)
+
+
+def _reference_items(items, windowed):
+    """The normalization the session promises, item by item."""
+    normalized = []
+    for item in items:
+        if isinstance(item, (StreamEdge, Reordered)):
+            triple = (item.source, item.destination, item.weight)
+            timestamp = getattr(item, "timestamp", None)
+        else:
+            triple = tuple(item[:3])
+            timestamp = item[3] if len(item) > 3 else None
+        normalized.append(triple + (timestamp,) if windowed else triple)
+    return normalized
+
+
+SESSION_SUMMARIES = GSS_BACKENDS + ["partitioned-gss"]
+
+
+def _session_summary(kind):
+    if kind == "partitioned-gss":
+        return build(kind, memory_bytes=16384, params={"partitions": 2})
+    return build("gss", memory_bytes=4096, backend=kind)
+
+
+def _document(summary):
+    if hasattr(summary, "shards"):
+        return [shard.to_dict() for shard in summary.shards]
+    return summary.to_dict()
+
+
+class TestSessionFeedsLikeChunkedUpdateMany:
+    @pytest.mark.parametrize("kind", SESSION_SUMMARIES)
+    @pytest.mark.parametrize("batch_size", [1, 7, 1024])
+    @settings(max_examples=15, deadline=None)
+    @given(items=st.lists(mixed_items(), max_size=60), as_generator=st.booleans())
+    def test_mixed_chunks(self, kind, batch_size, items, as_generator):
+        fed = _session_summary(kind)
+        source = (item for item in items) if as_generator else items
+        report = StreamSession(fed, batch_size=batch_size).feed(source)
+        assert report.items == len(items)
+        direct = _session_summary(kind)
+        triples = _reference_items(items, windowed=False)
+        for offset in range(0, len(triples), batch_size):
+            direct.update_many(triples[offset : offset + batch_size])
+        assert _document(fed) == _document(direct)
+
+    @pytest.mark.parametrize("batch_size", [1, 7, 1024])
+    @settings(max_examples=15, deadline=None)
+    @given(items=st.lists(mixed_items(), max_size=60))
+    def test_windowed_summaries_receive_timestamps(self, batch_size, items):
+        def window():
+            return build(
+                "windowed-gss",
+                memory_bytes=8192,
+                params={"window_span": 20.0, "slices": 4},
+            )
+
+        fed = window()
+        StreamSession(fed, batch_size=batch_size).feed(items)
+        direct = window()
+        quads = _reference_items(items, windowed=True)
+        for offset in range(0, len(quads), batch_size):
+            direct.update_many(quads[offset : offset + batch_size])
+        pairs = {(quad[0], quad[1]) for quad in quads}
+        assert [fed.edge_query(*pair) for pair in sorted(pairs, key=repr)] == [
+            direct.edge_query(*pair) for pair in sorted(pairs, key=repr)
+        ]
