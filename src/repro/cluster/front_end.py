@@ -3,32 +3,33 @@
 A :class:`~repro.cluster.ShardedSummary` turns every batch of stream items
 into one :class:`ShardColumns` message per shard it touches: the shard's
 ``(H(s), H(d), weight)`` columns in stream order, plus the ``(node,
-H(v))`` pairs its reverse node index needs.  Two front ends produce it:
+H(v))`` pairs of the nodes that shard has never been sent, which its
+reverse node index needs.  Two front ends produce it, under one model — a
+persistent router table that holds, per node, ``H(v)`` (hashed once per
+distinct node), the shard it routes to as a source (the routing hash,
+once per distinct source) and the shards it has been sent:
 
 * :class:`KernelFrontEnd` — for all-string batches with the compiled kernel
   available and at most :data:`MAX_KERNEL_SHARDS` shards.  One
-  ``gss_route_text_batch`` call hashes every token through a persistent
-  node table (``H(v)`` once per distinct node, the routing hash once per
-  distinct source), routes, scatters the columns, and reports per shard
-  only the nodes that shard has never been sent (a per-node shard
-  bitmask).  Served batches take it too: serve ingest frames carry node
-  IDs, so the router hashes a node the first time it meets it, whatever
-  batch it arrives in;
-* :func:`split_columns` — the Python front end, for everything else
-  (no NumPy or compiler, non-string or NUL-containing IDs, more shards
-  than a bitmask holds).  It splits a
-  :class:`~repro.streaming.batch.HashedBatch` by route and sends each
-  shard its sub-batch's distinct ``(node, hash)`` pairs.
+  ``gss_route_text_batch`` call hashes, routes and scatters the batch
+  against the kernel's ``gss_router``.  Served batches take it too: serve
+  ingest frames carry node IDs;
+* :class:`PythonFrontEnd` — the same router in Python, for everything
+  else (no NumPy or compiler, non-string or NUL-containing IDs, more
+  shards than the kernel's bitmask holds).  Its columns are lists.
 
-Both send pairs in first-seen interleaved order (source, destination, next
-source, ...) and a shard records them with ``NodeIndex.record_new_many``,
-which ignores nodes it already holds, so either front end leaves every
-shard's node index — and so every answer and ``to_dict`` — exactly as
-item-by-item ingestion would.  A shard that refuses a message for a node
-it holds under another hash still records the message's other nodes, so
-the router's masks stay true; a message that never reaches its shard
-makes the deployment rebuild its router, which then sends every node
-again once.
+Both take a batch under one item rule
+(:func:`~repro.streaming.batch.triple_tokens`: exact triples, real
+weights) and refuse it whole, before their table changes.  Both send pairs
+in first-seen interleaved order (source, destination, next source, ...)
+and a shard records them with ``NodeIndex.record_new_many``, which ignores
+nodes it already holds, so either front end leaves every shard's node
+index — and so every answer and ``to_dict`` — exactly as item-by-item
+ingestion would.  A shard that refuses a message for a node it holds
+under another hash still records the message's other nodes, so the
+routers' masks stay true; a message that never reaches its shard makes
+the deployment replace both routers, which then send every node again
+once.
 
 Across a worker pipe the message travels as one blob (:func:`encode_columns`)
 when NumPy is available, else as the pickled :class:`ShardColumns` of lists.
@@ -39,21 +40,26 @@ from __future__ import annotations
 import pickle
 import struct
 import weakref
-from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Hashable, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
-from repro.hashing.hash_functions import _FNV_OFFSET, _count_hashes, _splitmix64
+from repro.hashing.hash_functions import (
+    _FNV_OFFSET,
+    _count_hashes,
+    _splitmix64,
+    hash_key,
+)
 from repro.hashing.vectorized import load_numpy
 from repro.obs import trace as obs_trace
-from repro.streaming.batch import HashedBatch, HashSpec, text_batch
+from repro.streaming.batch import HashSpec, text_batch, triple_tokens
 
 __all__ = [
     "KernelFrontEnd",
     "MAX_KERNEL_SHARDS",
+    "PythonFrontEnd",
     "ShardColumns",
     "checked_columns",
     "decode_columns",
     "encode_columns",
-    "split_columns",
 ]
 
 #: Shard count the kernel's per-node bitmask (a uint64) can track.
@@ -147,23 +153,94 @@ def decode_columns(blob: bytes) -> ShardColumns:
     )
 
 
-def split_columns(batch: HashedBatch, workers: int) -> Iterator[Tuple[int, ShardColumns]]:
-    """The Python front end: ``(shard, columns)`` for each shard ``batch``
-    (built with routing hashes) touches, in ascending shard order.
+#: A table entry's fields: ``H(v)``, the shard the node routes to as a
+#: source (``-1`` until it is seen as one), and the mask of shards sent it.
+_HASH, _HOME, _SENT = range(3)
 
-    Each shard gets its sub-batch's distinct ``(node, hash)`` pairs in
-    first-seen interleaved order.  Lazy, so a caller's span can time the
-    split with the sends.
+#: The entry of a node the table does not hold.
+_UNSEEN = (0, -1, 0)
+
+
+class PythonFrontEnd:
+    """The Python front end of one deployment: the kernel router's model —
+    one persistent table, node -> ``[H(v), home shard, sent-shards mask]``
+    — for the batches :class:`KernelFrontEnd` cannot take.
+
+    :meth:`route` takes any hashable node IDs and any shard count; it
+    never declines a batch, it refuses it (before the table changes).
     """
-    for shard, sub in batch.split_by_route(workers):
-        pairs = dict.fromkeys(sub.node_hash_items())
-        yield shard, ShardColumns(
-            sub.source_hashes,
-            sub.destination_hashes,
-            sub.weights,
-            [node for node, _ in pairs],
-            [node_hash for _, node_hash in pairs],
-        )
+
+    def __init__(self, spec: HashSpec, workers: int) -> None:
+        self._spec = spec
+        self._workers = workers
+        self._nodes: Dict[Hashable, List[int]] = {}
+
+    def route(self, items: List) -> List[Tuple[int, ShardColumns]]:
+        """Hash, route and scatter ``items`` into ``(shard, columns)`` for
+        each shard they touch, in ascending shard order; each shard is sent
+        only the nodes it has never been sent.
+
+        Refuses the whole batch, before the table changes, under
+        :func:`~repro.streaming.batch.triple_tokens`'s item rule, and when
+        an ID is unhashable (``TypeError``) or cannot be hashed (a ``str``
+        UTF-8 cannot encode, ``ValueError``).
+        """
+        tokens, weights = triple_tokens(items)
+        weights = list(map(float, weights))
+        nodes = self._nodes
+        spec = self._spec
+        with obs_trace.span("ingest.hash_batch"):
+            fresh = [node for node in dict.fromkeys(tokens) if node not in nodes]
+            # repro: allow(hash-once): the Python router's node hash — each
+            # node the table does not hold is hashed once, here.
+            hashes = [hash_key(node, spec.seed) % spec.hash_range for node in fresh]
+            homes = self._homes(tokens[0::2])
+        for node, node_hash in zip(fresh, hashes):
+            nodes[node] = [node_hash, -1, 0]
+        for source, home in homes.items():
+            nodes[source][_HOME] = home
+        parts: Dict[int, ShardColumns] = {}
+        entries = iter(zip(tokens, map(nodes.__getitem__, tokens)))
+        for source_pair, destination_pair, weight in zip(entries, entries, weights):
+            shard = source_pair[1][_HOME]
+            part = parts.get(shard)
+            if part is None:
+                part = parts[shard] = ShardColumns([], [], [], [], [])
+            part.source_hashes.append(source_pair[1][_HASH])
+            part.destination_hashes.append(destination_pair[1][_HASH])
+            part.weights.append(weight)
+            bit = 1 << shard
+            for node, entry in (source_pair, destination_pair):
+                if not entry[_SENT] & bit:
+                    entry[_SENT] |= bit
+                    part.nodes.append(node)
+                    part.node_hashes.append(entry[_HASH])
+        return sorted(parts.items())
+
+    def shards_of(self, sources: Iterable[Hashable]) -> List[int]:
+        """The shard each of ``sources`` routes to, in order — read from the
+        table, or hashed once per distinct source it has not routed.  Reads
+        only: the table does not change."""
+        sources = list(sources)
+        homes = self._homes(sources)
+        nodes = self._nodes
+        return [
+            homes[source] if source in homes else nodes[source][_HOME]
+            for source in sources
+        ]
+
+    def _homes(self, sources: List[Hashable]) -> Dict[Hashable, int]:
+        """The home shard of each distinct source in ``sources`` that the
+        table has not routed yet: its routing hash, computed once each."""
+        nodes = self._nodes
+        spec = self._spec
+        return {
+            # repro: allow(hash-once): the Python router's routing hash —
+            # each source the table has not routed is hashed once, here.
+            source: hash_key(source, spec.routing_seed) % self._workers
+            for source in dict.fromkeys(sources)
+            if nodes.get(source, _UNSEEN)[_HOME] < 0
+        }
 
 
 class KernelFrontEnd:
@@ -172,9 +249,8 @@ class KernelFrontEnd:
 
     Build with :meth:`create`, which returns ``None`` where the kernel
     cannot run.  :meth:`route` returns ``None`` for a batch it cannot take
-    (non-string or NUL-containing IDs, items that are not triples, a full
-    node arena), leaving the router untouched; the caller then takes
-    :func:`split_columns`.
+    (non-string or NUL-containing IDs, a full node arena), leaving the
+    router untouched; the caller then takes its :class:`PythonFrontEnd`.
     """
 
     def __init__(self, lib, spec: HashSpec, workers: int) -> None:
@@ -208,8 +284,9 @@ class KernelFrontEnd:
         """Hash, route and scatter ``items`` (``(source, destination,
         weight)`` triples) in one ``gss_route_text_batch`` call; each shard
         is sent only the nodes it has never been sent.  The batch is cut by
-        :func:`~repro.streaming.batch.text_batch`, as for a native GSS."""
-        tokens, weights, blob = text_batch(items) or (None, None, None)
+        :func:`~repro.streaming.batch.text_batch`, as for a native GSS, and
+        refused whole (``ValueError``) under its item rule."""
+        tokens, weights, blob = text_batch(items)
         if blob is None:
             return None
         count = len(weights)

@@ -13,20 +13,18 @@ models that deployment once, for two kinds of shard handle:
   requests through the same :class:`~repro.cluster.worker.Shard`, so the two
   deployments answer every query identically;
 * the shard summary must expose a column ingest path (``hash_spec`` +
-  ``ingest_columns``, as GSS has): the parent hashes every batch exactly
+  ``ingest_columns``, as GSS has): the parent's router hashes each node
   once — ``H(v)`` once per distinct node and the routing hash once per
-  distinct source, memoized across batches — and sends each shard one
-  ``columns`` message (:mod:`repro.cluster.front_end`): its ``(H(s), H(d),
-  weight)`` columns in stream order plus the ``(node, H(v))`` pairs to
-  record, with no per-item keys;
+  distinct source, across batches — and sends each shard one ``columns``
+  message per batch (:mod:`repro.cluster.front_end`): its ``(H(s), H(d),
+  weight)`` columns in stream order plus the ``(node, H(v))`` pairs it has
+  never been sent, with no per-item keys;
 * an all-string batch — a served one too, since serve ingest frames carry
-  node IDs — takes the kernel front end:
-  one ``gss_route_text_batch`` call hashes, routes and scatters it, and
-  each shard is sent only the nodes it has never been sent.  Everything
-  else (no kernel, non-string or NUL-containing IDs, more than 64 shards)
-  takes the Python front end, which sends a shard its sub-batch's
-  distinct node pairs — same message, same answers.  A message that
-  fails to reach its shard replaces the router, so every node is sent
+  node IDs — takes the kernel front end: one ``gss_route_text_batch`` call
+  hashes, routes and scatters it.  Everything else (no kernel, non-string
+  or NUL-containing IDs, more than 64 shards) takes the Python front end,
+  the same router in Python — same message, same answers.  A message that
+  fails to reach its shard replaces both routers, so every node is sent
   again once;
 * a worker receives the message down its pipe as one columns blob, or as
   the pickled :class:`~repro.cluster.front_end.ShardColumns` when NumPy is
@@ -59,9 +57,9 @@ from typing import Dict, Hashable, Iterable, List, Optional, Set, Tuple, Union
 
 from repro.cluster.front_end import (
     KernelFrontEnd,
+    PythonFrontEnd,
     ShardColumns,
     encode_columns,
-    split_columns,
 )
 from repro.cluster.worker import Shard, worker_main
 from repro.hashing.hash_functions import hash_key
@@ -74,7 +72,7 @@ from repro.queries.primitives import (
     SummaryShims,
     UnsupportedQueryError,
 )
-from repro.streaming.batch import HashedBatch, HashSpec
+from repro.streaming.batch import HashSpec, check_weights
 
 __all__ = ["ClusterError", "ShardedSummary", "DEFAULT_ROUTING_SEED"]
 
@@ -458,9 +456,8 @@ class ShardedSummary(SummaryShims):
             self.close()
             raise
         # The shards report their summary's hash spec in the build
-        # handshake; the parent hashes every batch exactly once under it
-        # (node + routing hashes, vectorized when NumPy is available) and
-        # ships the columns — the hash-once ingest pipeline.
+        # handshake; the parent's routers hash every node once under it
+        # and ship the columns — the hash-once ingest pipeline.
         shard_spec: Optional[HashSpec] = self._handles[0].info.get("hash_spec")
         if shard_spec is None:
             self.close()
@@ -473,10 +470,9 @@ class ShardedSummary(SummaryShims):
             self._attach_obs_instruments()
         self._client_spec = shard_spec.with_routing(routing_seed)
         # The front ends (repro.cluster.front_end): the kernel's, when it
-        # can run here, and the Python one's cross-batch hash memos.
+        # can run here, and the Python one for every other batch.
         self._kernel = KernelFrontEnd.create(self._client_spec, workers)
-        self._node_memo: Dict[Hashable, int] = {}
-        self._route_memo: Dict[Hashable, int] = {}
+        self._python = PythonFrontEnd(self._client_spec, workers)
         # Client-side coalescing buffer for scalar updates.
         self._outbox: List[Tuple[Hashable, Hashable, float]] = []
 
@@ -500,7 +496,14 @@ class ShardedSummary(SummaryShims):
     # -- updates -------------------------------------------------------------
 
     def update(self, source: Hashable, destination: Hashable, weight: float = 1.0) -> None:
-        """Queue one stream item (coalesced client-side, routed in batches)."""
+        """Queue one stream item (coalesced client-side, routed in batches).
+
+        What a GSS refuses at the call is refused here too, before the item
+        is queued: a weight that is not a real number (``ValueError``) and
+        an unhashable ID (``TypeError``).
+        """
+        check_weights((weight,))
+        hash((source, destination))
         with self._lock:
             self._ensure_open()
             self._outbox.append((source, destination, weight))
@@ -533,36 +536,25 @@ class ShardedSummary(SummaryShims):
             return
         parts = self._kernel.route(items) if self._kernel is not None else None
         if parts is None:
-            parts = split_columns(
-                HashedBatch.from_items(
-                    items,
-                    self._client_spec,
-                    node_memo=self._node_memo,
-                    route_memo=self._route_memo,
-                ),
-                self.workers,
-            )
+            parts = self._python.route(items)
         with obs_trace.span("cluster.route", registry=self._obs):
             self._send(parts)
 
-    def _send(self, parts: Iterable[Tuple[int, ShardColumns]]) -> int:
-        """Queue each shard's columns (the Python split runs lazily, inside
-        the caller's ``cluster.route`` span); return the items sent.
+    def _send(self, parts: List[Tuple[int, ShardColumns]]) -> None:
+        """Queue each shard's columns.
 
-        A message that fails to reach its shard leaves the router believing
-        it sent that message's nodes, so any failure here replaces the
-        router: the next batches send every node again once.
+        A message that fails to reach its shard leaves the routers believing
+        they sent that message's nodes, so any failure here replaces both
+        routers: the next batches send every node again once.
         """
-        count = 0
         try:
             for shard, columns in parts:
                 self._handles[shard].send_columns(columns)
-                count += len(columns.weights)
         except BaseException:
             if self._kernel is not None:
                 self._kernel = KernelFrontEnd.create(self._client_spec, self.workers)
+            self._python = PythonFrontEnd(self._client_spec, self.workers)
             raise
-        return count
 
     def _send_outbox(self) -> None:
         """Route the queued scalar updates (lock held).  The outbox empties
@@ -650,19 +642,14 @@ class ShardedSummary(SummaryShims):
         client, by the shard they will go to); ``queue_depth_high_water`` is
         the largest number of batches that were in flight to any single
         worker at once — the observable measure of routing imbalance and
-        worker lag.  Reading them sends nothing.
+        worker lag.  Reading them sends nothing and changes no router
+        state: queued sources go through the Python router's read-only
+        shard lookup.
         """
         with self._lock:
             routed = [handle.items_routed for handle in self._handles]
-            if self._outbox:
-                queued = HashedBatch.from_items(
-                    self._outbox,
-                    self._client_spec,
-                    node_memo=self._node_memo,
-                    route_memo=self._route_memo,
-                )
-                for shard, sub_batch in queued.split_by_route(self.workers):
-                    routed[shard] += len(sub_batch)
+            for shard in self._python.shards_of(source for source, _, _ in self._outbox):
+                routed[shard] += 1
         high_water = max((handle.high_water for handle in self._handles), default=0)
         return ShardIngestStats(items_routed=routed, queue_depth_high_water=high_water)
 

@@ -850,10 +850,7 @@ class NativeMatrixBackend:
         profile = active_profile()
         if profile is not None:
             started = perf_counter()
-        batch = text_batch(triples)
-        if batch is None:
-            raise ValueError("a batch item is not a (source, destination, weight) triple")
-        tokens, weights, blob = batch
+        tokens, weights, blob = text_batch(triples)
         if blob is None:
             return self._update_many_by_pairs(tokens[0::2], tokens[1::2], weights)
         count = len(weights)

@@ -40,7 +40,7 @@ from repro.hashing.linear_congruence import (
     unique_candidates,
 )
 from repro.queries.primitives import Capabilities, SummaryShims
-from repro.streaming.batch import HashedBatch, HashSpec, weight_column
+from repro.streaming.batch import HashSpec, check_weights, weight_column
 
 #: Cap on the memoized candidate-pair sequences (one entry per distinct
 #: fingerprint pair seen).  Past the cap, sequences are recomputed instead of
@@ -171,15 +171,18 @@ class GSS(SummaryShims):
         """Apply one stream item: add ``weight`` to edge ``source -> destination``.
 
         Negative weights model deletions of earlier items, exactly as in the
-        streaming-graph semantics of Definition 1.
+        streaming-graph semantics of Definition 1.  A weight that is not a
+        real number is refused (``ValueError``) before anything changes, as
+        by every batched path.
         """
-        self._update_count += 1
+        check_weights((weight,))
         source_hash = self._hasher(source)
         destination_hash = self._hasher(destination)
         if self._node_index is not None:
             self._node_index.record(source, source_hash)
             self._node_index.record(destination, destination_hash)
         self._matrix.insert_edge(source_hash, destination_hash, weight)
+        self._update_count += 1
 
     def update_by_hash(
         self, source_hash: int, destination_hash: int, weight: float = 1.0
@@ -224,34 +227,15 @@ class GSS(SummaryShims):
     def hash_spec(self) -> HashSpec:
         """The hash function family this sketch places edges under.
 
-        Batches built under a matching spec (see
-        :meth:`~repro.streaming.batch.HashSpec.matches`) can be ingested via
-        :meth:`update_many_hashed` without any re-hashing, and the shard
-        messages of a sharded deployment are hashed under it (see
-        :meth:`ingest_columns`).
+        A sharded deployment's shards report it in their build handshake,
+        and its front ends hash every batch under it, so the shard messages
+        feed :meth:`ingest_columns` with no further hashing.
         """
         return HashSpec(seed=self.config.seed, hash_range=self.config.hash_range)
 
-    def update_many_hashed(self, batch: HashedBatch) -> int:
-        """Ingest a :class:`~repro.streaming.batch.HashedBatch` directly.
-
-        The batch's precomputed node-hash columns feed the matrix backend
-        with no further hashing; its distinct ``(node, hash)`` pairs are
-        recorded in the reverse node index once each, in first-seen
-        interleaved order (the order item-by-item updates record them).  A
-        batch hashed under a different :class:`HashSpec` falls back to
-        :meth:`update_many` over its items, so the method is safe for any
-        batch.
-
-        Returns the number of stream items applied.
-        """
-        if not batch.spec.matches(self.hash_spec()):
-            return self.update_many(batch.items())
-        if self._node_index is not None:
-            self._node_index.record_new_many(dict.fromkeys(batch.node_hash_items()))
-        return self.ingest_columns(
-            batch.source_hashes, batch.destination_hashes, batch.weights
-        )
+    #: Alias of :meth:`update_many`, kept because traced in-process bench
+    #: runs still look the name up; it goes when they time ``update_many``.
+    update_many_hashed = update_many
 
     def ingest_columns(
         self,

@@ -1,25 +1,26 @@
 """hash-once: node/route hashing happens once, at the system edge.
 
-PR 6's hash-once pipeline computes every node hash and routing hash
-exactly once when a :class:`~repro.streaming.batch.HashedBatch` is built,
-and the columns flow untouched through every ingest layer.  The invariant
-used to be enforced by grep ("no scalar ``hash_key`` left in any routing
-loop"); this rule makes it permanent: inside any loop (``for``/``while``
-or a comprehension) in the ingest/routing layers, calling the scalar hash
-family re-hashes per item and silently multiplies the hashing cost the
-whole pipeline was built to pay once.
+Every node hash and routing hash is computed exactly once, by a sharded
+deployment's router (:mod:`repro.cluster.front_end`: the kernel's, or
+:class:`~repro.cluster.front_end.PythonFrontEnd`) or by a GSS backend's
+batch path, and the columns flow untouched through every ingest layer.
+The invariant used to be enforced by grep ("no scalar ``hash_key`` left in
+any routing loop"); this rule makes it permanent: inside any loop
+(``for``/``while`` or a comprehension) in the ingest/routing layers,
+calling the scalar hash family re-hashes per item and silently multiplies
+the hashing cost the whole pipeline was built to pay once.
 
 Flagged inside loops:
 
 * the scalar hash family from :mod:`repro.hashing.hash_functions`
   (``hash_key``/``hash_string``/``hash_bytes``);
 * per-item route computation via ``.shard_of(...)`` — routing a batch
-  item-by-item instead of through ``HashedBatch.split_by_route``.
+  item-by-item instead of through the router.
 
-The designated hash-once sites (``streaming/batch.py`` builds the columns;
-scalar single-item ``update()`` entry points hash their one item) carry
-inline ``allow`` justifications — the point is that every exception is
-written down next to the code.
+The designated hash-once sites (``PythonFrontEnd`` hashes each node its
+table does not hold; scalar single-item ``update()`` entry points hash
+their one item) carry inline ``allow`` justifications — the point is that
+every exception is written down next to the code.
 """
 
 from __future__ import annotations
@@ -77,13 +78,13 @@ class HashOnceChecker(Checker):
                     pyfile,
                     node,
                     f"scalar {name}() inside a loop re-hashes per item — "
-                    "hash once at the edge (HashedBatch) and carry the "
-                    "columns through",
+                    "hash once at the edge (the Python router) and carry "
+                    "the columns through",
                 )
             elif name in _ROUTE_HELPERS and _enclosing_loop(pyfile, node):
                 yield self.violation(
                     pyfile,
                     node,
                     f"per-item {name}() inside a loop re-routes by scalar "
-                    "hash — use HashedBatch.split_by_route for batches",
+                    "hash — route batches through the Python router",
                 )

@@ -7,7 +7,7 @@ weights are the running sum of the item weights; negative weights model
 deletions.
 """
 
-from repro.streaming.batch import HashedBatch, HashSpec
+from repro.streaming.batch import HashSpec
 from repro.streaming.edge import StreamEdge
 from repro.streaming.stream import GraphStream, StreamStatistics
 from repro.streaming.window import SlidingWindow, tumbling_windows
@@ -28,7 +28,6 @@ from repro.streaming.transforms import (
 
 __all__ = [
     "HashSpec",
-    "HashedBatch",
     "StreamEdge",
     "GraphStream",
     "StreamStatistics",

@@ -503,6 +503,8 @@ class TestCompileFlags:
 
         monkeypatch.setenv("REPRO_NATIVE_SANITIZE", "1")
         monkeypatch.delenv("LD_PRELOAD", raising=False)
+        # Disabled, the loader would refuse before it looks for ASan.
+        monkeypatch.delenv("REPRO_DISABLE_NATIVE", raising=False)
         _native._reset_for_tests()
         try:
             with pytest.raises(_native.NativeUnavailable, match="ASan runtime"):

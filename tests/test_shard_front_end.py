@@ -2,11 +2,14 @@
 
 Two front ends turn a batch into one ``columns`` message per shard — the
 kernel's ``gss_route_text_batch`` (all-string batches) and the Python
-:func:`split_columns` (everything else).  The laws:
+:class:`PythonFrontEnd` (everything else), one router model.  The laws:
 
-* on the batches both can take, they send every shard the same columns,
-  and the same node pairs except that the kernel leaves out nodes it has
-  already sent that shard — batches and queued scalar updates alike;
+* the Python front end sends what a scalar reference sends: each item to
+  shard ``hash_key(source, 97) % workers``, in stream order within a
+  shard, and each node to each shard once, as Python ints, hashing each
+  distinct node once and each distinct source once;
+* on the batches the kernel takes, the two front ends send identical
+  messages — batches and queued scalar updates alike;
 * either way, both deployments of ``ShardedSummary`` leave every shard's
   ``to_dict`` — node index order included — equal to the scalar-routed
   :class:`ShardOracle`;
@@ -26,16 +29,17 @@ from repro.cluster import ClusterError, ShardedSummary
 from repro.cluster.front_end import (
     MAX_KERNEL_SHARDS,
     KernelFrontEnd,
+    PythonFrontEnd,
     ShardColumns,
     decode_columns,
     encode_columns,
-    split_columns,
 )
 from repro.cluster.worker import Shard
 from repro.core.config import GSSConfig
+from repro.hashing import count_key_hashes
 from repro.hashing.hash_functions import hash_key
 from repro.hashing.vectorized import NUMPY_AVAILABLE
-from repro.streaming.batch import HashedBatch, HashSpec
+from repro.streaming.batch import HashSpec
 from shard_oracle import ShardOracle, gss_params, partitioned_gss
 
 
@@ -96,45 +100,72 @@ def _kernel_can_take(items) -> bool:
     )
 
 
-def _expected_messages(python, sent):
-    """The Python front end's messages with the nodes each shard was already
-    sent filtered out — what the kernel router sends — updating ``sent``."""
-    expected = []
-    for shard, columns in python:
-        sources, destinations, weights, nodes, hashes = _plain(columns)
-        fresh = [(node, h) for node, h in zip(nodes, hashes) if node not in sent[shard]]
-        sent[shard].update(node for node, _ in fresh)
-        expected.append(
-            (
-                shard,
-                (
-                    sources,
-                    destinations,
-                    [float(weight) for weight in weights],
-                    [node for node, _ in fresh],
-                    [h for _, h in fresh],
-                ),
+class ScalarRouter:
+    """The front ends' contract, item by item with scalar hashes: each item
+    goes to shard ``hash_key(source, 97) % workers`` in stream order, and
+    each node is sent to each shard the first time an item there names it."""
+
+    def __init__(self, workers: int) -> None:
+        self.workers = workers
+        self.sent = [set() for _ in range(workers)]
+
+    def route(self, items):
+        parts = {}
+        for source, destination, weight in items:
+            shard = hash_key(source, ROUTED.routing_seed) % self.workers
+            part = parts.setdefault(shard, ([], [], [], [], []))
+            source_hash, destination_hash = (
+                hash_key(node, ROUTED.seed) % ROUTED.hash_range
+                for node in (source, destination)
             )
-        )
-    return expected
+            part[0].append(source_hash)
+            part[1].append(destination_hash)
+            part[2].append(float(weight))
+            for node, node_hash in ((source, source_hash), (destination, destination_hash)):
+                if node not in self.sent[shard]:
+                    self.sent[shard].add(node)
+                    part[3].append(node)
+                    part[4].append(node_hash)
+        return sorted(parts.items())
 
 
 class TestFrontEndEquivalence:
+    @settings(max_examples=60, deadline=None)
+    @given(batches=batch_sequences(), workers=st.sampled_from(WORKER_COUNTS))
+    def test_python_front_end_sends_what_the_scalar_router_sends(self, batches, workers):
+        python = PythonFrontEnd(ROUTED, workers)
+        reference = ScalarRouter(workers)
+        nodes, sources = set(), set()
+        for items in batches:
+            with count_key_hashes() as counter:
+                routed = python.route(items)
+            expected = reference.route(items)
+            assert [(shard, _plain(columns)) for shard, columns in routed] == expected
+            for _, columns in routed:
+                assert all(type(value) is int for value in columns.source_hashes)
+                assert all(type(value) is int for value in columns.node_hashes)
+            # One sketch hash per node and one routing hash per source, the
+            # first time the router meets each: none on a repeat.
+            new_nodes = {node for item in items for node in item[:2]} - nodes
+            new_sources = {item[0] for item in items} - sources
+            assert counter.count == len(new_nodes) + len(new_sources)
+            nodes |= new_nodes
+            sources |= new_sources
+
     @requires_native
     @settings(max_examples=60, deadline=None)
     @given(batches=batch_sequences(), workers=st.sampled_from(WORKER_COUNTS))
     def test_kernel_and_python_front_ends_send_the_same_messages(self, batches, workers):
         kernel = KernelFrontEnd.create(ROUTED, workers)
-        sent = [set() for _ in range(workers)]  # what the kernel has sent each shard
+        python = PythonFrontEnd(ROUTED, workers)
         for items in batches:
-            python = list(split_columns(HashedBatch.from_items(items, ROUTED), workers))
             routed = kernel.route(items)
             if not _kernel_can_take(items):
                 assert routed is None
                 continue
-            assert [(shard, _plain(c)) for shard, c in routed] == _expected_messages(
-                python, sent
-            )
+            assert [(shard, _plain(c)) for shard, c in routed] == [
+                (shard, _plain(c)) for shard, c in python.route(items)
+            ]
 
     @requires_native
     @settings(max_examples=30, deadline=None)
@@ -162,13 +193,18 @@ class TestFrontEndEquivalence:
 
     def test_python_front_end_pairs_are_distinct_and_interleaved(self):
         items = [("a", "b", 1.0), ("b", "a", 1.0), ("c", "a", 1.0), ("a", "d", 1.0)]
-        [(shard, columns)] = split_columns(HashedBatch.from_items(items, ROUTED), 1)
+        [(shard, columns)] = PythonFrontEnd(ROUTED, 1).route(items)
         assert shard == 0
         assert list(columns.nodes) == ["a", "b", "c", "d"]
         assert len(columns.node_hashes) == 4
 
     def test_more_shards_than_the_bitmask_holds_take_the_python_front_end(self):
         assert KernelFrontEnd.create(ROUTED, MAX_KERNEL_SHARDS + 1) is None
+        workers = MAX_KERNEL_SHARDS + 1
+        items = [(f"s{i}", f"d{i}", 1.0) for i in range(300)]
+        routed = PythonFrontEnd(ROUTED, workers).route(items)
+        assert routed == ScalarRouter(workers).route(items)
+        assert max(shard for shard, _ in routed) >= MAX_KERNEL_SHARDS
 
 
 def _record_sent_nodes(summary):
@@ -287,6 +323,14 @@ def _routed_to(summary, shard, make):
 
 DEPLOYMENTS = pytest.mark.parametrize("in_process", [True, False], ids=["inline", "worker"])
 
+#: Node IDs from names: strings take the kernel front end where it runs,
+#: ints always take the Python one.
+NODE_KINDS = pytest.mark.parametrize(
+    "node",
+    [str, lambda name: int.from_bytes(name.encode(), "big")],
+    ids=["str-ids", "int-ids"],
+)
+
 
 def _register_under_a_wrong_hash(summary, shard, node):
     """Record ``node`` in ``shard``'s index under a hash it does not have,
@@ -305,30 +349,32 @@ class TestFailedMessages:
             index.record_new_many([("b", 2), ("a", 3), ("c", 4)])
         assert [index.get(node) for node in "abc"] == [1, 2, 4]
 
+    @NODE_KINDS
     @DEPLOYMENTS
-    def test_nodes_of_a_refused_message_are_not_lost(self, in_process):
+    def test_nodes_of_a_refused_message_are_not_lost(self, in_process, node):
         with ShardedSummary(SPEC, workers=1, in_process=in_process) as summary:
-            _register_under_a_wrong_hash(summary, 0, "a")
+            _register_under_a_wrong_hash(summary, 0, node("a"))
             # The shard refuses the next message for "a", after recording "n".
             with pytest.raises((ValueError, ClusterError), match="already registered"):
-                summary.update_many([("a", "n", 1.0)])
+                summary.update_many([(node("a"), node("n"), 1.0)])
                 summary.flush()
-            summary.update_many([("x", "n", 1.0)])
-            assert summary.successor_query("x") == {"n"}
+            summary.update_many([(node("x"), node("n"), 1.0)])
+            assert summary.successor_query(node("x")) == {node("n")}
 
+    @NODE_KINDS
     @DEPLOYMENTS
-    def test_nodes_of_an_unsent_message_are_sent_again(self, in_process):
+    def test_nodes_of_an_unsent_message_are_sent_again(self, in_process, node):
         with ShardedSummary(SPEC, workers=2, in_process=in_process) as summary:
-            first = _routed_to(summary, 0, "a{}".format)
-            second = _routed_to(summary, 1, "b{}".format)
-            _register_under_a_wrong_hash(summary, 0, "n")
+            first = _routed_to(summary, 0, lambda i: node(f"a{i}"))
+            second = _routed_to(summary, 1, lambda i: node(f"b{i}"))
+            _register_under_a_wrong_hash(summary, 0, node("n"))
             # Shard 0 refuses its message; in process, shard 1's is then
             # never sent, though the router had counted "m" as sent.
             with pytest.raises((ValueError, ClusterError), match="already registered"):
-                summary.update_many([(first, "n", 1.0), (second, "m", 1.0)])
+                summary.update_many([(first, node("n"), 1.0), (second, node("m"), 1.0)])
                 summary.flush()
-            summary.update_many([(second, "m", 1.0)])
-            assert summary.successor_query(second) == {"m"}
+            summary.update_many([(second, node("m"), 1.0)])
+            assert summary.successor_query(second) == {node("m")}
 
 
 class TestScalarOutbox:
@@ -336,26 +382,28 @@ class TestScalarOutbox:
     def test_an_unroutable_batch_leaves_queued_updates_queued(self, in_process):
         with ShardedSummary(SPEC, workers=2, in_process=in_process) as summary:
             summary.update("a", "b", 1.0)
-            # Refused by the front end, or (lists without NumPy) by the shard.
-            with pytest.raises((TypeError, ValueError, ClusterError)):
+            with pytest.raises(ValueError):
                 summary.update_many([("c", "d", "x")])
-                summary.flush()
             assert summary.edge_query("a", "b") == 1.0
 
     @DEPLOYMENTS
     def test_an_unroutable_queued_update_does_not_block_later_ones(self, in_process):
         with ShardedSummary(SPEC, workers=2, in_process=in_process) as summary:
-            summary.update("a", "b", "x")
-            with pytest.raises((TypeError, ValueError, ClusterError)):
+            # An ID UTF-8 cannot encode is queued, and refused when routed.
+            summary.update("\ud800", "b", 1.0)
+            with pytest.raises(ValueError):
                 summary.flush()
             summary.update("c", "d", 1.0)
             assert summary.edge_query("c", "d") == 1.0
 
-    def test_reading_stats_sends_nothing(self):
-        with ShardedSummary(SPEC, workers=2, in_process=True) as summary:
-            summary.update("a", "b", 1.0)
-            stats = summary.shard_ingest_stats()
-            assert sorted(stats.items_routed) == [0, 1]
+    @NODE_KINDS
+    @DEPLOYMENTS
+    def test_reading_stats_sends_nothing(self, in_process, node):
+        with ShardedSummary(SPEC, workers=2, in_process=in_process) as summary:
+            for name in ("a", "b", "c", "a"):
+                summary.update(node(name), node("z"), 1.0)
+            queued = summary.shard_ingest_stats().items_routed
+            assert sum(queued) == 4
             assert [handle.items_routed for handle in summary._handles] == [0, 0]
             summary.flush()
-            assert summary.shard_ingest_stats() == stats
+            assert summary.shard_ingest_stats().items_routed == queued

@@ -250,8 +250,9 @@ class TestSummariesHashTheirOwnBatches:
 
 
 #: Batches a summary must refuse whole: a weight that is not a number after
-#: string IDs (kernel text path) and after int IDs (the other paths), and an
-#: unhashable ID after a good item.
+#: string IDs (kernel text path) and after int IDs (the other paths), an
+#: unhashable ID after a good item, and items that are not exact triples
+#: (a 4-tuple, a 2-tuple, a bare StreamEdge) after string and int IDs.
 REJECTED_BATCHES = [
     [("c", "d", 1.0), ("e", "f", "x")],
     [(3, 4, 1.0), (5, 6, "x")],
@@ -260,6 +261,25 @@ REJECTED_BATCHES = [
     [("c", "d", 1.0), ("e", "f", Decimal("1.5"))],
     [(3, 4, 1.0), (5, 6, b"1")],
     [("c", "d", 1.0), ("e", "f", 1j)],
+    [("c", "d", 1.0), ("e", "f", 2.0, 7)],
+    [(3, 4, 1.0), (5, 6, 2.0, 7)],
+    [("c", "d", 1.0), ("e", "f")],
+    [(3, 4, 1.0), (5, 6)],
+    [("c", "d", 1.0), StreamEdge("e", "f", 2.0)],
+    [(3, 4, 1.0), StreamEdge(5, 6, 2.0)],
+]
+
+#: Scalar updates a summary must refuse at the call: a weight that is not a
+#: real number, after string and int IDs, and an unhashable ID.
+REJECTED_UPDATES = [
+    ("e", "f", "x"),
+    (5, 6, "x"),
+    ("e", "f", None),
+    (5, 6, None),
+    ("e", "f", Decimal("1.5")),
+    (5, 6, b"1"),
+    ("e", "f", 1j),
+    (["e"], "f", 1.0),
 ]
 
 
@@ -274,6 +294,17 @@ class TestARejectedBatchLeavesNoState:
             sketch.update_many(batch)
         assert sketch.to_dict() == before
         assert sketch.successor_query("c") == set()
+
+    @pytest.mark.parametrize("update", REJECTED_UPDATES)
+    @pytest.mark.parametrize("backend", GSS_BACKENDS)
+    def test_gss_scalar_update(self, backend, update):
+        sketch = build("gss", memory_bytes=8192, backend=backend)
+        sketch.update("a", "b", 1.0)
+        before = sketch.to_dict()
+        with pytest.raises((TypeError, ValueError)):
+            sketch.update(*update)
+        assert sketch.to_dict() == before
+        assert sketch.update_count == 1
 
     @pytest.mark.parametrize("batch", REJECTED_BATCHES)
     @pytest.mark.parametrize("name", ["partitioned-gss", "sharded-gss"])
@@ -294,6 +325,20 @@ class TestARejectedBatchLeavesNoState:
             assert summary.update_count == 1
             summary.update_many([(3, 4, 1.0)])
             assert summary.successor_query(3) == {4}
+
+    @pytest.mark.parametrize("update", REJECTED_UPDATES)
+    @pytest.mark.parametrize("name", ["partitioned-gss", "sharded-gss"])
+    def test_sharded_scalar_update(self, name, update):
+        count = "partitions" if name == "partitioned-gss" else "workers"
+        with build(name, memory_bytes=16384, params={count: 2}) as summary:
+            summary.update("a", "b", 1.0)
+            with pytest.raises((TypeError, ValueError)):
+                summary.update(*update)
+            assert summary.update_count == 1
+            # The update queued before the refused one still lands.
+            summary.flush()
+            assert summary.edge_query("a", "b") == 1.0
+            assert summary.update_count == 1
 
 
 class Recorder:

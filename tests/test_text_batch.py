@@ -18,7 +18,8 @@ import pytest
 from repro.api import build
 from repro.hashing import count_key_hashes
 from repro.hashing.vectorized import NUMPY_AVAILABLE
-from repro.streaming.batch import check_weights, text_batch
+from repro.streaming.batch import check_weights, text_batch, triple_tokens
+from repro.streaming.edge import StreamEdge
 
 
 def _native_ready() -> bool:
@@ -88,10 +89,13 @@ class TestTextBatch:
         assert blob is None
         assert len(tokens) == 2 * len(weights)
 
-    @requires_numpy
-    @pytest.mark.parametrize("items", [BATCHES["mixed-lengths"], BATCHES["two-tuple"], [object()]])
-    def test_items_that_are_not_triples_give_none(self, items):
-        assert text_batch(items) is None
+    @pytest.mark.parametrize(
+        "items",
+        [BATCHES["mixed-lengths"], BATCHES["two-tuple"], [object()], [StreamEdge("a", "b")]],
+    )
+    def test_items_that_are_not_triples_are_refused(self, items):
+        with pytest.raises(ValueError, match="not a .* triple"):
+            triple_tokens(items)
 
     @pytest.mark.parametrize("weight", ["1.5", b"1", Decimal("1.5"), 1j, None])
     def test_weights_that_are_not_real_numbers_are_refused(self, weight):
