@@ -499,11 +499,15 @@ class ShardedSummary(SummaryShims):
         """Queue one stream item (coalesced client-side, routed in batches).
 
         What a GSS refuses at the call is refused here too, before the item
-        is queued: a weight that is not a real number (``ValueError``) and
-        an unhashable ID (``TypeError``).
+        is queued: a weight that is not a real number (``ValueError``), an
+        unhashable ID (``TypeError``) and a string ID that UTF-8 cannot
+        encode (``UnicodeEncodeError``).
         """
         check_weights((weight,))
         hash((source, destination))
+        for node in (source, destination):
+            if isinstance(node, str):
+                node.encode()
         with self._lock:
             self._ensure_open()
             self._outbox.append((source, destination, weight))

@@ -52,13 +52,14 @@ from typing import Dict, Hashable, Iterable, Iterator, List, Optional, Set, Tupl
 
 from repro.hashing.hash_functions import _FNV_OFFSET, _count_hashes, _splitmix64
 from repro.hashing.linear_congruence import recover_address
-from repro.metrics.ingest_profile import active_profile
 from repro.hashing.vectorized import (
     NUMPY_AVAILABLE,
     lcg_values_at,
     load_numpy,
     node_hashes_array,
 )
+from repro.obs.registry import Histogram, MetricsRegistry
+from repro.obs.trace import active as obs_active
 from repro.streaming.batch import check_weights, text_batch, weight_column
 
 #: Lazily bound NumPy module (populated by the first NativeMatrixBackend), so
@@ -80,6 +81,21 @@ _UNSEEN = -2
 #: key of a maximal 2^32 hash range can collide with it, in which case that
 #: one edge is merely re-resolved each batch (a pure perf detail).
 _KEY_SENTINEL = (1 << 64) - 1
+
+#: Batched-ingest stage timings, one histogram series per ``stage`` label:
+#: ``hashing`` (node IDs to hashes, node-index recording and memo upkeep),
+#: ``placement`` (aggregation and the bucket walk) and ``buffer_spill``
+#: (overflowed edges applied to the left-over buffer; the python backend
+#: spills inside its placement loop and counts it there).  Recorded only
+#: while :func:`repro.obs.trace.active` returns a registry, so the disabled
+#: cost is one ``is None`` check per batch.
+STAGE_FAMILY = "repro_ingest_stage_seconds"
+_STAGE_HELP = "Batched-ingest stage durations (label: stage name)."
+
+
+def _stage(registry: MetricsRegistry, stage: str) -> Histogram:
+    """The ``stage`` series of :data:`STAGE_FAMILY` in ``registry``."""
+    return registry.histogram(STAGE_FAMILY, _STAGE_HELP, stage=stage)
 
 
 def _native_usable() -> bool:
@@ -294,8 +310,8 @@ class PythonMatrixBackend:
         sketch = self._sketch
         hasher = sketch._hasher
         node_index = sketch._node_index
-        profile = active_profile()
-        started = perf_counter() if profile is not None else 0.0
+        registry = obs_active()
+        started = perf_counter() if registry is not None else 0.0
         hashes: Dict[Hashable, int] = {}
         fresh: List[Tuple[Hashable, int]] = []
 
@@ -322,16 +338,13 @@ class PythonMatrixBackend:
         check_weights(aggregated.values())
         if fresh and node_index is not None:
             node_index.record_new_many(fresh)
-        if profile is not None:
+        if registry is not None:
             hashed_at = perf_counter()
-            profile.add("hashing", hashed_at - started)
+            _stage(registry, "hashing").observe(hashed_at - started)
         for (source_hash, destination_hash), weight in aggregated.items():
             self.insert_edge(source_hash, destination_hash, weight)
-        if profile is not None:
-            # Buffer spill is interleaved inside insert_edge on this backend,
-            # so it is accounted under placement.
-            profile.add("placement", perf_counter() - hashed_at)
-            profile.count_batch()
+        if registry is not None:
+            _stage(registry, "placement").observe(perf_counter() - hashed_at)
         return count
 
     def update_many_by_hash(self, edges: Iterable[Tuple[int, int, float]]) -> int:
@@ -356,6 +369,8 @@ class PythonMatrixBackend:
         :meth:`update_many_by_hash`, so placement is identical to every
         other ingest route.  The node index is the sketch's business.
         """
+        registry = obs_active()
+        started = perf_counter() if registry is not None else 0.0
         aggregated: Dict[Tuple[int, int], float] = {}
         count = 0
         for source_hash, destination_hash, weight in zip(
@@ -366,6 +381,8 @@ class PythonMatrixBackend:
             aggregated[key] = aggregated.get(key, 0.0) + weight
         for (source_hash, destination_hash), weight in aggregated.items():
             self.insert_edge(source_hash, destination_hash, weight)
+        if registry is not None:
+            _stage(registry, "placement").observe(perf_counter() - started)
         return count
 
     # -- queries -----------------------------------------------------------
@@ -847,16 +864,16 @@ class NativeMatrixBackend:
         triples = items if isinstance(items, list) else list(items)
         if not triples:
             return 0
-        profile = active_profile()
-        if profile is not None:
+        registry = obs_active()
+        if registry is not None:
             started = perf_counter()
         tokens, weights, blob = text_batch(triples)
         if blob is None:
             return self._update_many_by_pairs(tokens[0::2], tokens[1::2], weights)
         count = len(weights)
         self._ensure_batch_scratch(count)
-        if profile is not None:
-            profile.add("hashing", perf_counter() - started)
+        if registry is not None:
+            _stage(registry, "hashing").observe(perf_counter() - started)
             started = perf_counter()
         placed = self._lib.gss_ingest_text_batch(
             self._ctx, blob, len(blob), weights.ctypes.data, count, *self._text_batch_args
@@ -866,12 +883,12 @@ class NativeMatrixBackend:
         if placed < 0:  # pragma: no cover - allocation failure
             raise MemoryError("native kernel batch allocation failed")
         self.matrix_edge_count += placed
-        if profile is not None:
-            profile.add("placement", perf_counter() - started)
+        if registry is not None:
+            _stage(registry, "placement").observe(perf_counter() - started)
             started = perf_counter()
         self._apply_buffer_arrays()
-        if profile is not None:
-            profile.add("buffer_spill", perf_counter() - started)
+        if registry is not None:
+            _stage(registry, "buffer_spill").observe(perf_counter() - started)
             started = perf_counter()
         fresh = self._new_ctr.value
         if fresh:
@@ -886,9 +903,8 @@ class NativeMatrixBackend:
                     )
                 )
             _count_hashes(fresh)
-        if profile is not None:
-            profile.add("hashing", perf_counter() - started)
-            profile.count_batch()
+        if registry is not None:
+            _stage(registry, "hashing").observe(perf_counter() - started)
         return count
 
     def _update_many_by_pairs(self, sources, destinations, weights) -> int:
@@ -899,10 +915,9 @@ class NativeMatrixBackend:
         each; unseen pairs are hashed through :meth:`_node_hashes_for`.
         """
         count = len(sources)
-        profile = active_profile()
-        if profile is not None:
+        registry = obs_active()
+        if registry is not None:
             started = perf_counter()
-            memo_before = profile.stage_seconds("memo")
         pair_cache = self._pair_key_cache
         keys = np.fromiter(
             map(pair_cache.get, zip(sources, destinations), _repeat(_KEY_SENTINEL)),
@@ -920,16 +935,11 @@ class NativeMatrixBackend:
             resolved = source_hashes * np.uint64(self._hash_range) + destination_hashes
             keys[unknown] = resolved
             if len(pair_cache) < self._NODE_CACHE_LIMIT:
-                memo_started = perf_counter() if profile is not None else 0.0
                 pair_cache.update(
                     zip(zip(unknown_sources, unknown_destinations), resolved.tolist())
                 )
-                if profile is not None:
-                    profile.add("memo", perf_counter() - memo_started)
-        if profile is not None:
-            memo_spent = profile.stage_seconds("memo") - memo_before
-            profile.add("hashing", perf_counter() - started - memo_spent)
-            profile.count_batch()
+        if registry is not None:
+            _stage(registry, "hashing").observe(perf_counter() - started)
         self._ingest_keys(keys, weights)
         return count
 
@@ -956,11 +966,7 @@ class NativeMatrixBackend:
                 for node, node_hash in zip(missing, hashed):
                     node_index.record(node, node_hash)
             if len(cache) < self._NODE_CACHE_LIMIT:
-                profile = active_profile()
-                memo_started = perf_counter() if profile is not None else 0.0
                 cache.update(zip(missing, hashed))
-                if profile is not None:
-                    profile.add("memo", perf_counter() - memo_started)
                 lookup = cache
             else:
                 # Cache is at capacity: resolve this batch through a private
@@ -1009,8 +1015,8 @@ class NativeMatrixBackend:
         count = len(keys)
         if count == 0:
             return
-        profile = active_profile()
-        if profile is not None:
+        registry = obs_active()
+        if registry is not None:
             started = perf_counter()
         keys = np.ascontiguousarray(keys, dtype=np.uint64)
         weights = np.ascontiguousarray(weights, dtype=np.float64)
@@ -1021,12 +1027,12 @@ class NativeMatrixBackend:
         if placed < 0:  # pragma: no cover - allocation failure
             raise MemoryError("native kernel batch allocation failed")
         self.matrix_edge_count += placed
-        if profile is not None:
-            profile.add("placement", perf_counter() - started)
+        if registry is not None:
+            _stage(registry, "placement").observe(perf_counter() - started)
             started = perf_counter()
         self._apply_buffer_arrays()
-        if profile is not None:
-            profile.add("buffer_spill", perf_counter() - started)
+        if registry is not None:
+            _stage(registry, "buffer_spill").observe(perf_counter() - started)
 
     def _apply_buffer_arrays(self) -> None:
         """Apply the last kernel call's buffer traffic to the left-over buffer.

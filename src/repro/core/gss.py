@@ -173,9 +173,11 @@ class GSS(SummaryShims):
         Negative weights model deletions of earlier items, exactly as in the
         streaming-graph semantics of Definition 1.  A weight that is not a
         real number is refused (``ValueError``) before anything changes, as
-        by every batched path.
+        by every batched path, and so is an ID the node index cannot hold
+        (``TypeError``) or the hasher cannot encode.
         """
         check_weights((weight,))
+        hash((source, destination))
         source_hash = self._hasher(source)
         destination_hash = self._hasher(destination)
         if self._node_index is not None:

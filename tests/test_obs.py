@@ -17,7 +17,7 @@ Covers the contracts the rest of the repo builds on:
   per-op histograms whose ``count`` equals the client's query count;
 * the cluster: worker registries merged into :meth:`obs_snapshot`;
 * the ``python -m repro obs`` CLI on dump files and Prometheus input;
-* the ingest-profile and session forwarding paths.
+* the backends' ingest-stage timings and the session forwarding paths.
 """
 
 from __future__ import annotations
@@ -254,33 +254,84 @@ class TestPrometheusExposition:
         assert describe_snapshot(None) == "no instruments recorded"
 
 
+def _native_ready() -> bool:
+    from repro.core._native import native_available
+
+    return native_available()
+
+
+def _stage_seconds(snapshot):
+    """stage label -> (count, sum) of the ingest-stage family."""
+    from repro.core.backends import STAGE_FAMILY
+
+    family = snapshot["families"].get(STAGE_FAMILY, {"series": {}})
+    return {
+        series["labels"]["stage"]: (series["count"], series["sum"])
+        for series in family["series"].values()
+    }
+
+
+STAGE_BATCH = [(f"s{i}", f"d{i % 7}", 1.0) for i in range(300)]
+
+
+GSS_BACKENDS = [
+    "python",
+    pytest.param(
+        "native",
+        marks=pytest.mark.skipif(
+            not _native_ready(), reason="native kernel unavailable or disabled"
+        ),
+    ),
+]
+#: The stages each backend's update_many times.
+BACKEND_STAGES = {
+    "python": {"hashing", "placement"},
+    "native": {"hashing", "placement", "buffer_spill"},
+}
+
+
 class TestForwardingPaths:
-    def test_ingest_profile_forwards_stage_histograms(self):
-        from repro.metrics.ingest_profile import (
-            STAGE_FAMILY,
-            IngestProfile,
-        )
+    @pytest.mark.parametrize("backend", GSS_BACKENDS)
+    def test_update_many_records_its_stages(self, backend):
+        from repro.api import build
 
+        # A small matrix, so the batch overflows into the buffer.
+        sketch = build("gss", memory_bytes=2048, backend=backend)
         with trace.scoped() as registry:
-            profile = IngestProfile()
-            profile.add("hashing", 0.002)
-            profile.add("hashing", 0.003)
-            profile.add("placement", 0.004)
-            snapshot = registry.snapshot()
-        series = snapshot["families"][STAGE_FAMILY]["series"]
-        by_stage = {s["labels"]["stage"]: s for s in series.values()}
-        assert by_stage["hashing"]["count"] == 2
-        assert by_stage["placement"]["count"] == 1
-        # The legacy dict is untouched by the forwarding.
-        assert profile.stage_seconds("hashing") == pytest.approx(0.005)
+            sketch.update_many(STAGE_BATCH)
+            sketch.update_many(STAGE_BATCH)
+            recorded = _stage_seconds(registry.snapshot())
+        assert set(recorded) == BACKEND_STAGES[backend]
+        for count, seconds in recorded.values():
+            assert count >= 2 and seconds > 0
 
-    def test_ingest_profile_disabled_records_nothing(self):
-        from repro.metrics.ingest_profile import IngestProfile
+    @pytest.mark.parametrize("backend", GSS_BACKENDS)
+    def test_stages_record_nothing_without_a_registry(self, backend, monkeypatch):
+        from repro.api import build
+        from repro.core import backends
 
+        def refuse(*args):
+            raise AssertionError("a stage was timed with telemetry off")
+
+        monkeypatch.setattr(backends, "_stage", refuse)
+        sketch = build("gss", memory_bytes=2048, backend=backend)
         with trace.scoped(off=True):
-            profile = IngestProfile()
-            profile.add("hashing", 0.002)
-        assert profile.stage_seconds("hashing") == pytest.approx(0.002)
+            sketch.update_many(STAGE_BATCH)
+            sketch.update_many([(3, 4, 1.0)])
+            sketch._matrix.ingest_columns([1, 2], [3, 4], [1.0, 1.0])
+        assert sketch.update_count == len(STAGE_BATCH) + 1
+
+    def test_sharded_workers_report_their_stages(self):
+        from repro.api import build
+
+        with trace.scoped():
+            with build("sharded-gss", memory_bytes=65536, params={"workers": 2}) as cluster:
+                cluster.update_many(STAGE_BATCH)
+                cluster.flush()
+                recorded = _stage_seconds(cluster.obs_snapshot())
+        # Workers take hash columns, so they time placement, not hashing.
+        assert "placement" in recorded
+        assert recorded["placement"][0] >= 2
 
     def test_stream_session_feed_records_spans_and_items(self):
         from repro.api import SketchSpec, StreamSession

@@ -386,16 +386,6 @@ class TestScalarOutbox:
                 summary.update_many([("c", "d", "x")])
             assert summary.edge_query("a", "b") == 1.0
 
-    @DEPLOYMENTS
-    def test_an_unroutable_queued_update_does_not_block_later_ones(self, in_process):
-        with ShardedSummary(SPEC, workers=2, in_process=in_process) as summary:
-            # An ID UTF-8 cannot encode is queued, and refused when routed.
-            summary.update("\ud800", "b", 1.0)
-            with pytest.raises(ValueError):
-                summary.flush()
-            summary.update("c", "d", 1.0)
-            assert summary.edge_query("c", "d") == 1.0
-
     @NODE_KINDS
     @DEPLOYMENTS
     def test_reading_stats_sends_nothing(self, in_process, node):

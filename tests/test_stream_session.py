@@ -252,7 +252,8 @@ class TestSummariesHashTheirOwnBatches:
 #: Batches a summary must refuse whole: a weight that is not a number after
 #: string IDs (kernel text path) and after int IDs (the other paths), an
 #: unhashable ID after a good item, and items that are not exact triples
-#: (a 4-tuple, a 2-tuple, a bare StreamEdge) after string and int IDs.
+#: (a 4-tuple, a 2-tuple, a bare StreamEdge) after string and int IDs, and
+#: a string ID that UTF-8 cannot encode.
 REJECTED_BATCHES = [
     [("c", "d", 1.0), ("e", "f", "x")],
     [(3, 4, 1.0), (5, 6, "x")],
@@ -267,10 +268,12 @@ REJECTED_BATCHES = [
     [(3, 4, 1.0), (5, 6)],
     [("c", "d", 1.0), StreamEdge("e", "f", 2.0)],
     [(3, 4, 1.0), StreamEdge(5, 6, 2.0)],
+    [("c", "d", 1.0), ("\ud800", "f", 1.0)],
 ]
 
 #: Scalar updates a summary must refuse at the call: a weight that is not a
-#: real number, after string and int IDs, and an unhashable ID.
+#: real number, after string and int IDs, an unhashable source or
+#: destination, and a string ID that UTF-8 cannot encode.
 REJECTED_UPDATES = [
     ("e", "f", "x"),
     (5, 6, "x"),
@@ -280,6 +283,8 @@ REJECTED_UPDATES = [
     (5, 6, b"1"),
     ("e", "f", 1j),
     (["e"], "f", 1.0),
+    ("e", ["f"], 1.0),
+    ("\ud800", "f", 1.0),
 ]
 
 
@@ -335,10 +340,13 @@ class TestARejectedBatchLeavesNoState:
             with pytest.raises((TypeError, ValueError)):
                 summary.update(*update)
             assert summary.update_count == 1
-            # The update queued before the refused one still lands.
+            # The update queued before the refused one still lands, and so
+            # does a later one.
+            summary.update("c", "d", 1.0)
             summary.flush()
             assert summary.edge_query("a", "b") == 1.0
-            assert summary.update_count == 1
+            assert summary.edge_query("c", "d") == 1.0
+            assert summary.update_count == 2
 
 
 class Recorder:
