@@ -68,8 +68,9 @@ def test_tab1_update_speed(benchmark, speed_config):
 def test_tab1_native_backend_speedup(benchmark, speed_config):
     """The compiled-kernel backend must beat the pure-Python batched path.
 
-    The recorded speedups (13-28x at this bench scale; see BENCH_tab1.json)
-    are tracked by scripts/record_bench.py; the assertion here is a
+    The recorded speedups (13-28x at this bench scale; see the legacy
+    entries of BENCH_tab1.json) are the history; the perf ledger in bench/
+    tracks the whole ingest path now.  The assertion here is a
     conservative floor so shared-runner noise cannot flake the suite while
     still catching a placement-kernel regression.
     """

@@ -7,8 +7,8 @@ datasets, full query sets), ``--quick`` runs the tiny smoke configuration,
 ``--backend`` selects the sketch matrix backend, ``--sketch NAME`` (repeatable)
 adds equal-memory comparison rows for any registered sketch, ``--workers N``
 adds a multi-process ``sharded-gss`` cluster row to tab1, and ``--json PATH``
-writes the result rows as a machine-readable document (the perf-trajectory
-format consumed by ``scripts/record_bench.py``).
+writes the result rows as a machine-readable document (the format of the
+legacy ``BENCH_tab1.json`` entries; the perf ledger itself is ``bench/``).
 
 ``sketches`` is not an experiment: it lists the registry — every sketch the
 ``repro.api`` factory can build, with its capabilities.
@@ -226,10 +226,10 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
 def results_to_document(results: List, config: ExperimentConfig) -> Dict:
     """Bundle experiment results as a JSON-compatible perf document.
 
-    The shape is what ``scripts/record_bench.py`` appends to the
-    ``BENCH_*.json`` trajectory: run metadata (backend, scale, interpreter)
-    plus the raw rows of every experiment, so later sessions can diff
-    throughput numbers without re-parsing text tables.  ``backend`` is the
+    The shape of the legacy ``BENCH_tab1.json`` entries' ``results``: run
+    metadata (backend, scale, interpreter) plus the raw rows of every
+    experiment, so throughput numbers can be diffed without re-parsing text
+    tables.  ``backend`` is the
     GSS backend that actually ran (``auto``, the legacy ``numpy`` name and
     missing-kernel fallbacks resolved); the raw request is kept in
     ``backend_requested``.

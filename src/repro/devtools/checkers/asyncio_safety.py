@@ -1,9 +1,9 @@
 """asyncio-safety: nothing may block the serve event loop.
 
 ``repro.serve`` runs one event loop for every connection; a single
-blocking call inside an ``async def`` stalls *every* client (the served-
-throughput numbers in BENCH_tab1.json assume the loop always accepts
-while the summary executor grinds).  The summary itself is pipe-backed
+blocking call inside an ``async def`` stalls *every* client (the perf
+ledger's ``served-caida`` numbers assume the loop always accepts while the
+summary executor grinds).  The summary itself is pipe-backed
 and blocking, which is why all summary work must go through the
 single-thread executor (``self._run``).  This rule statically enforces
 the contract inside every ``async def`` in ``serve/``:

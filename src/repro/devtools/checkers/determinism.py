@@ -16,8 +16,9 @@ break that purity in ``core/``, ``hashing/`` and ``obs/``:
   draws from ambient global state; ``random.Random(seed)`` /
   ``default_rng(seed)`` with an explicit seed are fine.
 * **wall-clock values** — ``time.time()``/``perf_counter()`` etc. may be
-  *measured* (the ingest profiler does), but the measurement must flow
-  only into timing sinks (``profile.add(...)``-style accumulators),
+  *measured* (the backends' ingest-stage timers do), but the measurement
+  must flow only into timing sinks (``histogram.observe(...)``-style
+  accumulators),
   comparisons, or other timing variables — never into returned values,
   attributes, call arguments or indices, where it could steer placement.
   The analysis taints assigned names and propagates through local

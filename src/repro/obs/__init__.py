@@ -9,7 +9,7 @@ cluster and the network front end, at near-zero cost when disabled.
   (worker ⊕ worker ⊕ parent composes associatively);
 * :mod:`repro.obs.trace` — the ``with span("ingest.placement", shard=i)``
   API plus the process-global enable/disable switch (one ``is None`` check
-  on the hot path, same discipline as ``IngestProfile``);
+  on the hot path, which the GSS backends' ingest-stage timers share);
 * :mod:`repro.obs.export` — Prometheus text rendering (served by
   ``GET /metrics`` under ``Accept: text/plain``), a minimal parser for CI
   assertions, and the ``python -m repro obs`` pretty-printer.

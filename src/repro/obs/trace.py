@@ -1,8 +1,8 @@
 """Span tracing and the process-global telemetry switch.
 
-Follows the :class:`~repro.metrics.ingest_profile.IngestProfile` discipline
-exactly: a module-level ``Optional[MetricsRegistry]`` is the whole on/off
-mechanism, so the disabled common case costs one ``is None`` check — and
+A module-level ``Optional[MetricsRegistry]`` is the whole on/off
+mechanism, so the disabled common case costs one ``is None`` check (the GSS
+backends' ingest-stage timers test it once per batch) — and
 :func:`span` returns one shared :data:`_NULL_SPAN` singleton when telemetry
 is off, so the hot path allocates **nothing** (the disabled-mode overhead
 guard in the test suite pins this).

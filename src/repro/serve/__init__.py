@@ -22,7 +22,7 @@ machines — share one live summary:
   items, queue-depth high water, routing imbalance, in-flight credits,
   connection and busy counts);
 * :mod:`repro.serve.loadgen` — the measurement harness behind
-  ``scripts/load_gen.py`` and ``scripts/record_bench.py --serve``.
+  ``scripts/load_gen.py``.
 
 Start a server with ``python -m repro serve --workers 2 --port 8750`` and
 point :class:`ServeClient` (or ``scripts/load_gen.py``) at it.  The wire

@@ -1,5 +1,4 @@
-"""Load-generation harness behind ``scripts/load_gen.py`` and the served
-throughput section of ``scripts/record_bench.py``.
+"""Load-generation harness behind ``scripts/load_gen.py``.
 
 Drives one :class:`~repro.serve.SummaryServer` with many concurrent
 :class:`~repro.serve.ServeClient` connections — a configurable split of

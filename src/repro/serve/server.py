@@ -578,7 +578,7 @@ class ServerHandle:
     """A :class:`SummaryServer` running on a dedicated event-loop thread.
 
     Returned by :func:`serve_in_thread`; used by the load generator's
-    self-host mode, the serve tests and ``record_bench.py --serve``.
+    self-host mode and the serve tests.
     """
 
     def __init__(self, server: SummaryServer, loop, thread: threading.Thread) -> None:
