@@ -33,9 +33,11 @@ from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
 #: The suites that drive the compiled kernel hard: direct backend tests,
-#: the cross-backend equivalence sweeps, StreamSession feeds (which reach
-#: the kernel through its text ingestion path), the sharded front-end
-#: sweeps (its routing entry point) and the text-encoder fallbacks of both.
+#: the cross-backend equivalence sweeps (their int-ID properties take the
+#: non-text route: the GSS's resolver, then ``ingest_columns``, then
+#: ``gss_ingest_batch``), StreamSession feeds (which reach the kernel
+#: through its text ingestion path), the sharded front-end sweeps (its
+#: routing entry point) and the text-encoder fallbacks of both.
 DEFAULT_SUITES = (
     "tests/test_native_backend.py",
     "tests/test_numpy_backend.py",

@@ -2,8 +2,12 @@
 
 :class:`~repro.core.gss.GSS` owns the hashing, the left-over buffer, the
 reverse node index and the query API; *where the matrix rooms live* is the
-backend's business.  Two observationally identical implementations are
-provided:
+backend's business.  The GSS resolves a batch's node IDs to ``H(s)`` /
+``H(d)`` columns, and a backend places hash columns: ``ingest_columns`` is
+the one batch entry point of both backends.  The native backend adds one
+more, ``ingest_text``, which takes a batch of string IDs whole — hashing
+included — in its kernel, or declines it to the GSS's resolver.  Two
+observationally identical implementations are provided:
 
 * :class:`PythonMatrixBackend` — the original occupancy-indexed layout:
   nested room lists per bucket, per-row/per-column occupancy sets and an
@@ -46,9 +50,8 @@ import ctypes
 import warnings
 import weakref
 from bisect import insort
-from itertools import chain, repeat as _repeat
 from time import perf_counter
-from typing import Dict, Hashable, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.hashing.hash_functions import _FNV_OFFSET, _count_hashes, _splitmix64
 from repro.hashing.linear_congruence import recover_address
@@ -56,11 +59,10 @@ from repro.hashing.vectorized import (
     NUMPY_AVAILABLE,
     lcg_values_at,
     load_numpy,
-    node_hashes_array,
 )
 from repro.obs.registry import Histogram, MetricsRegistry
 from repro.obs.trace import active as obs_active
-from repro.streaming.batch import check_weights, text_batch, weight_column
+from repro.streaming.batch import text_blob
 
 #: Lazily bound NumPy module (populated by the first NativeMatrixBackend), so
 #: pure-Python sketches never pay the NumPy import cost.
@@ -77,13 +79,9 @@ ROOM_WEIGHT = 4
 _BUFFERED = -1
 #: Sentinel for "edge not seen yet" in batch lookups (never a valid slot).
 _UNSEEN = -2
-#: Pair-cache miss marker for packed uint64 edge keys.  Only the very last
-#: key of a maximal 2^32 hash range can collide with it, in which case that
-#: one edge is merely re-resolved each batch (a pure perf detail).
-_KEY_SENTINEL = (1 << 64) - 1
 
 #: Batched-ingest stage timings, one histogram series per ``stage`` label:
-#: ``hashing`` (node IDs to hashes, node-index recording and memo upkeep),
+#: ``hashing`` (node IDs to hashes and node-index recording),
 #: ``placement`` (aggregation and the bucket walk) and ``buffer_spill``
 #: (overflowed edges applied to the left-over buffer; the python backend
 #: spills inside its placement loop and counts it there).  Recorded only
@@ -93,7 +91,7 @@ STAGE_FAMILY = "repro_ingest_stage_seconds"
 _STAGE_HELP = "Batched-ingest stage durations (label: stage name)."
 
 
-def _stage(registry: MetricsRegistry, stage: str) -> Histogram:
+def stage_histogram(registry: MetricsRegistry, stage: str) -> Histogram:
     """The ``stage`` series of :data:`STAGE_FAMILY` in ``registry``."""
     return registry.histogram(STAGE_FAMILY, _STAGE_HELP, stage=stage)
 
@@ -298,92 +296,28 @@ class PythonMatrixBackend:
                 return
         sketch._buffer.add(source_hash, destination_hash, weight)
 
-    def update_many(self, items: Iterable[Tuple[Hashable, Hashable, float]]) -> int:
-        """Batched ingestion: hash once per distinct node, insert once per edge.
-
-        Nodes the reverse index already holds resolve through it, so only
-        first-seen nodes are hashed and recorded — across batches too.  They
-        are recorded once the whole batch has been read, so a bad item
-        (a weight that is not a real number, an unhashable ID) leaves no
-        state.
-        """
-        sketch = self._sketch
-        hasher = sketch._hasher
-        node_index = sketch._node_index
-        registry = obs_active()
-        started = perf_counter() if registry is not None else 0.0
-        hashes: Dict[Hashable, int] = {}
-        fresh: List[Tuple[Hashable, int]] = []
-
-        def resolve(node: Hashable) -> int:
-            node_hash = node_index.get(node) if node_index is not None else None
-            if node_hash is None:
-                node_hash = hasher(node)
-                fresh.append((node, node_hash))
-            hashes[node] = node_hash
-            return node_hash
-
-        aggregated: Dict[Tuple[int, int], float] = {}
-        count = 0
-        for source, destination, weight in items:
-            count += 1
-            source_hash = hashes.get(source)
-            if source_hash is None:
-                source_hash = resolve(source)
-            destination_hash = hashes.get(destination)
-            if destination_hash is None:
-                destination_hash = resolve(destination)
-            key = (source_hash, destination_hash)
-            aggregated[key] = aggregated.get(key, 0.0) + weight
-        check_weights(aggregated.values())
-        if fresh and node_index is not None:
-            node_index.record_new_many(fresh)
-        if registry is not None:
-            hashed_at = perf_counter()
-            _stage(registry, "hashing").observe(hashed_at - started)
-        for (source_hash, destination_hash), weight in aggregated.items():
-            self.insert_edge(source_hash, destination_hash, weight)
-        if registry is not None:
-            _stage(registry, "placement").observe(perf_counter() - hashed_at)
-        return count
-
-    def update_many_by_hash(self, edges: Iterable[Tuple[int, int, float]]) -> int:
-        """Batched hash-level ingestion (merge/replay paths)."""
-        aggregated: Dict[Tuple[int, int], float] = {}
-        count = 0
-        for source_hash, destination_hash, weight in edges:
-            count += 1
-            key = (source_hash, destination_hash)
-            aggregated[key] = aggregated.get(key, 0.0) + weight
-        check_weights(aggregated.values())
-        for (source_hash, destination_hash), weight in aggregated.items():
-            self.insert_edge(source_hash, destination_hash, weight)
-        return count
-
     def ingest_columns(self, source_hashes, destination_hashes, weights) -> int:
         """Ingest aligned ``H(s)`` / ``H(d)`` / weight columns.
 
-        The hash-once path: no hashing happens here — the precomputed
-        columns (lists, or arrays of any sequence type with ``tolist``) run
-        through the same aggregate-then-insert loop as
-        :meth:`update_many_by_hash`, so placement is identical to every
-        other ingest route.  The node index is the sketch's business.
+        The one batch entry point: no hashing happens here.  The columns
+        (lists, or arrays of any sequence type with ``tolist``) are
+        aggregated per sketch edge, in first-seen order, and each edge is
+        inserted once.  The node index is the sketch's business.
         """
         registry = obs_active()
         started = perf_counter() if registry is not None else 0.0
+        source_hashes = _as_list(source_hashes)
         aggregated: Dict[Tuple[int, int], float] = {}
-        count = 0
-        for source_hash, destination_hash, weight in zip(
-            _as_list(source_hashes), _as_list(destination_hashes), _as_list(weights)
+        so_far = aggregated.get
+        for key, weight in zip(
+            zip(source_hashes, _as_list(destination_hashes)), _as_list(weights)
         ):
-            count += 1
-            key = (source_hash, destination_hash)
-            aggregated[key] = aggregated.get(key, 0.0) + weight
+            aggregated[key] = so_far(key, 0.0) + weight
         for (source_hash, destination_hash), weight in aggregated.items():
             self.insert_edge(source_hash, destination_hash, weight)
         if registry is not None:
-            _stage(registry, "placement").observe(perf_counter() - started)
-        return count
+            stage_histogram(registry, "placement").observe(perf_counter() - started)
+        return len(source_hashes)
 
     # -- queries -----------------------------------------------------------
 
@@ -551,9 +485,11 @@ class NativeMatrixBackend:
       table, wrapped by :class:`_NativeEdgeSlotMap` for the scalar paths.
 
     Batched ingestion — aggregation, edge classification and the
-    first-seen-order bucket-probe/contention loop — runs inside one
-    ``gss_ingest_batch`` call (:mod:`repro.core._native`), so a batch
-    crosses the Python/kernel boundary exactly once.  Only buffer traffic
+    first-seen-order bucket-probe/contention loop — runs inside one kernel
+    call (:mod:`repro.core._native`): ``gss_ingest_text_batch`` for a batch
+    of string IDs (:meth:`ingest_text`, hashing included),
+    ``gss_ingest_batch`` for hash columns (:meth:`ingest_columns`), so a
+    batch crosses the Python/kernel boundary exactly once.  Only buffer traffic
     comes back out, as (key, aggregated weight) arrays, because the
     left-over buffer is an exact structure with Python dict semantics.
     A successor/precursor query is one ``gss_neighbor_scan`` call over the
@@ -570,11 +506,6 @@ class NativeMatrixBackend:
     """
 
     name = "native"
-
-    #: Cap on the persistent node -> hash and pair -> key memos.  Past the
-    #: cap, unseen nodes are still hashed (and re-hashed) correctly, just
-    #: without caching, so a long-running process cannot grow without bound.
-    _NODE_CACHE_LIMIT = 1 << 20
 
     def __init__(self, sketch) -> None:
         global np
@@ -593,14 +524,6 @@ class NativeMatrixBackend:
         self._src_fp = self._dst_fp = self._src_idx = self._dst_idx = None
         self._weights = None
         self._bucket_fill = np.zeros(self._width * self._width, dtype=np.uint8)
-        # Node -> hash memo of the non-string path (_update_many_by_pairs);
-        # string nodes live in the kernel's node table instead.
-        self._node_hash_cache: Dict[Hashable, int] = {}
-        # (source, destination) original-ID pair -> packed edge key, so
-        # non-string batches resolve repeat edges with one dict probe per
-        # item; first-seen pairs go through the node-hash memo (which also
-        # feeds the reverse index).
-        self._pair_key_cache: Dict[Tuple[Hashable, Hashable], int] = {}
         self.matrix_edge_count = 0
 
         lib = load_native()
@@ -839,14 +762,17 @@ class NativeMatrixBackend:
             ctypes.addressof(self._new_ctr),
         )
 
-    def update_many(self, items: Iterable[Tuple[Hashable, Hashable, float]]) -> int:
-        """Whole-batch text ingestion: node IDs to placed rooms in one call.
+    def ingest_text(self, tokens: List, weights: List) -> Optional[int]:
+        """Whole-batch text ingestion: node IDs to placed rooms in one call,
+        or ``None`` — nothing changed — for a batch the kernel declines.
 
-        :func:`~repro.streaming.batch.text_batch` cuts the batch, in C
-        loops, into a flat token list, a checked float64 weight column and
-        one NUL-joined UTF-8 blob of the node IDs (interleaved
-        source/destination stream order).  The kernel hashes each token
-        with the same seeded FNV-1a/splitmix64 mix as
+        ``tokens`` and ``weights`` are a batch cut by
+        :func:`~repro.streaming.batch.triple_tokens` (weights checked).
+        :func:`~repro.streaming.batch.text_blob` joins the tokens into one
+        NUL-joined UTF-8 blob (interleaved source/destination stream
+        order); a token that is not a NUL-free, encodable ``str`` declines
+        the batch.  The kernel hashes each token with the same seeded
+        FNV-1a/splitmix64 mix as
         :func:`repro.hashing.hash_functions.hash_string`, memoizes it in a
         persistent C node table, packs the edge keys and runs the
         aggregate/classify/place pipeline — hashing included, the batch
@@ -855,40 +781,34 @@ class NativeMatrixBackend:
         those positions of the token list are recorded in the reverse node
         index (first-seen interleaved order, like the scalar paths), so the
         kernel's node table is their only node -> hash memo.  The hash-once
-        counter is credited with exactly the keys the kernel mixed.  Batches
-        with non-string or NUL-containing IDs take
-        :meth:`_update_many_by_pairs`, which hashes in Python and places
-        through the same kernel.  Items that are not triples, or a weight
-        that is not a real number, refuse the whole batch (``ValueError``).
+        counter is credited with exactly the keys the kernel mixed.
         """
-        triples = items if isinstance(items, list) else list(items)
-        if not triples:
-            return 0
         registry = obs_active()
         if registry is not None:
             started = perf_counter()
-        tokens, weights, blob = text_batch(triples)
+        blob = text_blob(tokens)
         if blob is None:
-            return self._update_many_by_pairs(tokens[0::2], tokens[1::2], weights)
+            return None
+        weights = np.asarray(weights, dtype=np.float64)
         count = len(weights)
         self._ensure_batch_scratch(count)
         if registry is not None:
-            _stage(registry, "hashing").observe(perf_counter() - started)
+            stage_histogram(registry, "hashing").observe(perf_counter() - started)
             started = perf_counter()
         placed = self._lib.gss_ingest_text_batch(
             self._ctx, blob, len(blob), weights.ctypes.data, count, *self._text_batch_args
         )
         if placed == -2:  # pragma: no cover - NUL-screened, or the arena is full
-            return self._update_many_by_pairs(tokens[0::2], tokens[1::2], weights)
+            return None
         if placed < 0:  # pragma: no cover - allocation failure
             raise MemoryError("native kernel batch allocation failed")
         self.matrix_edge_count += placed
         if registry is not None:
-            _stage(registry, "placement").observe(perf_counter() - started)
+            stage_histogram(registry, "placement").observe(perf_counter() - started)
             started = perf_counter()
         self._apply_buffer_arrays()
         if registry is not None:
-            _stage(registry, "buffer_spill").observe(perf_counter() - started)
+            stage_histogram(registry, "buffer_spill").observe(perf_counter() - started)
             started = perf_counter()
         fresh = self._new_ctr.value
         if fresh:
@@ -904,122 +824,27 @@ class NativeMatrixBackend:
                 )
             _count_hashes(fresh)
         if registry is not None:
-            _stage(registry, "hashing").observe(perf_counter() - started)
+            stage_histogram(registry, "hashing").observe(perf_counter() - started)
         return count
-
-    def _update_many_by_pairs(self, sources, destinations, weights) -> int:
-        """Batch ingestion over arbitrary hashable node IDs, with a checked
-        float64 weight column.
-
-        Repeat pairs resolve to packed edge keys with one pair-memo probe
-        each; unseen pairs are hashed through :meth:`_node_hashes_for`.
-        """
-        count = len(sources)
-        registry = obs_active()
-        if registry is not None:
-            started = perf_counter()
-        pair_cache = self._pair_key_cache
-        keys = np.fromiter(
-            map(pair_cache.get, zip(sources, destinations), _repeat(_KEY_SENTINEL)),
-            dtype=np.uint64,
-            count=count,
-        )
-        unknown = keys == _KEY_SENTINEL
-        if unknown.any():
-            unknown_positions = np.nonzero(unknown)[0].tolist()
-            unknown_sources = [sources[position] for position in unknown_positions]
-            unknown_destinations = [destinations[position] for position in unknown_positions]
-            source_hashes, destination_hashes = self._node_hashes_for(
-                unknown_sources, unknown_destinations
-            )
-            resolved = source_hashes * np.uint64(self._hash_range) + destination_hashes
-            keys[unknown] = resolved
-            if len(pair_cache) < self._NODE_CACHE_LIMIT:
-                pair_cache.update(
-                    zip(zip(unknown_sources, unknown_destinations), resolved.tolist())
-                )
-        if registry is not None:
-            _stage(registry, "hashing").observe(perf_counter() - started)
-        self._ingest_keys(keys, weights)
-        return count
-
-    def _node_hashes_for(self, sources, destinations):
-        """Hash two aligned node-ID sequences through the node memo.
-
-        Registers first-ever-seen nodes in the reverse index, in first-seen
-        interleaved (source, destination) order — the order the scalar path
-        records them.  A pair that reaches this resolver always contains the
-        first batch occurrence of any genuinely new node, because the pair
-        cache can only hold pairs whose nodes were resolved before.
-        """
-        sketch = self._sketch
-        count = len(sources)
-        cache = self._node_hash_cache
-        distinct = dict.fromkeys(chain.from_iterable(zip(sources, destinations)))
-        missing = [node for node in distinct if node not in cache]
-        if missing:
-            hashed = node_hashes_array(
-                missing, self._hash_range, sketch.config.seed
-            ).tolist()
-            node_index = sketch._node_index
-            if node_index is not None:
-                for node, node_hash in zip(missing, hashed):
-                    node_index.record(node, node_hash)
-            if len(cache) < self._NODE_CACHE_LIMIT:
-                cache.update(zip(missing, hashed))
-                lookup = cache
-            else:
-                # Cache is at capacity: resolve this batch through a private
-                # overlay so correctness never depends on cache admission.
-                lookup = {node: cache[node] for node in distinct if node in cache}
-                lookup.update(zip(missing, hashed))
-        else:
-            lookup = cache
-        hashes = np.fromiter(
-            map(lookup.__getitem__, chain(sources, destinations)),
-            dtype=np.uint64,
-            count=2 * count,
-        )
-        return hashes[:count], hashes[count:]
-
-    def update_many_by_hash(self, edges: Iterable[Tuple[int, int, float]]) -> int:
-        """Batch ingestion over sketch hashes (merge/replay)."""
-        triples = edges if isinstance(edges, list) else list(edges)
-        if not triples:
-            return 0
-        sources, destinations, weights = zip(*triples)
-        return self.ingest_columns(
-            sources, destinations, weight_column(weights, vectorized=True)
-        )
 
     def ingest_columns(self, source_hashes, destination_hashes, weights) -> int:
         """Ingest aligned ``H(s)`` / ``H(d)`` / weight columns.
 
         The columns are consumed as arrays directly (zero-copy when they
-        already are uint64/float64 arrays) and placed exactly like
-        :meth:`update_many_by_hash`, in one ``gss_ingest_batch`` call.
+        already are uint64/float64 arrays) and placed in one
+        ``gss_ingest_batch`` call, which aggregates, classifies and places
+        them as the text path does; only buffer spills come back.
         """
         count = len(source_hashes)
         if count == 0:
             return 0
-        source_hashes = np.asarray(source_hashes, dtype=np.uint64)
-        destination_hashes = np.asarray(destination_hashes, dtype=np.uint64)
-        self._ingest_keys(
-            source_hashes * np.uint64(self._hash_range) + destination_hashes,
-            np.asarray(weights, dtype=np.float64),
-        )
-        return count
-
-    def _ingest_keys(self, keys, weights) -> None:
-        """One kernel call per batch: aggregate, classify, place, spill."""
-        count = len(keys)
-        if count == 0:
-            return
+        keys = np.asarray(source_hashes, dtype=np.uint64) * np.uint64(
+            self._hash_range
+        ) + np.asarray(destination_hashes, dtype=np.uint64)
+        weights = np.ascontiguousarray(weights, dtype=np.float64)
         registry = obs_active()
         if registry is not None:
             started = perf_counter()
-        keys = np.ascontiguousarray(keys, dtype=np.uint64)
-        weights = np.ascontiguousarray(weights, dtype=np.float64)
         self._ensure_batch_scratch(count)
         placed = self._lib.gss_ingest_batch(
             self._ctx, keys.ctypes.data, weights.ctypes.data, count, *self._batch_args
@@ -1028,11 +853,12 @@ class NativeMatrixBackend:
             raise MemoryError("native kernel batch allocation failed")
         self.matrix_edge_count += placed
         if registry is not None:
-            _stage(registry, "placement").observe(perf_counter() - started)
+            stage_histogram(registry, "placement").observe(perf_counter() - started)
             started = perf_counter()
         self._apply_buffer_arrays()
         if registry is not None:
-            _stage(registry, "buffer_spill").observe(perf_counter() - started)
+            stage_histogram(registry, "buffer_spill").observe(perf_counter() - started)
+        return count
 
     def _apply_buffer_arrays(self) -> None:
         """Apply the last kernel call's buffer traffic to the left-over buffer.

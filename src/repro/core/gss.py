@@ -26,9 +26,10 @@ kernel their ``r * m * l`` slots, as in Section V of the paper.
 
 from __future__ import annotations
 
+from time import perf_counter
 from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Set, Tuple
 
-from repro.core.backends import make_backend
+from repro.core.backends import make_backend, stage_histogram
 from repro.core.buffer import LeftoverBuffer
 from repro.core.config import GSSConfig
 from repro.core.reverse_index import NodeIndex
@@ -39,8 +40,9 @@ from repro.hashing.linear_congruence import (
     candidate_sequence,
     unique_candidates,
 )
+from repro.obs.trace import active as obs_active
 from repro.queries.primitives import Capabilities, SummaryShims
-from repro.streaming.batch import HashSpec, check_weights, weight_column
+from repro.streaming.batch import HashSpec, check_weights, triple_tokens, weight_column
 
 #: Cap on the memoized candidate-pair sequences (one entry per distinct
 #: fingerprint pair seen).  Past the cap, sequences are recomputed instead of
@@ -75,6 +77,9 @@ class GSS(SummaryShims):
         # Matrix storage is delegated to the configured backend; see
         # repro.core.backends for the layout and the equivalence argument.
         self._matrix = make_backend(self)
+        # The native backend's text entry: it places a batch of string IDs
+        # whole, or declines it to _ingest_nodes.
+        self._ingest_text = getattr(self._matrix, "ingest_text", None)
 
     # -- hashing helpers -----------------------------------------------------
 
@@ -193,38 +198,85 @@ class GSS(SummaryShims):
 
         Used when merging sketches or replaying edges recovered with
         :meth:`reconstruct_sketch_edges`, where the original node IDs may no
-        longer be available.  The reverse node index is left untouched.
+        longer be available.  The reverse node index is left untouched.  A
+        weight that is not a real number is refused (``ValueError``) before
+        anything changes, as by :meth:`update`.
         """
-        self._update_count += 1
+        check_weights((weight,))
         self._matrix.insert_edge(source_hash, destination_hash, weight)
+        self._update_count += 1
 
     def update_many(self, items: Iterable[Tuple[Hashable, Hashable, float]]) -> int:
         """Apply a batch of ``(source, destination, weight)`` stream items.
 
         Equivalent to calling :meth:`update` once per item but measurably
-        faster: node hashes (and reverse-index registrations) are computed
-        once per distinct node, items targeting the same sketch edge are
-        pre-aggregated into a single insertion, and — on the native backend —
-        hashing and placement for the whole batch run in one kernel call.  Pre-aggregation is exact
-        because a room, once placed, never moves — the first occurrence of an
-        edge determines its placement and later occurrences only add weight.
+        faster.  The batch is cut once by
+        :func:`~repro.streaming.batch.triple_tokens`, which refuses it whole
+        (``ValueError``, on either backend; the python backend used to
+        raise ``TypeError`` for a bad weight or an item that is not a
+        triple) unless every item is an exact triple with a real weight.
+        The native backend's kernel takes a batch of string IDs whole,
+        hashing included; every other batch, on either backend, is
+        resolved here (:meth:`_ingest_nodes`) and its hash columns placed
+        by the backend.  Items targeting the same sketch edge are
+        pre-aggregated into a single insertion; that is exact because a
+        room, once placed, never moves — the first occurrence of an edge
+        determines its placement and later occurrences only add weight.
 
         Returns the number of stream items applied.
         """
-        count = self._matrix.update_many(items)
-        self._update_count += count
-        return count
+        registry = obs_active()
+        started = perf_counter() if registry is not None else 0.0
+        tokens, weights = triple_tokens(items if isinstance(items, list) else list(items))
+        if registry is not None:
+            # The cut is the first step of hashing on every route.
+            stage_histogram(registry, "hashing").observe(perf_counter() - started)
+        if not weights:
+            return 0
+        if self._ingest_text is not None:
+            count = self._ingest_text(tokens, weights)
+            if count is not None:
+                self._update_count += count
+                return count
+        return self._ingest_nodes(tokens, weights)
+
+    def _ingest_nodes(self, tokens: List[Hashable], weights: List) -> int:
+        """Resolve a cut batch's node IDs to hash columns and place them
+        through :meth:`_place`.
+
+        Each distinct node resolves through the reverse node index, so only
+        the nodes it lacks are hashed — once per batch, and never again
+        while the index holds them (a sketch without one hashes each
+        batch's nodes afresh).  Those are recorded in first-seen
+        interleaved order once the whole batch is read: an ID that is
+        unhashable (``TypeError``) or that the hasher cannot encode
+        (``ValueError``) refuses the batch before anything changes.
+        ``weights`` were checked by the cut.
+        """
+        registry = obs_active()
+        started = perf_counter() if registry is not None else 0.0
+        hashes = dict.fromkeys(tokens)
+        if self._node_index is not None:
+            hashes = dict(zip(hashes, self._node_index.get_many(hashes)))
+        fresh = [node for node, node_hash in hashes.items() if node_hash is None]
+        fresh_hashes = list(map(self._hasher, fresh))
+        hashes.update(zip(fresh, fresh_hashes))
+        column = list(map(hashes.__getitem__, tokens))
+        if registry is not None:
+            stage_histogram(registry, "hashing").observe(perf_counter() - started)
+        return self._place(column[0::2], column[1::2], weights, fresh, fresh_hashes)
 
     def update_many_by_hash(self, edges: Iterable[Tuple[int, int, float]]) -> int:
         """Batch variant of :meth:`update_by_hash` for merge/replay paths.
 
         Accepts ``(H(s), H(d), weight)`` triples (the shape produced by
-        :meth:`reconstruct_sketch_edges`), pre-aggregates duplicates and
-        leaves the reverse node index untouched.  Returns the item count.
+        :meth:`reconstruct_sketch_edges`), refuses the batch whole under
+        :func:`~repro.streaming.batch.triple_tokens`'s item rule, places it
+        like :meth:`ingest_columns` and leaves the reverse node index
+        untouched.  Returns the item count.
         """
-        count = self._matrix.update_many_by_hash(edges)
-        self._update_count += count
-        return count
+        hashes, weights = triple_tokens(edges if isinstance(edges, list) else list(edges))
+        return self._place(hashes[0::2], hashes[1::2], weights)
 
     def hash_spec(self) -> HashSpec:
         """The hash function family this sketch places edges under.
@@ -262,6 +314,19 @@ class GSS(SummaryShims):
         """
         if isinstance(weights, list):  # arrays are float64 already
             weights = weight_column(weights, vectorized=False)
+        return self._place(source_hashes, destination_hashes, weights, nodes, node_hashes)
+
+    def _place(
+        self,
+        source_hashes: Sequence[int],
+        destination_hashes: Sequence[int],
+        weights: Sequence[float],
+        nodes: Sequence[Hashable] = (),
+        node_hashes: Sequence[int] = (),
+    ) -> int:
+        """:meth:`ingest_columns` for weights already checked (a batch this
+        sketch cut itself): record ``nodes``, then let the backend place
+        the columns."""
         if self._node_index is not None and len(nodes):
             if hasattr(node_hashes, "tolist"):
                 node_hashes = node_hashes.tolist()  # NumPy: Python ints

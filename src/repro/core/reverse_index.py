@@ -9,7 +9,7 @@ studies), so each hash maps to the *set* of originals.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, List, Optional, Set
+from typing import Dict, Hashable, Iterable, Iterator, List, Optional, Set
 
 
 class NodeIndex:
@@ -84,6 +84,10 @@ class NodeIndex:
     def get(self, node: Hashable) -> Optional[int]:
         """Return the recorded hash of ``node``, or ``None`` if unseen."""
         return self._hash_of.get(node)
+
+    def get_many(self, nodes: Iterable[Hashable]) -> Iterator[Optional[int]]:
+        """:meth:`get` of each of ``nodes``, in order (a C loop)."""
+        return map(self._hash_of.get, nodes)
 
     def hash_of(self, node: Hashable) -> int:
         """Return the recorded hash of ``node``; raises ``KeyError`` if unseen."""

@@ -2,8 +2,10 @@
 
 Every node hash and routing hash is computed exactly once, by a sharded
 deployment's router (:mod:`repro.cluster.front_end`: the kernel's, or
-:class:`~repro.cluster.front_end.PythonFrontEnd`) or by a GSS backend's
-batch path, and the columns flow untouched through every ingest layer.
+:class:`~repro.cluster.front_end.PythonFrontEnd`), or for a GSS batch by
+the native kernel's text path or by the GSS's node resolver
+(``GSS._ingest_nodes``, which hashes only the nodes its reverse index
+lacks), and the columns flow untouched through every ingest layer.
 The invariant used to be enforced by grep ("no scalar ``hash_key`` left in
 any routing loop"); this rule makes it permanent: inside any loop
 (``for``/``while`` or a comprehension) in the ingest/routing layers,

@@ -7,11 +7,11 @@ batch of ``(source, destination, weight)`` items under one rule,
 every weight passes :func:`check_weights`, or the whole batch is refused
 (``ValueError``) before any state changes.  Neither needs NumPy.
 
-:func:`text_batch` is the kernel's input format for string node IDs, shared
+:func:`text_blob` is the kernel's input format for string node IDs, shared
 by the native GSS backend (``gss_ingest_text_batch``) and the sharded
 deployment's kernel front end (``gss_route_text_batch``): one NUL-joined
-UTF-8 blob of the IDs in interleaved stream order plus a float64 weight
-column.
+UTF-8 blob of the IDs in interleaved stream order, read beside a float64
+weight column.  :func:`text_batch` cuts a batch into both.
 
 :class:`HashSpec` names the hash family a summary places edges under: the
 shard handshake of a sharded deployment reports it, and both of its front
@@ -31,6 +31,7 @@ __all__ = [
     "HashSpec",
     "check_weights",
     "text_batch",
+    "text_blob",
     "triple_tokens",
     "weight_column",
 ]
@@ -96,20 +97,24 @@ def text_batch(items: List) -> Tuple[List, object, Optional[bytes]]:
     encoding (needs NumPy): ``(tokens, weights, blob)``.
 
     ``tokens`` and the item rule are :func:`triple_tokens`'s; ``weights``
-    is a float64 array.  ``blob`` is the tokens NUL-joined and UTF-8
-    encoded, or ``None`` when a token is not a ``str``, cannot be encoded,
-    or contains a NUL (the join would be ambiguous).
+    is a float64 array and ``blob`` is :func:`text_blob` of the tokens.
     """
     tokens, weights = triple_tokens(items)
     np = load_numpy()
-    weights = np.asarray(weights, dtype=np.float64)
+    return tokens, np.asarray(weights, dtype=np.float64), text_blob(tokens)
+
+
+def text_blob(tokens: List) -> Optional[bytes]:
+    """``tokens`` NUL-joined and UTF-8 encoded, or ``None`` when a token is
+    not a ``str``, cannot be encoded, or contains a NUL (the join would be
+    ambiguous)."""
     try:
         blob = "\x00".join(tokens).encode("utf-8")
     except (TypeError, ValueError):  # UnicodeEncodeError is a ValueError
-        return tokens, weights, None
+        return None
     if blob.count(0) != len(tokens) - 1:
-        blob = None
-    return tokens, weights, blob
+        return None
+    return blob
 
 
 @dataclass(frozen=True)

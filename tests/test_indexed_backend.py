@@ -11,8 +11,10 @@ conflict, and the tier-1 collection boundary.
 
 from __future__ import annotations
 
+import os
 import subprocess
 import sys
+import textwrap
 import typing
 from pathlib import Path
 
@@ -260,6 +262,35 @@ class TestNodeIndexConflict:
         second.update("a", "b")
         with pytest.raises(ValueError):
             merge_into(first, second)
+
+
+class TestPythonBackendStaysNumPyFree:
+    def test_batches_queries_and_snapshots_never_import_numpy(self):
+        """A ``backend="python"`` GSS resolves and places every batch — string,
+        int and hash-addressed — queries and serializes without importing
+        NumPy (run in a fresh interpreter, where nothing else imported it)."""
+        script = textwrap.dedent(
+            """
+            import sys
+            from repro.core.config import GSSConfig
+            from repro.core.gss import GSS
+
+            sketch = GSS(GSSConfig(backend="python", matrix_width=16))
+            sketch.update_many([("a", "b", 1.0), ("b", "c", 2.0)])
+            sketch.update_many([(1, 2, 1.0), ("a", 2, 3.0)])
+            sketch.update_many_by_hash([(5, 6, 1.0), (5, 7, 2.0)])
+            assert {"b", 2} <= sketch.successor_query("a")
+            sketch.to_dict()
+            assert "numpy" not in sys.modules, "the python backend imported NumPy"
+            """
+        )
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        path = os.environ.get("PYTHONPATH")
+        env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+        result = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert result.returncode == 0, result.stdout + result.stderr
 
 
 class TestTierOneCollectionBoundary:

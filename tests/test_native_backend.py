@@ -76,8 +76,11 @@ def assert_same_answers(first: GSS, second: GSS, items) -> None:
     assert first.matrix_edge_count == second.matrix_edge_count
     nodes = {item[0] for item in items} | {item[1] for item in items}
     for node in nodes:
-        assert first.successor_query(node) == second.successor_query(node)
-        assert first.precursor_query(node) == second.precursor_query(node)
+        assert first.successor_hashes(node) == second.successor_hashes(node)
+        assert first.precursor_hashes(node) == second.precursor_hashes(node)
+        if first.node_index is not None:
+            assert first.successor_query(node) == second.successor_query(node)
+            assert first.precursor_query(node) == second.precursor_query(node)
     for source, destination, _ in items:
         assert first.edge_query(source, destination) == second.edge_query(
             source, destination
@@ -267,10 +270,11 @@ class TestTextPathEquivalence:
             sketch.update_many(items)  # all memoized: no extra hashing
         assert counter.count == len(distinct)
 
-    def test_non_string_ids_fall_back_identically(self):
+    @pytest.mark.parametrize("keep_node_index", [True, False])
+    def test_non_string_ids_fall_back_identically(self, keep_node_index):
         items = [(i % 9, (i * 5 + 1) % 9, 1.0) for i in range(100)]
-        native = make("native")
-        reference = make("python")
+        native = make("native", keep_node_index=keep_node_index)
+        reference = make("python", keep_node_index=keep_node_index)
         native.update_many(items[:60])
         reference.update_many(items[:60])
         native.update_many(items[60:])
@@ -306,14 +310,27 @@ class TestTextPathEquivalence:
         assert_same_answers(native, reference, items)
 
 
+def keyed_stream(ids: str, count: int = 1000, nodes: int = 45):
+    """:func:`stream` with ``str`` node IDs, ``int`` ones, or ``mixed`` (str
+    sources, int destinations)."""
+    items = stream(count, nodes)
+    if ids == "str":
+        return items
+    return [
+        (source if ids == "mixed" else int(source[1:]), nodes + int(destination[1:]), weight)
+        for source, destination, weight in items
+    ]
+
+
+@pytest.mark.parametrize("ids", ["str", "int", "mixed"])
 @pytest.mark.parametrize(
     "backend", ["python", pytest.param("native", marks=requires_native)]
 )
-def test_known_nodes_are_not_rehashed_across_batches(backend):
-    # Each backend resolves a node it has already recorded without hashing
-    # it again — the python backend through the node index, the kernel
-    # through its node table — so batches need no caller-side memo.
-    items = stream(1000, nodes=45)
+def test_known_nodes_are_not_rehashed_across_batches(backend, ids):
+    # A node the sketch has already recorded is not hashed again: string
+    # batches on the kernel resolve through its node table, every other
+    # batch through the GSS's node index — so batches need no memo.
+    items = keyed_stream(ids)
     distinct = {item[0] for item in items} | {item[1] for item in items}
     sketch = make(backend)
     with count_key_hashes() as counter:

@@ -308,12 +308,13 @@ class TestForwardingPaths:
     @pytest.mark.parametrize("backend", GSS_BACKENDS)
     def test_stages_record_nothing_without_a_registry(self, backend, monkeypatch):
         from repro.api import build
-        from repro.core import backends
+        from repro.core import backends, gss
 
         def refuse(*args):
             raise AssertionError("a stage was timed with telemetry off")
 
-        monkeypatch.setattr(backends, "_stage", refuse)
+        monkeypatch.setattr(backends, "stage_histogram", refuse)
+        monkeypatch.setattr(gss, "stage_histogram", refuse)
         sketch = build("gss", memory_bytes=2048, backend=backend)
         with trace.scoped(off=True):
             sketch.update_many(STAGE_BATCH)

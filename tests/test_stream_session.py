@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from decimal import Decimal
+from numbers import Real
 from types import SimpleNamespace
 
 import pytest
@@ -254,10 +255,11 @@ class TestSummariesHashTheirOwnBatches:
 #: unhashable ID after a good item, and items that are not exact triples
 #: (a 4-tuple, a 2-tuple, a bare StreamEdge) after string and int IDs, and
 #: a string ID that UTF-8 cannot encode.
+UNHASHABLE_BATCH = [("c", "d", 1.0), (["e"], "f", 1.0)]
 REJECTED_BATCHES = [
     [("c", "d", 1.0), ("e", "f", "x")],
     [(3, 4, 1.0), (5, 6, "x")],
-    [("c", "d", 1.0), (["e"], "f", 1.0)],
+    UNHASHABLE_BATCH,
     [("c", "d", 1.0), ("e", "f", "1.5")],
     [("c", "d", 1.0), ("e", "f", Decimal("1.5"))],
     [(3, 4, 1.0), (5, 6, b"1")],
@@ -287,6 +289,11 @@ REJECTED_UPDATES = [
     ("\ud800", "f", 1.0),
 ]
 
+#: The distinct weights of :data:`REJECTED_UPDATES` that are not real numbers.
+REJECTED_WEIGHTS = list(
+    {repr(weight): weight for _, _, weight in REJECTED_UPDATES if not isinstance(weight, Real)}.values()
+)
+
 
 class TestARejectedBatchLeavesNoState:
     @pytest.mark.parametrize("batch", REJECTED_BATCHES)
@@ -295,7 +302,11 @@ class TestARejectedBatchLeavesNoState:
         sketch = build("gss", memory_bytes=8192, backend=backend)
         sketch.update_many([("a", "b", 1.0)])
         before = sketch.to_dict()
-        with pytest.raises((TypeError, ValueError)):
+        # Only the unhashable ID is a TypeError; a bad weight, an item that
+        # is not a triple and an unencodable ID are ValueErrors on both
+        # backends.
+        expected = TypeError if batch is UNHASHABLE_BATCH else ValueError
+        with pytest.raises(expected):
             sketch.update_many(batch)
         assert sketch.to_dict() == before
         assert sketch.successor_query("c") == set()
@@ -308,6 +319,17 @@ class TestARejectedBatchLeavesNoState:
         before = sketch.to_dict()
         with pytest.raises((TypeError, ValueError)):
             sketch.update(*update)
+        assert sketch.to_dict() == before
+        assert sketch.update_count == 1
+
+    @pytest.mark.parametrize("weight", REJECTED_WEIGHTS, ids=repr)
+    @pytest.mark.parametrize("backend", GSS_BACKENDS)
+    def test_gss_update_by_hash(self, backend, weight):
+        sketch = build("gss", memory_bytes=8192, backend=backend)
+        sketch.update_by_hash(1, 2, 1.0)
+        before = sketch.to_dict()
+        with pytest.raises(ValueError):
+            sketch.update_by_hash(3, 4, weight)
         assert sketch.to_dict() == before
         assert sketch.update_count == 1
 
