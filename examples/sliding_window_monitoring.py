@@ -46,7 +46,7 @@ def main() -> None:
     start, end = window.window_bounds()
     print(
         f"window [{start:.0f}, {end:.0f}] holds {window.active_slice_count} live slices, "
-        f"{window.memory_bytes() / 1024:.1f} KiB, buffer share {window.buffer_percentage():.4f}"
+        f"{window.memory_bytes() / 1024:.1f} KiB, buffer share {window.buffer_percentage:.4f}"
     )
 
     # 3. Edges that aged out of the window are no longer reported.

@@ -32,8 +32,10 @@ import sys
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
-#: The suites that drive the compiled kernel hard: direct backend tests,
-#: the cross-backend equivalence sweeps (their int-ID properties take the
+#: The suites that drive the compiled kernel hard: direct backend tests
+#: (their scalar differential drives one-row ``gss_ingest_batch`` calls:
+#: a native scalar insert is a batch of one), the cross-backend
+#: equivalence sweeps (their int-ID properties take the
 #: non-text route: the GSS's resolver, then ``ingest_columns``, then
 #: ``gss_ingest_batch``), StreamSession feeds (which reach the kernel
 #: through its text ingestion path), the sharded front-end sweeps (its

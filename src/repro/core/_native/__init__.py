@@ -38,10 +38,6 @@ import threading
 from pathlib import Path
 from typing import Optional
 
-#: Slot values shared with repro.core.backends / kernel.c.
-SLOT_BUFFERED = -1
-SLOT_MISSING = -2
-
 _KERNEL_SOURCE = Path(__file__).with_name("kernel.c")
 #: Default build: optimized, and warning-clean by construction — the kernel
 #: must compile silently under -Wall -Wextra (CI promotes them to -Werror
@@ -144,8 +140,6 @@ def _bind(path: Path) -> ctypes.CDLL:
     lib.gss_map_get.argtypes = [c.c_void_p, c.c_uint64]
     lib.gss_map_put.restype = c.c_int
     lib.gss_map_put.argtypes = [c.c_void_p, c.c_uint64, c.c_int64]
-    lib.gss_map_len.restype = c.c_int64
-    lib.gss_map_len.argtypes = [c.c_void_p]
     lib.gss_ingest_batch.restype = c.c_int64
     lib.gss_ingest_batch.argtypes = [
         c.c_void_p,  # ctx

@@ -2,17 +2,19 @@
 
 :class:`~repro.core.gss.GSS` owns the hashing, the left-over buffer, the
 reverse node index and the query API; *where the matrix rooms live* is the
-backend's business.  The GSS resolves a batch's node IDs to ``H(s)`` /
-``H(d)`` columns, and a backend places hash columns: ``ingest_columns`` is
-the one batch entry point of both backends.  The native backend adds one
-more, ``ingest_text``, which takes a batch of string IDs whole — hashing
-included — in its kernel, or declines it to the GSS's resolver.  Two
-observationally identical implementations are provided:
+backend's business, and each backend has one placement engine.  The GSS
+resolves a batch's node IDs to ``H(s)`` / ``H(d)`` columns, and a backend
+places hash columns: ``ingest_columns`` is the one batch entry point of
+both backends, and ``insert_edge`` places one edge.  The native backend
+adds one more, ``ingest_text``, which takes a batch of string IDs whole —
+hashing included — in its kernel, or declines it to the GSS's resolver.
+Two observationally identical implementations are provided:
 
 * :class:`PythonMatrixBackend` — the original occupancy-indexed layout:
   nested room lists per bucket, per-row/per-column occupancy sets and an
-  O(1) room map.  Zero dependencies; the default, and the reference the
-  differential tests compare against.
+  O(1) room map, placed by walking each edge's square-hashed candidate
+  buckets in Python.  Zero dependencies; the default, and the reference
+  the differential tests compare against.
 * :class:`NativeMatrixBackend` — the paper's ``m x m x l`` matrix stored
   bucket-major: one NumPy array per room field (fingerprint pairs, index
   pairs, weights) with room ``q`` of bucket ``(row, col)`` at slot
@@ -21,7 +23,8 @@ observationally identical implementations are provided:
   per-batch aggregate/classify/place pipeline (including the inherently
   sequential first-seen contention loop) and the neighbour scans run in a
   C kernel (:mod:`repro.core._native`).  A batch crosses the Python/kernel
-  boundary once; only buffer spills come back to Python.  A neighbour scan
+  boundary once, and a scalar insert is a batch of one; only buffer spills
+  come back to Python.  A neighbour scan
   is one kernel call over the node's ``r`` rows (or columns): it reads
   ``O(r * m * l)`` slots, as in Section V of the paper.
 
@@ -54,7 +57,12 @@ from time import perf_counter
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.hashing.hash_functions import _FNV_OFFSET, _count_hashes, _splitmix64
-from repro.hashing.linear_congruence import recover_address
+from repro.hashing.linear_congruence import (
+    address_sequence,
+    candidate_sequence,
+    recover_address,
+    unique_candidates,
+)
 from repro.hashing.vectorized import (
     NUMPY_AVAILABLE,
     lcg_values_at,
@@ -75,10 +83,11 @@ ROOM_SOURCE_INDEX = 2
 ROOM_DEST_INDEX = 3
 ROOM_WEIGHT = 4
 
-#: ``edge_slot`` value marking an edge that overflowed to the left-over buffer.
-_BUFFERED = -1
-#: Sentinel for "edge not seen yet" in batch lookups (never a valid slot).
-_UNSEEN = -2
+#: Cap on each of the python backend's memos (address sequences per node
+#: hash, candidate pairs per fingerprint pair).  Past it, values are
+#: recomputed instead of cached, so a long-running process cannot grow
+#: without bound.
+_CACHE_LIMIT = 1 << 16
 
 #: Batched-ingest stage timings, one histogram series per ``stage`` label:
 #: ``hashing`` (node IDs to hashes and node-index recording),
@@ -205,6 +214,71 @@ class PythonMatrixBackend:
         # Fingerprint-bucketed room map: (row, column, f_s, f_d, i_s, i_d) ->
         # the room list itself, for O(1) aggregation and edge queries.
         self._room_map: Dict[Tuple[int, int, int, int, int, int], List] = {}
+        # Square hashing: the memoized address sequence of each node hash and
+        # the candidate (row-index, column-index) pairs of each fingerprint
+        # pair, both capped at _CACHE_LIMIT.
+        self._fingerprint_range = sketch.config.fingerprint_range
+        self._lcg = sketch._lcg
+        self._address_cache: Dict[int, List[int]] = {}
+        self._candidate_cache: Dict[Tuple[int, int], List[Tuple[int, int]]] = {}
+
+    # -- square hashing ----------------------------------------------------
+
+    def _split(self, node_hash: int) -> Tuple[int, int]:
+        """Split ``H(v)`` into ``(h(v), f(v))``."""
+        return node_hash // self._fingerprint_range, node_hash % self._fingerprint_range
+
+    def _addresses(self, node_hash: int) -> List[int]:
+        """The square-hashing address sequence ``{h_i(v)}`` of a node hash."""
+        cached = self._address_cache.get(node_hash)
+        if cached is not None:
+            return cached
+        base_address, fingerprint = self._split(node_hash)
+        config = self._sketch.config
+        if config.square_hashing:
+            addresses = address_sequence(
+                base_address, fingerprint, config.sequence_length, self._width, self._lcg
+            )
+        else:
+            addresses = [base_address % self._width]
+        if len(self._address_cache) < _CACHE_LIMIT:
+            self._address_cache[node_hash] = addresses
+        return addresses
+
+    def _candidate_pairs(
+        self, source_fingerprint: int, destination_fingerprint: int
+    ) -> List[Tuple[int, int]]:
+        """Which (row-index, column-index) pairs to probe for an edge.
+
+        Returns 0-based indices into the two address sequences, in probe
+        order.  Without square hashing there is a single pair; without
+        sampling all ``r * r`` pairs are probed row-first.  Results are cached
+        per fingerprint pair — the sequence depends only on the fingerprints,
+        and real streams revisit the same node pairs constantly.
+        """
+        key = (source_fingerprint, destination_fingerprint)
+        cached = self._candidate_cache.get(key)
+        if cached is not None:
+            return cached
+        config = self._sketch.config
+        if not config.square_hashing:
+            pairs = [(0, 0)]
+        elif not config.sampling:
+            r = config.sequence_length
+            pairs = [(i, j) for i in range(r) for j in range(r)]
+        else:
+            pairs = unique_candidates(
+                candidate_sequence(
+                    source_fingerprint,
+                    destination_fingerprint,
+                    config.candidate_buckets,
+                    config.sequence_length,
+                    self._lcg,
+                )
+            )
+        if len(self._candidate_cache) < _CACHE_LIMIT:
+            self._candidate_cache[key] = pairs
+        return pairs
 
     # -- room bookkeeping --------------------------------------------------
 
@@ -259,15 +333,14 @@ class PythonMatrixBackend:
 
     def insert_edge(self, source_hash: int, destination_hash: int, weight: float) -> None:
         """Insert (or aggregate) one edge of the graph sketch ``Gh``."""
-        sketch = self._sketch
-        _, source_fp = sketch._split(source_hash)
-        _, destination_fp = sketch._split(destination_hash)
-        source_addresses = sketch._addresses(source_hash)
-        destination_addresses = sketch._addresses(destination_hash)
-        rooms_per_bucket = sketch.config.rooms
+        _, source_fp = self._split(source_hash)
+        _, destination_fp = self._split(destination_hash)
+        source_addresses = self._addresses(source_hash)
+        destination_addresses = self._addresses(destination_hash)
+        rooms_per_bucket = self._sketch.config.rooms
         room_map = self._room_map
 
-        for source_index, destination_index in sketch._candidate_pairs(
+        for source_index, destination_index in self._candidate_pairs(
             source_fp, destination_fp
         ):
             row = source_addresses[source_index]
@@ -294,7 +367,7 @@ class PythonMatrixBackend:
                     ],
                 )
                 return
-        sketch._buffer.add(source_hash, destination_hash, weight)
+        self._sketch._buffer.add(source_hash, destination_hash, weight)
 
     def ingest_columns(self, source_hashes, destination_hashes, weights) -> int:
         """Ingest aligned ``H(s)`` / ``H(d)`` / weight columns.
@@ -323,14 +396,13 @@ class PythonMatrixBackend:
 
     def matrix_edge_weight(self, source_hash: int, destination_hash: int) -> Optional[float]:
         """Weight of the edge's matrix room, or ``None`` when not in the matrix."""
-        sketch = self._sketch
-        _, source_fp = sketch._split(source_hash)
-        _, destination_fp = sketch._split(destination_hash)
-        source_addresses = sketch._addresses(source_hash)
-        destination_addresses = sketch._addresses(destination_hash)
+        _, source_fp = self._split(source_hash)
+        _, destination_fp = self._split(destination_hash)
+        source_addresses = self._addresses(source_hash)
+        destination_addresses = self._addresses(destination_hash)
         room_map = self._room_map
 
-        for source_index, destination_index in sketch._candidate_pairs(
+        for source_index, destination_index in self._candidate_pairs(
             source_fp, destination_fp
         ):
             room = room_map.get(
@@ -355,9 +427,9 @@ class PythonMatrixBackend:
         ``r`` rows/columns instead of ``r * m`` matrix slots.  The left-over
         buffer is the caller's business.
         """
-        sketch = self._sketch
-        _, fingerprint = sketch._split(node_hash)
-        addresses = sketch._addresses(node_hash)
+        square_hashing = self._sketch.config.square_hashing
+        _, fingerprint = self._split(node_hash)
+        addresses = self._addresses(node_hash)
         found: Set[int] = set()
         width = self._width
         occupancy = self._row_occupancy if forward else self._col_occupancy
@@ -386,13 +458,13 @@ class PythonMatrixBackend:
                         continue
                     other_fp = room[other_fp_slot]
                     other_index = room[other_index_slot]
-                    if sketch.config.square_hashing:
+                    if square_hashing:
                         other_base = recover_address(
-                            offset, other_fp, other_index, width, sketch._lcg
+                            offset, other_fp, other_index, width, self._lcg
                         )
                     else:
                         other_base = offset
-                    found.add(other_base * sketch._fingerprint_range + other_fp)
+                    found.add(other_base * self._fingerprint_range + other_fp)
         return found
 
     def reconstruct(self) -> List[Tuple[int, int, float]]:
@@ -401,20 +473,20 @@ class PythonMatrixBackend:
         The scan walks the occupancy indexes in row-major order, so it costs
         O(stored edges) and yields the same sequence a full matrix scan would.
         """
-        sketch = self._sketch
+        square_hashing = self._sketch.config.square_hashing
         edges: List[Tuple[int, int, float]] = []
         width = self._width
-        fingerprint_range = sketch._fingerprint_range
+        fingerprint_range = self._fingerprint_range
         for row, column, bucket in self.occupied_buckets():
             for room in bucket:
                 source_fp = room[ROOM_SOURCE_FP]
                 destination_fp = room[ROOM_DEST_FP]
-                if sketch.config.square_hashing:
+                if square_hashing:
                     source_base = recover_address(
-                        row, source_fp, room[ROOM_SOURCE_INDEX], width, sketch._lcg
+                        row, source_fp, room[ROOM_SOURCE_INDEX], width, self._lcg
                     )
                     destination_base = recover_address(
-                        column, destination_fp, room[ROOM_DEST_INDEX], width, sketch._lcg
+                        column, destination_fp, room[ROOM_DEST_INDEX], width, self._lcg
                     )
                 else:
                     source_base = row
@@ -427,39 +499,6 @@ class PythonMatrixBackend:
                     )
                 )
         return edges
-
-
-class _NativeEdgeSlotMap:
-    """Dict facade over the kernel's persistent C edge->slot table.
-
-    Exposes the mapping surface the scalar paths use — ``get``, item
-    assignment, ``len``, containment — so ``insert_edge``,
-    ``register_room`` and ``matrix_edge_weight`` work against kernel-owned
-    state.  The C side stores ``-2`` for missing keys; this facade
-    translates that back to the caller's default.
-    """
-
-    __slots__ = ("_ctx", "_map_get", "_map_put", "_map_len")
-
-    def __init__(self, lib, ctx) -> None:
-        self._ctx = ctx
-        self._map_get = lib.gss_map_get
-        self._map_put = lib.gss_map_put
-        self._map_len = lib.gss_map_len
-
-    def get(self, key, default=None):
-        value = self._map_get(self._ctx, key)
-        return default if value == _UNSEEN else value
-
-    def __setitem__(self, key, value) -> None:
-        if self._map_put(self._ctx, key, value) != 0:
-            raise MemoryError("native edge-slot table allocation failed")
-
-    def __contains__(self, key) -> bool:
-        return self._map_get(self._ctx, key) != _UNSEEN
-
-    def __len__(self) -> int:
-        return self._map_len(self._ctx)
 
 
 class NativeMatrixBackend:
@@ -477,27 +516,31 @@ class NativeMatrixBackend:
     * ``_bucket_fill`` — live rooms per bucket, a uint8 array both Python
       and the kernel write.  A bucket's rooms fill its slots in insertion
       order and never move, so slots ``[0, fill)`` of a bucket are live;
-    * ``_edge_slot`` — packed sketch-edge key ``H(s) * M + H(d)`` -> the
+    * the edge->slot table — packed sketch-edge key ``H(s) * M + H(d)`` -> the
       slot of its room (or ``-1`` for edges that overflowed to the buffer).
       Because an edge's placement is permanent (see the module docstring),
       this replaces the per-room map of the Python backend and
       short-circuits every repeat update.  It is the kernel's persistent C
-      table, wrapped by :class:`_NativeEdgeSlotMap` for the scalar paths.
+      table; Python reads and writes it through ``gss_map_get`` /
+      ``gss_map_put`` (edge queries, restores), where a negative slot
+      means "not in the matrix".
 
     Batched ingestion — aggregation, edge classification and the
     first-seen-order bucket-probe/contention loop — runs inside one kernel
     call (:mod:`repro.core._native`): ``gss_ingest_text_batch`` for a batch
     of string IDs (:meth:`ingest_text`, hashing included),
     ``gss_ingest_batch`` for hash columns (:meth:`ingest_columns`), so a
-    batch crosses the Python/kernel boundary exactly once.  Only buffer traffic
+    batch crosses the Python/kernel boundary exactly once.  A scalar insert
+    (:meth:`insert_edge`) is a one-row ``gss_ingest_batch`` call, bound
+    once with the batch arguments.  Only buffer traffic
     comes back out, as (key, aggregated weight) arrays, because the
     left-over buffer is an exact structure with Python dict semantics.
     A successor/precursor query is one ``gss_neighbor_scan`` call over the
     node's ``r`` rows (columns): ``O(r * m * l)`` slots, whatever the
     number of stored edges.  The scan writes into one reusable output
     buffer, so — as with ingestion — one sketch must not be used from two
-    threads at once.  Scalar inserts and restores write the arrays
-    directly.
+    threads at once.  Only restores (:meth:`register_room`) write the room
+    arrays directly.
 
     Construction compiles/binds the kernel, so building a store *is* the
     warm-up; every benchmark harness in this repo constructs stores outside
@@ -533,7 +576,7 @@ class NativeMatrixBackend:
         self._lib = lib
         self._ctx = ctx
         self._ctx_finalizer = weakref.finalize(self, lib.gss_free, ctx)
-        self._edge_slot = _NativeEdgeSlotMap(lib, ctx)
+        self._map_get = lib.gss_map_get
         lcg = sketch._lcg
         self._kernel_config = (
             self._hash_range,
@@ -558,6 +601,10 @@ class NativeMatrixBackend:
         self._spill_ctr = ctypes.c_int64(0)
         self._rebuf_ctr = ctypes.c_int64(0)
         self._new_ctr = ctypes.c_int64(0)
+        # The one-row batch of a scalar insert; its call is bound with the
+        # batch arguments.
+        self._row_key = np.empty(1, dtype=np.uint64)
+        self._row_weight = np.empty(1, dtype=np.float64)
 
     # -- storage plumbing --------------------------------------------------
 
@@ -605,26 +652,6 @@ class NativeMatrixBackend:
         """The room arrays in room-list order ``[f_s, f_d, i_s, i_d, weight]``."""
         return (self._src_fp, self._dst_fp, self._src_idx, self._dst_idx, self._weights)
 
-    def _append_room(
-        self, row, column, source_fp, destination_fp, source_index, destination_index, weight
-    ) -> int:
-        """Write one room at its bucket's next free slot and return the slot.
-
-        The caller indexes its edge.
-        """
-        if self._weights is None:
-            self._allocate_rooms()
-        bucket = row * self._width + column
-        slot = bucket * self._rooms + int(self._bucket_fill[bucket])
-        self._src_fp[slot] = source_fp
-        self._dst_fp[slot] = destination_fp
-        self._src_idx[slot] = source_index
-        self._dst_idx[slot] = destination_index
-        self._weights[slot] = weight
-        self._bucket_fill[bucket] += 1
-        self.matrix_edge_count += 1
-        return slot
-
     def _live_slots(self):
         """``(buckets, slots)``: the occupied buckets in row-major order and
         the slots of their live rooms in the same order, each bucket's rooms
@@ -652,9 +679,12 @@ class NativeMatrixBackend:
         ]
 
     def register_room(self, row: int, column: int, room: List) -> None:
-        """Store one room (deserialization/restore path) and index its edge."""
-        source_fp, destination_fp, source_index, destination_index, weight = room
-        if self._bucket_fill[row * self._width + column] >= self._rooms:
+        """Store one room (deserialization/restore path) at its bucket's
+        next free slot and index its edge."""
+        source_fp, destination_fp, source_index, destination_index, _ = room
+        bucket = row * self._width + column
+        fill = int(self._bucket_fill[bucket])
+        if fill >= self._rooms:
             raise ValueError(
                 f"bucket ({row}, {column}) already holds {self._rooms} rooms"
             )
@@ -671,9 +701,17 @@ class NativeMatrixBackend:
             destination_base = column
         source_hash = source_base * self._fingerprint_range + source_fp
         destination_hash = destination_base * self._fingerprint_range + destination_fp
-        self._edge_slot[source_hash * self._hash_range + destination_hash] = self._append_room(
-            row, column, source_fp, destination_fp, source_index, destination_index, weight
-        )
+        if self._weights is None:
+            self._allocate_rooms()
+        slot = bucket * self._rooms + fill
+        for array, value in zip(self._room_columns(), room):
+            array[slot] = value
+        self._bucket_fill[bucket] += 1
+        self.matrix_edge_count += 1
+        if self._lib.gss_map_put(
+            self._ctx, source_hash * self._hash_range + destination_hash, slot
+        ):
+            raise MemoryError("native edge-slot table allocation failed")
 
     def occupied_buckets(self) -> Iterator[Tuple[int, int, List[List]]]:
         """Yield ``(row, column, bucket)`` row-major, rooms in insertion order."""
@@ -693,46 +731,22 @@ class NativeMatrixBackend:
     # -- updates -----------------------------------------------------------
 
     def insert_edge(self, source_hash: int, destination_hash: int, weight: float) -> None:
-        """Scalar insert: edge-slot fast path, then candidate probing."""
-        key = source_hash * self._hash_range + destination_hash
-        slot = self._edge_slot.get(key)
-        if slot is not None:
-            if slot >= 0:
-                self._weights[slot] += weight
-            else:
-                self._sketch._buffer.add(source_hash, destination_hash, weight)
-            return
-        sketch = self._sketch
-        _, source_fp = sketch._split(source_hash)
-        _, destination_fp = sketch._split(destination_hash)
-        source_addresses = sketch._addresses(source_hash)
-        destination_addresses = sketch._addresses(destination_hash)
-        rooms_per_bucket = sketch.config.rooms
-        fill = self._bucket_fill
-        width = self._width
-        for source_index, destination_index in sketch._candidate_pairs(
-            source_fp, destination_fp
-        ):
-            row = source_addresses[source_index]
-            column = destination_addresses[destination_index]
-            if fill[row * width + column] < rooms_per_bucket:
-                self._edge_slot[key] = self._append_room(
-                    row,
-                    column,
-                    source_fp,
-                    destination_fp,
-                    source_index + 1,
-                    destination_index + 1,
-                    weight,
-                )
-                return
-        self._edge_slot[key] = _BUFFERED
-        self._sketch._buffer.add(source_hash, destination_hash, weight)
+        """Scalar insert: a one-row ``gss_ingest_batch`` call, buffer
+        traffic applied as for a batch."""
+        self._ensure_batch_scratch(1)
+        self._row_key[0] = source_hash * self._hash_range + destination_hash
+        self._row_weight[0] = weight
+        placed = self._lib.gss_ingest_batch(*self._row_args)
+        if placed < 0:  # pragma: no cover - allocation failure
+            raise MemoryError("native kernel batch allocation failed")
+        self.matrix_edge_count += placed
+        self._apply_buffer_arrays()
 
     def _ensure_batch_scratch(self, count: int) -> None:
         """Allocate the rooms on first use and grow the kernel's out-arrays
         to ``count`` items, then bind the argument tails of both ingest
-        calls, so a batch does not rebuild their pointers."""
+        calls and the whole one-row call, so a batch does not rebuild their
+        pointers."""
         if self._weights is None:
             self._allocate_rooms()
         if count <= self._scratch_len:
@@ -753,6 +767,21 @@ class NativeMatrixBackend:
             self._sc_rebuf_keys.ctypes.data,
             self._sc_rebuf_sums.ctypes.data,
             ctypes.addressof(self._rebuf_ctr),
+        )
+        # Converted to their ctypes types once, so a scalar insert skips
+        # the per-call conversion of its 27 arguments.
+        self._row_args = tuple(
+            kind(value)
+            for kind, value in zip(
+                self._lib.gss_ingest_batch.argtypes,
+                (
+                    self._ctx,
+                    self._row_key.ctypes.data,
+                    self._row_weight.ctypes.data,
+                    1,
+                    *self._batch_args,
+                ),
+            )
         )
         self._text_batch_args = (
             self._fnv_state0,
@@ -883,8 +912,8 @@ class NativeMatrixBackend:
 
     def matrix_edge_weight(self, source_hash: int, destination_hash: int) -> Optional[float]:
         """Weight of the edge's matrix room, or ``None`` when not in the matrix."""
-        slot = self._edge_slot.get(source_hash * self._hash_range + destination_hash)
-        if slot is None or slot < 0:
+        slot = self._map_get(self._ctx, source_hash * self._hash_range + destination_hash)
+        if slot < 0:  # buffered, or never seen
             return None
         return float(self._weights[slot])
 

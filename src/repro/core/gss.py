@@ -12,20 +12,25 @@ sampling probes only ``k`` of the resulting ``r * r`` buckets per edge.  Both
 optimizations — and the number of rooms — can be switched off to reproduce the
 paper's ablations.
 
-Matrix storage is pluggable (``GSSConfig.backend``, see
-:mod:`repro.core.backends`): the default pure-Python backend keeps the
-occupancy-indexed nested-list layout, and the native backend stores rooms
-bucket-major in NumPy arrays — the paper's ``m x m x l`` layout, allocated
-on the first write — and places every batch and scans every queried node in
-a compiled C kernel.  The two backends are observationally identical —
-every query answers the same — so the choice is purely about speed and
-dependencies.  A successor/precursor scan touches only the node's ``r``
-rows (columns): the python backend visits their occupied buckets, the
-kernel their ``r * m * l`` slots, as in Section V of the paper.
+The :class:`GSS` owns the hashing, the reverse node index, the left-over
+buffer and the query API; where a room goes is its matrix backend's
+business (``GSSConfig.backend``, see :mod:`repro.core.backends`), each with
+one placement engine.  The default pure-Python backend keeps the
+occupancy-indexed nested-list layout and walks the square-hashed
+candidates itself, and the native backend stores rooms bucket-major in
+NumPy arrays — the paper's ``m x m x l`` layout, allocated on the first
+write — and places every batch, a scalar update as a batch of one, and
+scans every queried node in a compiled C kernel.  The two backends are
+observationally identical — every query answers the same — so the choice
+is purely about speed and dependencies.  A successor/precursor scan
+touches only the node's ``r`` rows (columns): the python backend visits
+their occupied buckets, the kernel their ``r * m * l`` slots, as in
+Section V of the paper.
 """
 
 from __future__ import annotations
 
+from operator import index
 from time import perf_counter
 from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Set, Tuple
 
@@ -34,20 +39,10 @@ from repro.core.buffer import LeftoverBuffer
 from repro.core.config import GSSConfig
 from repro.core.reverse_index import NodeIndex
 from repro.hashing.hash_functions import NodeHasher
-from repro.hashing.linear_congruence import (
-    LinearCongruentialSequence,
-    address_sequence,
-    candidate_sequence,
-    unique_candidates,
-)
+from repro.hashing.linear_congruence import LinearCongruentialSequence
 from repro.obs.trace import active as obs_active
 from repro.queries.primitives import Capabilities, SummaryShims
 from repro.streaming.batch import HashSpec, check_weights, triple_tokens, weight_column
-
-#: Cap on the memoized candidate-pair sequences (one entry per distinct
-#: fingerprint pair seen).  Past the cap, sequences are recomputed instead of
-#: cached so a long-running process cannot grow without bound.
-_CANDIDATE_CACHE_LIMIT = 1 << 16
 
 
 class GSS(SummaryShims):
@@ -66,14 +61,11 @@ class GSS(SummaryShims):
     def __init__(self, config: GSSConfig) -> None:
         self.config = config
         self._width = config.matrix_width
-        self._fingerprint_range = config.fingerprint_range
         self._hasher = NodeHasher(value_range=config.hash_range, seed=config.seed)
         self._lcg = LinearCongruentialSequence()
         self._buffer = LeftoverBuffer()
         self._node_index: Optional[NodeIndex] = NodeIndex() if config.keep_node_index else None
         self._update_count = 0
-        self._address_cache: Dict[int, List[int]] = {}
-        self._candidate_cache: Dict[Tuple[int, int], List[Tuple[int, int]]] = {}
         # Matrix storage is delegated to the configured backend; see
         # repro.core.backends for the layout and the equivalence argument.
         self._matrix = make_backend(self)
@@ -87,62 +79,24 @@ class GSS(SummaryShims):
         """``H(node)`` in ``[0, m * F)``."""
         return self._hasher(node)
 
-    def _split(self, node_hash: int) -> Tuple[int, int]:
-        """Split ``H(v)`` into ``(h(v), f(v))``."""
-        return node_hash // self._fingerprint_range, node_hash % self._fingerprint_range
+    def _check_hashes(self, *columns: Sequence[int]) -> None:
+        """Refuse (``ValueError``) hash columns holding a value outside
+        ``[0, M)``, before anything changes.
 
-    def _addresses(self, node_hash: int) -> List[int]:
-        """The square-hashing address sequence ``{h_i(v)}`` of a node hash."""
-        cached = self._address_cache.get(node_hash)
-        if cached is not None:
-            return cached
-        base_address, fingerprint = self._split(node_hash)
-        if self.config.square_hashing:
-            addresses = address_sequence(
-                base_address,
-                fingerprint,
-                self.config.sequence_length,
-                self._width,
-                self._lcg,
-            )
-        else:
-            addresses = [base_address % self._width]
-        self._address_cache[node_hash] = addresses
-        return addresses
-
-    def _candidate_pairs(
-        self, source_fingerprint: int, destination_fingerprint: int
-    ) -> List[Tuple[int, int]]:
-        """Which (row-index, column-index) pairs to probe for an edge.
-
-        Returns 0-based indices into the two address sequences, in probe
-        order.  Without square hashing there is a single pair; without
-        sampling all ``r * r`` pairs are probed row-first.  Results are cached
-        per fingerprint pair — the sequence depends only on the fingerprints,
-        and real streams revisit the same node pairs constantly.
+        One min/max per column; an unsigned NumPy column needs only its max.
         """
-        key = (source_fingerprint, destination_fingerprint)
-        cached = self._candidate_cache.get(key)
-        if cached is not None:
-            return cached
-        if not self.config.square_hashing:
-            pairs = [(0, 0)]
-        elif not self.config.sampling:
-            r = self.config.sequence_length
-            pairs = [(i, j) for i in range(r) for j in range(r)]
-        else:
-            pairs = unique_candidates(
-                candidate_sequence(
-                    source_fingerprint,
-                    destination_fingerprint,
-                    self.config.candidate_buckets,
-                    self.config.sequence_length,
-                    self._lcg,
-                )
-            )
-        if len(self._candidate_cache) < _CANDIDATE_CACHE_LIMIT:
-            self._candidate_cache[key] = pairs
-        return pairs
+        hash_range = self.config.hash_range
+        for column in columns:
+            if not len(column):
+                continue
+            if hasattr(column, "dtype"):
+                low = 0 if column.dtype.kind == "u" else column.min()
+                high = column.max()
+            else:
+                low, high = min(column), max(column)
+            if low < 0 or high >= hash_range:
+                outside = low if low < 0 else high
+                raise ValueError(f"node hash {outside} is outside [0, {hash_range})")
 
     # -- backend plumbing ------------------------------------------------------
 
@@ -179,7 +133,9 @@ class GSS(SummaryShims):
         streaming-graph semantics of Definition 1.  A weight that is not a
         real number is refused (``ValueError``) before anything changes, as
         by every batched path, and so is an ID the node index cannot hold
-        (``TypeError``) or the hasher cannot encode.
+        (``TypeError``) or the hasher cannot encode.  The backend places the
+        edge as a batch of one: the native backend runs it through its
+        kernel, the python backend walks the edge's candidate buckets.
         """
         check_weights((weight,))
         hash((source, destination))
@@ -199,10 +155,13 @@ class GSS(SummaryShims):
         Used when merging sketches or replaying edges recovered with
         :meth:`reconstruct_sketch_edges`, where the original node IDs may no
         longer be available.  The reverse node index is left untouched.  A
-        weight that is not a real number is refused (``ValueError``) before
-        anything changes, as by :meth:`update`.
+        weight that is not a real number, a hash that is not an integer
+        (``TypeError``) and a hash outside ``[0, M)`` (``ValueError``) are
+        refused before anything changes, as by :meth:`update`.
         """
         check_weights((weight,))
+        source_hash, destination_hash = index(source_hash), index(destination_hash)
+        self._check_hashes((source_hash, destination_hash))
         self._matrix.insert_edge(source_hash, destination_hash, weight)
         self._update_count += 1
 
@@ -271,12 +230,15 @@ class GSS(SummaryShims):
 
         Accepts ``(H(s), H(d), weight)`` triples (the shape produced by
         :meth:`reconstruct_sketch_edges`), refuses the batch whole under
-        :func:`~repro.streaming.batch.triple_tokens`'s item rule, places it
-        like :meth:`ingest_columns` and leaves the reverse node index
-        untouched.  Returns the item count.
+        :func:`~repro.streaming.batch.triple_tokens`'s item rule or for a
+        hash outside ``[0, M)`` (``ValueError``), places it like
+        :meth:`ingest_columns` and leaves the reverse node index untouched.
+        Returns the item count.
         """
         hashes, weights = triple_tokens(edges if isinstance(edges, list) else list(edges))
-        return self._place(hashes[0::2], hashes[1::2], weights)
+        source_hashes, destination_hashes = hashes[0::2], hashes[1::2]
+        self._check_hashes(source_hashes, destination_hashes)
+        return self._place(source_hashes, destination_hashes, weights)
 
     def hash_spec(self) -> HashSpec:
         """The hash function family this sketch places edges under.
@@ -305,8 +267,9 @@ class GSS(SummaryShims):
 
         The sharded deployment's shard ingest: each shard message carries
         only the nodes the shard may not know yet, and nodes already
-        recorded are skipped.  A weight that is not a real number raises
-        ``ValueError`` before any node is recorded.  A node recorded under
+        recorded are skipped.  A weight that is not a real number or a hash
+        outside ``[0, M)`` raises ``ValueError`` before any node is
+        recorded.  A node recorded under
         another hash raises ``ValueError`` once the message's other nodes
         are recorded, and the columns are then not placed.  Columns may be
         lists or NumPy arrays; no hashing happens here.  Returns the number
@@ -314,6 +277,7 @@ class GSS(SummaryShims):
         """
         if isinstance(weights, list):  # arrays are float64 already
             weights = weight_column(weights, vectorized=False)
+        self._check_hashes(source_hashes, destination_hashes)
         return self._place(source_hashes, destination_hashes, weights, nodes, node_hashes)
 
     def _place(
@@ -488,21 +452,6 @@ class GSS(SummaryShims):
         if total == 0:
             return 0.0
         return len(self._buffer) / total
-
-    # Python-backend structural views, kept for the occupancy-index property
-    # tests (they raise on other backends, whose storage has no buckets).
-
-    @property
-    def _row_occupancy(self) -> Dict[int, List[int]]:
-        return self._matrix._row_occupancy
-
-    @property
-    def _col_occupancy(self) -> Dict[int, List[int]]:
-        return self._matrix._col_occupancy
-
-    @property
-    def _room_map(self) -> Dict[Tuple[int, int, int, int, int, int], List]:
-        return self._matrix._room_map
 
     def occupancy(self) -> float:
         """Fraction of matrix rooms currently occupied."""

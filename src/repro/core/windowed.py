@@ -25,11 +25,47 @@ for window sketches.
 from __future__ import annotations
 
 import math
+from numbers import Real
 from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.core.config import GSSConfig
 from repro.core.gss import GSS
 from repro.queries.primitives import Capabilities, SummaryShims
+from repro.streaming.batch import triple_tokens
+
+
+def _window_items(items: List) -> Tuple[List[Tuple], List[Optional[float]]]:
+    """Split window items into ``(source, destination, weight)`` triples and
+    their timestamps (``None`` where absent), or refuse the batch whole.
+
+    The triples pass :func:`~repro.streaming.batch.triple_tokens`'s item
+    and weight rules, their IDs must hash (``TypeError``) and encode as
+    the GSS hasher encodes them, and a timestamp must be ``None`` or a
+    finite real number (``ValueError``).
+    """
+    try:
+        if items and not set(map(len, items)) <= {3, 4}:
+            raise TypeError
+        triples = [tuple(item[:3]) for item in items]
+    except TypeError:
+        raise ValueError(
+            "a window item is not a (source, destination, weight[, timestamp]) tuple"
+        ) from None
+    timestamps = [item[3] if len(item) == 4 else None for item in items]
+    tokens, _ = triple_tokens(triples)
+    dict.fromkeys(tokens)  # TypeError for an unhashable ID
+    # A str ID hashes its UTF-8 encoding, which refuses lone surrogates.
+    "".join([token for token in tokens if isinstance(token, str)]).encode("utf-8")
+    for timestamp in timestamps:
+        if timestamp is None:
+            continue
+        try:
+            finite = isinstance(timestamp, Real) and math.isfinite(timestamp)
+        except OverflowError:  # an int past the float range
+            finite = False
+        if not finite:
+            raise ValueError(f"timestamp {timestamp!r} is not a finite real number")
+    return triples, timestamps
 
 
 class WindowedGSS(SummaryShims):
@@ -114,24 +150,10 @@ class WindowedGSS(SummaryShims):
 
         When ``timestamp`` is omitted, items are assumed to arrive one time
         unit apart, which turns the window into a count-based window of
-        ``window_span`` items.
+        ``window_span`` items.  A batch of one for :meth:`update_many`, so
+        it is refused under the same rules.
         """
-        if timestamp is None:
-            timestamp = float(self._update_count)
-        if self._latest_timestamp is not None and timestamp < self._latest_timestamp - self.window_span:
-            # The item is already older than the whole window; nothing to record.
-            self._update_count += 1
-            return
-        self._update_count += 1
-        if self._latest_timestamp is None or timestamp > self._latest_timestamp:
-            self._latest_timestamp = timestamp
-        index = self._slice_index(timestamp)
-        sketch = self._sketches.get(index)
-        if sketch is None:
-            sketch = GSS(self.config)
-            self._sketches[index] = sketch
-        sketch.update(source, destination, weight)
-        self._evict_expired()
+        self.update_many([(source, destination, weight, timestamp)])
 
     def update_many(self, items: Iterable[Sequence]) -> int:
         """Apply a batch of stream items.
@@ -139,45 +161,40 @@ class WindowedGSS(SummaryShims):
         Each item is a ``(source, destination, weight)`` triple or a
         ``(source, destination, weight, timestamp)`` quadruple; a missing (or
         ``None``) timestamp falls back to the implicit one-unit-per-item
-        clock, exactly like :meth:`update`.  Items are routed to their slices
-        first and each slice ingests its share through the batched
+        clock.  The batch is refused whole (``ValueError``; ``TypeError``
+        for an unhashable ID) before the clock moves, under
+        :class:`~repro.core.gss.GSS`'s rules — item shape, real weights,
+        hashable and encodable IDs — plus one of its own: a timestamp is
+        ``None`` or a finite real number.  Items are then routed to their
+        slices and each slice ingests its share through the batched
         :meth:`~repro.core.gss.GSS.update_many` fast path; slice eviction is
         deferred to the end of the batch, which yields the same final state
         because an evicted slice can never receive an in-window item again.
 
         Returns the number of items applied (including expired ones).
         """
+        triples, timestamps = _window_items(items if isinstance(items, list) else list(items))
         pending: Dict[int, List[Tuple[Hashable, Hashable, float]]] = {}
-        count = 0
-        for item in items:
-            if len(item) == 4:
-                source, destination, weight, timestamp = item
-            else:
-                source, destination, weight = item
-                timestamp = None
-            count += 1
+        for triple, timestamp in zip(triples, timestamps):
             if timestamp is None:
                 timestamp = float(self._update_count)
+            self._update_count += 1
             if (
                 self._latest_timestamp is not None
                 and timestamp < self._latest_timestamp - self.window_span
             ):
-                self._update_count += 1
-                continue
-            self._update_count += 1
+                continue  # already older than the whole window
             if self._latest_timestamp is None or timestamp > self._latest_timestamp:
                 self._latest_timestamp = timestamp
-            pending.setdefault(self._slice_index(timestamp), []).append(
-                (source, destination, weight)
-            )
-        for index, triples in pending.items():
+            pending.setdefault(self._slice_index(timestamp), []).append(triple)
+        for index, slice_triples in pending.items():
             sketch = self._sketches.get(index)
             if sketch is None:
                 sketch = GSS(self.config)
                 self._sketches[index] = sketch
-            sketch.update_many(triples)
+            sketch.update_many(slice_triples)
         self._evict_expired()
-        return count
+        return len(triples)
 
     def ingest(self, edges) -> "WindowedGSS":
         """Feed an iterable of :class:`~repro.streaming.edge.StreamEdge`."""
@@ -257,6 +274,7 @@ class WindowedGSS(SummaryShims):
             for sketch in self._active_sketches()
         )
 
+    @property
     def buffer_percentage(self) -> float:
         """Fraction of stored sketch edges that live in slice buffers."""
         matrix = sum(sketch.matrix_edge_count for sketch in self._active_sketches())

@@ -1,6 +1,7 @@
 """Reference scans of a GSS matrix: the oracles for the backends' fast scans.
 
-Both functions read the matrix only through ``GSS._bucket_at`` and walk
+The functions read the matrix only through ``GSS._bucket_at``, compute
+addresses from :mod:`repro.hashing.linear_congruence` themselves, and walk
 every slot the paper's query would: the node's ``r`` full rows (or columns)
 for a neighbour scan, all ``m * m`` buckets for reconstruction.  They rely
 on no backend index, so the backends' indexed (python) and kernel (native)
@@ -19,14 +20,26 @@ from repro.core.backends import (
     ROOM_WEIGHT,
 )
 from repro.core.gss import GSS
-from repro.hashing.linear_congruence import recover_address
+from repro.hashing.linear_congruence import address_sequence, recover_address
+
+
+def addresses_of(sketch: GSS, node_hash: int) -> List[int]:
+    """The square-hashing rows (columns) of ``node_hash``, from Equation 2
+    directly rather than from either backend."""
+    width = sketch.config.matrix_width
+    base, fingerprint = divmod(node_hash, sketch.config.fingerprint_range)
+    if not sketch.config.square_hashing:
+        return [base % width]
+    return address_sequence(
+        base, fingerprint, sketch.config.sequence_length, width, sketch._lcg
+    )
 
 
 def neighbor_hashes_unindexed(sketch: GSS, node_hash: int, forward: bool) -> Set[int]:
     """``sketch._neighbor_hashes`` by a full ``r * m`` bucket scan plus the buffer."""
-    _, fingerprint = sketch._split(node_hash)
     width = sketch.config.matrix_width
     fingerprint_range = sketch.config.fingerprint_range
+    fingerprint = node_hash % fingerprint_range
     found: Set[int] = set()
 
     own_fp_slot = ROOM_SOURCE_FP if forward else ROOM_DEST_FP
@@ -34,7 +47,7 @@ def neighbor_hashes_unindexed(sketch: GSS, node_hash: int, forward: bool) -> Set
     other_fp_slot = ROOM_DEST_FP if forward else ROOM_SOURCE_FP
     other_index_slot = ROOM_DEST_INDEX if forward else ROOM_SOURCE_INDEX
 
-    for position, address in enumerate(sketch._addresses(node_hash)):
+    for position, address in enumerate(addresses_of(sketch, node_hash)):
         expected_index = position + 1
         for offset in range(width):
             if forward:

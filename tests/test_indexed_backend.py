@@ -76,9 +76,9 @@ def assert_indexes_consistent(sketch: GSS) -> None:
                 expected_rooms[(row, column, room[0], room[1], room[2], room[3])] = room
     # The full scan above visits positions in ascending order, so the
     # expected occupancy lists are already sorted.
-    assert sketch._row_occupancy == expected_rows
-    assert sketch._col_occupancy == expected_cols
-    assert sketch._room_map == expected_rooms
+    assert sketch._matrix._row_occupancy == expected_rows
+    assert sketch._matrix._col_occupancy == expected_cols
+    assert sketch._matrix._room_map == expected_rooms
 
 
 class TestIndexedEqualsUnindexed:

@@ -11,7 +11,11 @@ to the compiled backend:
 * the kernel envelope — packed uint64 keys and a uint8 fill table — with
   a silent python fallback under ``auto`` and a warning on explicit
   requests, answering identically either way;
-* the persistent C edge->slot map, including the ``2^64 - 1`` side slot;
+* the persistent C edge->slot map, through ``gss_map_get`` /
+  ``gss_map_put``, including the ``2^64 - 1`` side slot and growth;
+* scalar inserts, which run as one-row kernel batches: a hypothesis
+  differential interleaves them with hash-addressed updates and batches
+  on congested configs against the python reference;
 * the whole-batch text ingestion path and its fallbacks (non-string node
   IDs, embedded NUL bytes), which must be invisible to every observer:
   queries, node index, serialization, and the hash-once counter — which
@@ -30,6 +34,7 @@ from __future__ import annotations
 import warnings
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.backends import (
     NUMPY_AVAILABLE,
@@ -42,7 +47,11 @@ from repro.core.merge import merge_sketches
 from repro.core.serialization import sketch_from_dict, sketch_to_dict
 from repro.hashing.hash_functions import count_key_hashes
 
-from scan_oracles import neighbor_hashes_unindexed, reconstruct_sketch_edges_unindexed
+from scan_oracles import (
+    addresses_of,
+    neighbor_hashes_unindexed,
+    reconstruct_sketch_edges_unindexed,
+)
 
 
 def _native_ready() -> bool:
@@ -183,43 +192,46 @@ class TestKernelEnvelope:
             self.check_python_fallback(sketch, overrides)
 
 
+#: kernel.c's ``SLOT_MISSING``: what ``gss_map_get`` answers for a key it
+#: does not hold.
+SLOT_MISSING = -2
+
+
 @requires_native
 class TestEdgeSlotMap:
-    def test_map_roundtrip_and_len(self):
-        sketch = make("native")
-        table = sketch._matrix._edge_slot
-        assert table.get(123) is None
-        assert table.get(123, -7) == -7
-        table[123] = 5
-        assert table.get(123) == 5
-        assert 123 in table
-        assert 456 not in table
-        assert len(table) == 1
-        table[456] = 9
-        table[789] = -1
-        assert table.get(456) == 9
-        assert table.get(789) == -1
-        assert len(table) == 3
+    """The kernel's persistent edge->slot table, through its two exports."""
+
+    def test_get_and_put(self):
+        backend = make("native")._matrix
+        lib, ctx = backend._lib, backend._ctx
+        assert lib.gss_map_get(ctx, 123) == SLOT_MISSING
+        assert lib.gss_map_put(ctx, 123, 5) == 0
+        assert lib.gss_map_get(ctx, 123) == 5
+        assert lib.gss_map_get(ctx, 456) == SLOT_MISSING
+        assert lib.gss_map_put(ctx, 456, 9) == 0
+        assert lib.gss_map_put(ctx, 789, -1) == 0
+        assert lib.gss_map_put(ctx, 123, 7) == 0
+        assert [lib.gss_map_get(ctx, key) for key in (123, 456, 789)] == [7, 9, -1]
 
     def test_max_uint64_key_side_slot(self):
-        sketch = make("native")
-        table = sketch._matrix._edge_slot
+        backend = make("native")._matrix
+        lib, ctx = backend._lib, backend._ctx
         sentinel = (1 << 64) - 1
-        assert table.get(sentinel) is None
-        assert sentinel not in table
-        table[sentinel] = 42
-        assert table.get(sentinel) == 42
-        assert sentinel in table
-        assert len(table) == 1
+        assert lib.gss_map_get(ctx, sentinel) == SLOT_MISSING
+        assert lib.gss_map_put(ctx, sentinel, 42) == 0
+        assert lib.gss_map_get(ctx, sentinel) == 42
+        assert lib.gss_map_get(ctx, sentinel - 1) == SLOT_MISSING
+        assert lib.gss_map_put(ctx, sentinel, 43) == 0
+        assert lib.gss_map_get(ctx, sentinel) == 43
 
     def test_map_survives_growth(self):
-        sketch = make("native")
-        table = sketch._matrix._edge_slot
+        backend = make("native")._matrix
+        lib, ctx = backend._lib, backend._ctx
+        # The table starts at 1024 slots, so 5000 keys grow it three times.
         for key in range(5000):
-            table[key] = key * 2
-        for key in range(0, 5000, 97):
-            assert table.get(key) == key * 2
-        assert len(table) == 5000
+            assert lib.gss_map_put(ctx, key, key * 2) == 0
+        assert all(lib.gss_map_get(ctx, key) == key * 2 for key in range(5000))
+        assert lib.gss_map_get(ctx, 5000) == SLOT_MISSING
 
 
 @requires_native
@@ -307,6 +319,73 @@ class TestTextPathEquivalence:
             reference.update(source, destination, weight)
         native.update_many(items[70:])
         reference.update_many(items[70:])
+        assert_same_answers(native, reference, items)
+
+
+#: Ablation-sized configs whose few small buckets fill quickly, so edges
+#: spill to the buffer and buffered edges come back.
+congested_configs = st.fixed_dictionaries(
+    dict(
+        matrix_width=st.integers(min_value=1, max_value=4),
+        fingerprint_bits=st.sampled_from([4, 8]),
+        rooms=st.integers(min_value=1, max_value=2),
+        sequence_length=st.integers(min_value=1, max_value=4),
+        candidate_buckets=st.integers(min_value=1, max_value=4),
+        square_hashing=st.booleans(),
+        sampling=st.booleans(),
+    )
+)
+#: Node IDs of a small universe, so edges repeat: strings take the kernel's
+#: text path in a batch, ints the resolver.
+node_ids = st.integers(min_value=0, max_value=7).map(lambda n: f"n{n}") | st.integers(
+    min_value=0, max_value=7
+)
+weights = st.sampled_from([1.0, 2.0, 5.0, -1.0, -2.0, 0.5])
+#: A feed of scalar updates, hash-addressed updates and batches, interleaved.
+feeds = st.lists(
+    st.tuples(st.just("update"), node_ids, node_ids, weights)
+    | st.tuples(st.just("update_by_hash"), node_ids, node_ids, weights)
+    | st.tuples(st.just("update_many"), st.lists(st.tuples(node_ids, node_ids, weights), max_size=10)),
+    min_size=10,
+    max_size=50,
+)
+
+
+def _document(sketch: GSS) -> dict:
+    """``to_dict`` without the field that names the backend."""
+    document = sketch.to_dict()
+    del document["config"]["backend"]
+    return document
+
+
+@requires_native
+class TestScalarPathDifferential:
+    """A native scalar insert is a one-row kernel batch; interleaved with
+    hash-addressed updates and batches it must keep every room, buffer entry
+    and answer of the python reference."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(feed=feeds, overrides=congested_configs)
+    def test_interleaved_feeds_match_python(self, feed, overrides):
+        native = GSS(GSSConfig(backend="native", **overrides))
+        reference = GSS(GSSConfig(backend="python", **overrides))
+        items = []
+        for operation, *arguments in feed:
+            if operation == "update_many":
+                [batch] = arguments
+                items.extend(batch)
+            else:
+                items.append(tuple(arguments))
+            for sketch in (native, reference):
+                if operation == "update_by_hash":
+                    source, destination, weight = arguments
+                    sketch.update_by_hash(
+                        sketch.node_hash(source), sketch.node_hash(destination), weight
+                    )
+                else:
+                    getattr(sketch, operation)(*arguments)
+        assert _document(native) == _document(reference)
+        assert native.update_count == reference.update_count
         assert_same_answers(native, reference, items)
 
 
@@ -415,7 +494,7 @@ class TestKernelScanEdges:
         # Eight addresses over three rows: every node revisits some row at
         # another index, and a room matches only at its own index.
         node_hash = native.node_hash("s0")
-        assert len(set(native._addresses(node_hash))) < 8
+        assert len(set(addresses_of(native, node_hash))) < 8
 
     def test_full_254_room_buckets(self):
         items = [(f"s{i % 37}", f"d{i}", 1.0) for i in range(1500)]
@@ -438,7 +517,7 @@ class TestKernelScanEdges:
         probe = make("native", **overrides)
         hub = next(
             name for name in (f"hub{i}" for i in range(1000))
-            if len(set(probe._addresses(probe.node_hash(name)))) == lines
+            if len(set(addresses_of(probe, probe.node_hash(name)))) == lines
         )
         others = [f"x{i}" for i in range(40 * lines * width * rooms)]
         items = [(hub, other, 1.0) if forward else (other, hub, 1.0) for other in others]

@@ -377,9 +377,3 @@ class TestBackendSelection:
         sketch.update("a", "b", 1.0)
         assert sketch.edge_query("a", "b") == 1.0
 
-    def test_python_backend_structural_views_still_exposed(self):
-        sketch = GSS(GSSConfig(matrix_width=4, sequence_length=2, candidate_buckets=2))
-        sketch.update("a", "b", 1.0)
-        assert sketch._room_map
-        assert sketch._row_occupancy
-        assert sketch._col_occupancy

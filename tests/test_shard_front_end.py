@@ -263,6 +263,9 @@ class TestDeploymentsEqualTheOracle:
 
 def _malformed_messages():
     good = ShardColumns([1, 2], [3, 4], [1.0, 1.0], ["a"], [5])
+    out_of_range = good._replace(
+        destination_hashes=[3, CONFIG.hash_range + 4], nodes=["z"], node_hashes=[9]
+    )
     messages = [
         ("pair lists of unequal length", good._replace(node_hashes=[5, 6])),
         ("columns of unequal length", good._replace(weights=[1.0])),
@@ -270,6 +273,7 @@ def _malformed_messages():
             "a weight that is not a number, with a new node",
             good._replace(weights=[1.0, "x"], nodes=["z"], node_hashes=[9]),
         ),
+        ("a hash outside the hash range, with a new node", out_of_range),
     ]
     if NUMPY_AVAILABLE:
         blob = encode_columns(good)
@@ -277,6 +281,7 @@ def _malformed_messages():
             ("blob longer than its header says", blob + b"\x00"),
             ("blob shorter than its header says", blob[:-3]),
             ("blob shorter than a header", blob[:5]),
+            ("a hash outside the hash range, as a blob", encode_columns(out_of_range)),
         ]
     return messages
 
@@ -306,7 +311,7 @@ class TestMalformedMessages:
             summary.update_many([("a", "b", 2.0), ("b", "c", 1.0)])
             before = _shard_documents(summary)
             error = ValueError if in_process else ClusterError
-            with pytest.raises(error, match="ValueError|length|header|nodes|weight"):
+            with pytest.raises(error, match="ValueError|length|header|nodes|weight|outside"):
                 summary._handles[0].request(("columns", payload))
             assert _shard_documents(summary) == before, reason
             assert summary.edge_query("a", "b") == 2.0

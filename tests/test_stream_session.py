@@ -11,6 +11,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.api import SketchSpec, StreamSession, build
+from repro.core.config import GSSConfig
+from repro.core.gss import GSS
+from repro.core.windowed import WindowedGSS
 from repro.exact.adjacency_list import AdjacencyListGraph
 from repro.streaming.edge import StreamEdge
 from repro.streaming.stream import GraphStream, stream_from_pairs
@@ -289,6 +292,46 @@ REJECTED_UPDATES = [
     ("\ud800", "f", 1.0),
 ]
 
+#: Batches a windowed summary must refuse whole: the rows of
+#: :data:`REJECTED_BATCHES` without a 4-tuple (a fourth element is a
+#: timestamp there), timestamps that are not finite real numbers, and the
+#: two batches of a sequence that once moved the window: a bad weight with a
+#: far timestamp, then an unhashable ID.
+WINDOW_REJECTED_BATCHES = [
+    batch
+    for batch in REJECTED_BATCHES
+    if not any(type(item) is tuple and len(item) == 4 for item in batch)
+] + [
+    [("c", "d", 1.0, 2.0), ("e", "f", 1.0, "3")],
+    [("c", "d", 1.0, 2.0), ("e", "f", 1.0, float("nan"))],
+    [("c", "d", 1.0), ("e", "f", 1.0, 10**400)],
+    [("a", "b", "x", 500.0)],
+    [("a", ["u"], 1.0, 2.0)],
+]
+
+
+def _window_state(window: WindowedGSS):
+    return (
+        window.update_count,
+        window.latest_timestamp,
+        window.expired_slice_count,
+        {index: sketch.to_dict() for index, sketch in window._sketches.items()},
+    )
+
+
+#: Hash-addressed calls that name a hash outside ``[0, M)``, for ``M`` the
+#: sketch's hash range: above it and below zero, scalar, batched and as
+#: shard columns.
+OUT_OF_RANGE_CALLS = [
+    lambda sketch, M: sketch.update_many_by_hash([(1, M + 5, 2.0)]),
+    lambda sketch, M: sketch.update_many_by_hash([(1, 2, 1.0), (-1, 3, 1.0)]),
+    lambda sketch, M: sketch.update_by_hash(-1, 3, 1.0),
+    lambda sketch, M: sketch.update_by_hash(1, M, 1.0),
+    lambda sketch, M: sketch.ingest_columns([1, M + 5], [2, 3], [1.0, 1.0], ["z"], [7]),
+    lambda sketch, M: sketch.ingest_columns([1], [-2], [1.0]),
+]
+
+
 #: The distinct weights of :data:`REJECTED_UPDATES` that are not real numbers.
 REJECTED_WEIGHTS = list(
     {repr(weight): weight for _, _, weight in REJECTED_UPDATES if not isinstance(weight, Real)}.values()
@@ -332,6 +375,41 @@ class TestARejectedBatchLeavesNoState:
             sketch.update_by_hash(3, 4, weight)
         assert sketch.to_dict() == before
         assert sketch.update_count == 1
+
+    @pytest.mark.parametrize("call", range(len(OUT_OF_RANGE_CALLS)))
+    @pytest.mark.parametrize("backend", GSS_BACKENDS)
+    def test_gss_hash_outside_the_hash_range(self, backend, call):
+        sketch = GSS(GSSConfig(matrix_width=8, fingerprint_bits=4, backend=backend))
+        M = sketch.config.hash_range
+        sketch.update_by_hash(1, 2, 1.0)
+        before = sketch.to_dict()
+        with pytest.raises(ValueError, match="outside"):
+            OUT_OF_RANGE_CALLS[call](sketch, M)
+        assert sketch.to_dict() == before
+        # Taken modulo M, the hash would have named one of these edges.
+        for source, destination in [(1, 5), (2, 5), (M - 1, 3), (1, 0), (1, M - 2)]:
+            assert sketch.edge_query_by_hash(source, destination) is None
+        assert sketch.update_count == 1
+
+    @pytest.mark.parametrize("batch", WINDOW_REJECTED_BATCHES)
+    def test_windowed(self, batch):
+        window = WindowedGSS(GSSConfig(matrix_width=16), window_span=10.0, slices=2)
+        window.update_many([("a", "b", 1.0, 1.0)])
+        before = _window_state(window)
+        expected = TypeError if batch in (UNHASHABLE_BATCH, [("a", ["u"], 1.0, 2.0)]) else ValueError
+        with pytest.raises(expected):
+            window.update_many(batch)
+        assert _window_state(window) == before
+        assert window.edge_query("a", "b") == 1.0
+
+    @pytest.mark.parametrize("update", REJECTED_UPDATES)
+    def test_windowed_scalar_update(self, update):
+        window = WindowedGSS(GSSConfig(matrix_width=16), window_span=10.0, slices=2)
+        window.update("a", "b", 1.0, timestamp=1.0)
+        before = _window_state(window)
+        with pytest.raises((TypeError, ValueError)):
+            window.update(*update, timestamp=500.0)
+        assert _window_state(window) == before
 
     @pytest.mark.parametrize("batch", REJECTED_BATCHES)
     @pytest.mark.parametrize("name", ["partitioned-gss", "sharded-gss"])

@@ -135,4 +135,4 @@ class TestIngestAndStats:
     def test_buffer_percentage_zero_when_uncongested(self):
         window = make_window()
         window.update("a", "b", timestamp=1.0)
-        assert window.buffer_percentage() == 0.0
+        assert window.buffer_percentage == 0.0
