@@ -46,6 +46,7 @@ DEFAULT_SUITES = (
     "tests/test_stream_session.py",
     "tests/test_shard_front_end.py",
     "tests/test_text_batch.py",
+    "tests/test_kernel_node_index.py",
 )
 
 

@@ -22,7 +22,8 @@ Both take a batch under one item rule
 (:func:`~repro.streaming.batch.triple_tokens`: exact triples, real
 weights) and refuse it whole, before their table changes.  Both send pairs
 in first-seen interleaved order (source, destination, next source, ...)
-and a shard records them with ``NodeIndex.record_new_many``, which ignores
+and a shard records them with its node index's ``record_new_many`` (on a
+native shard, one call into its kernel's node table), which ignores
 nodes it already holds, so either front end leaves every shard's node
 index — and so every answer and ``to_dict`` — exactly as item-by-item
 ingestion would.  A shard that refuses a message for a node it holds

@@ -38,9 +38,9 @@ in-process cluster also holds directly (one per shard, no pipe), so both
 deployments answer through the same code.  A ``columns`` request (see
 :mod:`repro.cluster.front_end`) carries the shard's ``(H(s), H(d),
 weight)`` columns in stream order and the ``(node, H(v))`` pairs to record;
-the shard records the pairs with one ``NodeIndex.record_new_many`` and
-places the columns with one batch ingest call — no per-item keys and no
-per-item loop.  A malformed message raises :class:`ValueError` before the
+the shard records the pairs with one ``record_new_many`` call of its node
+index and places the columns with one batch ingest call — no per-item keys
+and no per-item loop.  A malformed message raises :class:`ValueError` before the
 summary is touched.
 
 The module is import-light on purpose: :mod:`repro.api` is imported inside

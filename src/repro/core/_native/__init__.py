@@ -129,6 +129,21 @@ def _compile(compiler: str, target: Path) -> None:
         raise
 
 
+class node_ids_out(ctypes.Structure):  # named as the C struct it mirrors
+    """``gss_node_ids``' output buffers (``kernel.c``'s ``node_ids_out``),
+    owned by the caller."""
+
+    _fields_ = [
+        ("bytes", ctypes.c_void_p),
+        ("bytes_cap", ctypes.c_int64),
+        ("lengths", ctypes.c_void_p),
+        ("hashes", ctypes.c_void_p),
+        ("ids_cap", ctypes.c_int64),
+        ("count", ctypes.c_int64),
+        ("len", ctypes.c_int64),
+    ]
+
+
 def _bind(path: Path) -> ctypes.CDLL:
     lib = ctypes.CDLL(str(path))
     c = ctypes
@@ -173,7 +188,7 @@ def _bind(path: Path) -> ctypes.CDLL:
         c.c_void_p,  # fill
         c.c_void_p, c.c_void_p, c.c_void_p,  # spill keys/sums/count
         c.c_void_p, c.c_void_p, c.c_void_p,  # rebuf keys/sums/count
-        c.c_void_p, c.c_void_p, c.c_void_p,  # new-node tokens/hashes/count
+        c.c_void_p,  # count of nodes hashed
     ]
     lib.gss_neighbor_scan.restype = c.c_int64
     lib.gss_neighbor_scan.argtypes = [
@@ -186,6 +201,20 @@ def _bind(path: Path) -> ctypes.CDLL:
         c.c_void_p,  # fill
         c.c_void_p,  # out
     ]
+    lib.gss_node_count.restype = c.c_int64
+    lib.gss_node_count.argtypes = [c.c_void_p]
+    lib.gss_node_resolve.restype = c.c_int64
+    lib.gss_node_resolve.argtypes = [
+        c.c_void_p, c.c_int32,  # ctx, mode
+        c.c_char_p, c.c_int64,  # bytes, bytes_len
+        c.c_void_p, c.c_int64,  # lengths, n
+        c.c_uint64, c.c_uint64,  # seeded FNV initial state, hash_range
+        c.c_void_p, c.c_void_p, c.c_void_p,  # hashes, ids, conflict
+    ]
+    lib.gss_node_one.restype = c.c_int64
+    lib.gss_node_one.argtypes = [c.c_void_p, c.c_char_p, c.c_int64, c.c_int64]
+    lib.gss_node_ids.restype = c.c_int64
+    lib.gss_node_ids.argtypes = [c.c_void_p, c.c_void_p, c.c_int64, c.c_void_p]  # ctx, hashes, n, out
     lib.gss_router_new.restype = c.c_void_p
     lib.gss_router_new.argtypes = [c.c_int64]
     lib.gss_router_free.restype = None

@@ -24,15 +24,21 @@
  *
  * gss_ingest_text_batch() pushes the boundary one stage earlier: it takes
  * the batch's node identifiers as a single NUL-joined UTF-8 blob
- * (interleaved source0, dest0, source1, dest1, ...), hashes each token with
- * the same seeded FNV-1a / splitmix64 mix as repro.hashing.hash_functions,
- * memoizes tokens in a persistent bytes->hash table (so repeat nodes are a
- * probe, not a rehash of Python machinery), packs the edge keys and then
- * runs the exact pipeline above — so for string node IDs an entire
- * update_many() batch crosses the Python/kernel boundary once.  Genuinely
- * new nodes come back as (token index, hash) pairs so Python can register
- * them in the reverse node index in the same first-seen interleaved order
- * the scalar backends use.
+ * (interleaved source0, dest0, source1, dest1, ...), resolves each token
+ * through the sketch's node table — hashing a node it has never seen with
+ * the same seeded FNV-1a / splitmix64 mix as repro.hashing.hash_functions
+ * and recording it in first-seen interleaved order, as the scalar backends
+ * do — packs the edge keys and then runs the exact pipeline above, so for
+ * string node IDs an entire update_many() batch crosses the Python/kernel
+ * boundary once.
+ *
+ * That node table is the paper's <H(v), v> table for every string node of
+ * a native GSS: gss_node_resolve() looks tokens up, resolves them (hashing
+ * the new ones) or records them under supplied hashes (restores, merges,
+ * shard messages), with explicit lengths so a NUL inside an ID is fine;
+ * gss_node_ids() writes the IDs recorded under a set of hashes — a
+ * successor or precursor answer — or every ID in first-seen order into one
+ * buffer.  A hash -> entry index chains the entries that share a hash.
  *
  * gss_route_text_batch() is the sharded deployment's front end, run in the
  * parent over the same blob: against its own persistent node table
@@ -85,11 +91,10 @@
 #define FNV_PRIME 0x100000001B3ULL
 #define FNV_OFFSET 0xCBF29CE484222325ULL
 
-/* Node-table entry: one distinct node identifier ever seen by a text path,
- * stored densely in first-seen order — entry id - 1 for the node's 1-based
- * ordinal id, which also indexes the owner's per-node side arrays.  The
- * identifier's bytes are arena[off, off + len) and hmod is its sketch hash
- * H(v). */
+/* Node-table entry: one distinct node identifier, stored densely in
+ * first-seen order — entry id - 1 for the node's 1-based ordinal id, which
+ * also indexes the owner's per-node side arrays.  The identifier's bytes are
+ * arena[off, off + len) and hmod is its sketch hash H(v). */
 typedef struct {
     uint64_t hmod;
     uint32_t off;
@@ -100,9 +105,11 @@ typedef struct {
  * pow2) holding entry ids, 0 for empty, placed by the FNV-1a / splitmix64
  * mix of the bytes from the unseeded offset basis — so a token that arrives
  * already hashed finds its entry without its sketch hash being computed.
- * The arena is capped at 4 GiB (32-bit offsets): a batch that would take
- * it past the cap is refused (-2), and the caller ingests it without the
- * kernel's node table. */
+ * A sketch's table also indexes its entries by hmod: heads (open
+ * addressing by mix_key(hmod)) holds the newest entry of each hash, and
+ * same[id - 1] the next older entry with that hash (0 ends the chain); a
+ * router's table leaves heads NULL.  The arena is capped at 4 GiB (32-bit
+ * offsets): a batch that would take it past the cap is refused (-2). */
 typedef struct {
     uint32_t *slots;
     int64_t cap;
@@ -112,7 +119,24 @@ typedef struct {
     unsigned char *arena;
     int64_t arena_len;
     int64_t arena_cap;
+    uint32_t *heads;
+    int64_t head_cap;
+    uint32_t *same;
 } node_table;
+
+/* gss_node_ids()'s output buffers, owned by the caller: room for ids_cap
+ * IDs in bytes_cap bytes.  The call sets count and len — the IDs there are
+ * and the bytes they take, each followed by a NUL — and writes the IDs, each
+ * one's byte length and hash when they fit. */
+typedef struct {
+    unsigned char *bytes;
+    int64_t bytes_cap;
+    int64_t *lengths;
+    uint64_t *hashes;
+    int64_t ids_cap;
+    int64_t count;
+    int64_t len;
+} node_ids_out;
 
 typedef struct {
     /* persistent edge->slot open-addressing table (linear probing, pow2) */
@@ -122,8 +146,11 @@ typedef struct {
     int64_t count;
     int has_max_key;
     int64_t max_key_val;
-    /* persistent node table (text path memo) */
+    /* persistent node table, indexed by hash; nodes_full is set once a
+     * reservation hits the arena cap and refuses every later one, so the
+     * caller's overflow store never holds a node the table could take */
     node_table nodes;
+    int nodes_full;
     /* per-batch scratch, grown on demand and reused across batches */
     uint64_t *bkeys;   /* batch aggregation table: key -> unique index */
     int64_t *bvals;
@@ -194,7 +221,7 @@ int64_t gss_ingest_text_batch(
     uint8_t *fill,
     uint64_t *spill_keys, double *spill_sums, int64_t *spill_count,
     uint64_t *rebuf_keys, double *rebuf_sums, int64_t *rebuf_count,
-    int64_t *new_tokens, uint64_t *new_hashes, int64_t *new_count);
+    int64_t *hashed);
 int64_t gss_neighbor_scan(
     uint64_t node_hash, int32_t forward,
     uint64_t fp_range, int64_t width, int64_t rooms,
@@ -214,6 +241,15 @@ int64_t gss_route_text_batch(
     uint64_t *out_src, uint64_t *out_dst, double *out_weights,
     int64_t *item_counts,
     int64_t *new_tokens, uint64_t *new_hashes, int64_t *new_counts);
+int64_t gss_node_count(gss_ctx *ctx);
+int64_t gss_node_resolve(
+    gss_ctx *ctx, int32_t mode,
+    const unsigned char *bytes, int64_t bytes_len,
+    const int64_t *lengths, int64_t n,
+    uint64_t fnv_state0, uint64_t hash_range,
+    uint64_t *hashes, int64_t *ids, int64_t *conflict);
+int64_t gss_node_one(gss_ctx *ctx, const unsigned char *token, int64_t len, int64_t hash);
+int64_t gss_node_ids(gss_ctx *ctx, const uint64_t *hashes, int64_t n, node_ids_out *out);
 
 static uint64_t mix_key(uint64_t value) {
     /* splitmix64 finalizer — identical to hash_functions._splitmix64 */
@@ -244,22 +280,41 @@ static uint64_t hash_token(const unsigned char *token, uint32_t len, uint64_t st
     return mix_key(state);
 }
 
-static int node_table_init(node_table *table) {
+/* A fresh table; by_hash also allocates the hash -> entry index. */
+static int node_table_init(node_table *table, int by_hash) {
     memset(table, 0, sizeof(*table));
     table->cap = 1024;
     table->slots = (uint32_t *)calloc((size_t)table->cap, sizeof(uint32_t));
-    return table->slots ? 0 : -1;
+    if (!table->slots) return -1;
+    if (by_hash) {
+        table->head_cap = 1024;
+        table->heads = (uint32_t *)calloc((size_t)table->head_cap, sizeof(uint32_t));
+        if (!table->heads) return -1;
+    }
+    return 0;
 }
 
 static void node_table_free(node_table *table) {
     free(table->slots);
     free(table->entries);
     free(table->arena);
+    free(table->heads);
+    free(table->same);
+}
+
+/* The heads slot of hash hmod: the slot holding the id of its newest entry,
+ * or the empty slot where that id goes. */
+static uint32_t *node_head(uint32_t *heads, int64_t head_cap,
+                           const node_entry *entries, uint64_t hmod) {
+    uint64_t mask = (uint64_t)head_cap - 1;
+    uint64_t pos = mix_key(hmod) & mask;
+    while (heads[pos] && entries[heads[pos] - 1].hmod != hmod) pos = (pos + 1) & mask;
+    return &heads[pos];
 }
 
 /* Grow the table so `tokens` more nodes fit under 70% load and the arena so
  * `bytes` more identifier bytes fit.  A batch reserves its worst case up
- * front, so node_lookup never allocates and a failed batch leaves the table
+ * front, so node_add never allocates and a failed batch leaves the table
  * untouched.  Returns 0, -1 on allocation failure, or -2 when the arena
  * would pass its 4 GiB cap. */
 static int node_reserve(node_table *table, int64_t tokens, int64_t bytes) {
@@ -280,6 +335,22 @@ static int node_reserve(node_table *table, int64_t tokens, int64_t bytes) {
         table->slots = slots;
         table->cap = cap;
     }
+    if (table->heads) {
+        /* at most one head per entry, so the entry count bounds the load */
+        int64_t head_cap = table->head_cap;
+        while ((table->count + tokens) * 10 >= head_cap * 7) head_cap *= 2;
+        if (head_cap != table->head_cap) {
+            uint32_t *heads = (uint32_t *)calloc((size_t)head_cap, sizeof(uint32_t));
+            if (!heads) return -1;
+            for (int64_t i = 0; i < table->head_cap; i++) {
+                uint32_t id = table->heads[i];
+                if (id) *node_head(heads, head_cap, table->entries, table->entries[id - 1].hmod) = id;
+            }
+            free(table->heads);
+            table->heads = heads;
+            table->head_cap = head_cap;
+        }
+    }
     if (table->count + tokens > table->entry_cap) {
         int64_t entry_cap = table->entry_cap ? table->entry_cap : 1024;
         while (entry_cap < table->count + tokens) entry_cap *= 2;
@@ -287,6 +358,11 @@ static int node_reserve(node_table *table, int64_t tokens, int64_t bytes) {
             (node_entry *)realloc(table->entries, (size_t)entry_cap * sizeof(node_entry));
         if (!entries) return -1;
         table->entries = entries;
+        if (table->heads) {
+            uint32_t *same = (uint32_t *)realloc(table->same, (size_t)entry_cap * sizeof(uint32_t));
+            if (!same) return -1;
+            table->same = same;
+        }
         table->entry_cap = entry_cap;
     }
     if (table->arena_len + bytes > table->arena_cap) {
@@ -300,31 +376,38 @@ static int node_reserve(node_table *table, int64_t tokens, int64_t bytes) {
     return 0;
 }
 
-/* The token's entry, added (bytes copied into the arena, *added set) when
- * the node is new; the caller then sets the new entry's hmod.  Needs a
- * prior node_reserve covering the addition. */
-static node_entry *node_lookup(node_table *table, const unsigned char *token,
-                               uint32_t len, int *added) {
+/* The slot of the token: it holds the token's entry id, or 0 when the node
+ * is new — then node_add records it there. */
+static uint32_t *node_slot(node_table *table, const unsigned char *token, uint32_t len) {
     uint64_t mask = (uint64_t)table->cap - 1;
     for (uint64_t pos = hash_token(token, len, FNV_OFFSET) & mask;; pos = (pos + 1) & mask) {
         uint32_t id = table->slots[pos];
-        if (!id) {
-            node_entry *entry = &table->entries[table->count];
-            memcpy(table->arena + table->arena_len, token, len);
-            entry->off = (uint32_t)table->arena_len;
-            entry->len = len;
-            entry->hmod = 0;
-            table->slots[pos] = (uint32_t)(++table->count);
-            table->arena_len += len;
-            *added = 1;
-            return entry;
-        }
-        node_entry *entry = &table->entries[id - 1];
-        if (entry->len == len && memcmp(table->arena + entry->off, token, len) == 0) {
-            *added = 0;
-            return entry;
-        }
+        if (!id) return &table->slots[pos];
+        const node_entry *entry = &table->entries[id - 1];
+        if (entry->len == len && (!len || memcmp(table->arena + entry->off, token, len) == 0))
+            return &table->slots[pos];
     }
+}
+
+/* Record a new node at its empty slot under hash hmod (bytes copied into the
+ * arena, the entry chained under its hash).  Needs a prior node_reserve
+ * covering the addition. */
+static node_entry *node_add(node_table *table, uint32_t *slot,
+                            const unsigned char *token, uint32_t len, uint64_t hmod) {
+    node_entry *entry = &table->entries[table->count];
+    if (len) memcpy(table->arena + table->arena_len, token, len);
+    entry->off = (uint32_t)table->arena_len;
+    entry->len = len;
+    entry->hmod = hmod;
+    uint32_t id = (uint32_t)(++table->count);
+    *slot = id;
+    table->arena_len += len;
+    if (table->heads) {
+        uint32_t *head = node_head(table->heads, table->head_cap, table->entries, hmod);
+        table->same[id - 1] = *head;
+        *head = id;
+    }
+    return entry;
 }
 
 /* Number of NUL separators in the blob: a batch of k tokens has k - 1. */
@@ -345,9 +428,10 @@ gss_ctx *gss_new(void) {
     ctx->capacity = 1024;
     ctx->keys = (uint64_t *)malloc((size_t)ctx->capacity * sizeof(uint64_t));
     ctx->vals = (int64_t *)malloc((size_t)ctx->capacity * sizeof(int64_t));
-    if (!ctx->keys || !ctx->vals || node_table_init(&ctx->nodes) != 0) {
+    if (!ctx->keys || !ctx->vals || node_table_init(&ctx->nodes, 1) != 0) {
         free(ctx->keys);
         free(ctx->vals);
+        node_table_free(&ctx->nodes);
         free(ctx);
         return NULL;
     }
@@ -654,12 +738,22 @@ int64_t gss_ingest_batch(
         rebuf_keys, rebuf_sums, rebuf_count);
 }
 
+/* Reserve room in a sketch's node table (node_reserve), refusing (-2) once
+ * any reservation has hit the arena cap. */
+static int ctx_reserve(gss_ctx *ctx, int64_t tokens, int64_t bytes) {
+    if (ctx->nodes_full) return -2;
+    int reserved = node_reserve(&ctx->nodes, tokens, bytes);
+    if (reserved == -2) ctx->nodes_full = 1;
+    return reserved;
+}
+
 /* Whole-batch text ingestion: blob holds 2n NUL-separated UTF-8 node IDs in
- * interleaved (source, destination) stream order.  Returns the number of
- * rooms placed, -1 on allocation failure, or -2 when the kernel cannot take
- * the batch — the token count does not match 2n, or the node arena is full
- * (checked before any state mutation, so the caller can fall back to the
- * per-key path with the kernel untouched). */
+ * interleaved (source, destination) stream order.  Each token resolves to
+ * its recorded hash; a new node is hashed and recorded, and *hashed counts
+ * them.  Returns the number of rooms placed, -1 on allocation failure, or
+ * -2 when the kernel cannot take the batch — the token count does not match
+ * 2n, or the node arena is full (checked before any state mutation, so the
+ * caller can fall back to the per-key path with the kernel untouched). */
 int64_t gss_ingest_text_batch(
     gss_ctx *ctx,
     const unsigned char *blob, int64_t blob_len,
@@ -676,8 +770,9 @@ int64_t gss_ingest_text_batch(
     uint8_t *fill,
     uint64_t *spill_keys, double *spill_sums, int64_t *spill_count,
     uint64_t *rebuf_keys, double *rebuf_sums, int64_t *rebuf_count,
-    int64_t *new_tokens, uint64_t *new_hashes, int64_t *new_count)
+    int64_t *hashed)
 {
+    *hashed = 0;
     if (n <= 0) return 0;
     /* Defensive token-count check (Python already screens for embedded
      * NULs); it and every allocation run before any mutation, so -2 is a
@@ -689,26 +784,25 @@ int64_t gss_ingest_text_batch(
         if (!ctx->tkeys) return -1;
         ctx->tcap = n;
     }
-    int reserved = node_reserve(&ctx->nodes, 2 * n, blob_len);
+    int reserved = ctx_reserve(ctx, 2 * n, blob_len);
     if (reserved != 0) return reserved;
-    *new_count = 0;
     uint64_t prev_hmod = 0;
     int64_t tok_start = 0;
     int64_t t = 0;
     for (int64_t i = 0; i <= blob_len; i++) {
         if (i < blob_len && blob[i] != 0) continue;
-        /* token t = blob[tok_start:i), memoized in the node table; first
-         * sightings are reported */
+        /* token t = blob[tok_start:i) */
+        const unsigned char *token = blob + tok_start;
         uint32_t len = (uint32_t)(i - tok_start);
-        int added;
-        node_entry *entry = node_lookup(&ctx->nodes, blob + tok_start, len, &added);
-        if (added) {
-            entry->hmod = hash_token(blob + tok_start, len, fnv_state0) % hash_range;
-            new_tokens[*new_count] = t;
-            new_hashes[*new_count] = entry->hmod;
-            (*new_count)++;
+        uint32_t *slot = node_slot(&ctx->nodes, token, len);
+        uint64_t hmod;
+        if (*slot) {
+            hmod = ctx->nodes.entries[*slot - 1].hmod;
+        } else {
+            hmod = hash_token(token, len, fnv_state0) % hash_range;
+            node_add(&ctx->nodes, slot, token, len, hmod);
+            (*hashed)++;
         }
-        uint64_t hmod = entry->hmod;
         if (t & 1)
             ctx->tkeys[t >> 1] = prev_hmod * hash_range + hmod;
         else
@@ -768,7 +862,7 @@ gss_router *gss_router_new(int64_t shards) {
     if (shards < 1 || shards > ROUTER_MAX_SHARDS) return NULL;
     gss_router *router = (gss_router *)calloc(1, sizeof(gss_router));
     if (!router) return NULL;
-    if (node_table_init(&router->nodes) != 0) {
+    if (node_table_init(&router->nodes, 0) != 0) {
         free(router);
         return NULL;
     }
@@ -873,10 +967,13 @@ int64_t gss_route_text_batch(
         if (i < blob_len && blob[i] != 0) continue;
         const unsigned char *token = blob + tok_start;
         uint32_t len = (uint32_t)(i - tok_start);
-        int added;
-        node_entry *entry = node_lookup(&router->nodes, token, len, &added);
-        if (added) {
-            entry->hmod = hash_token(token, len, node_state0) % hash_range;
+        uint32_t *slot = node_slot(&router->nodes, token, len);
+        node_entry *entry;
+        if (*slot) {
+            entry = &router->nodes.entries[*slot - 1];
+        } else {
+            entry = node_add(&router->nodes, slot, token, len,
+                             hash_token(token, len, node_state0) % hash_range);
             hashed++;
         }
         int64_t id = entry - router->nodes.entries;
@@ -980,4 +1077,137 @@ int64_t gss_neighbor_scan(
         }
     }
     return found;
+}
+
+/* Nodes recorded in the sketch's node table. */
+int64_t gss_node_count(gss_ctx *ctx) {
+    return ctx->nodes.count;
+}
+
+/* Modes of gss_node_resolve. */
+#define NODE_LOOKUP 0
+#define NODE_RESOLVE 1
+#define NODE_RECORD 2
+
+/* The sketch's node table for n tokens laid back to back in bytes (token i
+ * is lengths[i] bytes long; a NUL inside a token is fine).  ids[i] becomes
+ * the token's 1-based entry id (its first-seen position), and
+ *
+ *   NODE_LOOKUP  — hashes[i] its recorded hash, or ids[i] = 0 when the node
+ *                  is unknown; nothing changes;
+ *   NODE_RESOLVE — hashes[i] its recorded hash, a new node hashed with the
+ *                  seeded FNV state fnv_state0 and recorded;
+ *   NODE_RECORD  — a new node is recorded under the supplied hashes[i]; a
+ *                  known node recorded under another hash leaves *conflict
+ *                  at the first such i (else -1), and every other token is
+ *                  still recorded.
+ *
+ * New nodes are recorded in token order.  Returns the number recorded (0 for
+ * a lookup), -1 on allocation failure, or -2 when the table cannot take the
+ * tokens — their lengths do not add up to bytes_len, or the arena is full;
+ * both leave the table unchanged. */
+int64_t gss_node_resolve(
+    gss_ctx *ctx, int32_t mode,
+    const unsigned char *bytes, int64_t bytes_len,
+    const int64_t *lengths, int64_t n,
+    uint64_t fnv_state0, uint64_t hash_range,
+    uint64_t *hashes, int64_t *ids, int64_t *conflict)
+{
+    int64_t total = 0;
+    for (int64_t i = 0; i < n; i++) {
+        if (lengths[i] < 0 || lengths[i] > bytes_len - total) return -2;
+        total += lengths[i];
+    }
+    if (total != bytes_len) return -2;
+    if (mode != NODE_LOOKUP) {
+        int reserved = ctx_reserve(ctx, n, bytes_len);
+        if (reserved != 0) return reserved;
+    }
+    *conflict = -1;
+    node_table *table = &ctx->nodes;
+    int64_t added = 0;
+    const unsigned char *token = bytes;
+    for (int64_t i = 0; i < n; token += lengths[i], i++) {
+        uint32_t len = (uint32_t)lengths[i];
+        uint32_t *slot = node_slot(table, token, len);
+        if (*slot) {
+            const node_entry *entry = &table->entries[*slot - 1];
+            if (mode != NODE_RECORD)
+                hashes[i] = entry->hmod;
+            else if (entry->hmod != hashes[i] && *conflict < 0)
+                *conflict = i;
+        } else if (mode == NODE_LOOKUP) {
+            ids[i] = 0;
+            continue;
+        } else {
+            uint64_t hmod = mode == NODE_RESOLVE
+                ? hash_token(token, len, fnv_state0) % hash_range
+                : hashes[i];
+            node_add(table, slot, token, len, hmod);
+            hashes[i] = hmod;
+            added++;
+        }
+        ids[i] = *slot;
+    }
+    return added;
+}
+
+/* One token's entry: with hash < 0, a lookup — its recorded hash, or -1
+ * when the node is unknown; else a record — a new node is recorded under
+ * hash, and the node's recorded hash is returned (another hash than the one
+ * given means it was recorded under that one before).  -2: the arena is
+ * full, -3: allocation failure; both leave the table unchanged. */
+int64_t gss_node_one(gss_ctx *ctx, const unsigned char *token, int64_t len, int64_t hash) {
+    if (len < 0 || len > (int64_t)UINT32_MAX) return hash < 0 ? -1 : -2;
+    uint32_t *slot = node_slot(&ctx->nodes, token, (uint32_t)len);
+    if (*slot) return (int64_t)ctx->nodes.entries[*slot - 1].hmod;
+    if (hash < 0) return -1;
+    int reserved = ctx_reserve(ctx, 1, len);
+    if (reserved != 0) return reserved == -2 ? -2 : -3;
+    /* the reservation may have rehashed the slots */
+    node_add(&ctx->nodes, node_slot(&ctx->nodes, token, (uint32_t)len), token,
+             (uint32_t)len, (uint64_t)hash);
+    return hash;
+}
+
+/* Write the IDs recorded under each of the n distinct hashes — or, for
+ * n < 0, every recorded ID in first-seen order — into the caller's buffers
+ * (node_ids_out).  Returns the bytes written, or -1 when they do not fit,
+ * and then out->count and out->len say what would. */
+int64_t gss_node_ids(gss_ctx *ctx, const uint64_t *hashes, int64_t n, node_ids_out *out) {
+    node_table *table = &ctx->nodes;
+    int64_t count = 0;
+    int64_t bytes = 0;
+    if (n < 0) {
+        count = table->count;
+        bytes = table->arena_len;
+    } else {
+        for (int64_t k = 0; k < n; k++) {
+            uint32_t id = *node_head(table->heads, table->head_cap, table->entries, hashes[k]);
+            for (; id; id = table->same[id - 1]) {
+                count++;
+                bytes += table->entries[id - 1].len;
+            }
+        }
+    }
+    out->count = count;
+    out->len = bytes + count;
+    if (count > out->ids_cap || out->len > out->bytes_cap) return -1;
+    int64_t written = 0;
+    unsigned char *cursor = out->bytes;
+    for (int64_t k = 0; n < 0 ? k < table->count : k < n; k++) {
+        uint32_t id = n < 0 ? (uint32_t)(k + 1)
+                            : *node_head(table->heads, table->head_cap, table->entries, hashes[k]);
+        while (id) {
+            const node_entry *entry = &table->entries[id - 1];
+            if (entry->len) memcpy(cursor, table->arena + entry->off, entry->len);
+            cursor += entry->len;
+            *cursor++ = 0;
+            out->lengths[written] = entry->len;
+            out->hashes[written] = entry->hmod;
+            written++;
+            id = n < 0 ? 0 : table->same[id - 1];
+        }
+    }
+    return out->len;
 }

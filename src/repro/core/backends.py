@@ -1,7 +1,8 @@
 """Pluggable matrix-storage backends for the Graph Stream Sketch.
 
 :class:`~repro.core.gss.GSS` owns the hashing, the left-over buffer, the
-reverse node index and the query API; *where the matrix rooms live* is the
+reverse node index (on the native backend, over the kernel's node table)
+and the query API; *where the matrix rooms live* is the
 backend's business, and each backend has one placement engine.  The GSS
 resolves a batch's node IDs to ``H(s)`` / ``H(d)`` columns, and a backend
 places hash columns: ``ingest_columns`` is the one batch entry point of
@@ -56,6 +57,7 @@ from bisect import insort
 from time import perf_counter
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
+from repro.core.reverse_index import KernelNodeIndex
 from repro.hashing.hash_functions import _FNV_OFFSET, _count_hashes, _splitmix64
 from repro.hashing.linear_congruence import (
     address_sequence,
@@ -363,7 +365,7 @@ class PythonMatrixBackend:
                         destination_fp,
                         stored_source_index,
                         stored_destination_index,
-                        weight,
+                        0.0 + weight,
                     ],
                 )
                 return
@@ -542,6 +544,13 @@ class NativeMatrixBackend:
     threads at once.  Only restores (:meth:`register_room`) write the room
     arrays directly.
 
+    The kernel context also holds the sketch's node table, which is the
+    reverse node index of its string IDs (:meth:`make_node_index`,
+    :class:`~repro.core.reverse_index.KernelNodeIndex`): the text path
+    resolves every token through it, and restores, merges, shard messages
+    and the GSS's resolver record there, so each string node is stored
+    once, as UTF-8 bytes in the kernel's arena.
+
     Construction compiles/binds the kernel, so building a store *is* the
     warm-up; every benchmark harness in this repo constructs stores outside
     timed regions.  ``make_backend`` guards the kernel's envelope: packed
@@ -600,11 +609,17 @@ class NativeMatrixBackend:
         self._scratch_len = 0
         self._spill_ctr = ctypes.c_int64(0)
         self._rebuf_ctr = ctypes.c_int64(0)
-        self._new_ctr = ctypes.c_int64(0)
+        self._hashed_ctr = ctypes.c_int64(0)
         # The one-row batch of a scalar insert; its call is bound with the
         # batch arguments.
         self._row_key = np.empty(1, dtype=np.uint64)
         self._row_weight = np.empty(1, dtype=np.float64)
+
+    def make_node_index(self) -> KernelNodeIndex:
+        """The sketch's reverse node index: string IDs live only in the
+        kernel's node table, which :meth:`ingest_text` resolves every token
+        through."""
+        return KernelNodeIndex(self)
 
     # -- storage plumbing --------------------------------------------------
 
@@ -755,8 +770,6 @@ class NativeMatrixBackend:
         self._sc_spill_sums = np.empty(count, dtype=np.float64)
         self._sc_rebuf_keys = np.empty(count, dtype=np.uint64)
         self._sc_rebuf_sums = np.empty(count, dtype=np.float64)
-        self._sc_new_tokens = np.empty(2 * count, dtype=np.int64)
-        self._sc_new_hashes = np.empty(2 * count, dtype=np.uint64)
         self._scratch_len = count
         self._batch_args = (
             *self._kernel_config,
@@ -786,9 +799,7 @@ class NativeMatrixBackend:
         self._text_batch_args = (
             self._fnv_state0,
             *self._batch_args,
-            self._sc_new_tokens.ctypes.data,
-            self._sc_new_hashes.ctypes.data,
-            ctypes.addressof(self._new_ctr),
+            ctypes.addressof(self._hashed_ctr),
         )
 
     def ingest_text(self, tokens: List, weights: List) -> Optional[int]:
@@ -800,17 +811,16 @@ class NativeMatrixBackend:
         :func:`~repro.streaming.batch.text_blob` joins the tokens into one
         NUL-joined UTF-8 blob (interleaved source/destination stream
         order); a token that is not a NUL-free, encodable ``str`` declines
-        the batch.  The kernel hashes each token with the same seeded
-        FNV-1a/splitmix64 mix as
-        :func:`repro.hashing.hash_functions.hash_string`, memoizes it in a
-        persistent C node table, packs the edge keys and runs the
-        aggregate/classify/place pipeline — hashing included, the batch
-        crosses the Python/kernel boundary exactly once.  Genuinely new
-        nodes come back as token indices; the batch's own node objects at
-        those positions of the token list are recorded in the reverse node
-        index (first-seen interleaved order, like the scalar paths), so the
-        kernel's node table is their only node -> hash memo.  The hash-once
-        counter is credited with exactly the keys the kernel mixed.
+        the batch.  The kernel resolves each token through its node table —
+        the sketch's reverse index of string IDs (:meth:`make_node_index`),
+        so a node keeps the hash it was recorded under — hashes and records
+        the new ones with the same seeded FNV-1a/splitmix64 mix as
+        :func:`repro.hashing.hash_functions.hash_string`, in first-seen
+        interleaved order like the scalar paths, packs the edge keys and
+        runs the aggregate/classify/place pipeline: hashing included, the
+        batch crosses the Python/kernel boundary exactly once.  The
+        hash-once counter is credited with exactly the keys the kernel
+        mixed.
         """
         registry = obs_active()
         if registry is not None:
@@ -832,28 +842,13 @@ class NativeMatrixBackend:
         if placed < 0:  # pragma: no cover - allocation failure
             raise MemoryError("native kernel batch allocation failed")
         self.matrix_edge_count += placed
+        _count_hashes(self._hashed_ctr.value)
         if registry is not None:
             stage_histogram(registry, "placement").observe(perf_counter() - started)
             started = perf_counter()
         self._apply_buffer_arrays()
         if registry is not None:
             stage_histogram(registry, "buffer_spill").observe(perf_counter() - started)
-            started = perf_counter()
-        fresh = self._new_ctr.value
-        if fresh:
-            node_index = self._sketch._node_index
-            if node_index is not None:
-                # Recording the caller's own node objects keeps no second,
-                # decoded copy.
-                node_index.record_new_many(
-                    zip(
-                        map(tokens.__getitem__, self._sc_new_tokens[:fresh].tolist()),
-                        self._sc_new_hashes[:fresh].tolist(),
-                    )
-                )
-            _count_hashes(fresh)
-        if registry is not None:
-            stage_histogram(registry, "hashing").observe(perf_counter() - started)
         return count
 
     def ingest_columns(self, source_hashes, destination_hashes, weights) -> int:

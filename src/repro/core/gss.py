@@ -12,7 +12,9 @@ sampling probes only ``k`` of the resulting ``r * r`` buckets per edge.  Both
 optimizations — and the number of rooms — can be switched off to reproduce the
 paper's ablations.
 
-The :class:`GSS` owns the hashing, the reverse node index, the left-over
+The :class:`GSS` owns the hashing, the reverse node index (the paper's
+``<H(v), v>`` table; on the native backend its string IDs live only in the
+kernel's node table, see :mod:`repro.core.reverse_index`), the left-over
 buffer and the query API; where a room goes is its matrix backend's
 business (``GSSConfig.backend``, see :mod:`repro.core.backends`), each with
 one placement engine.  The default pure-Python backend keeps the
@@ -64,11 +66,15 @@ class GSS(SummaryShims):
         self._hasher = NodeHasher(value_range=config.hash_range, seed=config.seed)
         self._lcg = LinearCongruentialSequence()
         self._buffer = LeftoverBuffer()
-        self._node_index: Optional[NodeIndex] = NodeIndex() if config.keep_node_index else None
         self._update_count = 0
         # Matrix storage is delegated to the configured backend; see
         # repro.core.backends for the layout and the equivalence argument.
         self._matrix = make_backend(self)
+        # The native backend's kernel node table is the index of its string
+        # IDs (repro.core.reverse_index.KernelNodeIndex).
+        self._node_index: Optional[NodeIndex] = None
+        if config.keep_node_index:
+            self._node_index = getattr(self._matrix, "make_node_index", NodeIndex)()
         # The native backend's text entry: it places a batch of string IDs
         # whole, or declines it to _ingest_nodes.
         self._ingest_text = getattr(self._matrix, "ingest_text", None)
@@ -80,19 +86,28 @@ class GSS(SummaryShims):
         return self._hasher(node)
 
     def _check_hashes(self, *columns: Sequence[int]) -> None:
-        """Refuse (``ValueError``) hash columns holding a value outside
-        ``[0, M)``, before anything changes.
+        """Refuse hash columns holding a value that is not an integer
+        (``TypeError``) or lies outside ``[0, M)`` (``ValueError``), before
+        anything changes.
 
-        One min/max per column; an unsigned NumPy column needs only its max.
+        A list takes one ``type`` pass (a type is an integer type when
+        :func:`operator.index` takes it), a NumPy column a dtype check; then
+        one min/max per column, and an unsigned NumPy column needs only its
+        max.
         """
         hash_range = self.config.hash_range
         for column in columns:
             if not len(column):
                 continue
             if hasattr(column, "dtype"):
+                if column.dtype.kind not in "iu":
+                    raise TypeError(f"node hashes must be integers, not {column.dtype}")
                 low = 0 if column.dtype.kind == "u" else column.min()
                 high = column.max()
             else:
+                for kind in dict.fromkeys(map(type, column)):
+                    if not hasattr(kind, "__index__"):
+                        raise TypeError(f"node hashes must be integers, not {kind.__name__}")
                 low, high = min(column), max(column)
             if low < 0 or high >= hash_range:
                 outside = low if low < 0 else high
@@ -133,7 +148,9 @@ class GSS(SummaryShims):
         streaming-graph semantics of Definition 1.  A weight that is not a
         real number is refused (``ValueError``) before anything changes, as
         by every batched path, and so is an ID the node index cannot hold
-        (``TypeError``) or the hasher cannot encode.  The backend places the
+        (``TypeError``) or the hasher cannot encode.  Both nodes are
+        recorded in the reverse node index (a native sketch records a
+        string ID in its kernel's node table).  The backend places the
         edge as a batch of one: the native backend runs it through its
         kernel, the python backend walks the edge's candidate buckets.
         """
@@ -203,27 +220,27 @@ class GSS(SummaryShims):
         """Resolve a cut batch's node IDs to hash columns and place them
         through :meth:`_place`.
 
-        Each distinct node resolves through the reverse node index, so only
-        the nodes it lacks are hashed — once per batch, and never again
-        while the index holds them (a sketch without one hashes each
-        batch's nodes afresh).  Those are recorded in first-seen
-        interleaved order once the whole batch is read: an ID that is
+        Each distinct node resolves through the reverse node index
+        (``resolve``), so only the nodes it lacks are hashed — once per
+        batch, and never again while the index holds them (a sketch without
+        one hashes each batch's nodes afresh) — and those are recorded in
+        first-seen interleaved order.  On a native sketch the string IDs
+        resolve in the kernel's node table in one call.  An ID that is
         unhashable (``TypeError``) or that the hasher cannot encode
         (``ValueError``) refuses the batch before anything changes.
         ``weights`` were checked by the cut.
         """
         registry = obs_active()
         started = perf_counter() if registry is not None else 0.0
-        hashes = dict.fromkeys(tokens)
+        distinct = list(dict.fromkeys(tokens))
         if self._node_index is not None:
-            hashes = dict(zip(hashes, self._node_index.get_many(hashes)))
-        fresh = [node for node, node_hash in hashes.items() if node_hash is None]
-        fresh_hashes = list(map(self._hasher, fresh))
-        hashes.update(zip(fresh, fresh_hashes))
-        column = list(map(hashes.__getitem__, tokens))
+            resolved = self._node_index.resolve(distinct, self._hasher)
+        else:
+            resolved = list(map(self._hasher, distinct))
+        column = list(map(dict(zip(distinct, resolved)).__getitem__, tokens))
         if registry is not None:
             stage_histogram(registry, "hashing").observe(perf_counter() - started)
-        return self._place(column[0::2], column[1::2], weights, fresh, fresh_hashes)
+        return self._place(column[0::2], column[1::2], weights)
 
     def update_many_by_hash(self, edges: Iterable[Tuple[int, int, float]]) -> int:
         """Batch variant of :meth:`update_by_hash` for merge/replay paths.
@@ -263,21 +280,24 @@ class GSS(SummaryShims):
     ) -> int:
         """Ingest aligned ``H(s)`` / ``H(d)`` / weight columns, in stream
         order and under :meth:`hash_spec`, recording ``nodes`` under
-        ``node_hashes`` in the reverse node index first.
+        ``node_hashes`` in the reverse node index first (a native sketch
+        records its string IDs in the kernel's node table).
 
         The sharded deployment's shard ingest: each shard message carries
         only the nodes the shard may not know yet, and nodes already
         recorded are skipped.  A weight that is not a real number or a hash
-        outside ``[0, M)`` raises ``ValueError`` before any node is
-        recorded.  A node recorded under
-        another hash raises ``ValueError`` once the message's other nodes
-        are recorded, and the columns are then not placed.  Columns may be
+        (node hashes included) outside ``[0, M)`` raises ``ValueError``, and
+        a hash that is not an integer ``TypeError``, before any node is
+        recorded.  A node
+        recorded under another hash raises ``ValueError`` once the
+        message's other nodes are recorded, and the columns are then not
+        placed.  Columns may be
         lists or NumPy arrays; no hashing happens here.  Returns the number
         of stream items applied.
         """
         if isinstance(weights, list):  # arrays are float64 already
             weights = weight_column(weights, vectorized=False)
-        self._check_hashes(source_hashes, destination_hashes)
+        self._check_hashes(source_hashes, destination_hashes, node_hashes)
         return self._place(source_hashes, destination_hashes, weights, nodes, node_hashes)
 
     def _place(
@@ -422,7 +442,11 @@ class GSS(SummaryShims):
 
     @property
     def node_index(self) -> Optional[NodeIndex]:
-        """The reverse node table, or ``None`` when disabled."""
+        """The reverse node table, or ``None`` when disabled: a
+        :class:`~repro.core.reverse_index.NodeIndex`, or on the native
+        backend a :class:`~repro.core.reverse_index.KernelNodeIndex` with
+        the same interface, whose string IDs come back as plain ``str``
+        decoded from the kernel's node table."""
         return self._node_index
 
     @property

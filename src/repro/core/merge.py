@@ -56,8 +56,7 @@ def merge_into(target: GSS, source: GSS) -> GSS:
         )
     target.update_many_by_hash(source.reconstruct_sketch_edges())
     if source.node_index is not None and target.node_index is not None:
-        for node in source.node_index.known_nodes():
-            target.node_index.record(node, source.node_index.hash_of(node))
+        target.node_index.record_new_many(source.node_index.items())
     return target
 
 

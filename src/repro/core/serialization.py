@@ -64,8 +64,8 @@ def sketch_to_dict(sketch: GSS, include_node_index: bool = True) -> Dict:
     }
     if include_node_index and sketch.node_index is not None:
         document["node_index"] = [
-            {"node": repr(node), "hash": sketch.node_index.hash_of(node), "raw": node}
-            for node in sketch.node_index.known_nodes()
+            {"node": repr(node), "hash": node_hash, "raw": node}
+            for node, node_hash in sketch.node_index.items()
             if isinstance(node, (str, int, float, bool))
         ]
     return document
@@ -79,7 +79,8 @@ def sketch_from_dict(document: Dict, backend: Optional[str] = None) -> GSS:
     the document is backend-agnostic, and both backends place restored rooms
     identically).  Snapshots written before the backend field existed restore
     onto the pure-Python default; ones recording the legacy ``"numpy"`` name
-    restore onto the native backend.
+    restore onto the native backend.  A node-index entry whose hash is not
+    an integer in ``[0, M)`` is refused (``TypeError`` / ``ValueError``).
 
     Snapshots also record the hash-mapping version (see
     :data:`repro.hashing.hash_functions.HASH_VERSION`).  A snapshot written
@@ -127,8 +128,10 @@ def sketch_from_dict(document: Dict, backend: Optional[str] = None) -> GSS:
     for edge in document["buffer"]:
         sketch.buffer.add(edge["source"], edge["destination"], edge["weight"])
     if "node_index" in document and sketch.node_index is not None:
-        for entry in document["node_index"]:
-            sketch.node_index.record(entry["raw"], entry["hash"])
+        pairs = [(entry["raw"], entry["hash"]) for entry in document["node_index"]]
+        # Both backends refuse a node hash that is not in [0, M) alike.
+        sketch._check_hashes([node_hash for _, node_hash in pairs])
+        sketch.node_index.record_new_many(pairs)
     return sketch
 
 

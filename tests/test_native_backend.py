@@ -31,6 +31,7 @@ to the compiled backend:
 
 from __future__ import annotations
 
+import math
 import warnings
 
 import pytest
@@ -417,6 +418,33 @@ def test_known_nodes_are_not_rehashed_across_batches(backend, ids):
         assert counter.count == len(distinct)
         sketch.update_many(items)
         assert counter.count == len(distinct)
+
+
+@pytest.mark.parametrize(
+    "backend", ["python", pytest.param("native", marks=requires_native)]
+)
+def test_a_string_node_first_seen_in_a_mixed_batch_is_not_rehashed(backend):
+    # The mixed batch records "a" where the kernel's text path resolves it,
+    # so the all-string batch after it hashes nothing.
+    sketch = make(backend)
+    with count_key_hashes() as counter:
+        sketch.update_many([("a", "b", 1.0), (7, "b", 1.0)])
+        sketch.update_many([("a", "b", 1.0)])
+    assert counter.count == 3
+
+
+@pytest.mark.parametrize(
+    "backend", ["python", pytest.param("native", marks=requires_native)]
+)
+def test_a_first_weight_of_negative_zero_is_stored_as_zero(backend):
+    # Every batch path stores 0.0 + weight on first placement; the python
+    # scalar path does too.
+    scalar, batched = make(backend), make(backend)
+    scalar.update("a", "b", -0.0)
+    batched.update_many([("a", "b", -0.0)])
+    for sketch in (scalar, batched):
+        weight = sketch.edge_query("a", "b")
+        assert weight == 0.0 and math.copysign(1.0, weight) == 1.0
 
 
 @requires_native

@@ -15,6 +15,17 @@ from repro.core.serialization import (
 )
 
 
+def _native_ready() -> bool:
+    from repro.core._native import native_available
+
+    return native_available()
+
+
+requires_native = pytest.mark.skipif(
+    not _native_ready(), reason="native kernel unavailable or disabled"
+)
+
+
 @pytest.fixture()
 def populated_sketch(small_stream) -> GSS:
     config = GSSConfig(
@@ -57,6 +68,16 @@ class TestDictRoundTrip:
         document["format_version"] = 999
         with pytest.raises(ValueError):
             sketch_from_dict(document)
+
+    @pytest.mark.parametrize("backend", ["python", pytest.param("native", marks=requires_native)])
+    @pytest.mark.parametrize("bad", [-1, "M", 2.0])
+    def test_node_hash_outside_the_hash_range_is_refused(self, populated_sketch, backend, bad):
+        # Both backends refuse it alike, whichever index keeps the node.
+        document = sketch_to_dict(populated_sketch)
+        hash_range = populated_sketch.config.hash_range
+        document["node_index"][3]["hash"] = hash_range if bad == "M" else bad
+        with pytest.raises(TypeError if bad == 2.0 else ValueError):
+            sketch_from_dict(document, backend=backend)
 
     def test_without_node_index(self, populated_sketch, small_stream):
         document = sketch_to_dict(populated_sketch, include_node_index=False)

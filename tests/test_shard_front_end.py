@@ -188,7 +188,7 @@ class TestFrontEndEquivalence:
             summary.flush()
             # Each shard was sent each of its nodes exactly once.
             for shard, nodes in enumerate(sent):
-                assert sorted(nodes) == sorted(oracle.shards[shard]._node_index._hash_of)
+                assert sorted(nodes) == sorted(oracle.shards[shard].node_index.known_nodes())
             assert _shard_documents(summary) == [shard.to_dict() for shard in oracle.shards]
 
     def test_python_front_end_pairs_are_distinct_and_interleaved(self):

@@ -329,6 +329,16 @@ OUT_OF_RANGE_CALLS = [
     lambda sketch, M: sketch.update_by_hash(1, M, 1.0),
     lambda sketch, M: sketch.ingest_columns([1, M + 5], [2, 3], [1.0, 1.0], ["z"], [7]),
     lambda sketch, M: sketch.ingest_columns([1], [-2], [1.0]),
+    lambda sketch, M: sketch.ingest_columns([1], [2], [1.0], ["z"], [M]),
+    lambda sketch, M: sketch.ingest_columns([1], [2], [1.0], ["y", "z"], [3, -1]),
+]
+
+
+#: Hash-addressed calls whose columns hold a hash that is not an integer.
+NON_INTEGER_HASH_CALLS = [
+    lambda sketch: sketch.update_many_by_hash([(1, 2, 1.0), (1.5, 2.0, 1.0)]),
+    lambda sketch: sketch.ingest_columns([1.5], [2.0], [1.0]),
+    lambda sketch: sketch.ingest_columns([1, 3], [2, None], [1.0, 1.0]),
 ]
 
 
@@ -389,6 +399,29 @@ class TestARejectedBatchLeavesNoState:
         # Taken modulo M, the hash would have named one of these edges.
         for source, destination in [(1, 5), (2, 5), (M - 1, 3), (1, 0), (1, M - 2)]:
             assert sketch.edge_query_by_hash(source, destination) is None
+        assert sketch.update_count == 1
+
+    @pytest.mark.parametrize("call", range(len(NON_INTEGER_HASH_CALLS)))
+    @pytest.mark.parametrize("backend", GSS_BACKENDS)
+    def test_gss_hash_that_is_not_an_integer(self, backend, call):
+        sketch = GSS(GSSConfig(matrix_width=8, fingerprint_bits=4, backend=backend))
+        sketch.update_by_hash(3, 4, 1.0)
+        before = sketch.to_dict()
+        with pytest.raises(TypeError, match="integers"):
+            NON_INTEGER_HASH_CALLS[call](sketch)
+        assert sketch.to_dict() == before
+        assert sketch.edge_query_by_hash(1, 2) is None
+        assert sketch.update_count == 1
+
+    @pytest.mark.parametrize("backend", GSS_BACKENDS)
+    def test_gss_hash_array_that_is_not_integral(self, backend):
+        np = pytest.importorskip("numpy")
+        sketch = GSS(GSSConfig(matrix_width=8, fingerprint_bits=4, backend=backend))
+        sketch.update_by_hash(3, 4, 1.0)
+        before = sketch.to_dict()
+        with pytest.raises(TypeError, match="integers"):
+            sketch.ingest_columns(np.array([1.0, 1.5]), np.array([2, 2]), np.array([1.0, 1.0]))
+        assert sketch.to_dict() == before
         assert sketch.update_count == 1
 
     @pytest.mark.parametrize("batch", WINDOW_REJECTED_BATCHES)
