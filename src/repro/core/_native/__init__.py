@@ -211,8 +211,6 @@ def _bind(path: Path) -> ctypes.CDLL:
         c.c_uint64, c.c_uint64,  # seeded FNV initial state, hash_range
         c.c_void_p, c.c_void_p, c.c_void_p,  # hashes, ids, conflict
     ]
-    lib.gss_node_one.restype = c.c_int64
-    lib.gss_node_one.argtypes = [c.c_void_p, c.c_char_p, c.c_int64, c.c_int64]
     lib.gss_node_ids.restype = c.c_int64
     lib.gss_node_ids.argtypes = [c.c_void_p, c.c_void_p, c.c_int64, c.c_void_p]  # ctx, hashes, n, out
     lib.gss_router_new.restype = c.c_void_p

@@ -248,7 +248,6 @@ int64_t gss_node_resolve(
     const int64_t *lengths, int64_t n,
     uint64_t fnv_state0, uint64_t hash_range,
     uint64_t *hashes, int64_t *ids, int64_t *conflict);
-int64_t gss_node_one(gss_ctx *ctx, const unsigned char *token, int64_t len, int64_t hash);
 int64_t gss_node_ids(gss_ctx *ctx, const uint64_t *hashes, int64_t n, node_ids_out *out);
 
 static uint64_t mix_key(uint64_t value) {
@@ -1150,24 +1149,6 @@ int64_t gss_node_resolve(
         ids[i] = *slot;
     }
     return added;
-}
-
-/* One token's entry: with hash < 0, a lookup — its recorded hash, or -1
- * when the node is unknown; else a record — a new node is recorded under
- * hash, and the node's recorded hash is returned (another hash than the one
- * given means it was recorded under that one before).  -2: the arena is
- * full, -3: allocation failure; both leave the table unchanged. */
-int64_t gss_node_one(gss_ctx *ctx, const unsigned char *token, int64_t len, int64_t hash) {
-    if (len < 0 || len > (int64_t)UINT32_MAX) return hash < 0 ? -1 : -2;
-    uint32_t *slot = node_slot(&ctx->nodes, token, (uint32_t)len);
-    if (*slot) return (int64_t)ctx->nodes.entries[*slot - 1].hmod;
-    if (hash < 0) return -1;
-    int reserved = ctx_reserve(ctx, 1, len);
-    if (reserved != 0) return reserved == -2 ? -2 : -3;
-    /* the reservation may have rehashed the slots */
-    node_add(&ctx->nodes, node_slot(&ctx->nodes, token, (uint32_t)len), token,
-             (uint32_t)len, (uint64_t)hash);
-    return hash;
 }
 
 /* Write the IDs recorded under each of the n distinct hashes — or, for

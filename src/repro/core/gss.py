@@ -148,19 +148,22 @@ class GSS(SummaryShims):
         streaming-graph semantics of Definition 1.  A weight that is not a
         real number is refused (``ValueError``) before anything changes, as
         by every batched path, and so is an ID the node index cannot hold
-        (``TypeError``) or the hasher cannot encode.  Both nodes are
-        recorded in the reverse node index (a native sketch records a
-        string ID in its kernel's node table).  The backend places the
+        (``TypeError``) or the hasher cannot encode.  Both nodes resolve
+        through the reverse node index as :meth:`update_many`'s do (a
+        native sketch resolves string IDs in its kernel's node table), so a
+        node keeps the hash it was recorded under.  The backend places the
         edge as a batch of one: the native backend runs it through its
         kernel, the python backend walks the edge's candidate buckets.
         """
         check_weights((weight,))
         hash((source, destination))
-        source_hash = self._hasher(source)
-        destination_hash = self._hasher(destination)
         if self._node_index is not None:
-            self._node_index.record(source, source_hash)
-            self._node_index.record(destination, destination_hash)
+            distinct = list(dict.fromkeys((source, destination)))
+            hashes = self._node_index.resolve(distinct, self._hasher)
+            source_hash, destination_hash = hashes[0], hashes[-1]
+        else:
+            source_hash = self._hasher(source)
+            destination_hash = self._hasher(destination)
         self._matrix.insert_edge(source_hash, destination_hash, weight)
         self._update_count += 1
 

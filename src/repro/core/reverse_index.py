@@ -27,7 +27,7 @@ from __future__ import annotations
 import ctypes
 from array import array
 from collections import Counter
-from typing import Dict, Hashable, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.hashing.hash_functions import _count_hashes
 
@@ -121,10 +121,6 @@ class NodeIndex:
         """Return the recorded hash of ``node``, or ``None`` if unseen."""
         return self._hash_of.get(node)
 
-    def get_many(self, nodes: Iterable[Hashable]) -> Iterator[Optional[int]]:
-        """:meth:`get` of each of ``nodes``, in order (a C loop)."""
-        return map(self._hash_of.get, nodes)
-
     def hash_of(self, node: Hashable) -> int:
         """Return the recorded hash of ``node``; raises ``KeyError`` if unseen."""
         return self._hash_of[node]
@@ -177,12 +173,11 @@ class KernelNodeIndex:
     ``backend`` is the sketch's
     :class:`~repro.core.backends.NativeMatrixBackend`, whose kernel context
     holds the table; the kernel's text ingest records nodes there itself.
-    A lookup or record of one string ID is one ``gss_node_one`` call, and of
-    many one ``gss_node_resolve`` call, which also resolves a batch
-    (hashing its new IDs); :meth:`expand` is one ``gss_node_ids`` call that
-    writes the IDs behind a set of hashes into one reused buffer,
-    decoded and split once.  The IDs the kernel cannot hold live in a
-    :class:`NodeIndex` (see the module docstring).
+    Looking up, recording or resolving (hashing the new IDs of) any number
+    of string IDs is one ``gss_node_resolve`` call; :meth:`expand` is one
+    ``gss_node_ids`` call that writes the IDs behind a set of hashes into
+    one reused buffer, decoded and split once.  The IDs the kernel cannot
+    hold live in a :class:`NodeIndex` (see the module docstring).
     """
 
     def __init__(self, backend) -> None:
@@ -192,7 +187,6 @@ class KernelNodeIndex:
         self._ctx = backend._ctx
         self._fnv_state0 = backend._fnv_state0
         self._hash_range = backend._hash_range
-        self._one = lib.gss_node_one
         self._node_ids = lib.gss_node_ids
         self._others = NodeIndex()
         #: The kernel's node count when each of ``_others``' nodes was
@@ -314,18 +308,13 @@ class KernelNodeIndex:
         return self.get(node) is not None
 
     def record(self, node: Hashable, node_hash: int) -> None:
-        """:meth:`NodeIndex.record`; a string ID is one kernel call."""
-        token = self._token(node)
-        if token is not None and node_hash >= 0:  # a negative hash asks a lookup
-            existing = self._one(self._ctx, token, len(token), node_hash)
-            if existing == node_hash:
-                if not self._has_nul and b"\x00" in token:
-                    self._has_nul = True
+        """:meth:`NodeIndex.record`."""
+        if self._token(node) is None:
+            existing = self._others.get(node)
+            if existing is not None:  # known: no stamp, no kernel call
+                if existing != node_hash:
+                    raise _conflict(node, existing, node_hash)
                 return
-            if existing >= 0:
-                raise _conflict(node, existing, node_hash)
-            if existing != -2:  # pragma: no cover - allocation failure
-                raise MemoryError("native node table allocation failed")
         self.record_new_many(((node, node_hash),))
 
     @staticmethod
@@ -385,13 +374,15 @@ class KernelNodeIndex:
         """:meth:`NodeIndex.resolve`: string IDs resolve in the kernel table
         in one call, which hashes the new ones itself; ``hasher`` hashes only
         the IDs it cannot hold, before the table changes."""
+        hashes = list(map(self._others.get, nodes)) if len(self._others) else [None] * len(nodes)
+        if None not in hashes:
+            return hashes  # all held on the Python side: no kernel call
         kernel_at, blob, lengths = self._partition(nodes)
         if len(kernel_at) == len(nodes):
             status, resolved, _ = self._table(_RESOLVE, blob, lengths)
             if status >= 0:
                 _count_hashes(status)
                 return resolved.tolist()
-        hashes = list(map(self._others.get, nodes)) if len(self._others) else [None] * len(nodes)
         in_kernel = set(kernel_at)
         fresh = [position for position, node_hash in enumerate(hashes)
                  if node_hash is None and position not in in_kernel]
@@ -420,22 +411,10 @@ class KernelNodeIndex:
         """Return the recorded hash of ``node``, or ``None`` if unseen."""
         token = self._token(node)
         if token is not None:
-            found = self._one(self._ctx, token, len(token), -1)
-            if found >= 0:
-                return found
+            _, found, ids = self._table(_LOOKUP, token, array("q", (len(token),)))
+            if ids[0]:
+                return found[0]
         return self._others.get(node)
-
-    def get_many(self, nodes: Iterable[Hashable]) -> Iterator[Optional[int]]:
-        """:meth:`get` of each of ``nodes``, in order (one kernel call)."""
-        nodes = list(nodes)
-        hashes = list(map(self._others.get, nodes))
-        kernel_at, blob, lengths = self._partition(nodes)
-        if kernel_at:
-            _, found, ids = self._table(_LOOKUP, blob, lengths)
-            for position, node_hash, node_id in zip(kernel_at, found, ids):
-                if node_id:
-                    hashes[position] = node_hash
-        return iter(hashes)
 
     def hash_of(self, node: Hashable) -> int:
         """Return the recorded hash of ``node``; raises ``KeyError`` if unseen."""
@@ -454,13 +433,7 @@ class KernelNodeIndex:
         hashes = array("Q", node_hashes)
         if not hashes:
             return set()
-        # The common case inline: the IDs fit the kept buffers and hold no NUL.
-        buffers = self._buffers
-        size = self._node_ids(self._ctx, hashes.buffer_info()[0], len(hashes), buffers[1])
-        if size < 0 or self._has_nul:
-            result = set(self._ids(hashes)[0])
-        else:
-            result = set(str(buffers[2][: size - 1], "utf-8").split("\x00")) if size else set()
+        result = set(self._ids(hashes)[0])
         if len(self._others):
             result |= self._others.expand(hashes)
         return result

@@ -8,14 +8,15 @@ backend's plain ``NodeIndex`` fed the same stream:
 
 * every index call answers the same — ``expand``, ``originals``,
   ``known_nodes`` order (first-seen, across ``str`` and ``int`` IDs),
-  ``collision_count``, ``len``, ``in``, ``get``, ``get_many``, ``hash_of``
-  — on a tiny hash range where IDs collide, with NUL-containing IDs;
+  ``collision_count``, ``len``, ``in``, ``get``, ``hash_of`` — on a tiny
+  hash range where IDs collide, with NUL-containing IDs;
 * ``to_dict`` is the same document, byte for byte, and restores onto
   either backend; ``merge_into`` agrees in both directions; a sketch
   without an index places the same edges; the ``partitioned-gss`` shards
   match the scalar-routed oracle;
 * a node restored under a hash other than ``H(v)`` keeps it on both
-  backends, and a record that conflicts is refused alike;
+  backends, through ``update_many`` and ``update`` alike, and a record that
+  conflicts is refused alike;
 * with the kernel's arena full, new IDs go to the Python side and keep
   their first-seen place.
 """
@@ -95,7 +96,6 @@ def assert_same_index(native: GSS, reference: GSS) -> None:
     assert index.expand(everything) == expected.expand(everything)
     assert index.expand([]) == set()
     probes = expected.known_nodes() + ["never", 99, "a\x00never"]
-    assert list(index.get_many(probes)) == list(expected.get_many(probes))
     for node in probes:
         assert (node in index) == (node in expected)
         assert index.get(node) == expected.get(node)
@@ -163,20 +163,32 @@ def foreign_document() -> dict:
     return doc
 
 
+def apply(sketch: GSS, batch, one_by_one: bool) -> None:
+    if one_by_one:
+        for item in batch:
+            sketch.update(*item)
+    else:
+        sketch.update_many(batch)
+
+
 class TestRecordedHashes:
-    @pytest.mark.parametrize("batch", [[("a", "c", 1.0)], [("a", "c", 1.0), (5, "a", 1.0)]])
-    def test_a_restored_foreign_hash_is_kept_by_both_backends(self, batch):
+    @pytest.mark.parametrize("one_by_one", [False, True], ids=["update_many", "update"])
+    @pytest.mark.parametrize("batch", [[("a", "c", 1.0)], [("a", "c", 1.0), (5, "a", 1.0)],
+                                       [("z", "a", 1.0)]])
+    def test_a_restored_foreign_hash_is_kept_by_both_backends(self, batch, one_by_one):
         native = sketch_from_dict(foreign_document(), backend="native")
         reference = sketch_from_dict(foreign_document(), backend="python")
         foreign = reference.node_index.get("a")
         assert foreign != reference.node_hash("a")
         assert native.node_index.get("a") == foreign
-        native.update_many(batch)
-        reference.update_many(batch)
+        apply(native, batch, one_by_one)
+        apply(reference, batch, one_by_one)
         assert native.update_count == reference.update_count == 2 + len(batch)
         assert document(native) == document(reference)
         assert_same_index(native, reference)
-        assert native.edge_query_by_hash(foreign, native.node_hash("c")) == 1.0
+        source, destination, weight = batch[0]
+        hashes = [foreign if node == "a" else native.node_hash(node) for node in (source, destination)]
+        assert native.edge_query_by_hash(*hashes) == weight
 
     def test_a_conflicting_record_is_refused_alike(self):
         sketches = [sketch_from_dict(foreign_document(), backend=backend)
@@ -218,13 +230,11 @@ def test_a_full_arena_sends_new_ids_to_the_python_side(monkeypatch):
     index = native.node_index
     # The kernel refuses every addition once its arena is full; only
     # lookups still work, and its text path declines (it would too).
-    table, one = index._table, index._one
+    table = index._table
     monkeypatch.setattr(
         index, "_table",
         lambda mode, blob, lengths, hashes=None: (-2, None, None) if mode else table(mode, blob, lengths),
     )
-    monkeypatch.setattr(index, "_one", lambda ctx, token, length, node_hash: (
-        one(ctx, token, length, node_hash) if node_hash < 0 else -2))
     monkeypatch.setattr(native, "_ingest_text", None)
     native.update_many(later)
     reference.update_many(later)
