@@ -39,7 +39,9 @@ REPO = Path(__file__).resolve().parent.parent
 #: non-text route: the GSS's resolver, then ``ingest_columns``, then
 #: ``gss_ingest_batch``), StreamSession feeds (which reach the kernel
 #: through its text ingestion path), the sharded front-end sweeps (its
-#: routing entry point) and the text-encoder fallbacks of both.
+#: routing entry point), the text-encoder fallbacks of both, and the
+#: differentials of the kernel's node table and of its left-over buffer and
+#: one-call queries.
 DEFAULT_SUITES = (
     "tests/test_native_backend.py",
     "tests/test_numpy_backend.py",
@@ -47,6 +49,7 @@ DEFAULT_SUITES = (
     "tests/test_shard_front_end.py",
     "tests/test_text_batch.py",
     "tests/test_kernel_node_index.py",
+    "tests/test_kernel_buffer.py",
 )
 
 

@@ -14,8 +14,10 @@ dataset analog, size a sketch for it, feed the stream through the batched
   (``expected_edges`` = the stream's distinct edge count);
 * cuts every feed into chunks and hands each one to the summary's
   ``update_many`` (or a scalar loop): a chunk of exact ``(source,
-  destination, weight)`` tuples goes through untouched, any other is
-  normalized once, here.  The summary hashes its own batches — a GSS
+  destination, weight)`` tuples goes through untouched, marked as checked
+  (:class:`~repro.streaming.batch.CheckedTriples`, so the summary's cut
+  does not check the item shape again), any other is normalized once,
+  here.  The summary hashes its own batches — a GSS
   through its backend's batched path, a sharded deployment once at its
   routing boundary — so the session never hashes a node; timestamps are
   kept for windowed summaries and dropped for the rest;
@@ -33,6 +35,7 @@ from typing import Callable, Iterable, List, Optional, Union
 from repro.api.protocol import GraphSummary
 from repro.api.registry import SketchSpec, SpecSizingError, build
 from repro.obs import trace as _obs
+from repro.streaming.batch import CheckedTriples
 
 __all__ = ["IngestReport", "StreamSession"]
 
@@ -221,9 +224,10 @@ class StreamSession:
         started = time.perf_counter()
 
         def flush(chunk: List) -> None:
-            # Exact triples pass untouched (the checks are C loops).  Scalar
-            # summaries get a star-unpacked loop, so a windowed summary's
-            # timestamp — the optional fourth element — reaches update().
+            # Exact triples pass untouched (the checks are C loops), and
+            # say so.  Scalar summaries get a star-unpacked loop, so a
+            # windowed summary's timestamp — the optional fourth element —
+            # reaches update().
             with _obs.span("session.feed.batch"):
                 if (
                     windowed
@@ -231,6 +235,8 @@ class StreamSession:
                     or set(map(len, chunk)) != {3}
                 ):
                     chunk = _normalized(chunk, windowed)
+                else:
+                    chunk = CheckedTriples(chunk)
                 if update_many is not None:
                     update_many(chunk)
                 else:

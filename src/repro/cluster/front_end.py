@@ -302,7 +302,7 @@ class KernelFrontEnd:
                 *self._states,
                 *(column.ctypes.data for column in out),
             )
-        if hashed == -2:  # pragma: no cover - NUL-screened, or the arena is full
+        if hashed == -2:  # an ID holds a NUL, or the arena is full
             return None
         if hashed < 0:  # pragma: no cover - allocation failure
             raise MemoryError("native router batch allocation failed")

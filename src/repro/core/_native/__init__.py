@@ -1,6 +1,6 @@
 """Build/load machinery for the compiled ``native`` matrix backend.
 
-The placement and neighbour-scan kernel lives in ``kernel.c`` next to this
+The placement, buffer and query kernel lives in ``kernel.c`` next to this
 module and is compiled **once per machine** with the system C compiler into
 a cached shared library, then bound through :mod:`ctypes`.  Nothing here
 imports at package-import time: availability probing, compilation and
@@ -130,8 +130,8 @@ def _compile(compiler: str, target: Path) -> None:
 
 
 class node_ids_out(ctypes.Structure):  # named as the C struct it mirrors
-    """``gss_node_ids``' output buffers (``kernel.c``'s ``node_ids_out``),
-    owned by the caller."""
+    """The ID output buffers of ``gss_node_ids`` and ``gss_neighbor_query``
+    (``kernel.c``'s ``node_ids_out``), owned by the caller."""
 
     _fields_ = [
         ("bytes", ctypes.c_void_p),
@@ -141,6 +141,35 @@ class node_ids_out(ctypes.Structure):  # named as the C struct it mirrors
         ("ids_cap", ctypes.c_int64),
         ("count", ctypes.c_int64),
         ("len", ctypes.c_int64),
+        ("nul", ctypes.c_int64),
+    ]
+
+
+class gss_config(ctypes.Structure):  # named as the C struct it mirrors
+    """A sketch's configuration as ``gss_configure`` takes it (``kernel.c``'s
+    ``gss_config``): hash and placement parameters, the seeded FNV state,
+    and the addresses of the room arrays, fill table and scan output."""
+
+    _fields_ = [
+        ("hash_range", ctypes.c_uint64),
+        ("fp_range", ctypes.c_uint64),
+        ("width", ctypes.c_int64),
+        ("rooms", ctypes.c_int64),
+        ("seq_length", ctypes.c_int64),
+        ("candidates", ctypes.c_int64),
+        ("square_hashing", ctypes.c_int32),
+        ("sampling", ctypes.c_int32),
+        ("lcg_a", ctypes.c_uint64),
+        ("lcg_b", ctypes.c_uint64),
+        ("lcg_p", ctypes.c_uint64),
+        ("fnv_state0", ctypes.c_uint64),
+        ("src_fp", ctypes.c_void_p),
+        ("dst_fp", ctypes.c_void_p),
+        ("src_idx", ctypes.c_void_p),
+        ("dst_idx", ctypes.c_void_p),
+        ("weights", ctypes.c_void_p),
+        ("fill", ctypes.c_void_p),
+        ("scan_out", ctypes.c_void_p),
     ]
 
 
@@ -151,55 +180,54 @@ def _bind(path: Path) -> ctypes.CDLL:
     lib.gss_new.argtypes = []
     lib.gss_free.restype = None
     lib.gss_free.argtypes = [c.c_void_p]
+    lib.gss_configure.restype = None
+    lib.gss_configure.argtypes = [c.c_void_p, c.c_void_p]  # ctx, config
     lib.gss_map_get.restype = c.c_int64
     lib.gss_map_get.argtypes = [c.c_void_p, c.c_uint64]
     lib.gss_map_put.restype = c.c_int
     lib.gss_map_put.argtypes = [c.c_void_p, c.c_uint64, c.c_int64]
     lib.gss_ingest_batch.restype = c.c_int64
-    lib.gss_ingest_batch.argtypes = [
-        c.c_void_p,  # ctx
-        c.c_void_p, c.c_void_p, c.c_int64,  # keys, weights, n
-        c.c_uint64, c.c_uint64,  # hash_range, fp_range
-        c.c_int64, c.c_int64,  # width, rooms
-        c.c_int64, c.c_int64,  # seq_length, candidates
-        c.c_int32, c.c_int32,  # square_hashing, sampling
-        c.c_uint64, c.c_uint64, c.c_uint64,  # lcg a, b, p
-        c.c_void_p, c.c_void_p,  # src_fp, dst_fp
-        c.c_void_p, c.c_void_p,  # src_idx, dst_idx
-        c.c_void_p,  # room_weights
-        c.c_void_p,  # fill
-        c.c_void_p, c.c_void_p, c.c_void_p,  # spill keys/sums/count
-        c.c_void_p, c.c_void_p, c.c_void_p,  # rebuf keys/sums/count
-    ]
+    lib.gss_ingest_batch.argtypes = [c.c_void_p, c.c_void_p, c.c_void_p, c.c_int64]  # ctx, keys, weights, n
     lib.gss_ingest_text_batch.restype = c.c_int64
     lib.gss_ingest_text_batch.argtypes = [
         c.c_void_p,  # ctx
         c.c_char_p, c.c_int64,  # blob, blob_len
-        c.c_void_p, c.c_int64,  # weights, n
-        c.c_uint64,  # seeded FNV initial state
-        c.c_uint64, c.c_uint64,  # hash_range, fp_range
-        c.c_int64, c.c_int64,  # width, rooms
-        c.c_int64, c.c_int64,  # seq_length, candidates
-        c.c_int32, c.c_int32,  # square_hashing, sampling
-        c.c_uint64, c.c_uint64, c.c_uint64,  # lcg a, b, p
-        c.c_void_p, c.c_void_p,  # src_fp, dst_fp
-        c.c_void_p, c.c_void_p,  # src_idx, dst_idx
-        c.c_void_p,  # room_weights
-        c.c_void_p,  # fill
-        c.c_void_p, c.c_void_p, c.c_void_p,  # spill keys/sums/count
-        c.c_void_p, c.c_void_p, c.c_void_p,  # rebuf keys/sums/count
+        c.c_void_p, c.c_int64,  # weights (float64 bytes), n
         c.c_void_p,  # count of nodes hashed
     ]
-    lib.gss_neighbor_scan.restype = c.c_int64
-    lib.gss_neighbor_scan.argtypes = [
-        c.c_uint64, c.c_int32,  # node_hash, forward
-        c.c_uint64, c.c_int64, c.c_int64,  # fp_range, width, rooms
-        c.c_int64, c.c_int32,  # seq_length, square_hashing
-        c.c_uint64, c.c_uint64, c.c_uint64,  # lcg a, b, p
-        c.c_void_p, c.c_void_p,  # src_fp, dst_fp
-        c.c_void_p, c.c_void_p,  # src_idx, dst_idx
-        c.c_void_p,  # fill
-        c.c_void_p,  # out
+    lib.gss_update_text.restype = c.c_int64
+    lib.gss_update_text.argtypes = [
+        c.c_void_p,  # ctx
+        c.c_char_p, c.c_int64,  # source, its length
+        c.c_char_p, c.c_int64,  # destination, its length
+        c.c_double, c.c_void_p,  # weight, count of nodes hashed
+    ]
+    lib.gss_edge_weight.restype = c.c_int64
+    lib.gss_edge_weight.argtypes = [c.c_void_p, c.c_uint64, c.c_void_p]  # ctx, key, weight
+    lib.gss_edge_query.restype = c.c_int64
+    lib.gss_edge_query.argtypes = [
+        c.c_void_p,  # ctx
+        c.c_char_p, c.c_int64,  # source, its length
+        c.c_char_p, c.c_int64,  # destination, its length
+        c.c_void_p,  # weight
+    ]
+    lib.gss_neighbor_query.restype = c.c_int64
+    lib.gss_neighbor_query.argtypes = [
+        c.c_void_p, c.c_char_p, c.c_int64, c.c_int32, c.c_void_p,  # ctx, node, len, forward, out
+    ]
+    lib.gss_buffer_add.restype = c.c_int64
+    lib.gss_buffer_add.argtypes = [c.c_void_p, c.c_uint64, c.c_uint64, c.c_double]
+    lib.gss_buffer_count.restype = c.c_int64
+    lib.gss_buffer_count.argtypes = [c.c_void_p]
+    lib.gss_buffer_neighbors.restype = c.c_int64
+    lib.gss_buffer_neighbors.argtypes = [
+        c.c_void_p, c.c_uint64, c.c_int32, c.c_void_p, c.c_int64,  # ctx, hash, forward, out, cap
+    ]
+    lib.gss_buffer_edges.restype = c.c_int64
+    lib.gss_buffer_edges.argtypes = [c.c_void_p, c.c_void_p, c.c_void_p, c.c_void_p]
+    lib.gss_neighbor_hashes.restype = c.c_int64
+    lib.gss_neighbor_hashes.argtypes = [
+        c.c_void_p, c.c_uint64, c.c_int32, c.c_void_p, c.c_int64,  # ctx, hash, forward, out, cap
     ]
     lib.gss_node_count.restype = c.c_int64
     lib.gss_node_count.argtypes = [c.c_void_p]

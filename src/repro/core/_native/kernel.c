@@ -1,10 +1,13 @@
-/* Compiled placement and scan kernel for the GSS "native" matrix backend.
+/* Compiled placement, buffer and query kernel for the GSS "native" matrix
+ * backend.
  *
  * Rooms are stored in the paper's own matrix layout, bucket-major: room q of
  * bucket (row, col) lives at slot (row * m + col) * l + q of the caller's
  * struct-of-arrays storage (fingerprint pair, index pair, weight), and the
  * per-bucket fill table says which of a bucket's l slots are live.  Rooms
- * fill a bucket in insertion order and never move.
+ * fill a bucket in insertion order and never move.  gss_configure() hands
+ * the kernel the sketch's parameters and those arrays once, so no later
+ * call carries them.
  *
  * One call to gss_ingest_batch() carries a whole batch of packed sketch-edge
  * keys across the Python/C boundary and:
@@ -17,10 +20,20 @@
  *      address sequences and the candidate-bucket LCG sampling, probes the
  *      fill table in candidate order and writes the winning room at its
  *      bucket's next free slot;
- *   4. spills edges whose candidates are all full, in first-seen order.
+ *   4. adds the weight of a buffered edge to its buffer entry, and appends
+ *      an entry for each edge whose candidates are all full, in first-seen
+ *      order.
  *
- * A scalar GSS update on the native backend is a one-row gss_ingest_batch()
- * call, so every insert walks this one probe loop.
+ * A batch reserves its worst case (scratch, map and buffer growth) before it
+ * changes anything, so an allocation failure leaves the sketch untouched.
+ * A scalar GSS update on the native backend is a one-row batch, so every
+ * insert walks this one probe loop.
+ *
+ * The left-over buffer B is kernel state: entries in creation order, each
+ * chained after the previous entry of its source hash and of its
+ * destination hash, and a buffered edge's edge->slot map value names its
+ * entry.  Walking the entries of each source in first-seen source order
+ * gives the python backend's buffer order (a dict of dicts) exactly.
  *
  * gss_ingest_text_batch() pushes the boundary one stage earlier: it takes
  * the batch's node identifiers as a single NUL-joined UTF-8 blob
@@ -30,15 +43,22 @@
  * and recording it in first-seen interleaved order, as the scalar backends
  * do — packs the edge keys and then runs the exact pipeline above, so for
  * string node IDs an entire update_many() batch crosses the Python/kernel
- * boundary once.
+ * boundary once.  gss_update_text() does the same for one (source,
+ * destination) pair given as two byte strings.
  *
  * That node table is the paper's <H(v), v> table for every string node of
  * a native GSS: gss_node_resolve() looks tokens up, resolves them (hashing
  * the new ones) or records them under supplied hashes (restores, merges,
  * shard messages), with explicit lengths so a NUL inside an ID is fine;
- * gss_node_ids() writes the IDs recorded under a set of hashes — a
- * successor or precursor answer — or every ID in first-seen order into one
- * buffer.  A hash -> entry index chains the entries that share a hash.
+ * gss_node_ids() writes the IDs recorded under a set of hashes, or every ID
+ * in first-seen order, into one buffer.  A hash -> entry index chains the
+ * entries that share a hash.
+ *
+ * A query by node ID is one call: gss_edge_query() hashes both IDs and
+ * reads the edge's room or buffer entry, and gss_neighbor_query() hashes
+ * the node, scans its r rows (columns) with gss_neighbor_scan(), walks its
+ * buffer chain and writes the node table's IDs behind every answer hash.
+ * gss_neighbor_hashes() answers the same by node hash, with the hashes.
  *
  * gss_route_text_batch() is the sharded deployment's front end, run in the
  * parent over the same blob: against its own persistent node table
@@ -56,29 +76,29 @@
  * the column (row), its fingerprint and its index (Theorem 1).  The cost is
  * O(r * m * l) slots, whatever the number of stored edges.
  *
- * The edge->slot map and the node table are a sketch's only persistent
- * kernel state (gss_ctx); a router (gss_router) holds its node table and
- * the per-node routed shard and sent-shards mask.  Room arrays, the
- * per-bucket fill table and the left-over buffer stay owned by Python:
- * rooms and fill are written through pointers, buffer spills are returned
- * as (key, aggregated-weight) arrays because the buffer is an exact
- * adjacency structure with Python dict semantics.
+ * The edge->slot map, the left-over buffer and the node table are a
+ * sketch's persistent kernel state (gss_ctx); a router (gss_router) holds
+ * its node table and the per-node routed shard and sent-shards mask.  Room
+ * arrays and the per-bucket fill table are owned by Python (NumPy) and
+ * written through the configured pointers.
  *
  * Equivalence with the python backend is load-bearing and exact:
  * the FNV/splitmix node hashes, the LCG walks, the probe order, the
- * first-seen contention winners and the IEEE-754 accumulation order all
- * match the scalar reference (see repro/core/backends.py module docstring
- * and tests/test_native_backend.py).
+ * first-seen contention winners, the buffer order and the IEEE-754
+ * accumulation order all match the scalar reference (see
+ * repro/core/backends.py module docstring and tests/test_native_backend.py).
  */
 
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
 
-/* Values stored in the edge->slot map.  Python reads any negative value as
- * "no room": repro.core.backends tests only slot < 0. */
-#define SLOT_BUFFERED (-1)
+/* Values stored in the edge->slot map: a room's slot (>= 0), SLOT_MISSING
+ * for an edge never seen, or BUFFERED(e) for an edge held by buffer entry e
+ * (0-based), which BUFFER_ENTRY() recovers. */
 #define SLOT_MISSING (-2)
+#define BUFFERED(e) (-3 - (int64_t)(e))
+#define BUFFER_ENTRY(value) (-3 - (value))
 
 /* Open-addressing key marker.  A packed key can only equal UINT64_MAX when
  * hash_range is exactly 2^32 and both node hashes are maximal; that one key
@@ -109,7 +129,8 @@ typedef struct {
  * addressing by mix_key(hmod)) holds the newest entry of each hash, and
  * same[id - 1] the next older entry with that hash (0 ends the chain); a
  * router's table leaves heads NULL.  The arena is capped at 4 GiB (32-bit
- * offsets): a batch that would take it past the cap is refused (-2). */
+ * offsets): a batch that would take it past the cap is refused (-2).
+ * has_nul is set once an ID holding a NUL byte is recorded. */
 typedef struct {
     uint32_t *slots;
     int64_t cap;
@@ -122,12 +143,15 @@ typedef struct {
     uint32_t *heads;
     int64_t head_cap;
     uint32_t *same;
+    int has_nul;
 } node_table;
 
-/* gss_node_ids()'s output buffers, owned by the caller: room for ids_cap
- * IDs in bytes_cap bytes.  The call sets count and len — the IDs there are
- * and the bytes they take, each followed by a NUL — and writes the IDs, each
- * one's byte length and hash when they fit. */
+/* The ID output buffers of gss_node_ids() and gss_neighbor_query(), owned
+ * by the caller: room for ids_cap IDs in bytes_cap bytes.  The call sets
+ * count and len — the IDs there are and the bytes they take, each followed
+ * by a NUL — and nul, nonzero when an ID of the table may hold a NUL byte
+ * (then only lengths can split them), and writes the IDs, each one's byte
+ * length and hash when they fit. */
 typedef struct {
     unsigned char *bytes;
     int64_t bytes_cap;
@@ -136,9 +160,64 @@ typedef struct {
     int64_t ids_cap;
     int64_t count;
     int64_t len;
+    int64_t nul;
 } node_ids_out;
 
+/* A sketch's configuration (gss_configure): its hash and placement
+ * parameters, the seeded FNV-1a state of its node hash (FNV offset basis
+ * XOR splitmix64(seed), see hash_functions.py), and the caller's room
+ * arrays, per-bucket fill table and r * m * l scan output — the room
+ * pointers and scan_out NULL until the rooms are allocated. */
 typedef struct {
+    uint64_t hash_range;
+    uint64_t fp_range;
+    int64_t width;
+    int64_t rooms;
+    int64_t seq_length;
+    int64_t candidates;
+    int32_t square_hashing;
+    int32_t sampling;
+    uint64_t lcg_a;
+    uint64_t lcg_b;
+    uint64_t lcg_p;
+    uint64_t fnv_state0;
+    int64_t *src_fp;
+    int64_t *dst_fp;
+    int64_t *src_idx;
+    int64_t *dst_idx;
+    double *weights;
+    uint8_t *fill;
+    uint64_t *scan_out;
+} gss_config;
+
+/* One left-over buffer entry: a sketch edge H(s) -> H(d) and its weight,
+ * with the 1-based ids of the next entry of the same source and of the same
+ * destination (0 ends a chain). */
+typedef struct {
+    uint64_t src;
+    uint64_t dst;
+    double weight;
+    uint32_t next_out;
+    uint32_t next_in;
+} buffer_entry;
+
+/* A buffer chain index: open-addressing slots (linear probing, pow2) keyed
+ * by a node hash, holding the first and last entry ids of its chain; head 0
+ * marks an empty slot, and cap is 0 until the first reservation. */
+typedef struct {
+    uint64_t hash;
+    uint32_t head;
+    uint32_t tail;
+} chain_slot;
+
+typedef struct {
+    chain_slot *slots;
+    int64_t cap;
+    int64_t count;
+} chain_table;
+
+typedef struct {
+    gss_config cfg;
     /* persistent edge->slot open-addressing table (linear probing, pow2) */
     uint64_t *keys;
     int64_t *vals;
@@ -146,6 +225,13 @@ typedef struct {
     int64_t count;
     int has_max_key;
     int64_t max_key_val;
+    /* the left-over buffer: entries in creation order, chained by source
+     * (out_chains) and by destination (in_chains) */
+    buffer_entry *buf;
+    int64_t buf_count;
+    int64_t buf_cap;
+    chain_table out_chains;
+    chain_table in_chains;
     /* persistent node table, indexed by hash; nodes_full is set once a
      * reservation hits the arena cap and refuses every later one, so the
      * caller's overflow store never holds a node the table could take */
@@ -189,48 +275,38 @@ typedef struct {
  * `python -m repro.devtools.lint` (rule abi-check). */
 gss_ctx *gss_new(void);
 void gss_free(gss_ctx *ctx);
+void gss_configure(gss_ctx *ctx, const gss_config *config);
 int64_t gss_map_get(gss_ctx *ctx, uint64_t key);
 int gss_map_put(gss_ctx *ctx, uint64_t key, int64_t val);
-int64_t gss_ingest_batch(
-    gss_ctx *ctx,
-    const uint64_t *keys, const double *weights, int64_t n,
-    uint64_t hash_range, uint64_t fp_range,
-    int64_t width, int64_t rooms,
-    int64_t seq_length, int64_t candidates,
-    int32_t square_hashing, int32_t sampling,
-    uint64_t lcg_a, uint64_t lcg_b, uint64_t lcg_p,
-    int64_t *src_fp_arr, int64_t *dst_fp_arr,
-    int64_t *src_idx_arr, int64_t *dst_idx_arr,
-    double *room_weights,
-    uint8_t *fill,
-    uint64_t *spill_keys, double *spill_sums, int64_t *spill_count,
-    uint64_t *rebuf_keys, double *rebuf_sums, int64_t *rebuf_count);
+int64_t gss_ingest_batch(gss_ctx *ctx, const uint64_t *keys, const double *weights, int64_t n);
 int64_t gss_ingest_text_batch(
     gss_ctx *ctx,
     const unsigned char *blob, int64_t blob_len,
     const double *weights, int64_t n,
-    uint64_t fnv_state0,
-    uint64_t hash_range, uint64_t fp_range,
-    int64_t width, int64_t rooms,
-    int64_t seq_length, int64_t candidates,
-    int32_t square_hashing, int32_t sampling,
-    uint64_t lcg_a, uint64_t lcg_b, uint64_t lcg_p,
-    int64_t *src_fp_arr, int64_t *dst_fp_arr,
-    int64_t *src_idx_arr, int64_t *dst_idx_arr,
-    double *room_weights,
-    uint8_t *fill,
-    uint64_t *spill_keys, double *spill_sums, int64_t *spill_count,
-    uint64_t *rebuf_keys, double *rebuf_sums, int64_t *rebuf_count,
     int64_t *hashed);
-int64_t gss_neighbor_scan(
-    uint64_t node_hash, int32_t forward,
-    uint64_t fp_range, int64_t width, int64_t rooms,
-    int64_t seq_length, int32_t square_hashing,
-    uint64_t lcg_a, uint64_t lcg_b, uint64_t lcg_p,
-    const int64_t *src_fp_arr, const int64_t *dst_fp_arr,
-    const int64_t *src_idx_arr, const int64_t *dst_idx_arr,
-    const uint8_t *fill,
-    uint64_t *out);
+int64_t gss_update_text(
+    gss_ctx *ctx,
+    const unsigned char *source, int64_t source_len,
+    const unsigned char *destination, int64_t destination_len,
+    double weight, int64_t *hashed);
+int64_t gss_edge_weight(gss_ctx *ctx, uint64_t key, double *weight);
+int64_t gss_edge_query(
+    gss_ctx *ctx,
+    const unsigned char *source, int64_t source_len,
+    const unsigned char *destination, int64_t destination_len,
+    double *weight);
+int64_t gss_neighbor_query(
+    gss_ctx *ctx, const unsigned char *node, int64_t node_len, int32_t forward,
+    node_ids_out *out);
+int64_t gss_buffer_add(gss_ctx *ctx, uint64_t source_hash, uint64_t destination_hash,
+                       double weight);
+int64_t gss_buffer_count(gss_ctx *ctx);
+int64_t gss_buffer_neighbors(gss_ctx *ctx, uint64_t node_hash, int32_t forward,
+                             uint64_t *out, int64_t cap);
+int64_t gss_buffer_edges(gss_ctx *ctx, uint64_t *sources, uint64_t *destinations,
+                         double *weights);
+int64_t gss_neighbor_hashes(gss_ctx *ctx, uint64_t node_hash, int32_t forward,
+                            uint64_t *out, int64_t cap);
 gss_router *gss_router_new(int64_t shards);
 void gss_router_free(gss_router *router);
 int64_t gss_route_text_batch(
@@ -249,6 +325,17 @@ int64_t gss_node_resolve(
     uint64_t fnv_state0, uint64_t hash_range,
     uint64_t *hashes, int64_t *ids, int64_t *conflict);
 int64_t gss_node_ids(gss_ctx *ctx, const uint64_t *hashes, int64_t n, node_ids_out *out);
+
+/* The matrix scan of a neighbour query, defined last (see there). */
+static int64_t gss_neighbor_scan(
+    uint64_t node_hash, int32_t forward,
+    uint64_t fp_range, int64_t width, int64_t rooms,
+    int64_t seq_length, int32_t square_hashing,
+    uint64_t lcg_a, uint64_t lcg_b, uint64_t lcg_p,
+    const int64_t *src_fp_arr, const int64_t *dst_fp_arr,
+    const int64_t *src_idx_arr, const int64_t *dst_idx_arr,
+    const uint8_t *fill,
+    uint64_t *out);
 
 static uint64_t mix_key(uint64_t value) {
     /* splitmix64 finalizer — identical to hash_functions._splitmix64 */
@@ -271,8 +358,8 @@ static inline uint64_t mod_m31(uint64_t value) {
 
 /* Seeded FNV-1a over the token, then the splitmix64 finalizer —
  * hash_functions.hash_string byte for byte. */
-static uint64_t hash_token(const unsigned char *token, uint32_t len, uint64_t state) {
-    for (uint32_t b = 0; b < len; b++) {
+static uint64_t hash_token(const unsigned char *token, uint64_t len, uint64_t state) {
+    for (uint64_t b = 0; b < len; b++) {
         state ^= token[b];
         state *= FNV_PRIME;
     }
@@ -401,6 +488,7 @@ static node_entry *node_add(node_table *table, uint32_t *slot,
     uint32_t id = (uint32_t)(++table->count);
     *slot = id;
     table->arena_len += len;
+    if (len && memchr(token, 0, len)) table->has_nul = 1;
     if (table->heads) {
         uint32_t *head = node_head(table->heads, table->head_cap, table->entries, hmod);
         table->same[id - 1] = *head;
@@ -443,6 +531,9 @@ void gss_free(gss_ctx *ctx) {
     if (!ctx) return;
     free(ctx->keys);
     free(ctx->vals);
+    free(ctx->buf);
+    free(ctx->out_chains.slots);
+    free(ctx->in_chains.slots);
     node_table_free(&ctx->nodes);
     free(ctx->bkeys);
     free(ctx->bvals);
@@ -451,6 +542,12 @@ void gss_free(gss_ctx *ctx) {
     free(ctx->saddr);
     free(ctx->tkeys);
     free(ctx);
+}
+
+/* Set the sketch's configuration (a copy is kept); called once the context
+ * exists and again once the room arrays are allocated. */
+void gss_configure(gss_ctx *ctx, const gss_config *config) {
+    ctx->cfg = *config;
 }
 
 static int map_grow(gss_ctx *ctx) {
@@ -482,6 +579,15 @@ static int map_grow(gss_ctx *ctx) {
     return 0;
 }
 
+/* Grow the map so `extra` more keys fit under 70% load, so probe chains
+ * stay short and map_insert never allocates. */
+static int map_reserve(gss_ctx *ctx, int64_t extra) {
+    while ((ctx->count + extra) * 10 >= ctx->capacity * 7) {
+        if (map_grow(ctx) != 0) return -1;
+    }
+    return 0;
+}
+
 int64_t gss_map_get(gss_ctx *ctx, uint64_t key) {
     if (key == EMPTY_KEY)
         return ctx->has_max_key ? ctx->max_key_val : SLOT_MISSING;
@@ -494,32 +600,116 @@ int64_t gss_map_get(gss_ctx *ctx, uint64_t key) {
     return SLOT_MISSING;
 }
 
-int gss_map_put(gss_ctx *ctx, uint64_t key, int64_t val) {
+/* Set key's value; needs a prior map_reserve covering a new key. */
+static void map_insert(gss_ctx *ctx, uint64_t key, int64_t val) {
     if (key == EMPTY_KEY) {
         if (!ctx->has_max_key) {
             ctx->has_max_key = 1;
             ctx->count++;
         }
         ctx->max_key_val = val;
-        return 0;
-    }
-    /* grow at 70% load so probe chains stay short */
-    if ((ctx->count + 1) * 10 >= ctx->capacity * 7) {
-        if (map_grow(ctx) != 0) return -1;
+        return;
     }
     uint64_t mask = (uint64_t)ctx->capacity - 1;
     uint64_t pos = mix_key(key) & mask;
     while (ctx->keys[pos] != EMPTY_KEY) {
         if (ctx->keys[pos] == key) {
             ctx->vals[pos] = val;
-            return 0;
+            return;
         }
         pos = (pos + 1) & mask;
     }
     ctx->keys[pos] = key;
     ctx->vals[pos] = val;
     ctx->count++;
+}
+
+int gss_map_put(gss_ctx *ctx, uint64_t key, int64_t val) {
+    if (map_reserve(ctx, 1) != 0) return -1;
+    map_insert(ctx, key, val);
     return 0;
+}
+
+/* The chain slot of hash: the slot holding its chain, or the empty slot
+ * where that chain goes; NULL while the index has no slots. */
+static chain_slot *chain_find(const chain_table *table, uint64_t hash) {
+    if (!table->cap) return NULL;
+    uint64_t mask = (uint64_t)table->cap - 1;
+    uint64_t pos = mix_key(hash) & mask;
+    while (table->slots[pos].head && table->slots[pos].hash != hash) pos = (pos + 1) & mask;
+    return &table->slots[pos];
+}
+
+/* Grow the index so `extra` more chains fit under 70% load. */
+static int chain_reserve(chain_table *table, int64_t extra) {
+    int64_t cap = table->cap ? table->cap : 1024;
+    while ((table->count + extra) * 10 >= cap * 7) cap *= 2;
+    if (cap == table->cap) return 0;
+    chain_slot *slots = (chain_slot *)calloc((size_t)cap, sizeof(chain_slot));
+    if (!slots) return -1;
+    chain_table grown = {slots, cap, table->count};
+    for (int64_t i = 0; i < table->cap; i++) {
+        if (table->slots[i].head) *chain_find(&grown, table->slots[i].hash) = table->slots[i];
+    }
+    free(table->slots);
+    *table = grown;
+    return 0;
+}
+
+/* Grow the buffer so `extra` more entries fit; 1-based uint32 entry ids cap
+ * it below 2^32 entries. */
+static int buffer_reserve(gss_ctx *ctx, int64_t extra) {
+    int64_t want = ctx->buf_count + extra;
+    if (want >= (int64_t)UINT32_MAX) return -1;
+    if (want > ctx->buf_cap) {
+        int64_t cap = ctx->buf_cap ? ctx->buf_cap : 1024;
+        while (cap < want) cap *= 2;
+        buffer_entry *buf = (buffer_entry *)realloc(ctx->buf, (size_t)cap * sizeof(buffer_entry));
+        if (!buf) return -1;
+        ctx->buf = buf;
+        ctx->buf_cap = cap;
+    }
+    if (chain_reserve(&ctx->out_chains, extra) != 0) return -1;
+    return chain_reserve(&ctx->in_chains, extra);
+}
+
+/* Append a buffer entry (needs a prior buffer_reserve) and return its
+ * 0-based index. */
+static int64_t buffer_append(gss_ctx *ctx, uint64_t src, uint64_t dst, double weight) {
+    int64_t e = ctx->buf_count++;
+    uint32_t id = (uint32_t)(e + 1);
+    buffer_entry *entry = &ctx->buf[e];
+    entry->src = src;
+    entry->dst = dst;
+    entry->weight = weight;
+    entry->next_out = 0;
+    entry->next_in = 0;
+    chain_slot *out = chain_find(&ctx->out_chains, src);
+    if (out->head) {
+        ctx->buf[out->tail - 1].next_out = id;
+    } else {
+        out->hash = src;
+        out->head = id;
+        ctx->out_chains.count++;
+    }
+    out->tail = id;
+    chain_slot *in = chain_find(&ctx->in_chains, dst);
+    if (in->head) {
+        ctx->buf[in->tail - 1].next_in = id;
+    } else {
+        in->hash = dst;
+        in->head = id;
+        ctx->in_chains.count++;
+    }
+    in->tail = id;
+    return e;
+}
+
+/* The first entry id of node_hash's chain — its buffered out-edges
+ * (forward) or in-edges — or 0. */
+static uint32_t chain_head(const gss_ctx *ctx, uint64_t node_hash, int32_t forward) {
+    const chain_slot *slot = chain_find(forward ? &ctx->out_chains : &ctx->in_chains, node_hash);
+    return slot ? slot->head : 0;
 }
 
 static int ensure_scratch(gss_ctx *ctx, int64_t n, int64_t seq_length) {
@@ -531,7 +721,10 @@ static int ensure_scratch(gss_ctx *ctx, int64_t n, int64_t seq_length) {
         free(ctx->bvals);
         ctx->bkeys = (uint64_t *)malloc((size_t)want * sizeof(uint64_t));
         ctx->bvals = (int64_t *)malloc((size_t)want * sizeof(int64_t));
-        if (!ctx->bkeys || !ctx->bvals) return -1;
+        if (!ctx->bkeys || !ctx->bvals) {
+            ctx->bcap = 0;
+            return -1;
+        }
         ctx->bcap = want;
     }
     if (n > ctx->ucap) {
@@ -539,69 +732,95 @@ static int ensure_scratch(gss_ctx *ctx, int64_t n, int64_t seq_length) {
         free(ctx->usums);
         ctx->ukeys = (uint64_t *)malloc((size_t)n * sizeof(uint64_t));
         ctx->usums = (double *)malloc((size_t)n * sizeof(double));
-        if (!ctx->ukeys || !ctx->usums) return -1;
+        if (!ctx->ukeys || !ctx->usums) {
+            ctx->ucap = 0;
+            return -1;
+        }
         ctx->ucap = n;
     }
     if (2 * seq_length > ctx->acap) {
         free(ctx->saddr);
         ctx->saddr = (int64_t *)malloc((size_t)(2 * seq_length) * sizeof(int64_t));
-        if (!ctx->saddr) return -1;
+        if (!ctx->saddr) {
+            ctx->acap = 0;
+            return -1;
+        }
         ctx->acap = 2 * seq_length;
     }
     return 0;
 }
 
-/* Shared placement pipeline; returns the number of rooms placed or -1. */
-static int64_t ingest_core(
-    gss_ctx *ctx,
-    const uint64_t *keys, const double *weights, int64_t n,
-    uint64_t hash_range, uint64_t fp_range,
-    int64_t width, int64_t rooms,
-    int64_t seq_length, int64_t candidates,
-    int32_t square_hashing, int32_t sampling,
-    uint64_t lcg_a, uint64_t lcg_b, uint64_t lcg_p,
-    int64_t *src_fp_arr, int64_t *dst_fp_arr,
-    int64_t *src_idx_arr, int64_t *dst_idx_arr,
-    double *room_weights,
-    uint8_t *fill,
-    uint64_t *spill_keys, double *spill_sums, int64_t *spill_count,
-    uint64_t *rebuf_keys, double *rebuf_sums, int64_t *rebuf_count)
+/* Everything a batch of n keys can allocate: scratch, and map and buffer
+ * room for n new edges. */
+static int ingest_reserve(gss_ctx *ctx, int64_t n) {
+    if (ensure_scratch(ctx, n, ctx->cfg.seq_length) != 0) return -1;
+    if (map_reserve(ctx, n) != 0) return -1;
+    return buffer_reserve(ctx, n);
+}
+
+/* Shared placement pipeline for a batch whose scratch is reserved; returns
+ * the number of rooms placed, or -1 when the map or buffer cannot grow for
+ * the batch's unique keys (before anything changes). */
+static int64_t ingest_core(gss_ctx *ctx, const uint64_t *keys, const double *weights, int64_t n)
 {
-    if (ensure_scratch(ctx, n, seq_length) != 0) return -1;
+    const gss_config *cfg = &ctx->cfg;
+    uint64_t hash_range = cfg->hash_range;
+    uint64_t fp_range = cfg->fp_range;
+    int64_t width = cfg->width;
+    int64_t rooms = cfg->rooms;
+    int64_t seq_length = cfg->seq_length;
+    int32_t square_hashing = cfg->square_hashing;
+    int32_t sampling = cfg->sampling;
+    uint64_t lcg_a = cfg->lcg_a;
+    uint64_t lcg_b = cfg->lcg_b;
+    uint64_t lcg_p = cfg->lcg_p;
+    int64_t *src_fp_arr = cfg->src_fp;
+    int64_t *dst_fp_arr = cfg->dst_fp;
+    int64_t *src_idx_arr = cfg->src_idx;
+    int64_t *dst_idx_arr = cfg->dst_idx;
+    double *room_weights = cfg->weights;
+    uint8_t *fill = cfg->fill;
 
     /* Pass 1 — aggregate per unique key.  Uniques are numbered in first-seen
      * order; each unique's weight accumulates in stream order, exactly like
      * the scalar dict and np.bincount paths (same IEEE addition order). */
-    uint64_t bmask = (uint64_t)ctx->bcap - 1;
-    memset(ctx->bkeys, 0xFF, (size_t)ctx->bcap * sizeof(uint64_t));
-    int64_t max_key_unique = -1; /* batch-table side slot for key==EMPTY_KEY */
     int64_t nunique = 0;
-    for (int64_t i = 0; i < n; i++) {
-        uint64_t key = keys[i];
-        int64_t u;
-        if (key == EMPTY_KEY) {
-            if (max_key_unique < 0) {
-                max_key_unique = nunique;
-                ctx->ukeys[nunique] = key;
-                ctx->usums[nunique] = 0.0;
-                nunique++;
+    if (n == 1) {
+        ctx->ukeys[0] = keys[0];
+        ctx->usums[0] = 0.0 + weights[0];
+        nunique = 1;
+    } else {
+        uint64_t bmask = (uint64_t)ctx->bcap - 1;
+        memset(ctx->bkeys, 0xFF, (size_t)ctx->bcap * sizeof(uint64_t));
+        int64_t max_key_unique = -1; /* batch-table side slot for key==EMPTY_KEY */
+        for (int64_t i = 0; i < n; i++) {
+            uint64_t key = keys[i];
+            int64_t u;
+            if (key == EMPTY_KEY) {
+                if (max_key_unique < 0) {
+                    max_key_unique = nunique;
+                    ctx->ukeys[nunique] = key;
+                    ctx->usums[nunique] = 0.0;
+                    nunique++;
+                }
+                u = max_key_unique;
+            } else {
+                uint64_t pos = mix_key(key) & bmask;
+                while (ctx->bkeys[pos] != EMPTY_KEY && ctx->bkeys[pos] != key)
+                    pos = (pos + 1) & bmask;
+                if (ctx->bkeys[pos] == EMPTY_KEY) {
+                    ctx->bkeys[pos] = key;
+                    ctx->bvals[pos] = nunique;
+                    ctx->ukeys[nunique] = key;
+                    ctx->usums[nunique] = 0.0;
+                    nunique++;
+                }
+                u = ctx->bvals[pos];
             }
-            u = max_key_unique;
-        } else {
-            uint64_t pos = mix_key(key) & bmask;
-            while (ctx->bkeys[pos] != EMPTY_KEY && ctx->bkeys[pos] != key)
-                pos = (pos + 1) & bmask;
-            if (ctx->bkeys[pos] == EMPTY_KEY) {
-                ctx->bkeys[pos] = key;
-                ctx->bvals[pos] = nunique;
-                ctx->ukeys[nunique] = key;
-                ctx->usums[nunique] = 0.0;
-                nunique++;
-            }
-            u = ctx->bvals[pos];
+            ctx->usums[u] += weights[i];
         }
-        ctx->usums[u] += weights[i];
     }
+    if (map_reserve(ctx, nunique) != 0 || buffer_reserve(ctx, nunique) != 0) return -1;
 
     /* Pass 2 — classify and place, in first-seen order (the only order that
      * is observable: it decides same-batch bucket contention and buffer
@@ -611,8 +830,6 @@ static int64_t ingest_core(
     int64_t span = seq_length * seq_length;
     int fast31 = (lcg_p == MERSENNE31);
     int64_t placed = 0;
-    *spill_count = 0;
-    *rebuf_count = 0;
     for (int64_t u = 0; u < nunique; u++) {
         uint64_t key = ctx->ukeys[u];
         double sum = ctx->usums[u];
@@ -621,10 +838,8 @@ static int64_t ingest_core(
             room_weights[slot] += sum;
             continue;
         }
-        if (slot == SLOT_BUFFERED) {
-            rebuf_keys[*rebuf_count] = key;
-            rebuf_sums[*rebuf_count] = sum;
-            (*rebuf_count)++;
+        if (slot != SLOT_MISSING) {
+            ctx->buf[BUFFER_ENTRY(slot)].weight += sum;
             continue;
         }
         /* unseen: split the packed key and derive the probe sequence */
@@ -634,7 +849,7 @@ static int64_t ingest_core(
         int64_t source_fp = (int64_t)(source_hash % fp_range);
         int64_t destination_base = (int64_t)(destination_hash / fp_range);
         int64_t destination_fp = (int64_t)(destination_hash % fp_range);
-        int64_t probes = candidates;
+        int64_t probes = cfg->candidates;
         if (square_hashing) {
             uint64_t cur;
             if (fast31) {
@@ -696,45 +911,25 @@ static int64_t ingest_core(
                 src_idx_arr[room] = i + 1;
                 dst_idx_arr[room] = j + 1;
                 room_weights[room] = sum;
-                if (gss_map_put(ctx, key, room) != 0) return -1;
+                map_insert(ctx, key, room);
                 placed++;
                 break;
             }
         }
-        if (placed == before) {
-            if (gss_map_put(ctx, key, SLOT_BUFFERED) != 0) return -1;
-            spill_keys[*spill_count] = key;
-            spill_sums[*spill_count] = sum;
-            (*spill_count)++;
-        }
+        if (placed == before)
+            map_insert(ctx, key, BUFFERED(buffer_append(ctx, source_hash, destination_hash, 0.0 + sum)));
     }
     return placed;
 }
 
-int64_t gss_ingest_batch(
-    gss_ctx *ctx,
-    const uint64_t *keys, const double *weights, int64_t n,
-    uint64_t hash_range, uint64_t fp_range,
-    int64_t width, int64_t rooms,
-    int64_t seq_length, int64_t candidates,
-    int32_t square_hashing, int32_t sampling,
-    uint64_t lcg_a, uint64_t lcg_b, uint64_t lcg_p,
-    int64_t *src_fp_arr, int64_t *dst_fp_arr,
-    int64_t *src_idx_arr, int64_t *dst_idx_arr,
-    double *room_weights,
-    uint8_t *fill,
-    uint64_t *spill_keys, double *spill_sums, int64_t *spill_count,
-    uint64_t *rebuf_keys, double *rebuf_sums, int64_t *rebuf_count)
+/* Place a batch of packed keys H(s) * M + H(d) with their weights; returns
+ * the number of rooms placed, or -1 on allocation failure (nothing
+ * changed).  Needs the room arrays configured. */
+int64_t gss_ingest_batch(gss_ctx *ctx, const uint64_t *keys, const double *weights, int64_t n)
 {
     if (n <= 0) return 0;
-    return ingest_core(
-        ctx, keys, weights, n, hash_range, fp_range, width, rooms,
-        seq_length, candidates, square_hashing, sampling,
-        lcg_a, lcg_b, lcg_p,
-        src_fp_arr, dst_fp_arr, src_idx_arr, dst_idx_arr,
-        room_weights, fill,
-        spill_keys, spill_sums, spill_count,
-        rebuf_keys, rebuf_sums, rebuf_count);
+    if (ensure_scratch(ctx, n, ctx->cfg.seq_length) != 0) return -1;
+    return ingest_core(ctx, keys, weights, n);
 }
 
 /* Reserve room in a sketch's node table (node_reserve), refusing (-2) once
@@ -746,62 +941,56 @@ static int ctx_reserve(gss_ctx *ctx, int64_t tokens, int64_t bytes) {
     return reserved;
 }
 
+/* The sketch hash of a token: its recorded hash, or — for a node the table
+ * has never seen — its seeded hash, recorded (needs a prior reservation)
+ * and counted in *hashed. */
+static uint64_t node_resolve_one(gss_ctx *ctx, const unsigned char *token, uint32_t len,
+                                 int64_t *hashed) {
+    uint32_t *slot = node_slot(&ctx->nodes, token, len);
+    if (*slot) return ctx->nodes.entries[*slot - 1].hmod;
+    uint64_t hmod = hash_token(token, len, ctx->cfg.fnv_state0) % ctx->cfg.hash_range;
+    node_add(&ctx->nodes, slot, token, len, hmod);
+    (*hashed)++;
+    return hmod;
+}
+
 /* Whole-batch text ingestion: blob holds 2n NUL-separated UTF-8 node IDs in
  * interleaved (source, destination) stream order.  Each token resolves to
  * its recorded hash; a new node is hashed and recorded, and *hashed counts
  * them.  Returns the number of rooms placed, -1 on allocation failure, or
  * -2 when the kernel cannot take the batch — the token count does not match
- * 2n, or the node arena is full (checked before any state mutation, so the
- * caller can fall back to the per-key path with the kernel untouched). */
+ * 2n (an ID holds a NUL), or the node arena is full.  Both are detected
+ * before any state changes, so the caller can fall back to the per-key path
+ * with the kernel untouched. */
 int64_t gss_ingest_text_batch(
     gss_ctx *ctx,
     const unsigned char *blob, int64_t blob_len,
     const double *weights, int64_t n,
-    uint64_t fnv_state0,
-    uint64_t hash_range, uint64_t fp_range,
-    int64_t width, int64_t rooms,
-    int64_t seq_length, int64_t candidates,
-    int32_t square_hashing, int32_t sampling,
-    uint64_t lcg_a, uint64_t lcg_b, uint64_t lcg_p,
-    int64_t *src_fp_arr, int64_t *dst_fp_arr,
-    int64_t *src_idx_arr, int64_t *dst_idx_arr,
-    double *room_weights,
-    uint8_t *fill,
-    uint64_t *spill_keys, double *spill_sums, int64_t *spill_count,
-    uint64_t *rebuf_keys, double *rebuf_sums, int64_t *rebuf_count,
     int64_t *hashed)
 {
     *hashed = 0;
     if (n <= 0) return 0;
-    /* Defensive token-count check (Python already screens for embedded
-     * NULs); it and every allocation run before any mutation, so -2 is a
-     * clean fallback and -1 leaves the node table untouched. */
     if (count_separators(blob, blob_len) != 2 * n - 1) return -2;
     if (n > ctx->tcap) {
         free(ctx->tkeys);
         ctx->tkeys = (uint64_t *)malloc((size_t)n * sizeof(uint64_t));
-        if (!ctx->tkeys) return -1;
+        if (!ctx->tkeys) {
+            ctx->tcap = 0;
+            return -1;
+        }
         ctx->tcap = n;
     }
     int reserved = ctx_reserve(ctx, 2 * n, blob_len);
     if (reserved != 0) return reserved;
+    if (ingest_reserve(ctx, n) != 0) return -1;
+    uint64_t hash_range = ctx->cfg.hash_range;
     uint64_t prev_hmod = 0;
     int64_t tok_start = 0;
     int64_t t = 0;
     for (int64_t i = 0; i <= blob_len; i++) {
         if (i < blob_len && blob[i] != 0) continue;
         /* token t = blob[tok_start:i) */
-        const unsigned char *token = blob + tok_start;
-        uint32_t len = (uint32_t)(i - tok_start);
-        uint32_t *slot = node_slot(&ctx->nodes, token, len);
-        uint64_t hmod;
-        if (*slot) {
-            hmod = ctx->nodes.entries[*slot - 1].hmod;
-        } else {
-            hmod = hash_token(token, len, fnv_state0) % hash_range;
-            node_add(&ctx->nodes, slot, token, len, hmod);
-            (*hashed)++;
-        }
+        uint64_t hmod = node_resolve_one(ctx, blob + tok_start, (uint32_t)(i - tok_start), hashed);
         if (t & 1)
             ctx->tkeys[t >> 1] = prev_hmod * hash_range + hmod;
         else
@@ -809,14 +998,184 @@ int64_t gss_ingest_text_batch(
         t++;
         tok_start = i + 1;
     }
-    return ingest_core(
-        ctx, ctx->tkeys, weights, n, hash_range, fp_range, width, rooms,
-        seq_length, candidates, square_hashing, sampling,
-        lcg_a, lcg_b, lcg_p,
-        src_fp_arr, dst_fp_arr, src_idx_arr, dst_idx_arr,
-        room_weights, fill,
-        spill_keys, spill_sums, spill_count,
-        rebuf_keys, rebuf_sums, rebuf_count);
+    return ingest_core(ctx, ctx->tkeys, weights, n);
+}
+
+/* One stream item by string IDs: resolve source then destination through
+ * the node table (hashing and recording a new one, counted in *hashed) and
+ * place the edge as a one-row batch.  Returns the rooms placed (0 or 1), -1
+ * on allocation failure, or -2 when the node arena cannot take the IDs;
+ * both leave the sketch unchanged. */
+int64_t gss_update_text(
+    gss_ctx *ctx,
+    const unsigned char *source, int64_t source_len,
+    const unsigned char *destination, int64_t destination_len,
+    double weight, int64_t *hashed)
+{
+    *hashed = 0;
+    int reserved = ctx_reserve(ctx, 2, source_len + destination_len);
+    if (reserved != 0) return reserved;
+    if (ingest_reserve(ctx, 1) != 0) return -1;
+    uint64_t key = node_resolve_one(ctx, source, (uint32_t)source_len, hashed) * ctx->cfg.hash_range;
+    key += node_resolve_one(ctx, destination, (uint32_t)destination_len, hashed);
+    return ingest_core(ctx, &key, &weight, 1);
+}
+
+/* The weight of packed edge key: 1 with *weight its room's, 2 with
+ * *weight its buffer entry's, or 0 when the sketch holds no such edge. */
+int64_t gss_edge_weight(gss_ctx *ctx, uint64_t key, double *weight) {
+    int64_t slot = gss_map_get(ctx, key);
+    if (slot >= 0) {
+        *weight = ctx->cfg.weights[slot];
+        return 1;
+    }
+    if (slot == SLOT_MISSING) return 0;
+    *weight = ctx->buf[BUFFER_ENTRY(slot)].weight;
+    return 2;
+}
+
+/* Edge query by string IDs: both hashed with the sketch's seeded hash (not
+ * looked up in the node table), then gss_edge_weight(). */
+int64_t gss_edge_query(
+    gss_ctx *ctx,
+    const unsigned char *source, int64_t source_len,
+    const unsigned char *destination, int64_t destination_len,
+    double *weight)
+{
+    uint64_t hash_range = ctx->cfg.hash_range;
+    uint64_t state = ctx->cfg.fnv_state0;
+    uint64_t key = hash_token(source, (uint64_t)source_len, state) % hash_range * hash_range
+                   + hash_token(destination, (uint64_t)destination_len, state) % hash_range;
+    return gss_edge_weight(ctx, key, weight);
+}
+
+/* Append the IDs recorded under hash to out, as far as they fit, counting
+ * them all (node_ids_out). */
+static void ids_append(const node_table *table, uint64_t hash, node_ids_out *out) {
+    uint32_t id = *node_head(table->heads, table->head_cap, table->entries, hash);
+    for (; id; id = table->same[id - 1]) {
+        const node_entry *entry = &table->entries[id - 1];
+        int64_t at = out->len;
+        out->len += entry->len + 1;
+        if (out->count < out->ids_cap && out->len <= out->bytes_cap) {
+            if (entry->len) memcpy(out->bytes + at, table->arena + entry->off, entry->len);
+            out->bytes[at + entry->len] = 0;
+            out->lengths[out->count] = entry->len;
+            out->hashes[out->count] = entry->hmod;
+        }
+        out->count++;
+    }
+}
+
+/* What an ID-writing call returns: the bytes written, or -1 when they did
+ * not fit (out->count and out->len then say what would). */
+static int64_t ids_written(const node_ids_out *out) {
+    return out->count > out->ids_cap || out->len > out->bytes_cap ? -1 : out->len;
+}
+
+/* gss_neighbor_scan() of node_hash over the configured rooms into the
+ * configured scan output (nothing before the rooms exist); returns the
+ * count. */
+static int64_t scan_rooms(const gss_ctx *ctx, uint64_t node_hash, int32_t forward) {
+    const gss_config *cfg = &ctx->cfg;
+    if (!cfg->weights) return 0;
+    return gss_neighbor_scan(
+        node_hash, forward, cfg->fp_range, cfg->width, cfg->rooms,
+        cfg->seq_length, cfg->square_hashing, cfg->lcg_a, cfg->lcg_b, cfg->lcg_p,
+        cfg->src_fp, cfg->dst_fp, cfg->src_idx, cfg->dst_idx, cfg->fill,
+        cfg->scan_out);
+}
+
+/* Successor (forward) or precursor query by string ID: hash the node with
+ * the sketch's seeded hash, scan its r rows (columns) — gss_neighbor_scan
+ * into the configured scan output — and walk its buffer chain, and write
+ * the IDs the node table records under each answer hash into out
+ * (node_ids_out; a hash found twice repeats its IDs).  Returns
+ * ids_written(). */
+int64_t gss_neighbor_query(
+    gss_ctx *ctx, const unsigned char *node, int64_t node_len, int32_t forward,
+    node_ids_out *out)
+{
+    const gss_config *cfg = &ctx->cfg;
+    uint64_t node_hash = hash_token(node, (uint64_t)node_len, cfg->fnv_state0) % cfg->hash_range;
+    out->count = 0;
+    out->len = 0;
+    out->nul = ctx->nodes.has_nul;
+    int64_t found = scan_rooms(ctx, node_hash, forward);
+    for (int64_t k = 0; k < found; k++) ids_append(&ctx->nodes, cfg->scan_out[k], out);
+    for (uint32_t id = chain_head(ctx, node_hash, forward); id;) {
+        const buffer_entry *entry = &ctx->buf[id - 1];
+        ids_append(&ctx->nodes, forward ? entry->dst : entry->src, out);
+        id = forward ? entry->next_out : entry->next_in;
+    }
+    return ids_written(out);
+}
+
+/* Add weight to buffered edge H(s) -> H(d), creating its entry (at 0.0 +
+ * weight) when absent — the restore path.  Returns 0, -1 on allocation
+ * failure, or -3 when the edge is stored in a matrix room. */
+int64_t gss_buffer_add(gss_ctx *ctx, uint64_t source_hash, uint64_t destination_hash,
+                       double weight) {
+    uint64_t key = source_hash * ctx->cfg.hash_range + destination_hash;
+    int64_t slot = gss_map_get(ctx, key);
+    if (slot >= 0) return -3;
+    if (slot != SLOT_MISSING) {
+        ctx->buf[BUFFER_ENTRY(slot)].weight += weight;
+        return 0;
+    }
+    if (map_reserve(ctx, 1) != 0 || buffer_reserve(ctx, 1) != 0) return -1;
+    map_insert(ctx, key, BUFFERED(buffer_append(ctx, source_hash, destination_hash, 0.0 + weight)));
+    return 0;
+}
+
+/* Edges in the left-over buffer. */
+int64_t gss_buffer_count(gss_ctx *ctx) {
+    return ctx->buf_count;
+}
+
+/* The destinations of node_hash's buffered out-edges (forward; else the
+ * sources of its in-edges), in creation order: the first cap go to out, and
+ * the count of all is returned. */
+int64_t gss_buffer_neighbors(gss_ctx *ctx, uint64_t node_hash, int32_t forward,
+                             uint64_t *out, int64_t cap) {
+    int64_t count = 0;
+    for (uint32_t id = chain_head(ctx, node_hash, forward); id; count++) {
+        const buffer_entry *entry = &ctx->buf[id - 1];
+        if (count < cap) out[count] = forward ? entry->dst : entry->src;
+        id = forward ? entry->next_out : entry->next_in;
+    }
+    return count;
+}
+
+/* The hashes of node_hash's successors (forward) or precursors: the matrix
+ * scan's, then its buffer chain's (a hash may repeat).  The first cap go to
+ * out, and the count of all is returned. */
+int64_t gss_neighbor_hashes(gss_ctx *ctx, uint64_t node_hash, int32_t forward,
+                            uint64_t *out, int64_t cap) {
+    int64_t found = scan_rooms(ctx, node_hash, forward);
+    int64_t kept = found < cap ? found : cap;
+    if (kept) memcpy(out, ctx->cfg.scan_out, (size_t)kept * sizeof(uint64_t));
+    return found + gss_buffer_neighbors(ctx, node_hash, forward, out + kept, cap - kept);
+}
+
+/* Every buffered edge, grouped by source in first-seen source order and in
+ * creation order within a source (the python backend's dict-of-dicts
+ * order), into gss_buffer_count() slots of each column; returns the count. */
+int64_t gss_buffer_edges(gss_ctx *ctx, uint64_t *sources, uint64_t *destinations,
+                         double *weights) {
+    int64_t written = 0;
+    for (int64_t e = 0; e < ctx->buf_count; e++) {
+        uint32_t id = chain_head(ctx, ctx->buf[e].src, 1);
+        if (id != (uint32_t)(e + 1)) continue; /* not its source's first entry */
+        for (; id; id = ctx->buf[id - 1].next_out) {
+            const buffer_entry *entry = &ctx->buf[id - 1];
+            sources[written] = entry->src;
+            destinations[written] = entry->dst;
+            weights[written] = entry->weight;
+            written++;
+        }
+    }
+    return written;
 }
 
 /* Write each item's (H(s), H(d), weight) row into its shard's region of the
@@ -1022,9 +1381,11 @@ static inline uint64_t lcg_next(uint64_t cur, uint64_t lcg_a, uint64_t lcg_b,
  * with it, the base is recovered as in linear_congruence.recover_address.
  * The function is cache-line aligned: where its loop falls against 64-byte
  * lines sets its speed, and unaligned, any edit above it in this file moves
- * it (deleting a 16-byte function once cost every scan ~10%). */
-__attribute__((aligned(64)))
-int64_t gss_neighbor_scan(
+ * it (deleting a 16-byte function once cost every scan ~10%).  It is kept
+ * out of line for the same reason: inlined into a caller, it loses the
+ * alignment. */
+__attribute__((noinline, aligned(64)))
+static int64_t gss_neighbor_scan(
     uint64_t node_hash, int32_t forward,
     uint64_t fp_range, int64_t width, int64_t rooms,
     int64_t seq_length, int32_t square_hashing,
@@ -1153,42 +1514,27 @@ int64_t gss_node_resolve(
 
 /* Write the IDs recorded under each of the n distinct hashes — or, for
  * n < 0, every recorded ID in first-seen order — into the caller's buffers
- * (node_ids_out).  Returns the bytes written, or -1 when they do not fit,
- * and then out->count and out->len say what would. */
+ * (node_ids_out).  Returns ids_written(). */
 int64_t gss_node_ids(gss_ctx *ctx, const uint64_t *hashes, int64_t n, node_ids_out *out) {
     node_table *table = &ctx->nodes;
-    int64_t count = 0;
-    int64_t bytes = 0;
-    if (n < 0) {
-        count = table->count;
-        bytes = table->arena_len;
-    } else {
-        for (int64_t k = 0; k < n; k++) {
-            uint32_t id = *node_head(table->heads, table->head_cap, table->entries, hashes[k]);
-            for (; id; id = table->same[id - 1]) {
-                count++;
-                bytes += table->entries[id - 1].len;
-            }
-        }
+    out->count = 0;
+    out->len = 0;
+    out->nul = table->has_nul;
+    if (n >= 0) {
+        for (int64_t k = 0; k < n; k++) ids_append(table, hashes[k], out);
+        return ids_written(out);
     }
-    out->count = count;
-    out->len = bytes + count;
-    if (count > out->ids_cap || out->len > out->bytes_cap) return -1;
-    int64_t written = 0;
+    out->count = table->count;
+    out->len = table->arena_len + table->count;
+    if (ids_written(out) < 0) return -1;
     unsigned char *cursor = out->bytes;
-    for (int64_t k = 0; n < 0 ? k < table->count : k < n; k++) {
-        uint32_t id = n < 0 ? (uint32_t)(k + 1)
-                            : *node_head(table->heads, table->head_cap, table->entries, hashes[k]);
-        while (id) {
-            const node_entry *entry = &table->entries[id - 1];
-            if (entry->len) memcpy(cursor, table->arena + entry->off, entry->len);
-            cursor += entry->len;
-            *cursor++ = 0;
-            out->lengths[written] = entry->len;
-            out->hashes[written] = entry->hmod;
-            written++;
-            id = n < 0 ? 0 : table->same[id - 1];
-        }
+    for (int64_t k = 0; k < table->count; k++) {
+        const node_entry *entry = &table->entries[k];
+        if (entry->len) memcpy(cursor, table->arena + entry->off, entry->len);
+        cursor += entry->len;
+        *cursor++ = 0;
+        out->lengths[k] = entry->len;
+        out->hashes[k] = entry->hmod;
     }
     return out->len;
 }

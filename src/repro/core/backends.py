@@ -1,33 +1,36 @@
 """Pluggable matrix-storage backends for the Graph Stream Sketch.
 
 :class:`~repro.core.gss.GSS` owns the hashing, the left-over buffer, the
-reverse node index (on the native backend, over the kernel's node table)
-and the query API; *where the matrix rooms live* is the
-backend's business, and each backend has one placement engine.  The GSS
-resolves a batch's node IDs to ``H(s)`` / ``H(d)`` columns, and a backend
-places hash columns: ``ingest_columns`` is the one batch entry point of
-both backends, and ``insert_edge`` places one edge.  The native backend
-adds one more, ``ingest_text``, which takes a batch of string IDs whole —
-hashing included — in its kernel, or declines it to the GSS's resolver.
-Two observationally identical implementations are provided:
+reverse node index (on the native backend, both over the kernel's state)
+and the query API; *where the matrix rooms live* is the backend's
+business, and each backend has one placement engine.  The GSS resolves a
+batch's node IDs to ``H(s)`` / ``H(d)`` columns, and a backend places hash
+columns: ``ingest_columns`` is the one batch entry point of both backends,
+``insert_edge`` places one edge and ``edge_weight`` reads one.  The native
+backend adds entry points by string ID, each one kernel call:
+``ingest_text`` takes a batch whole — hashing included — or declines it to
+the GSS's resolver, ``update_text`` places one item, and
+``edge_query_text`` answers an edge query.  Two observationally identical
+implementations are provided:
 
 * :class:`PythonMatrixBackend` — the original occupancy-indexed layout:
   nested room lists per bucket, per-row/per-column occupancy sets and an
   O(1) room map, placed by walking each edge's square-hashed candidate
-  buckets in Python.  Zero dependencies; the default, and the reference
-  the differential tests compare against.
+  buckets in Python, beside a :class:`~repro.core.buffer.LeftoverBuffer`.
+  Zero dependencies; the default, and the reference the differential
+  tests compare against.
 * :class:`NativeMatrixBackend` — the paper's ``m x m x l`` matrix stored
   bucket-major: one NumPy array per room field (fingerprint pairs, index
   pairs, weights) with room ``q`` of bucket ``(row, col)`` at slot
   ``(row * m + col) * l + q``, plus a bucket-fill table and an edge-to-slot
   map.  The ``m² · l`` slots are allocated on the first write.  The whole
-  per-batch aggregate/classify/place pipeline (including the inherently
-  sequential first-seen contention loop) and the neighbour scans run in a
-  C kernel (:mod:`repro.core._native`).  A batch crosses the Python/kernel
-  boundary once, and a scalar insert is a batch of one; only buffer spills
-  come back to Python.  A neighbour scan
-  is one kernel call over the node's ``r`` rows (or columns): it reads
-  ``O(r * m * l)`` slots, as in Section V of the paper.
+  per-batch aggregate/classify/place/spill pipeline (including the
+  inherently sequential first-seen contention loop), the left-over buffer
+  and the neighbour scans live in a C kernel (:mod:`repro.core._native`).
+  A batch crosses the Python/kernel boundary once, a scalar insert is a
+  batch of one, and a query by node ID is one call.  A neighbour scan
+  reads the node's ``r`` rows (or columns): ``O(r * m * l)`` slots, as in
+  Section V of the paper.
 
 Equivalence is not accidental — it is load-bearing.  Both backends place
 every sketch edge in exactly the same room (or buffer entry), because:
@@ -53,10 +56,12 @@ from __future__ import annotations
 import ctypes
 import warnings
 import weakref
+from array import array
 from bisect import insort
 from time import perf_counter
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
+from repro.core.buffer import KernelBuffer
 from repro.core.reverse_index import KernelNodeIndex
 from repro.hashing.hash_functions import _FNV_OFFSET, _count_hashes, _splitmix64
 from repro.hashing.linear_congruence import (
@@ -72,7 +77,7 @@ from repro.hashing.vectorized import (
 )
 from repro.obs.registry import Histogram, MetricsRegistry
 from repro.obs.trace import active as obs_active
-from repro.streaming.batch import text_blob
+from repro.streaming.batch import packed_weights, text_blob
 
 #: Lazily bound NumPy module (populated by the first NativeMatrixBackend), so
 #: pure-Python sketches never pay the NumPy import cost.
@@ -92,10 +97,9 @@ ROOM_WEIGHT = 4
 _CACHE_LIMIT = 1 << 16
 
 #: Batched-ingest stage timings, one histogram series per ``stage`` label:
-#: ``hashing`` (node IDs to hashes and node-index recording),
-#: ``placement`` (aggregation and the bucket walk) and ``buffer_spill``
-#: (overflowed edges applied to the left-over buffer; the python backend
-#: spills inside its placement loop and counts it there).  Recorded only
+#: ``hashing`` (node IDs to hashes and node-index recording) and
+#: ``placement`` (aggregation, the bucket walk and the buffer spills, which
+#: both backends make inside their placement loop).  Recorded only
 #: while :func:`repro.obs.trace.active` returns a registry, so the disabled
 #: cost is one ``is None`` check per batch.
 STAGE_FAMILY = "repro_ingest_stage_seconds"
@@ -196,7 +200,8 @@ class PythonMatrixBackend:
     Per-row and per-column occupancy sets record which buckets hold at least
     one room, and a room map keyed by ``(row, column, fingerprints, indices)``
     gives O(1) room lookups, so scans cost O(stored edges) rather than
-    O(r * m) matrix slots.
+    O(r * m) matrix slots.  Edges whose candidates are all full go to the
+    sketch's :class:`~repro.core.buffer.LeftoverBuffer`.
     """
 
     name = "python"
@@ -396,8 +401,9 @@ class PythonMatrixBackend:
 
     # -- queries -----------------------------------------------------------
 
-    def matrix_edge_weight(self, source_hash: int, destination_hash: int) -> Optional[float]:
-        """Weight of the edge's matrix room, or ``None`` when not in the matrix."""
+    def edge_weight(self, source_hash: int, destination_hash: int) -> Optional[float]:
+        """Weight of the edge's room or buffer entry, or ``None`` when the
+        sketch holds no such edge."""
         _, source_fp = self._split(source_hash)
         _, destination_fp = self._split(destination_hash)
         source_addresses = self._addresses(source_hash)
@@ -419,15 +425,15 @@ class PythonMatrixBackend:
             )
             if room is not None:
                 return room[ROOM_WEIGHT]
-        return None
+        return self._sketch._buffer.get(source_hash, destination_hash)
 
-    def matrix_neighbor_hashes(self, node_hash: int, forward: bool) -> Set[int]:
-        """Scan ``r`` rows (or columns) for matrix edges touching ``node_hash``.
+    def neighbor_hashes(self, node_hash: int, forward: bool) -> Set[int]:
+        """Scan ``r`` rows (or columns) for edges touching ``node_hash``,
+        then its left-over buffer entries.
 
         Uses the occupancy indexes: only buckets that actually hold rooms are
         visited, so the cost is proportional to the occupancy of the node's
-        ``r`` rows/columns instead of ``r * m`` matrix slots.  The left-over
-        buffer is the caller's business.
+        ``r`` rows/columns instead of ``r * m`` matrix slots.
         """
         square_hashing = self._sketch.config.square_hashing
         _, fingerprint = self._split(node_hash)
@@ -467,6 +473,10 @@ class PythonMatrixBackend:
                     else:
                         other_base = offset
                     found.add(other_base * self._fingerprint_range + other_fp)
+        buffer = self._sketch._buffer
+        found.update(
+            buffer.successors_of(node_hash) if forward else buffer.precursors_of(node_hash)
+        )
         return found
 
     def reconstruct(self) -> List[Tuple[int, int, float]]:
@@ -504,7 +514,8 @@ class PythonMatrixBackend:
 
 
 class NativeMatrixBackend:
-    """Bucket-major matrix storage whose placement and scans run in a C kernel.
+    """Bucket-major matrix storage whose placement, buffer and queries run in
+    a C kernel.
 
     Rooms live in the paper's own ``m x m x l`` layout, one NumPy array per
     room field (the fingerprint pair, the index pair and the weight): room
@@ -513,43 +524,45 @@ class NativeMatrixBackend:
     ``GSSConfig.matrix_memory_bytes()`` counts (40 bytes a slot here, not
     the paper's packed room) and are allocated on the first write,
     uninitialised, because a slot is only read once the fill table marks it
-    live.  Two side structures keep updates O(1):
+    live.  ``_bucket_fill`` counts the live rooms per bucket (uint8): a
+    bucket's rooms fill its slots in insertion order and never move, so
+    slots ``[0, fill)`` of a bucket are live.  ``gss_configure`` hands the
+    kernel the configuration and the arrays' addresses once.
 
-    * ``_bucket_fill`` — live rooms per bucket, a uint8 array both Python
-      and the kernel write.  A bucket's rooms fill its slots in insertion
-      order and never move, so slots ``[0, fill)`` of a bucket are live;
-    * the edge->slot table — packed sketch-edge key ``H(s) * M + H(d)`` -> the
-      slot of its room (or ``-1`` for edges that overflowed to the buffer).
-      Because an edge's placement is permanent (see the module docstring),
-      this replaces the per-room map of the Python backend and
-      short-circuits every repeat update.  It is the kernel's persistent C
-      table; Python reads and writes it through ``gss_map_get`` /
-      ``gss_map_put`` (edge queries, restores), where a negative slot
-      means "not in the matrix".
+    The kernel context holds the rest of the sketch's state:
 
-    Batched ingestion — aggregation, edge classification and the
-    first-seen-order bucket-probe/contention loop — runs inside one kernel
-    call (:mod:`repro.core._native`): ``gss_ingest_text_batch`` for a batch
-    of string IDs (:meth:`ingest_text`, hashing included),
+    * the edge->slot table — packed sketch-edge key ``H(s) * M + H(d)`` ->
+      the slot of its room, or its left-over buffer entry.  Because an
+      edge's placement is permanent (see the module docstring), this
+      replaces the per-room map of the Python backend and short-circuits
+      every repeat update;
+    * the left-over buffer (:meth:`make_buffer`,
+      :class:`~repro.core.buffer.KernelBuffer`), which every kernel batch
+      spills into and every query reads in the same call;
+    * the node table, which is the reverse node index of the sketch's
+      string IDs (:meth:`make_node_index`,
+      :class:`~repro.core.reverse_index.KernelNodeIndex`): the text paths
+      resolve every token through it, and restores, merges, shard messages
+      and the GSS's resolver record there, so each string node is stored
+      once, as UTF-8 bytes in the kernel's arena.
+
+    Batched ingestion — aggregation, edge classification, the
+    first-seen-order bucket-probe/contention loop and the buffer spills —
+    runs inside one kernel call: ``gss_ingest_text_batch`` for a batch of
+    string IDs (:meth:`ingest_text`, hashing included),
     ``gss_ingest_batch`` for hash columns (:meth:`ingest_columns`), so a
     batch crosses the Python/kernel boundary exactly once.  A scalar insert
-    (:meth:`insert_edge`) is a one-row ``gss_ingest_batch`` call, bound
-    once with the batch arguments.  Only buffer traffic
-    comes back out, as (key, aggregated weight) arrays, because the
-    left-over buffer is an exact structure with Python dict semantics.
-    A successor/precursor query is one ``gss_neighbor_scan`` call over the
-    node's ``r`` rows (columns): ``O(r * m * l)`` slots, whatever the
-    number of stored edges.  The scan writes into one reusable output
-    buffer, so — as with ingestion — one sketch must not be used from two
-    threads at once.  Only restores (:meth:`register_room`) write the room
-    arrays directly.
-
-    The kernel context also holds the sketch's node table, which is the
-    reverse node index of its string IDs (:meth:`make_node_index`,
-    :class:`~repro.core.reverse_index.KernelNodeIndex`): the text path
-    resolves every token through it, and restores, merges, shard messages
-    and the GSS's resolver record there, so each string node is stored
-    once, as UTF-8 bytes in the kernel's arena.
+    by hashes (:meth:`insert_edge`) is a one-row ``gss_ingest_batch`` call,
+    and one by string IDs (:meth:`update_text`) one ``gss_update_text``
+    call that resolves the pair too.  An edge query by string IDs
+    (:meth:`edge_query_text`) is one ``gss_edge_query`` call, and a
+    successor/precursor query one ``gss_neighbor_query`` call (see
+    :meth:`KernelNodeIndex.neighbors`) that scans the node's ``r`` rows
+    (columns) — ``O(r * m * l)`` slots, whatever the number of stored
+    edges — walks its buffer chain and writes the IDs behind the answer.
+    The scans write into one reusable output buffer, so — as with
+    ingestion — one sketch must not be used from two threads at once.  Only
+    restores (:meth:`register_room`) write the room arrays directly.
 
     Construction compiles/binds the kernel, so building a store *is* the
     warm-up; every benchmark harness in this repo constructs stores outside
@@ -563,7 +576,7 @@ class NativeMatrixBackend:
         global np
         if np is None:
             np = load_numpy()
-        from repro.core._native import load_native
+        from repro.core._native import gss_config, load_native
 
         self._sketch = sketch
         config = sketch.config
@@ -585,35 +598,44 @@ class NativeMatrixBackend:
         self._lib = lib
         self._ctx = ctx
         self._ctx_finalizer = weakref.finalize(self, lib.gss_free, ctx)
-        self._map_get = lib.gss_map_get
         lcg = sketch._lcg
-        self._kernel_config = (
-            self._hash_range,
-            self._fingerprint_range,
-            self._width,
-            config.rooms,
-            config.sequence_length,
-            config.candidate_buckets,
-            1 if config.square_hashing else 0,
-            1 if config.sampling else 0,
-            lcg.multiplier,
-            lcg.increment,
-            lcg.modulus,
-        )
         # Seeded FNV-1a initial state for the kernel's node hashing — the
         # same value hash_functions.hash_bytes starts from, so the kernel's
         # token hashes are bit-identical to hash_string(node, seed).
         self._fnv_state0 = _FNV_OFFSET ^ _splitmix64(config.seed)
-        # Kernel out-arrays, reused across batches and grown to the largest
-        # batch seen; their contents are consumed before the call returns.
-        self._scratch_len = 0
-        self._spill_ctr = ctypes.c_int64(0)
-        self._rebuf_ctr = ctypes.c_int64(0)
-        self._hashed_ctr = ctypes.c_int64(0)
-        # The one-row batch of a scalar insert; its call is bound with the
-        # batch arguments.
-        self._row_key = np.empty(1, dtype=np.uint64)
-        self._row_weight = np.empty(1, dtype=np.float64)
+        self._config = gss_config(
+            hash_range=self._hash_range,
+            fp_range=self._fingerprint_range,
+            width=self._width,
+            rooms=config.rooms,
+            seq_length=config.sequence_length,
+            candidates=config.candidate_buckets,
+            square_hashing=1 if config.square_hashing else 0,
+            sampling=1 if config.sampling else 0,
+            lcg_a=lcg.multiplier,
+            lcg_b=lcg.increment,
+            lcg_p=lcg.modulus,
+            fnv_state0=self._fnv_state0,
+            fill=self._bucket_fill.ctypes.data,
+        )
+        lib.gss_configure(ctx, ctypes.byref(self._config))
+        # Kernel calls made per item or per query: the context and the
+        # out-parameters are converted to their ctypes arguments once.
+        self._ctx_arg = ctypes.c_void_p(ctx)
+        self._hashed = ctypes.c_int64(0)
+        self._hashed_arg = ctypes.byref(self._hashed)
+        self._weight = ctypes.c_double(0.0)
+        self._weight_arg = ctypes.byref(self._weight)
+        self._update_text = lib.gss_update_text
+        self._edge_query = lib.gss_edge_query
+        self._edge_weight = lib.gss_edge_weight
+        self._neighbor_hashes = lib.gss_neighbor_hashes
+        self._hash_out(64)
+
+    def make_buffer(self) -> KernelBuffer:
+        """The sketch's left-over buffer, which lives in the kernel: every
+        ingest call spills into it itself."""
+        return KernelBuffer(self)
 
     def make_node_index(self) -> KernelNodeIndex:
         """The sketch's reverse node index: string IDs live only in the
@@ -624,15 +646,14 @@ class NativeMatrixBackend:
     # -- storage plumbing --------------------------------------------------
 
     def _allocate_rooms(self) -> None:
-        """Allocate the ``m² · l`` room slots and bind the kernel to them.
+        """Allocate the ``m² · l`` room slots and configure the kernel with
+        them.
 
-        The arrays never move afterwards, so their addresses are computed
-        once here.  The scan's output buffer holds ``r * m * l`` hashes:
-        every room of the node's ``r`` rows (columns) can match, but none
-        twice.
+        The arrays never move afterwards.  The scan's output buffer holds
+        ``r * m * l`` hashes: every room of the node's ``r`` rows (columns)
+        can match, but none twice.
         """
         config = self._sketch.config
-        lcg = self._sketch._lcg
         slots = self._width * self._width * self._rooms
         self._src_fp = np.empty(slots, dtype=np.int64)
         self._dst_fp = np.empty(slots, dtype=np.int64)
@@ -641,27 +662,26 @@ class NativeMatrixBackend:
         self._weights = np.empty(slots, dtype=np.float64)
         lines = config.sequence_length if config.square_hashing else 1
         self._scan_out = np.empty(lines * self._width * self._rooms, dtype=np.uint64)
-        src_fp, dst_fp, src_idx, dst_idx, weights = (
-            array.ctypes.data for array in self._room_columns()
+        kernel = self._config
+        kernel.src_fp, kernel.dst_fp, kernel.src_idx, kernel.dst_idx, kernel.weights = (
+            column.ctypes.data for column in self._room_columns()
         )
-        fill = self._bucket_fill.ctypes.data
-        self._room_pointers = (src_fp, dst_fp, src_idx, dst_idx, weights, fill)
-        self._scan_args = (
-            self._fingerprint_range,
-            self._width,
-            self._rooms,
-            config.sequence_length,
-            1 if config.square_hashing else 0,
-            lcg.multiplier,
-            lcg.increment,
-            lcg.modulus,
-            src_fp,
-            dst_fp,
-            src_idx,
-            dst_idx,
-            fill,
-            self._scan_out.ctypes.data,
+        kernel.scan_out = self._scan_out.ctypes.data
+        self._lib.gss_configure(self._ctx, ctypes.byref(kernel))
+        # The one-row batch of a scalar insert by hashes.
+        self._row_key = np.empty(1, dtype=np.uint64)
+        self._row_weight = np.empty(1, dtype=np.float64)
+        self._row_args = (
+            self._ctx_arg,
+            ctypes.c_void_p(self._row_key.ctypes.data),
+            ctypes.c_void_p(self._row_weight.ctypes.data),
+            ctypes.c_int64(1),
         )
+
+    def _hash_out(self, size: int) -> None:
+        """(Re)allocate :meth:`neighbor_hashes`' output for ``size`` hashes."""
+        self._hashes = array("Q", bytes(8 * size))
+        self._hash_args = (self._hashes.buffer_info()[0], size)
 
     def _room_columns(self) -> tuple:
         """The room arrays in room-list order ``[f_s, f_d, i_s, i_d, weight]``."""
@@ -689,7 +709,7 @@ class NativeMatrixBackend:
         return [
             list(room)
             for room in zip(
-                *(array[start : start + count].tolist() for array in self._room_columns())
+                *(column[start : start + count].tolist() for column in self._room_columns())
             )
         ]
 
@@ -719,8 +739,8 @@ class NativeMatrixBackend:
         if self._weights is None:
             self._allocate_rooms()
         slot = bucket * self._rooms + fill
-        for array, value in zip(self._room_columns(), room):
-            array[slot] = value
+        for column, value in zip(self._room_columns(), room):
+            column[slot] = value
         self._bucket_fill[bucket] += 1
         self.matrix_edge_count += 1
         if self._lib.gss_map_put(
@@ -735,7 +755,7 @@ class NativeMatrixBackend:
         buckets, slots = self._live_slots()
         rooms = [
             list(room)
-            for room in zip(*(array[slots].tolist() for array in self._room_columns()))
+            for room in zip(*(column[slots].tolist() for column in self._room_columns()))
         ]
         position = 0
         for bucket, count in zip(buckets.tolist(), self._bucket_fill[buckets].tolist()):
@@ -745,62 +765,42 @@ class NativeMatrixBackend:
 
     # -- updates -----------------------------------------------------------
 
-    def insert_edge(self, source_hash: int, destination_hash: int, weight: float) -> None:
-        """Scalar insert: a one-row ``gss_ingest_batch`` call, buffer
-        traffic applied as for a batch."""
-        self._ensure_batch_scratch(1)
-        self._row_key[0] = source_hash * self._hash_range + destination_hash
-        self._row_weight[0] = weight
-        placed = self._lib.gss_ingest_batch(*self._row_args)
+    def _placed(self, placed: int) -> None:
+        """Count the rooms a kernel ingest call placed."""
         if placed < 0:  # pragma: no cover - allocation failure
             raise MemoryError("native kernel batch allocation failed")
         self.matrix_edge_count += placed
-        self._apply_buffer_arrays()
 
-    def _ensure_batch_scratch(self, count: int) -> None:
-        """Allocate the rooms on first use and grow the kernel's out-arrays
-        to ``count`` items, then bind the argument tails of both ingest
-        calls and the whole one-row call, so a batch does not rebuild their
-        pointers."""
+    def insert_edge(self, source_hash: int, destination_hash: int, weight: float) -> None:
+        """Scalar insert by hashes: a one-row ``gss_ingest_batch`` call."""
         if self._weights is None:
             self._allocate_rooms()
-        if count <= self._scratch_len:
-            return
-        self._sc_spill_keys = np.empty(count, dtype=np.uint64)
-        self._sc_spill_sums = np.empty(count, dtype=np.float64)
-        self._sc_rebuf_keys = np.empty(count, dtype=np.uint64)
-        self._sc_rebuf_sums = np.empty(count, dtype=np.float64)
-        self._scratch_len = count
-        self._batch_args = (
-            *self._kernel_config,
-            *self._room_pointers,
-            self._sc_spill_keys.ctypes.data,
-            self._sc_spill_sums.ctypes.data,
-            ctypes.addressof(self._spill_ctr),
-            self._sc_rebuf_keys.ctypes.data,
-            self._sc_rebuf_sums.ctypes.data,
-            ctypes.addressof(self._rebuf_ctr),
+        self._row_key[0] = source_hash * self._hash_range + destination_hash
+        self._row_weight[0] = weight
+        self._placed(self._lib.gss_ingest_batch(*self._row_args))
+
+    def update_text(self, source: str, destination: str, weight) -> bool:
+        """Scalar insert by string IDs in one ``gss_update_text`` call, which
+        resolves both IDs through the node table (hashing and recording a
+        new one) and places the edge; ``False`` — nothing changed — when the
+        kernel cannot take the IDs (one UTF-8 cannot encode, or the node
+        arena is full)."""
+        try:
+            source_bytes = source.encode("utf-8")
+            destination_bytes = destination.encode("utf-8")
+        except UnicodeEncodeError:
+            return False
+        if self._weights is None:
+            self._allocate_rooms()
+        placed = self._update_text(
+            self._ctx_arg, source_bytes, len(source_bytes),
+            destination_bytes, len(destination_bytes), float(weight), self._hashed_arg,
         )
-        # Converted to their ctypes types once, so a scalar insert skips
-        # the per-call conversion of its 27 arguments.
-        self._row_args = tuple(
-            kind(value)
-            for kind, value in zip(
-                self._lib.gss_ingest_batch.argtypes,
-                (
-                    self._ctx,
-                    self._row_key.ctypes.data,
-                    self._row_weight.ctypes.data,
-                    1,
-                    *self._batch_args,
-                ),
-            )
-        )
-        self._text_batch_args = (
-            self._fnv_state0,
-            *self._batch_args,
-            ctypes.addressof(self._hashed_ctr),
-        )
+        if placed == -2:
+            return False
+        self._placed(placed)
+        _count_hashes(self._hashed.value)
+        return True
 
     def ingest_text(self, tokens: List, weights: List) -> Optional[int]:
         """Whole-batch text ingestion: node IDs to placed rooms in one call,
@@ -810,15 +810,17 @@ class NativeMatrixBackend:
         :func:`~repro.streaming.batch.triple_tokens` (weights checked).
         :func:`~repro.streaming.batch.text_blob` joins the tokens into one
         NUL-joined UTF-8 blob (interleaved source/destination stream
-        order); a token that is not a NUL-free, encodable ``str`` declines
-        the batch.  The kernel resolves each token through its node table —
-        the sketch's reverse index of string IDs (:meth:`make_node_index`),
-        so a node keeps the hash it was recorded under — hashes and records
-        the new ones with the same seeded FNV-1a/splitmix64 mix as
+        order); a token that is not an encodable ``str`` declines the
+        batch, and so does one holding a NUL, whose extra separator the
+        kernel's token count refuses.  The kernel resolves each token
+        through its node table — the sketch's reverse index of string IDs
+        (:meth:`make_node_index`), so a node keeps the hash it was recorded
+        under — hashes and records the new ones with the same seeded
+        FNV-1a/splitmix64 mix as
         :func:`repro.hashing.hash_functions.hash_string`, in first-seen
         interleaved order like the scalar paths, packs the edge keys and
-        runs the aggregate/classify/place pipeline: hashing included, the
-        batch crosses the Python/kernel boundary exactly once.  The
+        runs the aggregate/classify/place/spill pipeline: hashing included,
+        the batch crosses the Python/kernel boundary exactly once.  The
         hash-once counter is credited with exactly the keys the kernel
         mixed.
         """
@@ -828,27 +830,22 @@ class NativeMatrixBackend:
         blob = text_blob(tokens)
         if blob is None:
             return None
-        weights = np.asarray(weights, dtype=np.float64)
         count = len(weights)
-        self._ensure_batch_scratch(count)
+        column = packed_weights(weights)
+        if self._weights is None:
+            self._allocate_rooms()
         if registry is not None:
             stage_histogram(registry, "hashing").observe(perf_counter() - started)
             started = perf_counter()
         placed = self._lib.gss_ingest_text_batch(
-            self._ctx, blob, len(blob), weights.ctypes.data, count, *self._text_batch_args
+            self._ctx, blob, len(blob), column, count, self._hashed_arg
         )
-        if placed == -2:  # pragma: no cover - NUL-screened, or the arena is full
+        if placed == -2:  # an ID holds a NUL, or the arena is full
             return None
-        if placed < 0:  # pragma: no cover - allocation failure
-            raise MemoryError("native kernel batch allocation failed")
-        self.matrix_edge_count += placed
-        _count_hashes(self._hashed_ctr.value)
+        self._placed(placed)
+        _count_hashes(self._hashed.value)
         if registry is not None:
             stage_histogram(registry, "placement").observe(perf_counter() - started)
-            started = perf_counter()
-        self._apply_buffer_arrays()
-        if registry is not None:
-            stage_histogram(registry, "buffer_spill").observe(perf_counter() - started)
         return count
 
     def ingest_columns(self, source_hashes, destination_hashes, weights) -> int:
@@ -856,8 +853,8 @@ class NativeMatrixBackend:
 
         The columns are consumed as arrays directly (zero-copy when they
         already are uint64/float64 arrays) and placed in one
-        ``gss_ingest_batch`` call, which aggregates, classifies and places
-        them as the text path does; only buffer spills come back.
+        ``gss_ingest_batch`` call, which aggregates, classifies, places and
+        spills them as the text path does.
         """
         count = len(source_hashes)
         if count == 0:
@@ -869,55 +866,48 @@ class NativeMatrixBackend:
         registry = obs_active()
         if registry is not None:
             started = perf_counter()
-        self._ensure_batch_scratch(count)
-        placed = self._lib.gss_ingest_batch(
-            self._ctx, keys.ctypes.data, weights.ctypes.data, count, *self._batch_args
-        )
-        if placed < 0:  # pragma: no cover - allocation failure
-            raise MemoryError("native kernel batch allocation failed")
-        self.matrix_edge_count += placed
+        if self._weights is None:
+            self._allocate_rooms()
+        self._placed(self._lib.gss_ingest_batch(
+            self._ctx, keys.ctypes.data, weights.ctypes.data, count
+        ))
         if registry is not None:
             stage_histogram(registry, "placement").observe(perf_counter() - started)
-            started = perf_counter()
-        self._apply_buffer_arrays()
-        if registry is not None:
-            stage_histogram(registry, "buffer_spill").observe(perf_counter() - started)
         return count
-
-    def _apply_buffer_arrays(self) -> None:
-        """Apply the last kernel call's buffer traffic to the left-over buffer.
-
-        Re-buffered edges first (their entries already exist, so add order
-        is unobservable), then genuine spills in first-seen order (this
-        order creates buffer entries and is observable) — one bulk
-        :meth:`~repro.core.buffer.LeftoverBuffer.add_many` call.
-        """
-        spills = self._spill_ctr.value
-        rebufs = self._rebuf_ctr.value
-        if not rebufs and not spills:
-            return
-        keys = np.concatenate((self._sc_rebuf_keys[:rebufs], self._sc_spill_keys[:spills]))
-        sums = np.concatenate((self._sc_rebuf_sums[:rebufs], self._sc_spill_sums[:spills]))
-        source_hashes, destination_hashes = np.divmod(keys, np.uint64(self._hash_range))
-        self._sketch._buffer.add_many(
-            source_hashes.tolist(), destination_hashes.tolist(), sums.tolist()
-        )
 
     # -- queries -----------------------------------------------------------
 
-    def matrix_edge_weight(self, source_hash: int, destination_hash: int) -> Optional[float]:
-        """Weight of the edge's matrix room, or ``None`` when not in the matrix."""
-        slot = self._map_get(self._ctx, source_hash * self._hash_range + destination_hash)
-        if slot < 0:  # buffered, or never seen
-            return None
-        return float(self._weights[slot])
+    def edge_weight(self, source_hash: int, destination_hash: int) -> Optional[float]:
+        """Weight of the edge's room or buffer entry, or ``None`` when the
+        sketch holds no such edge: one ``gss_edge_weight`` call."""
+        if self._edge_weight(
+            self._ctx_arg, source_hash * self._hash_range + destination_hash, self._weight_arg
+        ):
+            return self._weight.value
+        return None
 
-    def matrix_neighbor_hashes(self, node_hash: int, forward: bool) -> Set[int]:
-        """Scan the node's ``r`` rows (or columns) in the kernel."""
-        if self._weights is None:
-            return set()
-        found = self._lib.gss_neighbor_scan(node_hash, forward, *self._scan_args)
-        return set(self._scan_out[:found].tolist())
+    def edge_query_text(self, source: str, destination: str) -> Optional[float]:
+        """Edge query by string IDs: one ``gss_edge_query`` call, which
+        hashes both IDs as :class:`~repro.hashing.hash_functions.NodeHasher`
+        does (credited to the hash-once counter) and reads the edge's room
+        or buffer entry."""
+        source_bytes = source.encode("utf-8")
+        destination_bytes = destination.encode("utf-8")
+        found = self._edge_query(
+            self._ctx_arg, source_bytes, len(source_bytes),
+            destination_bytes, len(destination_bytes), self._weight_arg,
+        )
+        _count_hashes(2)
+        return self._weight.value if found else None
+
+    def neighbor_hashes(self, node_hash: int, forward: bool) -> Set[int]:
+        """The node's ``r`` rows (or columns) scanned, then its left-over
+        buffer chain, in one ``gss_neighbor_hashes`` call."""
+        found = self._neighbor_hashes(self._ctx_arg, node_hash, forward, *self._hash_args)
+        if found > self._hash_args[1]:
+            self._hash_out(2 * found)
+            self._neighbor_hashes(self._ctx_arg, node_hash, forward, *self._hash_args)
+        return set(self._hashes[:found].tolist())
 
     def reconstruct(self) -> List[Tuple[int, int, float]]:
         """Matrix-edge recovery, row-major like a full scan."""

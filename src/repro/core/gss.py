@@ -15,14 +15,19 @@ paper's ablations.
 The :class:`GSS` owns the hashing, the reverse node index (the paper's
 ``<H(v), v>`` table; on the native backend its string IDs live only in the
 kernel's node table, see :mod:`repro.core.reverse_index`), the left-over
-buffer and the query API; where a room goes is its matrix backend's
+buffer (:mod:`repro.core.buffer`; on the native backend it lives in the
+kernel) and the query API; where a room goes is its matrix backend's
 business (``GSSConfig.backend``, see :mod:`repro.core.backends`), each with
 one placement engine.  The default pure-Python backend keeps the
-occupancy-indexed nested-list layout and walks the square-hashed
-candidates itself, and the native backend stores rooms bucket-major in
-NumPy arrays — the paper's ``m x m x l`` layout, allocated on the first
-write — and places every batch, a scalar update as a batch of one, and
-scans every queried node in a compiled C kernel.  The two backends are
+occupancy-indexed nested-list layout and a dict-of-dicts buffer and walks
+the square-hashed candidates itself; the native backend stores rooms
+bucket-major in NumPy arrays — the paper's
+``m x m x l`` layout, allocated on the first write — keeps the buffer in
+a compiled C kernel, and places every batch there (a scalar update is a
+batch of one).  On the native backend a query by string node ID is one
+kernel call: an edge query hashes both IDs and reads the room or buffer
+entry, and a successor/precursor query scans the node's rows (columns)
+and buffer chain and writes the answer's IDs.  The two backends are
 observationally identical — every query answers the same — so the choice
 is purely about speed and dependencies.  A successor/precursor scan
 touches only the node's ``r`` rows (columns): the python backend visits
@@ -34,10 +39,10 @@ from __future__ import annotations
 
 from operator import index
 from time import perf_counter
-from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.core.backends import make_backend, stage_histogram
-from repro.core.buffer import LeftoverBuffer
+from repro.core.buffer import KernelBuffer, LeftoverBuffer
 from repro.core.config import GSSConfig
 from repro.core.reverse_index import NodeIndex
 from repro.hashing.hash_functions import NodeHasher
@@ -65,19 +70,28 @@ class GSS(SummaryShims):
         self._width = config.matrix_width
         self._hasher = NodeHasher(value_range=config.hash_range, seed=config.seed)
         self._lcg = LinearCongruentialSequence()
-        self._buffer = LeftoverBuffer()
         self._update_count = 0
         # Matrix storage is delegated to the configured backend; see
         # repro.core.backends for the layout and the equivalence argument.
+        # The native backend's left-over buffer lives in its kernel
+        # (repro.core.buffer.KernelBuffer).
         self._matrix = make_backend(self)
+        self._buffer = getattr(self._matrix, "make_buffer", LeftoverBuffer)()
         # The native backend's kernel node table is the index of its string
         # IDs (repro.core.reverse_index.KernelNodeIndex).
         self._node_index: Optional[NodeIndex] = None
         if config.keep_node_index:
             self._node_index = getattr(self._matrix, "make_node_index", NodeIndex)()
-        # The native backend's text entry: it places a batch of string IDs
-        # whole, or declines it to _ingest_nodes.
+        # The native backend's entries by string ID, each one kernel call:
+        # a batch (placed whole, or declined to _ingest_nodes), an edge
+        # query, and — with the node index, which they resolve through — a
+        # scalar update and the successor/precursor queries.
         self._ingest_text = getattr(self._matrix, "ingest_text", None)
+        self._edge_query_text = getattr(self._matrix, "edge_query_text", None)
+        self._update_text = None
+        if self._node_index is not None:
+            self._update_text = getattr(self._matrix, "update_text", None)
+        self._neighbors_text = getattr(self._node_index, "neighbors", None)
 
     # -- hashing helpers -----------------------------------------------------
 
@@ -153,9 +167,18 @@ class GSS(SummaryShims):
         native sketch resolves string IDs in its kernel's node table), so a
         node keeps the hash it was recorded under.  The backend places the
         edge as a batch of one: the native backend runs it through its
-        kernel, the python backend walks the edge's candidate buckets.
+        kernel (a pair of string IDs in the same call that resolves them),
+        the python backend walks the edge's candidate buckets.
         """
         check_weights((weight,))
+        if (
+            self._update_text is not None
+            and type(source) is str
+            and type(destination) is str
+            and self._update_text(source, destination, weight)
+        ):
+            self._update_count += 1
+            return
         hash((source, destination))
         if self._node_index is not None:
             distinct = list(dict.fromkeys((source, destination)))
@@ -333,8 +356,11 @@ class GSS(SummaryShims):
         ``None`` (rather than the paper's ``-1.0``) reports an absent edge, so
         the answer is unambiguous for streams with deletions: a stored edge
         whose weights sum to ``-1.0`` is reported as ``-1.0`` while a missing
-        edge is reported as ``None``.
+        edge is reported as ``None``.  On the native backend a pair of
+        string IDs is one kernel call.
         """
+        if self._edge_query_text is not None and type(source) is str and type(destination) is str:
+            return self._edge_query_text(source, destination)
         source_hash = self._hasher(source)
         destination_hash = self._hasher(destination)
         return self.edge_query_by_hash(source_hash, destination_hash)
@@ -343,10 +369,7 @@ class GSS(SummaryShims):
         self, source_hash: int, destination_hash: int
     ) -> Optional[float]:
         """Edge query by sketch hashes; ``None`` when the edge is absent."""
-        weight = self._matrix.matrix_edge_weight(source_hash, destination_hash)
-        if weight is not None:
-            return weight
-        return self._buffer.get(source_hash, destination_hash)
+        return self._matrix.edge_weight(source_hash, destination_hash)
 
     def successor_hashes(self, node: Hashable) -> Set[int]:
         """Sketch hashes of the 1-hop successors of ``node``."""
@@ -369,28 +392,35 @@ class GSS(SummaryShims):
         (Theorem 1 reversibility).  ``forward=False`` is the symmetric column
         scan for precursors.
 
-        The matrix scan is the backend's business (occupancy-indexed on the
-        Python backend, the kernel's scan of the ``r * m * l`` bucket-major
-        slots on the native backend); the left-over buffer is consulted
-        here.
+        The scan is the backend's business, the left-over buffer included:
+        the python backend visits the occupied buckets and then consults
+        the buffer; the native backend's kernel scans the ``r * m * l``
+        bucket-major slots and walks the node's buffer chain in one call,
+        the call a native :meth:`successor_query` / :meth:`precursor_query`
+        by string ID also makes, writing the IDs behind the hashes.
         """
-        found = self._matrix.matrix_neighbor_hashes(node_hash, forward)
-        if forward:
-            found.update(self._buffer.successors_of(node_hash))
-        else:
-            found.update(self._buffer.precursors_of(node_hash))
-        return found
+        return self._matrix.neighbor_hashes(node_hash, forward)
 
     def successor_query(self, node: Hashable) -> Set[Hashable]:
         """Original node IDs that are 1-hop reachable from ``node``.
 
         Requires the reverse node index (``keep_node_index=True``).  The
         result can only contain false positives, never miss a true successor.
+        On the native backend a string ID is one kernel call (see
+        :meth:`~repro.core.reverse_index.KernelNodeIndex.neighbors`).
         """
+        if self._neighbors_text is not None and type(node) is str:
+            found = self._neighbors_text(node, True)
+            if found is not None:
+                return found
         return self._expand(self.successor_hashes(node))
 
     def precursor_query(self, node: Hashable) -> Set[Hashable]:
         """Original node IDs that reach ``node`` in one hop."""
+        if self._neighbors_text is not None and type(node) is str:
+            found = self._neighbors_text(node, False)
+            if found is not None:
+                return found
         return self._expand(self.precursor_hashes(node))
 
     def _expand(self, hashes: Set[int]) -> Set[Hashable]:
@@ -453,8 +483,11 @@ class GSS(SummaryShims):
         return self._node_index
 
     @property
-    def buffer(self) -> LeftoverBuffer:
-        """The left-over edge buffer."""
+    def buffer(self) -> Union[LeftoverBuffer, KernelBuffer]:
+        """The left-over edge buffer: a
+        :class:`~repro.core.buffer.LeftoverBuffer`, or on the native backend
+        a :class:`~repro.core.buffer.KernelBuffer` with the same interface
+        over the kernel's buffer."""
         return self._buffer
 
     @property

@@ -20,6 +20,9 @@ Two implementations share one interface:
   each stamped with the kernel's node count when it was recorded, so
   :meth:`KernelNodeIndex.known_nodes` keeps the global first-seen order.
   String IDs come back as plain ``str`` objects decoded from the arena.
+  :meth:`KernelNodeIndex.neighbors` answers a successor or precursor query
+  by string ID in one kernel call that writes the answer's IDs straight
+  from the table.
 """
 
 from __future__ import annotations
@@ -175,9 +178,10 @@ class KernelNodeIndex:
     holds the table; the kernel's text ingest records nodes there itself.
     Looking up, recording or resolving (hashing the new IDs of) any number
     of string IDs is one ``gss_node_resolve`` call; :meth:`expand` is one
-    ``gss_node_ids`` call that writes the IDs behind a set of hashes into
-    one reused buffer, decoded and split once.  The IDs the kernel cannot
-    hold live in a :class:`NodeIndex` (see the module docstring).
+    ``gss_node_ids`` call and :meth:`neighbors` one ``gss_neighbor_query``
+    call, each writing the IDs behind a set of hashes into one reused
+    buffer, decoded and split once.  The IDs the kernel cannot hold live in
+    a :class:`NodeIndex` (see the module docstring).
     """
 
     def __init__(self, backend) -> None:
@@ -188,12 +192,12 @@ class KernelNodeIndex:
         self._fnv_state0 = backend._fnv_state0
         self._hash_range = backend._hash_range
         self._node_ids = lib.gss_node_ids
+        self._neighbor_query = lib.gss_neighbor_query
+        self._ctx_arg = ctypes.c_void_p(backend._ctx)
         self._others = NodeIndex()
         #: The kernel's node count when each of ``_others``' nodes was
         #: recorded, in their (first-seen) order.
         self._stamps: List[int] = []
-        #: Whether a recorded ID holds a NUL, which then cannot separate IDs.
-        self._has_nul = False
         self._conflict = ctypes.c_int64(-1)
         self._buffers = self._id_buffers(0, 0)  # grown by the first answer
 
@@ -221,34 +225,34 @@ class KernelNodeIndex:
         )
         return out, ctypes.addressof(out), memoryview(text), lengths, hashes
 
-    def _ids(self, hashes: Optional[array]) -> Tuple[List[str], array]:
-        """The IDs recorded under the distinct ``hashes`` (``None``: every
-        ID, in first-seen order) and the array holding their hashes.
+    def _ids(self, call, *args, export: bool = False) -> Tuple[List[str], array]:
+        """The IDs that ``call(ctx, *args, out)`` — ``gss_node_ids`` or
+        ``gss_neighbor_query`` — writes, and the array holding their hashes.
 
         A query that outgrows the kept buffers replaces them with ones at
-        least twice their size; an export that does uses buffers of its
+        least twice their size; an ``export`` that does uses buffers of its
         own.
         """
-        address, count = (None, -1) if hashes is None else (hashes.buffer_info()[0], len(hashes))
         buffers = self._buffers
-        size = self._node_ids(self._ctx, address, count, buffers[1])
+        size = call(self._ctx_arg, *args, buffers[1])
         if size < 0:
             out = buffers[0]
-            if hashes is None:
+            if export:
                 buffers = self._id_buffers(out.count, out.len)
             else:
                 buffers = self._id_buffers(max(out.count, 2 * out.ids_cap, 64),
                                            max(out.len, 2 * out.bytes_cap, 1024))
                 self._buffers = buffers
-            size = self._node_ids(self._ctx, address, count, buffers[1])
+            size = call(self._ctx_arg, *args, buffers[1])
         if not size:
             return [], buffers[4]
         view = buffers[2]
-        if not self._has_nul:
+        out = buffers[0]
+        if not out.nul:
             return str(view[: size - 1], "utf-8").split("\x00"), buffers[4]
         nodes = []
         start = 0
-        for length in buffers[3][: buffers[0].count]:
+        for length in buffers[3][: out.count]:
             nodes.append(str(view[start : start + length], "utf-8"))
             start += length + 1
         return nodes, buffers[4]
@@ -265,8 +269,6 @@ class KernelNodeIndex:
         )
         if status == -1:  # pragma: no cover - allocation failure
             raise MemoryError("native node table allocation failed")
-        if status >= 0 and mode != _LOOKUP and b"\x00" in blob:
-            self._has_nul = True
         return status, hashes, ids
 
     def _partition(self, nodes: Sequence) -> Tuple[List[int], bytes, array]:
@@ -433,14 +435,35 @@ class KernelNodeIndex:
         hashes = array("Q", node_hashes)
         if not hashes:
             return set()
-        result = set(self._ids(hashes)[0])
+        result = set(self._ids(self._node_ids, hashes.buffer_info()[0], len(hashes))[0])
         if len(self._others):
             result |= self._others.expand(hashes)
         return result
 
+    def neighbors(self, node: str, forward: bool) -> Optional[Set[str]]:
+        """The original IDs of ``node``'s successors (``forward``) or
+        precursors: :meth:`expand` of the GSS's neighbour hashes, in one
+        ``gss_neighbor_query`` call that hashes ``node`` (credited to the
+        hash-once counter), scans its ``r`` rows (columns) and buffer chain
+        and writes the IDs the table records under each answer hash.
+
+        ``None`` — nothing asked — while the Python side holds IDs (their
+        hashes may be in the answer) or for a string UTF-8 cannot encode;
+        the caller then takes the hash route.
+        """
+        if len(self._others):
+            return None
+        try:
+            token = node.encode("utf-8")
+        except UnicodeEncodeError:
+            return None
+        nodes, _ = self._ids(self._neighbor_query, token, len(token), forward)
+        _count_hashes(1)
+        return set(nodes)
+
     def items(self) -> List[Tuple[Hashable, int]]:
         """Every ``(node, H(v))`` pair, in first-seen order."""
-        nodes, hashes = self._ids(None)
+        nodes, hashes = self._ids(self._node_ids, None, -1, export=True)
         pairs = list(zip(nodes, hashes))
         if not self._stamps:
             return pairs

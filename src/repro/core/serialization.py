@@ -80,7 +80,8 @@ def sketch_from_dict(document: Dict, backend: Optional[str] = None) -> GSS:
     identically).  Snapshots written before the backend field existed restore
     onto the pure-Python default; ones recording the legacy ``"numpy"`` name
     restore onto the native backend.  A node-index entry whose hash is not
-    an integer in ``[0, M)`` is refused (``TypeError`` / ``ValueError``).
+    an integer in ``[0, M)`` is refused (``TypeError`` / ``ValueError``),
+    and so is a buffered edge's.
 
     Snapshots also record the hash-mapping version (see
     :data:`repro.hashing.hash_functions.HASH_VERSION`).  A snapshot written
@@ -125,7 +126,13 @@ def sketch_from_dict(document: Dict, backend: Optional[str] = None) -> GSS:
             # informational.
             sketch._register_room(entry["row"], entry["column"], list(room))
     sketch._update_count = document["update_count"]
-    for edge in document["buffer"]:
+    buffered = document["buffer"]
+    # Both backends refuse a buffered edge hash that is not in [0, M) alike
+    # (the native buffer keys its edges by the packed H(s) * M + H(d)).
+    sketch._check_hashes(
+        [edge["source"] for edge in buffered], [edge["destination"] for edge in buffered]
+    )
+    for edge in buffered:
         sketch.buffer.add(edge["source"], edge["destination"], edge["weight"])
     if "node_index" in document and sketch.node_index is not None:
         pairs = [(entry["raw"], entry["hash"]) for entry in document["node_index"]]

@@ -11,7 +11,9 @@ every weight passes :func:`check_weights`, or the whole batch is refused
 by the native GSS backend (``gss_ingest_text_batch``) and the sharded
 deployment's kernel front end (``gss_route_text_batch``): one NUL-joined
 UTF-8 blob of the IDs in interleaved stream order, read beside a float64
-weight column.  :func:`text_batch` cuts a batch into both.
+weight column (:func:`packed_weights`, or a NumPy array).  Both kernels
+count the blob's separators, so an ID holding a NUL is refused there.
+:func:`text_batch` cuts a batch into both.
 
 :class:`HashSpec` names the hash family a summary places edges under: the
 shard handshake of a sharded deployment reports it, and both of its front
@@ -20,6 +22,7 @@ ends (:mod:`repro.cluster.front_end`) hash every batch under it, once.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 from itertools import chain
 from numbers import Real
@@ -30,6 +33,7 @@ from repro.hashing.vectorized import load_numpy
 __all__ = [
     "HashSpec",
     "check_weights",
+    "packed_weights",
     "text_batch",
     "text_blob",
     "triple_tokens",
@@ -67,6 +71,14 @@ def weight_column(weights: Sequence, vectorized: bool):
     return [float(weight) for weight in weights]
 
 
+class CheckedTriples(list):
+    """A batch whose items are known to be exact ``(source, destination,
+    weight)`` tuples: :class:`~repro.api.StreamSession` checks each chunk
+    it passes on untouched and hands it over as one, so
+    :func:`triple_tokens` does not check the item shape again (the
+    weights it still checks)."""
+
+
 def triple_tokens(items: List) -> Tuple[List, List]:
     """Cut ``(source, destination, weight)`` items into ``(tokens,
     weights)``, two lists, under the one item rule.
@@ -75,11 +87,12 @@ def triple_tokens(items: List) -> Tuple[List, List]:
     source at ``2i``, its destination at ``2i + 1``), so a token index
     names the caller's own node object; ``weights`` holds the items'
     weights as given.  Raises :class:`ValueError` unless every item is an
-    exact three-element sequence and :func:`check_weights` passes.  All of
-    it runs in C loops.
+    exact three-element sequence — taken as met for
+    :class:`CheckedTriples` — and :func:`check_weights` passes.  All of it
+    runs in C loops.
     """
     try:
-        if items and set(map(len, items)) != {3}:
+        if items and type(items) is not CheckedTriples and set(map(len, items)) != {3}:
             raise TypeError
         tokens = list(chain.from_iterable(items))
     except TypeError:
@@ -90,6 +103,13 @@ def triple_tokens(items: List) -> Tuple[List, List]:
     check_weights(weights)
     del tokens[2::3]
     return tokens, weights
+
+
+def packed_weights(weights: Sequence) -> bytes:
+    """Real ``weights`` (checked by :func:`check_weights`) as a native
+    float64 column in one ``bytes`` object, the kernels' weight input;
+    converts each weight as ``float()`` and ``numpy.float64`` do."""
+    return struct.pack(f"{len(weights)}d", *weights)
 
 
 def text_batch(items: List) -> Tuple[List, object, Optional[bytes]]:
@@ -106,15 +126,13 @@ def text_batch(items: List) -> Tuple[List, object, Optional[bytes]]:
 
 def text_blob(tokens: List) -> Optional[bytes]:
     """``tokens`` NUL-joined and UTF-8 encoded, or ``None`` when a token is
-    not a ``str``, cannot be encoded, or contains a NUL (the join would be
-    ambiguous)."""
+    not a ``str`` or cannot be encoded.  A token holding a NUL makes the
+    join ambiguous; the kernel reading the blob counts its separators and
+    refuses it."""
     try:
-        blob = "\x00".join(tokens).encode("utf-8")
+        return "\x00".join(tokens).encode("utf-8")
     except (TypeError, ValueError):  # UnicodeEncodeError is a ValueError
         return None
-    if blob.count(0) != len(tokens) - 1:
-        return None
-    return blob
 
 
 @dataclass(frozen=True)

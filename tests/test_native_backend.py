@@ -503,9 +503,10 @@ class TestSerializationAndMerge:
 
 @requires_native
 class TestKernelScanEdges:
-    """``gss_neighbor_scan`` and the bucket-major reconstruction at the edges
-    of the room layout (``scripts/native_sanitize.py`` runs these under
-    ASan/UBSan, so an out-of-bounds slot or output write aborts)."""
+    """``gss_neighbor_scan`` (through ``gss_neighbor_hashes``) and the
+    bucket-major reconstruction at the edges of the room layout
+    (``scripts/native_sanitize.py`` runs these under ASan/UBSan, so an
+    out-of-bounds slot or output write aborts)."""
 
     def check(self, items, **overrides) -> GSS:
         native = make("native", **overrides)
@@ -552,7 +553,10 @@ class TestKernelScanEdges:
         native = self.check(items, **overrides)
         bound = lines * width * rooms
         assert native.matrix_edge_count == bound
-        assert len(native._matrix.matrix_neighbor_hashes(native.node_hash(hub), forward)) == bound
+        node_hash = native.node_hash(hub)
+        found = native._matrix.neighbor_hashes(node_hash, forward)
+        chain = native.buffer.successors_of if forward else native.buffer.precursors_of
+        assert len(found - set(chain(node_hash))) == bound
 
     def test_restored_sketch_keeps_ingesting(self):
         items = stream(400)

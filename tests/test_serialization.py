@@ -130,3 +130,48 @@ class TestHashVersionGuard:
             warnings.simplefilter("always")
             sketch_from_dict(document)
         assert any("hash version" in str(w.message) for w in caught)
+
+
+#: A 4 x 4 matrix of one-room buckets (M = 16) and a stream with far more
+#: distinct edges than rooms, so well over a fifth of them spill.
+SPILLING = dict(matrix_width=4, fingerprint_bits=2, rooms=1, sequence_length=2, candidate_buckets=2)
+SPILLING_STREAM = [(f"s{i % 13}", f"d{i * 7 % 11}", float(i % 5) - 1.5) for i in range(200)]
+
+
+def _document_json(sketch: GSS) -> str:
+    """``to_dict`` as JSON, with the backend name (which may differ) blanked."""
+    document = sketch.to_dict()
+    document["config"]["backend"] = "-"
+    return json.dumps(document)
+
+
+def _all_answers(sketch: GSS) -> list:
+    nodes = sketch.node_index.known_nodes() + ["never"]
+    return [sketch.edge_query(source, destination) for source in nodes for destination in nodes] + [
+        (sketch.successor_query(node), sketch.precursor_query(node)) for node in nodes
+    ]
+
+
+class TestRestoredBuffer:
+    """A restored sketch's buffered edges are the original's: re-fed its
+    stream, it ends exactly like a twin that was never restored, whichever
+    backend wrote or restored it."""
+
+    @requires_native
+    @pytest.mark.parametrize(
+        "written, restored", [("native", "native"), ("python", "native"), ("native", "python")]
+    )
+    def test_a_restored_sketch_refed_its_stream_matches_a_twin(self, written, restored):
+        original = GSS(GSSConfig(backend=written, **SPILLING))
+        original.update_many(SPILLING_STREAM)
+        assert original.buffer_percentage >= 0.2
+        copy = sketch_from_dict(original.to_dict(), backend=restored)
+        twin = GSS(GSSConfig(backend=restored, **SPILLING))
+        twin.update_many(SPILLING_STREAM)
+        for sketch in (copy, twin):
+            assert sketch.backend_name == restored
+            sketch.update_many(SPILLING_STREAM)
+            for source, destination, weight in SPILLING_STREAM[:40]:
+                sketch.update(source, destination, weight)
+        assert _document_json(copy) == _document_json(twin)
+        assert _all_answers(copy) == _all_answers(twin)

@@ -16,10 +16,12 @@ from decimal import Decimal
 import pytest
 
 from repro.api import build
+from repro.core.config import GSSConfig
 from repro.hashing import count_key_hashes
 from repro.hashing.vectorized import NUMPY_AVAILABLE
 from repro.streaming.batch import check_weights, text_batch, triple_tokens
 from repro.streaming.edge import StreamEdge
+from shard_oracle import ShardOracle, gss_params
 
 
 def _native_ready() -> bool:
@@ -55,6 +57,29 @@ REFUSED = {"mixed-lengths", "two-tuple", "lone-surrogate"}
 #: nodes as well as new ones.
 PRIMER = [("a", "b", 1.0), ("b", "c", 1.0), ("é", "a", 2.0)]
 
+#: Every node of the primer and of the NUL batch, and one never seen.
+NUL_NODES = ["a", "b", "c", "é", "x\x00y", "\x00", "never"]
+
+
+def _answers(summary) -> list:
+    """Every edge, successor and precursor answer over :data:`NUL_NODES`."""
+    return [summary.edge_query(s, d) for s in NUL_NODES for d in NUL_NODES] + [
+        (summary.successor_query(node), summary.precursor_query(node)) for node in NUL_NODES
+    ]
+
+
+def _returns(owner, name: str) -> list:
+    """Record what ``owner.name`` returns from now on."""
+    returned = []
+    method = getattr(owner, name)
+
+    def recording(*args):
+        returned.append(method(*args))
+        return returned[-1]
+
+    setattr(owner, name, recording)
+    return returned
+
 
 def _outcome(summary, batch, document):
     """``summary``'s document after ``batch`` — or, when it refuses the
@@ -83,11 +108,17 @@ class TestTextBatch:
         assert blob == "a\x00bc\x00\x00é".encode("utf-8")
 
     @requires_numpy
-    @pytest.mark.parametrize("name", ["nul-in-ids", "int-ids", "bytes-ids", "lone-surrogate"])
+    @pytest.mark.parametrize("name", ["int-ids", "bytes-ids", "lone-surrogate"])
     def test_ids_the_kernel_cannot_take_leave_no_blob(self, name):
         tokens, weights, blob = text_batch(BATCHES[name])
         assert blob is None
         assert len(tokens) == 2 * len(weights)
+
+    @requires_numpy
+    def test_an_id_holding_a_nul_adds_a_separator(self):
+        # The blob is made, and the kernels' separator count refuses it.
+        tokens, weights, blob = text_batch(BATCHES["nul-in-ids"])
+        assert blob.count(0) == len(tokens) - 1 + sum(token.count("\x00") for token in tokens)
 
     @pytest.mark.parametrize(
         "items",
@@ -120,6 +151,19 @@ class TestNativeGSSFallbacks:
                 _outcome(sketch, BATCHES[name], lambda: _without_backend(sketch.to_dict()))
             )
         assert outcomes[0] == outcomes[1]
+
+    @requires_native
+    def test_an_id_holding_a_nul_takes_the_fallback(self):
+        # The kernel's separator count refuses the blob (-2, nothing
+        # changed), and the resolver path answers as the python backend.
+        sketches = [build("gss", memory_bytes=4096, backend=name) for name in ("python", "native")]
+        for sketch in sketches:
+            sketch.update_many(PRIMER)
+        declined = _returns(sketches[1], "_ingest_text")
+        for sketch in sketches:
+            sketch.update_many(BATCHES["nul-in-ids"])
+        assert declined == [None]
+        assert _answers(sketches[1]) == _answers(sketches[0])
 
     @requires_native
     @pytest.mark.parametrize("name", sorted(set(BATCHES) - REFUSED))
@@ -159,6 +203,23 @@ class TestKernelFrontEndFallbacks:
                 summary.update_many([("c", "é", 1.0), ("z", "a", 2.0)])
                 outcomes.append((outcome, _documents(summary)))
         assert outcomes[0] == outcomes[1]
+
+    @requires_native
+    def test_an_id_holding_a_nul_takes_the_python_front_end(self):
+        # A sharded-gss's kernel router refuses the blob (-2, the router
+        # untouched); the Python front end routes it, and the workers'
+        # native shards answer as python shards behind scalar routing.
+        config = GSSConfig(matrix_width=8, fingerprint_bits=4)
+        oracle = ShardOracle(config, shards=2)
+        params = {**gss_params(config), "workers": 2}
+        with build("sharded-gss", seed=config.seed, backend="native", params=params) as summary:
+            declined = _returns(summary._kernel, "route")
+            for batch in (PRIMER, BATCHES["nul-in-ids"]):
+                summary.update_many(batch)
+                oracle.update_many(batch)
+            summary.flush()
+            assert declined[0] is not None and declined[1] is None
+            assert _answers(summary) == _answers(oracle)
 
     @requires_native
     @pytest.mark.parametrize("name", sorted(set(BATCHES) - REFUSED))
