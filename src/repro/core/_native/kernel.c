@@ -166,8 +166,8 @@ typedef struct {
 /* A sketch's configuration (gss_configure): its hash and placement
  * parameters, the seeded FNV-1a state of its node hash (FNV offset basis
  * XOR splitmix64(seed), see hash_functions.py), and the caller's room
- * arrays, per-bucket fill table and r * m * l scan output — the room
- * pointers and scan_out NULL until the rooms are allocated. */
+ * arrays, per-bucket fill table and r * m * l scan output — all NULL until
+ * the rooms are allocated, and read only once weights is set. */
 typedef struct {
     uint64_t hash_range;
     uint64_t fp_range;

@@ -527,7 +527,8 @@ class NativeMatrixBackend:
     live.  ``_bucket_fill`` counts the live rooms per bucket (uint8): a
     bucket's rooms fill its slots in insertion order and never move, so
     slots ``[0, fill)`` of a bucket are live.  ``gss_configure`` hands the
-    kernel the configuration and the arrays' addresses once.
+    kernel the configuration, and once the rooms exist the arrays'
+    addresses.
 
     The kernel context holds the rest of the sketch's state:
 
@@ -616,7 +617,6 @@ class NativeMatrixBackend:
             lcg_b=lcg.increment,
             lcg_p=lcg.modulus,
             fnv_state0=self._fnv_state0,
-            fill=self._bucket_fill.ctypes.data,
         )
         lib.gss_configure(ctx, ctypes.byref(self._config))
         # Kernel calls made per item or per query: the context and the
@@ -666,6 +666,7 @@ class NativeMatrixBackend:
         kernel.src_fp, kernel.dst_fp, kernel.src_idx, kernel.dst_idx, kernel.weights = (
             column.ctypes.data for column in self._room_columns()
         )
+        kernel.fill = self._bucket_fill.ctypes.data
         kernel.scan_out = self._scan_out.ctypes.data
         self._lib.gss_configure(self._ctx, ctypes.byref(kernel))
         # The one-row batch of a scalar insert by hashes.
